@@ -1,46 +1,17 @@
 """Hot numeric kernels: 2-D convolution forward and both backward passes.
 
-These inner loops dominate training time.  Two interchangeable backends:
-
-* ``numba`` -- plain-loop kernels compiled with ``@njit`` (default when
-  numba imports cleanly),
-* ``numpy`` -- vectorized per-kernel-offset contractions.
-
-Backend is picked once at import via ``RCFVIS_BACKEND`` (``auto`` | ``numba``
-| ``numpy``).  Both produce the same values up to float summation order;
-``benchmarks/bench_kernels.py`` times them against each other.
+These inner loops dominate training time.  Each pass is a numpy contraction
+per kernel offset (kh, kw): one ``tensordot`` over channels against a
+strided view of the padded input.  ``benchmarks/run.py`` reports their
+time as the ``kernels.conv`` layer.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_REQUESTED = os.environ.get("RCFVIS_BACKEND", "auto").lower()
-if _REQUESTED not in ("auto", "numba", "numpy"):
-    raise ValueError(f"RCFVIS_BACKEND must be auto|numba|numpy, got {_REQUESTED!r}")
 
-_HAVE_NUMBA = False
-if _REQUESTED in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _REQUESTED == "numba":
-            raise
-
-
-def active_backend() -> str:
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numpy backend: one tensordot per kernel offset (kh, kw)
-
-
-def _conv2d_forward_numpy(xp, w, stride):
+def _forward(xp, w, stride):
     co, ci, kh, kw = w.shape
     hp, wp = xp.shape[1], xp.shape[2]
     ho = (hp - kh) // stride + 1
@@ -53,7 +24,7 @@ def _conv2d_forward_numpy(xp, w, stride):
     return y
 
 
-def _conv2d_grad_input_numpy(gy, w, xp_shape, stride):
+def _grad_input(gy, w, xp_shape, stride):
     co, ci, kh, kw = w.shape
     ho, wo = gy.shape[1], gy.shape[2]
     gxp = np.zeros(xp_shape, dtype=gy.dtype)
@@ -65,7 +36,7 @@ def _conv2d_grad_input_numpy(gy, w, xp_shape, stride):
     return gxp
 
 
-def _conv2d_grad_weight_numpy(gy, xp, kshape, stride):
+def _grad_weight(gy, xp, kshape, stride):
     co, ci, kh, kw = kshape
     ho, wo = gy.shape[1], gy.shape[2]
     gw = np.zeros(kshape, dtype=gy.dtype)
@@ -74,59 +45,6 @@ def _conv2d_grad_weight_numpy(gy, xp, kshape, stride):
             patch = xp[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
             gw[:, :, i, j] = np.tensordot(gy, patch, axes=((1, 2), (1, 2)))
     return gw
-
-
-# ---------------------------------------------------------------------------
-# numba backend: direct loops
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _conv2d_forward_numba(xp, w, stride):
-        co, ci, kh, kw = w.shape
-        hp, wp = xp.shape[1], xp.shape[2]
-        ho = (hp - kh) // stride + 1
-        wo = (wp - kw) // stride + 1
-        y = np.zeros((co, ho, wo), dtype=xp.dtype)
-        for oc in range(co):
-            for oh in range(ho):
-                for ow in range(wo):
-                    acc = 0.0
-                    for c in range(ci):
-                        for i in range(kh):
-                            for j in range(kw):
-                                acc += w[oc, c, i, j] * xp[c, oh * stride + i, ow * stride + j]
-                    y[oc, oh, ow] = acc
-        return y
-
-    @njit(cache=True)
-    def _conv2d_grad_input_numba(gy, w, hp, wp, stride):
-        co, ci, kh, kw = w.shape
-        ho, wo = gy.shape[1], gy.shape[2]
-        gxp = np.zeros((ci, hp, wp), dtype=gy.dtype)
-        for oc in range(co):
-            for oh in range(ho):
-                for ow in range(wo):
-                    g = gy[oc, oh, ow]
-                    for c in range(ci):
-                        for i in range(kh):
-                            for j in range(kw):
-                                gxp[c, oh * stride + i, ow * stride + j] += w[oc, c, i, j] * g
-        return gxp
-
-    @njit(cache=True)
-    def _conv2d_grad_weight_numba(gy, xp, co, ci, kh, kw, stride):
-        ho, wo = gy.shape[1], gy.shape[2]
-        gw = np.zeros((co, ci, kh, kw), dtype=gy.dtype)
-        for oc in range(co):
-            for oh in range(ho):
-                for ow in range(wo):
-                    g = gy[oc, oh, ow]
-                    for c in range(ci):
-                        for i in range(kh):
-                            for j in range(kw):
-                                gw[oc, c, i, j] += g * xp[c, oh * stride + i, ow * stride + j]
-        return gw
 
 
 # ---------------------------------------------------------------------------
@@ -141,20 +59,13 @@ def _pad(x, pad):
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
     """Convolve x (C,H,W) with w (CO,CI,KH,KW); returns (CO,HO,WO)."""
-    xp = _pad(x, pad)
-    if _HAVE_NUMBA:
-        return _conv2d_forward_numba(xp, w, stride)
-    return _conv2d_forward_numpy(xp, w, stride)
+    return _forward(_pad(x, pad), w, stride)
 
 
 def conv2d_grad_input(gy: np.ndarray, w: np.ndarray, x_shape: tuple, stride: int = 1, pad: int = 0) -> np.ndarray:
     """Gradient of conv2d_forward w.r.t. x, given upstream gy (CO,HO,WO)."""
     c, h, wd = x_shape
-    hp, wp = h + 2 * pad, wd + 2 * pad
-    if _HAVE_NUMBA:
-        gxp = _conv2d_grad_input_numba(gy, w, hp, wp, stride)
-    else:
-        gxp = _conv2d_grad_input_numpy(gy, w, (c, hp, wp), stride)
+    gxp = _grad_input(gy, w, (c, h + 2 * pad, wd + 2 * pad), stride)
     if pad == 0:
         return gxp
     return gxp[:, pad : pad + h, pad : pad + wd]
@@ -162,8 +73,4 @@ def conv2d_grad_input(gy: np.ndarray, w: np.ndarray, x_shape: tuple, stride: int
 
 def conv2d_grad_weight(gy: np.ndarray, x: np.ndarray, kshape: tuple, stride: int = 1, pad: int = 0) -> np.ndarray:
     """Gradient of conv2d_forward w.r.t. w."""
-    xp = _pad(x, pad)
-    if _HAVE_NUMBA:
-        co, ci, kh, kw = kshape
-        return _conv2d_grad_weight_numba(gy, xp, co, ci, kh, kw, stride)
-    return _conv2d_grad_weight_numpy(gy, xp, kshape, stride)
+    return _grad_weight(gy, _pad(x, pad), kshape, stride)

@@ -12,34 +12,15 @@ import numpy as np
 from . import _kernels
 from .errors import ArgumentError
 from .linalg import POWER_MAX_ITERS, POWER_TOL, operator_norm
-from .matching import shrink_mask, sigmoid
+from .matching import shrink_mask
 from .model import RCFModel
 from .stream import RefCache, TrackState, infer_frame, mask_iou
 from .synthav import SpriteClip
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, no_grad, sigmoid
 
 
 # ---------------------------------------------------------------------------
 # latency
-
-
-@dataclass
-class LatencyModel:
-    t_stream: float  # seconds per streamed frame
-    t_model: float  # seconds of model time per frame
-    n_f: int  # clip length for the offline case
-
-    def __post_init__(self):
-        if self.t_stream <= 0 or self.t_model <= 0 or self.n_f <= 0:
-            raise ArgumentError("latency model needs strictly positive inputs")
-
-    @property
-    def online(self) -> float:
-        return self.t_stream + self.t_model
-
-    @property
-    def offline(self) -> float:
-        return (self.t_stream + self.t_model) * self.n_f
 
 
 def latency_model(fps_stream: float, fps_model: float, n_f: int = 1) -> tuple[float, float]:
@@ -50,8 +31,8 @@ def latency_model(fps_stream: float, fps_model: float, n_f: int = 1) -> tuple[fl
     """
     if fps_stream <= 0 or fps_model <= 0 or n_f <= 0:
         raise ArgumentError("latency model needs strictly positive inputs")
-    lm = LatencyModel(t_stream=1.0 / fps_stream, t_model=1.0 / fps_model, n_f=n_f)
-    return lm.online, lm.offline
+    online = 1.0 / fps_stream + 1.0 / fps_model
+    return online, online * n_f
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +224,6 @@ class ProbeReport:
     norm_p: object
     median_unchanged_ratio: float
     median_changed_ratio: float
-
-    def changed_rows(self) -> list[ProbeRow]:
-        return [r for r in self.rows if r.changed]
 
 
 def _probe_norm_order(p):

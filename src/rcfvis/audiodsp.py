@@ -9,7 +9,7 @@ window to a fixed-size feature vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,15 +39,6 @@ class LogMelSpectrogram:
     hop: int = HOP
     fmin: float = FMIN_HZ
     fmax: float = FMAX_HZ
-
-
-@dataclass
-class AudioFeature:
-    vector: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    @property
-    def dim(self) -> int:
-        return self.vector.shape[-1]
 
 
 def resample_16k_mono(wave: np.ndarray, src_rate: float) -> np.ndarray:

@@ -26,7 +26,7 @@ from .model import RCFModel
 from .stream import stream_clip
 from .synthav import GeneratorConfig, generate_clip, read_clip, write_clip
 from .training import list_clip_dirs, load_checkpoint, sample_window, train_loop
-from .viseval import evaluate_model_on_clips
+from .viseval import evaluate_model_on_clips, pred_tracks_from_state
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -126,19 +126,17 @@ def cmd_infer(args) -> int:
 
     tracks = []
     mask_blocks: dict[str, np.ndarray] = {}
-    for ident in sorted(state.history):
-        records = state.history[ident]
-        votes = np.bincount([r.class_id for r in records])
+    for track in pred_tracks_from_state(state):
+        records = state.history[track.identity]
         tracks.append(
             {
-                "identity": int(ident),
-                "class": int(np.argmax(votes)),
+                "identity": track.identity,
+                "class": track.class_id,
                 "frames": [{"t": r.frame, "score": round(r.score, 6)} for r in records],
             }
         )
-        for r in records:
-            up = np.repeat(np.repeat(r.mask, 2, axis=0), 2, axis=1)
-            mask_blocks[f"mask/{ident}/{r.frame:03d}"] = rle_encode(up)
+        for t, mask in track.masks.items():
+            mask_blocks[f"mask/{track.identity}/{t:03d}"] = rle_encode(mask)
     manifest = {
         "format_version": 1,
         "video": clip.clip_id,

@@ -1,8 +1,10 @@
-"""Run configuration: flat key=value files, validated field registry.
+"""Run configuration: flat key=value files, validated against one declaration.
 
-Every field carries a default and an explicit valid range; unknown keys are
-rejected.  The CLI builds its --help from this registry and accepts the same
-keys as overrides.
+The `RunConfig` dataclass is the registry: each field declares a key once,
+with its default, and its metadata carries the valid-range text and the
+check.  The kind (int, float, bool or str) is the type of the default.
+Unknown keys are rejected.  The CLI builds its --help from these fields and
+accepts the same keys as overrides.
 """
 
 from __future__ import annotations
@@ -15,15 +17,6 @@ from pathlib import Path
 from .errors import ConfigError
 
 SEED_ENV_VAR = "RCFVIS_SEED"
-
-
-@dataclass
-class Field:
-    name: str
-    kind: str  # int | float | bool | str
-    default: object
-    valid: str
-    check: object  # callable(value) -> bool
 
 
 def _choice(*opts):
@@ -39,118 +32,70 @@ def _range(lo, hi, lo_open=False, hi_open=False):
     return check
 
 
-REGISTRY: list[Field] = [
-    # model
-    Field("backbone_channels", "int", 32, "multiple of 4 in [8, 128]", lambda v: 8 <= v <= 128 and v % 4 == 0),
-    Field("token_dim", "int", 64, "multiple of 8 in [16, 512]", lambda v: 16 <= v <= 512 and v % 8 == 0),
-    Field("code_dim", "int", 64, "[8, 512]", _range(8, 512)),
-    Field("seg_channels", "int", 16, "[2, 128]", _range(2, 128)),
-    Field("ref_token_k", "int", 2, "one of 1, 2, 4, 8", _choice(1, 2, 4, 8)),
-    Field("ref_frames", "int", 1, "[0, 5]", _range(0, 5)),
-    Field("num_slots", "int", 10, "[1, 64]", _range(1, 64)),
-    Field("enc_depth", "int", 3, "[1, 8]", _range(1, 8)),
-    Field("dec_depth", "int", 3, "[1, 8]", _range(1, 8)),
-    Field("heads", "int", 8, "[1, 16]", _range(1, 16)),
-    Field("audio_enabled", "bool", True, "true or false", lambda v: isinstance(v, bool)),
-    Field("audio_dim", "int", 128, "[8, 4096]", _range(8, 4096)),
-    Field("lstm_hidden", "int", 32, "[4, 512]", _range(4, 512)),
-    Field("ref_compress", "str", "pool", "pool or dwconv", _choice("pool", "dwconv")),
-    Field("num_classes", "int", 4, "[1, 16]", _range(1, 16)),
-    Field("image_h", "int", 64, "multiple of 8 in [16, 512]", lambda v: 16 <= v <= 512 and v % 8 == 0),
-    Field("image_w", "int", 96, "multiple of 8 in [16, 512]", lambda v: 16 <= v <= 512 and v % 8 == 0),
-    # training
-    Field("lr0", "float", 6e-4, "(0, 1]", _range(0, 1, lo_open=True)),
-    Field("iter_max", "int", 1000, "[1, 10000000]", _range(1, 10_000_000)),
-    Field("weight_decay", "float", 1e-4, "[0, 1]", _range(0, 1)),
-    Field("backbone_lr_mult", "float", 0.1, "(0, 10]", _range(0, 10, lo_open=True)),
-    Field("seed", "int", 0, "[0, 2^31)", _range(0, 2**31 - 1)),
-    Field("ckpt_every", "int", 200, "[1, 10000000]", _range(1, 10_000_000)),
-    Field("train_clips", "int", 64, "[1, 100000]", _range(1, 100_000)),
-    Field("val_clips", "int", 16, "[1, 100000]", _range(1, 100_000)),
-    Field("probe_clips", "int", 32, "[1, 100000]", _range(1, 100_000)),
-    Field("sim_dice", "str", "coeff", "coeff or loss", _choice("coeff", "loss")),
-    # generator
-    Field("gen_frames", "int", 16, "[2, 512]", _range(2, 512)),
-    Field("gen_min_sprites", "int", 2, "[1, 8]", _range(1, 8)),
-    Field("gen_max_sprites", "int", 4, "[1, 8]", _range(1, 8)),
-    Field("gen_noise", "float", 0.02, "[0, 1]", _range(0, 1)),
-    Field("gen_fps", "int", 8, "[1, 64]", _range(1, 64)),
-    Field("gen_min_speed", "float", 1.0, "[0, 32]", _range(0, 32)),
-    Field("gen_max_speed", "float", 3.0, "[0, 32]", _range(0, 32)),
-    Field("gen_min_radius", "float", 6.0, "(0, 64]", _range(0, 64, lo_open=True)),
-    Field("gen_max_radius", "float", 12.0, "(0, 64]", _range(0, 64, lo_open=True)),
-    Field("probe_speed_scale", "float", 0.25, "(0, 1]", _range(0, 1, lo_open=True)),
-    Field("probe_noise", "float", 0.0, "[0, 1]", _range(0, 1)),
-    # thresholds / runtime
-    Field("mask_threshold", "float", 0.5, "[0, 1]", _range(0, 1)),
-    Field("class_threshold", "float", 0.4, "[0, 1]", _range(0, 1)),
-    Field("track_max_gap", "int", 5, "[0, 1000]", _range(0, 1000)),
-    Field("iou_override", "bool", True, "true or false", lambda v: isinstance(v, bool)),
-    Field("probe_norm_p", "str", "1", "1, 2 or inf", _choice("1", "2", "inf")),
-    # latency model defaults
-    Field("fps_stream", "float", 6.0, "(0, 10000]", _range(0, 10_000, lo_open=True)),
-    Field("fps_model", "float", 23.9, "(0, 10000]", _range(0, 10_000, lo_open=True)),
-    Field("clip_len", "int", 36, "[1, 100000]", _range(1, 100_000)),
-]
+def _key(default, valid: str, check):
+    """A config key: its default, its valid-range text and its check."""
+    return field(default=default, metadata={"valid": valid, "check": check})
 
-_BY_NAME = {f.name: f for f in REGISTRY}
+
+def _kind(f) -> str:
+    return type(f.default).__name__
 
 
 @dataclass
 class RunConfig:
-    backbone_channels: int = 32
-    token_dim: int = 64
-    code_dim: int = 64
-    seg_channels: int = 16
-    ref_token_k: int = 2
-    ref_frames: int = 1
-    num_slots: int = 10
-    enc_depth: int = 3
-    dec_depth: int = 3
-    heads: int = 8
-    audio_enabled: bool = True
-    audio_dim: int = 128
-    lstm_hidden: int = 32
-    ref_compress: str = "pool"
-    num_classes: int = 4
-    image_h: int = 64
-    image_w: int = 96
-    lr0: float = 6e-4
-    iter_max: int = 1000
-    weight_decay: float = 1e-4
-    backbone_lr_mult: float = 0.1
-    seed: int = 0
-    ckpt_every: int = 200
-    train_clips: int = 64
-    val_clips: int = 16
-    probe_clips: int = 32
-    sim_dice: str = "coeff"
-    gen_frames: int = 16
-    gen_min_sprites: int = 2
-    gen_max_sprites: int = 4
-    gen_noise: float = 0.02
-    gen_fps: int = 8
-    gen_min_speed: float = 1.0
-    gen_max_speed: float = 3.0
-    gen_min_radius: float = 6.0
-    gen_max_radius: float = 12.0
-    probe_speed_scale: float = 0.25
-    probe_noise: float = 0.0
-    mask_threshold: float = 0.5
-    class_threshold: float = 0.4
-    track_max_gap: int = 5
-    iou_override: bool = True
-    probe_norm_p: str = "1"
-    fps_stream: float = 6.0
-    fps_model: float = 23.9
-    clip_len: int = 36
+    # model
+    backbone_channels: int = _key(32, "multiple of 4 in [8, 128]", lambda v: 8 <= v <= 128 and v % 4 == 0)
+    token_dim: int = _key(64, "multiple of 8 in [16, 512]", lambda v: 16 <= v <= 512 and v % 8 == 0)
+    code_dim: int = _key(64, "[8, 512]", _range(8, 512))
+    seg_channels: int = _key(16, "[2, 128]", _range(2, 128))
+    ref_token_k: int = _key(2, "one of 1, 2, 4, 8", _choice(1, 2, 4, 8))
+    ref_frames: int = _key(1, "[0, 5]", _range(0, 5))
+    num_slots: int = _key(10, "[1, 64]", _range(1, 64))
+    enc_depth: int = _key(3, "[1, 8]", _range(1, 8))
+    dec_depth: int = _key(3, "[1, 8]", _range(1, 8))
+    heads: int = _key(8, "[1, 16]", _range(1, 16))
+    audio_enabled: bool = _key(True, "true or false", lambda v: isinstance(v, bool))
+    audio_dim: int = _key(128, "[8, 4096]", _range(8, 4096))
+    lstm_hidden: int = _key(32, "[4, 512]", _range(4, 512))
+    ref_compress: str = _key("pool", "pool or dwconv", _choice("pool", "dwconv"))
+    num_classes: int = _key(4, "[1, 16]", _range(1, 16))
+    image_h: int = _key(64, "multiple of 8 in [16, 512]", lambda v: 16 <= v <= 512 and v % 8 == 0)
+    image_w: int = _key(96, "multiple of 8 in [16, 512]", lambda v: 16 <= v <= 512 and v % 8 == 0)
+    # training
+    lr0: float = _key(6e-4, "(0, 1]", _range(0, 1, lo_open=True))
+    iter_max: int = _key(1000, "[1, 10000000]", _range(1, 10_000_000))
+    weight_decay: float = _key(1e-4, "[0, 1]", _range(0, 1))
+    backbone_lr_mult: float = _key(0.1, "(0, 10]", _range(0, 10, lo_open=True))
+    seed: int = _key(0, "[0, 2^31)", _range(0, 2**31 - 1))
+    ckpt_every: int = _key(200, "[1, 10000000]", _range(1, 10_000_000))
+    train_clips: int = _key(64, "[1, 100000]", _range(1, 100_000))
+    val_clips: int = _key(16, "[1, 100000]", _range(1, 100_000))
+    probe_clips: int = _key(32, "[1, 100000]", _range(1, 100_000))
+    sim_dice: str = _key("coeff", "coeff or loss", _choice("coeff", "loss"))
+    # generator
+    gen_frames: int = _key(16, "[2, 512]", _range(2, 512))
+    gen_min_sprites: int = _key(2, "[1, 8]", _range(1, 8))
+    gen_max_sprites: int = _key(4, "[1, 8]", _range(1, 8))
+    gen_noise: float = _key(0.02, "[0, 1]", _range(0, 1))
+    gen_fps: int = _key(8, "[1, 64]", _range(1, 64))
+    gen_min_speed: float = _key(1.0, "[0, 32]", _range(0, 32))
+    gen_max_speed: float = _key(3.0, "[0, 32]", _range(0, 32))
+    gen_min_radius: float = _key(6.0, "(0, 64]", _range(0, 64, lo_open=True))
+    gen_max_radius: float = _key(12.0, "(0, 64]", _range(0, 64, lo_open=True))
+    probe_speed_scale: float = _key(0.25, "(0, 1]", _range(0, 1, lo_open=True))
+    probe_noise: float = _key(0.0, "[0, 1]", _range(0, 1))
+    # thresholds / runtime
+    mask_threshold: float = _key(0.5, "[0, 1]", _range(0, 1))
+    class_threshold: float = _key(0.4, "[0, 1]", _range(0, 1))
+    track_max_gap: int = _key(5, "[0, 1000]", _range(0, 1000))
+    iou_override: bool = _key(True, "true or false", lambda v: isinstance(v, bool))
+    probe_norm_p: str = _key("1", "1, 2 or inf", _choice("1", "2", "inf"))
 
     def validate(self) -> "RunConfig":
         for f in fields(self):
-            spec = _BY_NAME[f.name]
             value = getattr(self, f.name)
-            if not spec.check(value):
-                raise ConfigError(f"config key {f.name}={value!r} outside valid range ({spec.valid})")
+            if not f.metadata["check"](value):
+                raise ConfigError(f"config key {f.name}={value!r} outside valid range ({f.metadata['valid']})")
         if self.token_dim % self.heads:
             raise ConfigError("token_dim must be divisible by heads")
         if self.gen_min_sprites > self.gen_max_sprites:
@@ -178,17 +123,18 @@ class RunConfig:
         return self.image_h // 2, self.image_w // 2
 
 
-def _parse_value(spec: Field, raw: str):
+def _parse_value(f, raw: str):
     raw = raw.strip()
+    kind = _kind(f)
     try:
-        if spec.kind == "int":
+        if kind == "int":
             return int(raw)
-        if spec.kind == "float":
+        if kind == "float":
             v = float(raw)
             if math.isnan(v):
                 raise ValueError("nan")
             return v
-        if spec.kind == "bool":
+        if kind == "bool":
             low = raw.lower()
             if low in ("true", "1", "yes", "on"):
                 return True
@@ -197,15 +143,15 @@ def _parse_value(spec: Field, raw: str):
             raise ValueError(raw)
         return raw
     except ValueError as e:
-        raise ConfigError(f"config key {spec.name}: cannot parse {raw!r} as {spec.kind}") from e
+        raise ConfigError(f"config key {f.name}: cannot parse {raw!r} as {kind}") from e
 
 
 def apply_assignments(cfg: RunConfig, items: list[tuple[str, str]]) -> RunConfig:
+    by_name = {f.name: f for f in fields(RunConfig)}
     for key, raw in items:
-        spec = _BY_NAME.get(key)
-        if spec is None:
+        if key not in by_name:
             raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, key, _parse_value(spec, raw))
+        setattr(cfg, key, _parse_value(by_name[key], raw))
     return cfg
 
 
@@ -241,4 +187,4 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
 
 
 def config_help_lines() -> list[str]:
-    return [f"  {f.name} = {f.default}  ({f.kind}; {f.valid})" for f in REGISTRY]
+    return [f"  {f.name} = {f.default}  ({_kind(f)}; {f.metadata['valid']})" for f in fields(RunConfig)]

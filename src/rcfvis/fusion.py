@@ -95,9 +95,6 @@ class FusionDiagnostics:
                 mass[si] /= counts[si]
         return mass
 
-    def reference_to_target_mass(self) -> float:
-        return float(self.segment_mass()[1, 0])
-
 
 def sincos_position_encoding_2d(h: int, w: int, dim: int) -> np.ndarray:
     """Fixed 2-D sinusoidal encoding, (h*w, dim); half the width per axis."""

@@ -10,7 +10,7 @@ happen in the loss and postprocessing, not here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +18,6 @@ from .errors import ArgumentError
 from .nn import INIT_STD, DecoderLayer, LayerNorm, Linear, Module
 from .tensor import Tensor, softmax
 from .videonet import SegmentationMap
-
-CLASS_PROB_THRESHOLD = 0.4
 
 
 @dataclass
@@ -43,7 +41,6 @@ class FramePrediction:
     fired: np.ndarray | None = None  # max non-empty class prob > 0.4
     scores: np.ndarray | None = None
     identities: np.ndarray | None = None  # filled by the tracker, -1 = unfired
-    tensors: dict = field(default_factory=dict, repr=False)  # training-path handles
 
     @property
     def num_slots(self) -> int:

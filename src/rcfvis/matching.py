@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ArgumentError, CapacityError, NumericError
 from .instance_head import FramePrediction
+from .tensor import sigmoid
 
 DICE_SMOOTH = 1.0
 BRUTE_FORCE_MAX_GT = 8
@@ -27,10 +28,6 @@ def dice_coeff(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     return float((2.0 * (a * b).sum() + DICE_SMOOTH) / (a.sum() + b.sum() + DICE_SMOOTH))
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
 
 def shrink_mask(mask: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:

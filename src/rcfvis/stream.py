@@ -16,10 +16,9 @@ import numpy as np
 
 from .errors import ArgumentError, StateError
 from .instance_head import FramePrediction
-from .matching import sigmoid
 from .model import RCFModel
 from .synthav import SpriteClip
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, no_grad, sigmoid
 from .videonet import FrameFeature
 
 IOU_OVERRIDE_THRESHOLD = 0.5

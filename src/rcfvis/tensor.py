@@ -54,6 +54,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function in a form whose exp never overflows."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -352,8 +357,7 @@ class Tensor:
         return out
 
     def sigmoid(self):
-        x = self.data
-        out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        out_data = sigmoid(self.data)
 
         def bw(a=self):
             if a.requires_grad:

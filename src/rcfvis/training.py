@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig
 from .container import read_container, write_container
-from .errors import ArgumentError, FormatError, NumericError
+from .errors import ArgumentError, ConfigError, FormatError, NumericError
 from .matching import Assignment, hungarian_assign, shrink_mask, similarity_matrix
 from .model import ModelOutput, RCFModel
 from .optim import OptimState, adamw_step, poly_lr
@@ -133,7 +133,17 @@ def load_checkpoint(path: str | Path) -> tuple[RCFModel, OptimState, int]:
     meta, blocks = read_container(path)
     if meta.get("kind") != "checkpoint":
         raise FormatError(f"container at {path} is not a checkpoint (kind={meta.get('kind')!r})")
-    cfg = RunConfig(**meta["config"])
+    config = meta.get("config")
+    if not isinstance(config, dict):
+        raise FormatError(f"checkpoint at {path} has no config object")
+    known = {f.name for f in fields(RunConfig)}
+    for key in config:
+        if key not in known:
+            raise FormatError(f"checkpoint at {path} has unknown config key {key!r}")
+    try:
+        cfg = RunConfig(**config).validate()
+    except (ConfigError, TypeError) as e:  # TypeError: e.g. a string where a range check wants a number
+        raise FormatError(f"checkpoint at {path} has an invalid config: {e}") from e
     model = RCFModel(cfg)
     params = model.params()
     state = OptimState.create(params, cfg.lr0, model.param_groups())

@@ -49,14 +49,12 @@ class Backbone(Module):
             c_prev = c
         self.out_channels = out_channels
         self.skip_channels = (chans[0], chans[1])
-        self.calls = 0
 
     def __call__(self, frame: Tensor, frame_index: int = 0, apply_norm: bool = True) -> FrameFeature:
         if frame.ndim != 3 or frame.shape[0] != 3:
             raise ArgumentError("backbone expects a (3, H, W) frame")
         if frame.shape[1] % STRIDE or frame.shape[2] % STRIDE:
             raise ArgumentError(f"frame extents must be multiples of the stride {STRIDE}")
-        self.calls += 1
         x = frame
         skips = []
         for i, (conv, norm) in enumerate(self.blocks):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rcfvis.analysis import (
-    LatencyModel,
     backbone_norms,
     backbone_pair_ratio,
     conv_operator_norm,
@@ -40,7 +39,7 @@ class TestLatency:
         with pytest.raises(ArgumentError):
             latency_model(0.0, 10.0)
         with pytest.raises(ArgumentError):
-            LatencyModel(t_stream=0.1, t_model=0.01, n_f=0)
+            latency_model(6.0, 10.0, 0)
 
 
 def unrolled_conv_matrix(w, in_shape, stride, pad):

@@ -1,15 +1,22 @@
 """Config parsing/validation and CLI subcommand behavior."""
 
-import filecmp
 import json
+import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rcfvis.cli import EXIT_CONFIG, EXIT_IO, build_parser, main
-from rcfvis.config import REGISTRY, RunConfig, load_config
+from rcfvis.config import RunConfig, load_config
+from rcfvis.container import read_container, rle_decode
 from rcfvis.errors import ConfigError
+from rcfvis.model import RCFModel
+from rcfvis.optim import OptimState
+from rcfvis.stream import stream_clip
+from rcfvis.synthav import GeneratorConfig, generate_clip, read_clip, write_clip
+from rcfvis.training import load_checkpoint, save_checkpoint
 
 
 class TestConfig:
@@ -57,9 +64,9 @@ class TestCLIBasics:
     def test_help_lists_every_config_key(self, capsys):
         parser = build_parser()
         help_text = parser.format_help()
-        for field in REGISTRY:
+        for field in fields(RunConfig):
             assert field.name in help_text, field.name
-            assert field.valid in help_text
+            assert field.metadata["valid"] in help_text
 
     def test_bench_latency_paper_row(self, capsys):
         rc = main(["bench-latency", "--fps-stream", "6", "--fps-model", "89.4", "--clip", "36"])
@@ -73,12 +80,33 @@ class TestCLIBasics:
         assert "code=2" in capsys.readouterr().err
 
     def test_unknown_config_key_exit_2(self, capsys, tmp_path):
-        rc = main(["gen-data", "--out", str(tmp_path), "--set", "bogus=1"])
-        assert rc == EXIT_CONFIG
+        # fps_stream, fps_model and clip_len were keys once; bench-latency has its own flags
+        for key in ("bogus", "fps_stream", "fps_model", "clip_len"):
+            rc = main(["gen-data", "--out", str(tmp_path), "--set", f"{key}=1"])
+            assert rc == EXIT_CONFIG, key
 
     def test_missing_checkpoint_exit_3(self, capsys, tmp_path):
         rc = main(["eval", "--ckpt", str(tmp_path / "none"), "--data", str(tmp_path)])
         assert rc == EXIT_IO
+
+    def test_bad_checkpoint_config_exit_3(self, capsys, tmp_path):
+        cfg = RunConfig(image_h=32, image_w=48, num_slots=4).validate()
+        model = RCFModel(cfg)
+        save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params(), cfg.lr0), 0)
+        clip = tmp_path / "clip"
+        write_clip(generate_clip(0, GeneratorConfig(height=32, width=48, frames=2, max_sprites=2)), clip)
+        assert main(["infer", "--ckpt", str(tmp_path / "ckpt"), "--clip", str(clip), "--out", str(tmp_path / "ok")]) == 0
+
+        for key, value in (("bogus", 1), ("fps_stream", 6.0), ("num_slots", 1000)):
+            ckpt = tmp_path / f"ckpt_{key}"
+            shutil.copytree(tmp_path / "ckpt", ckpt)
+            manifest = json.loads((ckpt / "manifest.json").read_text())
+            manifest["meta"]["config"][key] = value
+            (ckpt / "manifest.json").write_text(json.dumps(manifest))
+            capsys.readouterr()
+            rc = main(["infer", "--ckpt", str(ckpt), "--clip", str(clip), "--out", str(tmp_path / "out")])
+            assert rc == EXIT_IO, key
+            assert key in capsys.readouterr().err
 
 
 TINY = [
@@ -140,6 +168,40 @@ class TestCLIPipelines:
         assert main(["analyze-lipschitz", "--ckpt", ckpt, "--p", "2", "--out", str(tmp_path / "lip.csv")]) == 0
         text = (tmp_path / "lip.csv").read_text()
         assert "product/backbone" in text and "local_ratio/encoder" in text
+
+    def test_infer_dump_matches_tracker_history(self, tmp_path, capsys):
+        # class_threshold=0 fires every slot, so a 2-iteration model has tracks to dump
+        args = TINY + ["--set", "iter_max=2", "--set", "ckpt_every=2", "--set", "class_threshold=0.0"]
+        main(["gen-data", "--out", str(tmp_path / "d"), "--seed", "4", *TINY])
+        main(["train", "--data", str(tmp_path / "d"), "--out", str(tmp_path / "r"), "--seed", "4", *args])
+        ckpt = str(tmp_path / "r" / "ckpt_final")
+        clip_dir = str(tmp_path / "d" / "val" / "clip_00000")
+        out = tmp_path / "pred"
+        assert main(["infer", "--ckpt", ckpt, "--clip", clip_dir, "--out", str(out)]) == 0
+
+        # per tracker identity: its majority class, its per-frame scores and
+        # its masks upsampled 2x to image resolution
+        model, _, _ = load_checkpoint(ckpt)
+        clip = read_clip(clip_dir)
+        _, state = stream_clip(model, clip)
+        assert state.history, "the streamed clip fired no slot"
+        h, w = clip.frames.shape[2], clip.frames.shape[3]
+
+        manifest = json.loads((out / "prediction.json").read_text())
+        assert manifest["format_version"] == 1
+        assert manifest["video"] == clip.clip_id and manifest["mask_shape"] == [h, w]
+        assert [t["identity"] for t in manifest["tracks"]] == sorted(state.history)
+        meta, blocks = read_container(out / "masks")
+        assert meta == {"kind": "prediction-masks", "video": clip.clip_id, "mask_shape": [h, w]}
+        assert len(blocks) == sum(len(records) for records in state.history.values())
+        for track in manifest["tracks"]:
+            records = state.history[track["identity"]]
+            classes = [r.class_id for r in records]
+            assert track["class"] == max(sorted(set(classes)), key=classes.count)
+            assert track["frames"] == [{"t": r.frame, "score": round(r.score, 6)} for r in records]
+            for r in records:
+                plane = rle_decode(blocks[f"mask/{track['identity']}/{r.frame:03d}"], h * w).reshape(h, w)
+                assert np.array_equal(plane, np.kron(r.mask, np.ones((2, 2), dtype=np.uint8)))
 
     def test_probe_needs_clip_or_data(self, capsys):
         assert main(["probe-order"]) == EXIT_CONFIG

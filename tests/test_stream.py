@@ -9,6 +9,7 @@ from rcfvis.instance_head import FramePrediction
 from rcfvis.model import RCFModel
 from rcfvis.stream import RefCache, TrackState, infer_frame, mask_iou, postprocess, stream_clip, track_update
 from rcfvis.synthav import GeneratorConfig, generate_clip
+from rcfvis.videonet import Backbone
 
 
 def small_model(**kw):
@@ -148,11 +149,19 @@ class TestTracker:
 
 
 class TestInferFrame:
-    def test_backbone_called_once_per_frame(self):
+    def test_backbone_called_once_per_frame(self, monkeypatch):
+        calls = []
+        backbone_call = Backbone.__call__
+
+        def counting_call(self, *args, **kwargs):
+            calls.append(1)
+            return backbone_call(self, *args, **kwargs)
+
+        monkeypatch.setattr(Backbone, "__call__", counting_call)
         model = small_model()
         clip = small_clip(frames=4)
         stream_clip(model, clip)
-        assert model.backbone.calls == clip.num_frames
+        assert len(calls) == clip.num_frames
 
     def test_frame_zero_completes_with_empty_cache(self):
         model = small_model()

@@ -35,13 +35,6 @@ def test_weight_sharing_target_reference_paths(rng):
     assert np.array_equal(bb(Tensor(img)).f.data, bb(Tensor(img)).f.data)
 
 
-def test_call_counter(rng):
-    bb = make_backbone()
-    for _ in range(5):
-        bb(Tensor(rng.random((3, 8, 8))))
-    assert bb.calls == 5
-
-
 def test_indivisible_extent_rejected(rng):
     bb = make_backbone()
     with pytest.raises(ArgumentError):

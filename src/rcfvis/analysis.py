@@ -269,19 +269,15 @@ def order_stability_probe(
         per_frame_ids.append(pred.identities.copy())
 
         match: dict[int, int] = {}
-        for g in range(clip.num_instances):
-            if not clip.visibility[t, g]:
-                continue
-            gt_small = shrink_mask(clip.gt_masks[t, g], cfg.mask_hw)
-            best_iou, best_slot = 0.0, -1
-            for i in range(cfg.num_slots):
-                if not pred.fired[i]:
-                    continue
-                iou = mask_iou(pred.binary_masks[i], gt_small)
-                if iou > best_iou:
-                    best_iou, best_slot = iou, i
-            if best_slot >= 0 and best_iou >= match_iou:
-                match[g] = int(pred.identities[best_slot])
+        visible = np.flatnonzero(clip.visibility[t])
+        slots = np.flatnonzero(pred.fired)
+        if visible.size and slots.size:
+            gt_small = np.stack([shrink_mask(clip.gt_masks[t, g], cfg.mask_hw) for g in visible])
+            iou = mask_iou(gt_small, pred.binary_masks[slots])
+            for g, row in zip(visible, iou):
+                best = int(np.argmax(row))  # first maximum: lowest fired slot wins a tie
+                if row[best] > 0.0 and row[best] >= match_iou:
+                    match[int(g)] = int(pred.identities[slots[best]])
         per_frame_match.append(match)
 
     rows = []

@@ -105,13 +105,17 @@ class LayerNorm(Module):
 
 
 class MultiheadAttention(Module):
-    """Multi-head scaled dot-product attention over row-token matrices."""
+    """Multi-head scaled dot-product attention over row-token matrices.
+
+    The Q/K/V projections run as single (L x dim) products; every head is
+    attended in one `scaled_dot_product_attention` node.
+    """
 
     def __init__(self, name: str, dim: int, heads: int, rng: np.random.Generator):
         super().__init__(name)
         if dim % heads:
             raise ValueError("dim must divide into heads")
-        self.dim, self.heads = dim, heads
+        self.heads = heads
         self.wq = self.child(Linear("wq", dim, dim, rng))
         self.wk = self.child(Linear("wk", dim, dim, rng))
         self.wv = self.child(Linear("wv", dim, dim, rng))
@@ -119,18 +123,8 @@ class MultiheadAttention(Module):
 
     def __call__(self, q_in: Tensor, kv_in: Tensor) -> tuple[Tensor, np.ndarray]:
         """Returns (output [L_q x dim], per-head weights [heads, L_q, L_k])."""
-        dk = self.dim // self.heads
-        q = self.wq(q_in)
-        k = self.wk(kv_in)
-        v = self.wv(kv_in)
-        outs = []
-        weights = np.empty((self.heads, q_in.shape[0], kv_in.shape[0]))
-        for h in range(self.heads):
-            sl = slice(h * dk, (h + 1) * dk)
-            o, wts = scaled_dot_product_attention(q[:, sl], k[:, sl], v[:, sl])
-            outs.append(o)
-            weights[h] = wts.data
-        return self.wo(concat(outs, axis=1)), weights
+        out, weights = scaled_dot_product_attention(self.wq(q_in), self.wk(kv_in), self.wv(kv_in), self.heads)
+        return self.wo(out), weights
 
 
 class FeedForward(Module):

@@ -5,7 +5,8 @@ come from a ring buffer of the delta most recent frames (replicating the
 oldest available entry near the stream start).  Identities follow the slot
 order: a fired slot inherits its own slot's previous identity, except when
 another slot's previous mask overlaps it with IoU > 0.5, in which case the
-overlap wins.
+overlap wins.  The IoUs of all fired slots against all previous masks come
+from one matrix product per frame (`mask_iou`).
 """
 
 from __future__ import annotations
@@ -91,10 +92,18 @@ class TrackState:
         return [i for i in self.slot_ids if i is not None]
 
 
-def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
-    inter = np.logical_and(a, b).sum()
-    union = np.logical_or(a, b).sum()
-    return float(inter) / float(union) if union else 0.0
+def mask_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every mask in `a` (N_a, ...) with every mask in `b` (N_b, ...).
+
+    Returns (N_a, N_b) float64; a pair whose union is empty scores 0.  The
+    intersections are one float64 product of the flattened 0/1 masks, which
+    is exact for integer counts and runs on BLAS.
+    """
+    fa = np.asarray(a, dtype=bool).reshape(len(a), -1).astype(np.float64)
+    fb = np.asarray(b, dtype=bool).reshape(len(b), -1).astype(np.float64)
+    inter = fa @ fb.T
+    union = fa.sum(axis=1)[:, None] + fb.sum(axis=1)[None, :] - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
 
 def postprocess(raw: FramePrediction, num_classes: int, class_threshold: float = 0.4, mask_threshold: float = 0.5) -> FramePrediction:
@@ -117,7 +126,8 @@ def track_update(
 
     Pass 1 (optional override): a fired slot whose mask overlaps some other
     slot's previous mask with IoU > 0.5 inherits that identity (largest IoU
-    first, ties to the lower previous slot).  Pass 2: remaining fired slots
+    first, ties to the lower previous slot); all fired x previous IoUs are
+    one `mask_iou` call.  Pass 2: remaining fired slots
     keep their own slot's identity or get a fresh one.  Unfired slots hold
     their identity for up to max_gap frames.
     """
@@ -134,15 +144,14 @@ def track_update(
 
     if iou_override:
         candidates = []
-        for i in range(n):
-            if not fired[i]:
-                continue
-            for j in range(n):
-                if j == i or prev_ids[j] is None or prev_masks[j] is None:
-                    continue
-                iou = mask_iou(pred.binary_masks[i], prev_masks[j])
-                if iou > IOU_OVERRIDE_THRESHOLD:
-                    candidates.append((iou, j, i))
+        rows = np.flatnonzero(fired)
+        cols = [j for j in range(n) if prev_ids[j] is not None and prev_masks[j] is not None]
+        if rows.size and cols:
+            iou = mask_iou(pred.binary_masks[rows], np.stack([prev_masks[j] for j in cols]))
+            for r, c in zip(*np.nonzero(iou > IOU_OVERRIDE_THRESHOLD)):
+                i, j = int(rows[r]), cols[c]
+                if i != j:
+                    candidates.append((float(iou[r, c]), j, i))
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
         for iou, j, i in candidates:
             if i in assigned or prev_ids[j] in claimed:

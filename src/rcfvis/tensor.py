@@ -4,6 +4,8 @@ Every array in the pipeline lives in a ``Tensor``: float64 by default so
 finite-difference checks are decisive, float32 available for speed.  The
 tape is a per-result closure graph, freed after each ``backward()``.
 Convolution forward/backward run through the kernels in ``_kernels``.
+Multi-head attention is a single node with an analytic backward: all
+heads run as batched (heads, L, d) products over views of Q, K and V.
 """
 
 from __future__ import annotations
@@ -497,11 +499,17 @@ def adaptive_avg_pool2d(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
     return out
 
 
-def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-    """Attention(Q,K,V) = softmax(QK^T/sqrt(d_k)) V.
+def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
+    """Multi-head Attention(Q,K,V) = softmax(QK^T/sqrt(d_k)) V as one tape node.
 
-    Returns (output [L_q x d_v], weights [L_q x L_k]); the weight rows each
-    sum to 1 and are kept for diagnostics.
+    Q (L_q x D), K (L_k x D) and V (L_k x D_v) are split column-wise into
+    `heads` equal blocks, each attended independently (d_k = D / heads).
+    Returns (output [L_q x D_v], weights ndarray [heads x L_q x L_k]); the
+    output columns are the heads' outputs side by side, and each weight
+    row sums to 1.  The weights are the buffer the backward reads, so
+    callers must not write to them.  The arithmetic per head is the same as
+    separate 2-D products followed by a softmax: the product is scaled, then
+    shifted by its row max, exponentiated and divided by its row sum.
     """
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
         raise ArgumentError("attention expects 2-D Q, K, V")
@@ -509,12 +517,40 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor) -> tuple[Tenso
         raise ArgumentError(f"Q/K depth mismatch: {q.shape} vs {k.shape}")
     if k.shape[0] != v.shape[0]:
         raise ArgumentError(f"K/V length mismatch: {k.shape} vs {v.shape}")
-    dk = q.shape[1]
+    if heads < 1 or q.shape[1] % heads or v.shape[1] % heads:
+        raise ArgumentError(f"depths {q.shape[1]} and {v.shape[1]} do not split into {heads} heads")
+    lq, lk = q.shape[0], k.shape[0]
+    dk, dv = q.shape[1] // heads, v.shape[1] // heads
     if dk <= 0:
         raise ArgumentError("d_k must be positive")
-    logits = (q @ k.T) * (1.0 / math.sqrt(dk))
-    weights = softmax(logits, axis=1)
-    return weights @ v, weights
+    scale = 1.0 / math.sqrt(dk)
+    qh = q.data.reshape(lq, heads, dk).transpose(1, 0, 2)  # (H, L_q, d_k) views
+    kh = k.data.reshape(lk, heads, dk).transpose(1, 0, 2)
+    vh = v.data.reshape(lk, heads, dv).transpose(1, 0, 2)
+    weights = np.matmul(qh, kh.transpose(0, 2, 1))
+    weights *= scale
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    out_data = np.matmul(weights, vh).transpose(1, 0, 2).reshape(lq, heads * dv)
+
+    def bw(a=q, b=k, c=v):
+        g = out.grad.reshape(lq, heads, dv).transpose(1, 0, 2)
+        if c.requires_grad:
+            c._accum(np.matmul(weights.transpose(0, 2, 1), g).transpose(1, 0, 2).reshape(lk, heads * dv))
+        if not (a.requires_grad or b.requires_grad):
+            return
+        gs = np.matmul(g, vh.transpose(0, 2, 1))  # d loss / d weights
+        gs -= (gs * weights).sum(axis=-1, keepdims=True)
+        gs *= weights
+        gs *= scale  # now d loss / d (Q K^T)
+        if a.requires_grad:
+            a._accum(np.matmul(gs, kh).transpose(1, 0, 2).reshape(lq, heads * dk))
+        if b.requires_grad:
+            b._accum(np.matmul(qh.transpose(0, 2, 1), gs).transpose(2, 0, 1).reshape(lk, heads * dk))
+
+    out = Tensor._from_op(out_data, (q, k, v), bw)
+    return out, weights
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-6) -> float:

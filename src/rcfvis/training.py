@@ -147,17 +147,21 @@ def load_checkpoint(path: str | Path) -> tuple[RCFModel, OptimState, int]:
     model = RCFModel(cfg)
     params = model.params()
     state = OptimState.create(params, cfg.lr0, model.param_groups())
-    state.step = int(meta["optim_step"])
+    for key in ("optim_step", "iteration"):
+        if not isinstance(meta.get(key), int):
+            raise FormatError(f"checkpoint at {path} has no integer {key!r}")
+    state.step = meta["optim_step"]
     for name, p in params.items():
-        key = f"param/{name}"
-        if key not in blocks:
-            raise FormatError(f"checkpoint missing parameter block {key!r}")
-        if blocks[key].shape != p.data.shape:
-            raise FormatError(f"checkpoint block {key!r} has shape {blocks[key].shape}, expected {p.data.shape}")
-        p.data = blocks[key].astype(np.float64)
+        for prefix in ("param", "optim_m", "optim_v"):
+            key = f"{prefix}/{name}"
+            if key not in blocks:
+                raise FormatError(f"checkpoint missing block {key!r}")
+            if blocks[key].shape != p.data.shape:
+                raise FormatError(f"checkpoint block {key!r} has shape {blocks[key].shape}, expected {p.data.shape}")
+        p.data = blocks[f"param/{name}"].astype(np.float64)
         state.m[name] = blocks[f"optim_m/{name}"].astype(np.float64)
         state.v[name] = blocks[f"optim_v/{name}"].astype(np.float64)
-    return model, state, int(meta["iteration"])
+    return model, state, meta["iteration"]
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,38 @@ class TestCLIBasics:
             assert rc == EXIT_IO, key
             assert key in capsys.readouterr().err
 
+    def test_checkpoint_missing_counter_or_optimizer_block_exit_3(self, capsys, tmp_path):
+        cfg = RunConfig(image_h=32, image_w=48, num_slots=4).validate()
+        model = RCFModel(cfg)
+        save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params(), cfg.lr0), 0)
+        clip = tmp_path / "clip"
+        write_clip(generate_clip(0, GeneratorConfig(height=32, width=48, frames=2, max_sprites=2)), clip)
+        first = next(iter(model.params()))
+
+        def drop_meta(manifest):
+            del manifest["meta"]["optim_step"]
+            return "optim_step"
+
+        def drop_block(manifest):
+            manifest["blocks"] = [b for b in manifest["blocks"] if b["name"] != f"optim_m/{first}"]
+            return f"optim_m/{first}"
+
+        def reshape_block(manifest):
+            entry = next(b for b in manifest["blocks"] if b["name"] == f"optim_v/{first}")
+            entry["shape"] = [entry["nbytes"] // 8]
+            return f"optim_v/{first}"
+
+        for edit in (drop_meta, drop_block, reshape_block):
+            ckpt = tmp_path / edit.__name__
+            shutil.copytree(tmp_path / "ckpt", ckpt)
+            manifest = json.loads((ckpt / "manifest.json").read_text())
+            named = edit(manifest)
+            (ckpt / "manifest.json").write_text(json.dumps(manifest))
+            capsys.readouterr()
+            rc = main(["infer", "--ckpt", str(ckpt), "--clip", str(clip), "--out", str(tmp_path / "out")])
+            assert rc == EXIT_IO, edit.__name__
+            assert named in capsys.readouterr().err
+
 
 TINY = [
     "--set", "train_clips=2", "--set", "val_clips=1", "--set", "probe_clips=1",

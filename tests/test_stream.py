@@ -97,8 +97,7 @@ class TestTracker:
         m1 = box(0, 4, 0, 8).copy()
         m1[0, :2] = False  # 30 px, inter 30, union 32 -> 0.9375
         ids = track_update(state, manual_pred(6, {1: m1, 2: m2}, 1))
-        iou1 = mask_iou(m1, prev)
-        iou2 = mask_iou(m2, prev)
+        iou1, iou2 = mask_iou(np.stack([m1, m2]), prev[None])[:, 0]
         assert iou1 > 0.5 and iou2 > 0.5 and iou1 > iou2
         assert ids[1] == prev_id  # larger IoU wins
         assert ids[2] != prev_id and ids[2] >= 0  # other slot gets a fresh identity
@@ -193,3 +192,101 @@ class TestInferFrame:
     def test_uninitialized_model_rejected(self):
         with pytest.raises(StateError):
             infer_frame(object(), np.zeros((3, 32, 48)), None, RefCache(1), TrackState(num_slots=2), 0)
+
+
+def scalar_iou(a, b):
+    union = np.logical_or(a, b).sum()
+    return float(np.logical_and(a, b).sum()) / float(union) if union else 0.0
+
+
+def pairwise_track_update(state, pred, max_gap=5, iou_override=True):
+    """Reference tracker: the IoU override pass as one scalar IoU per slot pair."""
+    n = state.num_slots
+    prev_ids = list(state.slot_ids)
+    prev_masks = list(state.last_masks)
+    fired = pred.fired
+    assigned, claimed = {}, set()
+    if iou_override:
+        candidates = []
+        for i in range(n):
+            if not fired[i]:
+                continue
+            for j in range(n):
+                if j == i or prev_ids[j] is None or prev_masks[j] is None:
+                    continue
+                iou = scalar_iou(pred.binary_masks[i], prev_masks[j])
+                if iou > 0.5:
+                    candidates.append((iou, j, i))
+        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+        for iou, j, i in candidates:
+            if i in assigned or prev_ids[j] in claimed:
+                continue
+            assigned[i] = prev_ids[j]
+            claimed.add(prev_ids[j])
+    for i in range(n):
+        if not fired[i] or i in assigned:
+            continue
+        own = prev_ids[i]
+        if own is not None and own not in claimed:
+            assigned[i] = own
+        else:
+            assigned[i] = state.next_id
+            state.next_id += 1
+        claimed.add(assigned[i])
+    identities = np.full(n, -1, dtype=np.int64)
+    for i in range(n):
+        if fired[i]:
+            identities[i] = assigned[i]
+            state.slot_ids[i] = assigned[i]
+            state.last_masks[i] = pred.binary_masks[i].copy()
+            state.gaps[i] = 0
+            class_id = int(np.argmax(pred.class_probs[i, :-1]))
+            state.history.setdefault(assigned[i], []).append(
+                (pred.frame_index, i, class_id, float(pred.scores[i]), pred.binary_masks[i].copy())
+            )
+        else:
+            own = prev_ids[i]
+            if own is not None and own not in claimed and state.gaps[i] + 1 <= max_gap:
+                state.slot_ids[i] = own
+                state.gaps[i] += 1
+            else:
+                state.slot_ids[i] = None
+                state.gaps[i] = 0
+            state.last_masks[i] = None
+    return identities
+
+
+def test_mask_iou_matches_scalar_definition(rng):
+    a = rng.random((5, 6, 7)) < 0.4
+    b = rng.random((4, 6, 7)) < 0.6
+    a[0] = False
+    b[1] = False  # a[0] x b[1] has an empty union
+    b[2] = a[3]  # exact IoU 1
+    iou = mask_iou(a, b)
+    assert iou.shape == (5, 4)
+    assert iou[0, 1] == 0.0 and iou[3, 2] == 1.0
+    for i in range(5):
+        for j in range(4):
+            assert iou[i, j] == scalar_iou(a[i], b[j])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tracker_matches_pairwise_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = 8
+    # few distinct shapes, so slots often repeat a mask (exact IoU ties) and
+    # the empty mask gives unions of 0
+    palette = [np.zeros((8, 8), dtype=bool), box(0, 4, 0, 4), box(0, 4, 0, 5), box(1, 5, 0, 4), box(4, 8, 4, 8)]
+    fast, slow = TrackState(num_slots=n), TrackState(num_slots=n)
+    for t in range(30):
+        fired = {s: palette[int(rng.integers(len(palette)))] for s in range(n) if rng.random() < 0.6}
+        override = bool(rng.random() < 0.9)
+        got = track_update(fast, manual_pred(n, fired, t), max_gap=2, iou_override=override)
+        want = pairwise_track_update(slow, manual_pred(n, fired, t), max_gap=2, iou_override=override)
+        assert np.array_equal(got, want)
+        assert fast.slot_ids == slow.slot_ids and fast.next_id == slow.next_id
+    assert fast.history.keys() == slow.history.keys()
+    for ident, records in fast.history.items():
+        want = slow.history[ident]
+        assert [(r.frame, r.slot, r.class_id, r.score) for r in records] == [w[:4] for w in want]
+        assert all(np.array_equal(r.mask, w[4]) for r, w in zip(records, want))

@@ -55,20 +55,20 @@ class TestAttention:
         q = Tensor(rng.standard_normal((4, 3)))
         k = Tensor(rng.standard_normal((1, 3)))
         v = Tensor(rng.standard_normal((1, 6)))
-        out, w = scaled_dot_product_attention(q, k, v)
+        out, w = scaled_dot_product_attention(q, k, v, 1)
         assert np.allclose(out.data, np.repeat(v.data, 4, axis=0))
-        assert np.allclose(w.data, 1.0)
+        assert w.shape == (1, 4, 1) and np.allclose(w[0], 1.0)
 
     def test_zero_logits_average_values(self, rng):
         q = Tensor(np.zeros((2, 3)))
         k = Tensor(rng.standard_normal((5, 3)))
         v = Tensor(rng.standard_normal((5, 4)))
-        out, w = scaled_dot_product_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((5, 3))), v)
+        out, w = scaled_dot_product_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((5, 3))), v, 1)
         assert np.allclose(out.data, v.data.mean(axis=0), atol=1e-12)
 
     def test_matches_naive_double_loop(self, rng):
         q, k, v = (rng.standard_normal((3, 4)) for _ in range(3))
-        out, w = scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v))
+        out, w = scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v), 1)
         # independent reference: explicit loops, no shared code path
         logits = np.empty((3, 3))
         for i in range(3):
@@ -78,17 +78,17 @@ class TestAttention:
         ref_w /= ref_w.sum(axis=1, keepdims=True)
         ref_out = ref_w @ v
         assert np.abs(out.data - ref_out).max() < 1e-12
-        assert np.abs(w.data - ref_w).max() < 1e-12
+        assert np.abs(w[0] - ref_w).max() < 1e-12
 
     def test_key_permutation_equivariance(self, rng):
         q = Tensor(rng.standard_normal((4, 5)))
         k = rng.standard_normal((6, 5))
         v = rng.standard_normal((6, 3))
         perm = rng.permutation(6)
-        out, w = scaled_dot_product_attention(q, Tensor(k), Tensor(v))
-        out_p, w_p = scaled_dot_product_attention(q, Tensor(k[perm]), Tensor(v[perm]))
+        out, w = scaled_dot_product_attention(q, Tensor(k), Tensor(v), 1)
+        out_p, w_p = scaled_dot_product_attention(q, Tensor(k[perm]), Tensor(v[perm]), 1)
         assert np.abs(out.data - out_p.data).max() < 1e-12
-        assert np.abs(w.data[:, perm] - w_p.data).max() < 1e-12
+        assert np.abs(w[0][:, perm] - w_p[0]).max() < 1e-12
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ArgumentError):
@@ -96,7 +96,71 @@ class TestAttention:
                 Tensor(rng.standard_normal((2, 3))),
                 Tensor(rng.standard_normal((2, 4))),
                 Tensor(rng.standard_normal((2, 2))),
+                1,
             )
+
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    def test_matches_per_head_composite_forward_and_grads(self, rng, heads):
+        lq, lk, dk, dv = 5, 7, 3, 2  # d_v != d_k and L_q != L_k
+        q0, k0 = rng.standard_normal((lq, heads * dk)), rng.standard_normal((lk, heads * dk))
+        v0 = rng.standard_normal((lk, heads * dv))
+        seed = rng.standard_normal((lq, heads * dv))
+        results = []
+        for attend in (scaled_dot_product_attention, per_head_attention):
+            q, k, v = (Tensor(a.copy(), requires_grad=True) for a in (q0, k0, v0))
+            out, w = attend(q, k, v, heads)
+            out.backward(seed)
+            results.append((out.data, w, q.grad, k.grad, v.grad))
+        for fused, oracle in zip(*results):
+            assert fused.shape == oracle.shape
+            assert np.abs(fused - oracle).max() < 1e-12
+
+    @pytest.mark.parametrize("arg", [0, 1, 2])
+    def test_grad_check_each_input(self, rng, arg):
+        qkv = [rng.standard_normal((3, 4)), rng.standard_normal((5, 4)), rng.standard_normal((5, 6))]
+        c = Tensor(rng.standard_normal((3, 6)))
+
+        def f(t):
+            args = [Tensor(a) for a in qkv]
+            args[arg] = t
+            out, _ = scaled_dot_product_attention(*args, 2)
+            return (out * c).sum()
+
+        assert grad_check(f, Tensor(qkv[arg])) < 1e-6
+
+    def test_no_grad_records_no_parents(self, rng):
+        q, k, v = (Tensor(rng.standard_normal((3, 4)), requires_grad=True) for _ in range(3))
+        with no_grad():
+            out, _ = scaled_dot_product_attention(q, k, v, 2)
+        assert not out.requires_grad and out._parents == ()
+
+    def test_strict_finite_raises(self):
+        prev = set_strict_finite(True)
+        try:
+            big = Tensor(np.full((2, 2), 1e300))
+            with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
+                scaled_dot_product_attention(big, big, big, 2)
+        finally:
+            set_strict_finite(prev)
+
+    def test_depth_must_split_into_heads(self, rng):
+        q, k = Tensor(rng.standard_normal((2, 6))), Tensor(rng.standard_normal((3, 6)))
+        with pytest.raises(ArgumentError):
+            scaled_dot_product_attention(q, k, Tensor(rng.standard_normal((3, 6))), 4)
+        with pytest.raises(ArgumentError):
+            scaled_dot_product_attention(q, k, Tensor(rng.standard_normal((3, 5))), 2)
+
+
+def per_head_attention(q, k, v, heads):
+    """Reference: one 2-D attention per column block, joined with concat."""
+    dk, dv = q.shape[1] // heads, v.shape[1] // heads
+    outs, weights = [], []
+    for h in range(heads):
+        qh, kh, vh = q[:, h * dk : (h + 1) * dk], k[:, h * dk : (h + 1) * dk], v[:, h * dv : (h + 1) * dv]
+        w = softmax((qh @ kh.T) * (1.0 / math.sqrt(dk)), axis=1)
+        outs.append(w @ vh)
+        weights.append(w.data)
+    return concat(outs, axis=1), np.stack(weights)
 
 
 class TestGradCheck:
@@ -116,7 +180,7 @@ class TestGradCheck:
         v = Tensor(rng.standard_normal((2, 2)))
 
         def f(t):
-            out, _ = scaled_dot_product_attention(t, k, v)
+            out, _ = scaled_dot_product_attention(t, k, v, 1)
             return (softmax(out, 1) * Tensor(np.array([[0.3, 1.7], [0.2, -0.4]]))).sum()
 
         assert grad_check(f, x, eps=1e-6) < 1e-5

@@ -16,6 +16,7 @@ from rcfvis.training import (
     LossReport,
     list_clip_dirs,
     load_checkpoint,
+    match_and_loss,
     sample_window,
     save_checkpoint,
     set_loss,
@@ -180,3 +181,21 @@ class TestTrainLoop:
 
         with pytest.raises(FormatError):
             train_loop(tiny_cfg(), tmp_path / "nope", tmp_path / "run")
+
+
+def test_training_forward_tape_size_is_pinned():
+    """Tape nodes behind one training loss at 32 slots; a per-head attention
+    loop (1793 nodes with 8 heads) or any other extra op changes the count."""
+    cfg = RunConfig(num_slots=32).validate()
+    clip = generate_clip(3, GeneratorConfig(frames=4, min_sprites=4, max_sprites=8))
+    model = RCFModel(cfg)
+    refs, windows = sample_window(clip, 2, cfg.ref_frames)
+    out = model.forward_frames(clip.frames[2].astype(np.float64), refs, windows, frame_index=2)
+    loss = match_and_loss(out, clip, 2, cfg).loss
+    seen, todo = {id(loss)}, [loss]
+    while todo:
+        for p in todo.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                todo.append(p)
+    assert len(seen) == 1145

@@ -239,7 +239,6 @@ def _probe_norm_order(p):
 def order_stability_probe(
     model: RCFModel,
     clip: SpriteClip,
-    iou_override: bool | None = None,
     p=1,
     match_iou: float = 0.3,
     trained: bool = True,
@@ -261,9 +260,7 @@ def order_stability_probe(
     per_frame_match = []  # gt index -> identity at that frame (or None)
     for t in range(clip.num_frames):
         window = clip.audio_window(t).astype(np.float64) if cfg.audio_enabled else None
-        pred = infer_frame(
-            model, clip.frames[t].astype(np.float64), window, cache, state, t, iou_override=iou_override
-        )
+        pred = infer_frame(model, clip.frames[t].astype(np.float64), window, cache, state, t)
         soft = sigmoid(pred.mask_logits)
         outputs.append(np.concatenate([pred.class_probs.ravel(), soft.ravel()]))
         per_frame_ids.append(pred.identities.copy())

@@ -2,15 +2,17 @@
 
 Subcommands: gen-data, train, eval, infer, bench-latency, analyze-lipschitz,
 probe-order, dump-attention.  Configuration comes from an optional key=value
-file (--config) overridden by repeated --set key=value flags; RCFVIS_SEED in
-the environment overrides the seed last.  Exit codes: 0 success, 2 bad
-config/usage, 3 IO or format failure, 4 numeric failure.
+file (--config) overridden by repeated --set key=value flags; --seed sets the
+seed last.  A command given --ckpt takes the checkpoint's config instead.
+Exit codes: 0 success, 2 bad config/usage, 3 IO or format failure, 4
+numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -41,6 +43,17 @@ def _load_cfg(args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         overrides.append(f"seed={args.seed}")
     return load_config(getattr(args, "config", None), overrides)
+
+
+def _load_model(args) -> tuple[RCFModel, bool]:
+    """(model, trained): the --ckpt model, else a fresh one from the config flags."""
+    if not args.ckpt:
+        return RCFModel(_load_cfg(args)), False
+    for flag, value in (("--config", args.config), ("--set", args.set), ("--seed", args.seed)):
+        if value is not None:
+            raise ConfigError(f"{flag} cannot be combined with --ckpt, which carries its own config")
+    model, _, _ = load_checkpoint(args.ckpt)
+    return model, True
 
 
 def generator_config(cfg: RunConfig, split: str) -> GeneratorConfig:
@@ -163,12 +176,7 @@ def cmd_bench_latency(args) -> int:
 
 
 def cmd_analyze_lipschitz(args) -> int:
-    if args.ckpt:
-        model, _, _ = load_checkpoint(args.ckpt)
-        trained = True
-    else:
-        model = RCFModel(_load_cfg(args))
-        trained = False
+    model, trained = _load_model(args)
     orders = [2, np.inf] if args.p == "both" else [2 if args.p == "2" else np.inf]
     rows = []
     for p in orders:
@@ -192,23 +200,17 @@ def cmd_analyze_lipschitz(args) -> int:
 
 
 def cmd_probe_order(args) -> int:
-    if args.ckpt:
-        model, _, _ = load_checkpoint(args.ckpt)
-        trained = True
-    else:
-        model = RCFModel(_load_cfg(args))
-        trained = False
+    model, trained = _load_model(args)
+    if args.no_override:
+        model.cfg = dataclasses.replace(model.cfg, iou_override=False)
     if args.clip:
         clips = [read_clip(args.clip)]
     else:
         clips = [read_clip(p) for p in list_clip_dirs(Path(args.data) / args.split)]
-    override = None if not args.no_override else False
     all_rows = []
     switch_rates = []
     for clip in clips:
-        report = order_stability_probe(
-            model, clip, iou_override=override, p=model.cfg.probe_norm_p, trained=trained
-        )
+        report = order_stability_probe(model, clip, p=model.cfg.probe_norm_p, trained=trained)
         switch_rates.append(report.switch_rate)
         for r in report.rows:
             all_rows.append([clip.clip_id, r.t, f"{r.eps!r}", f"{r.delta!r}", f"{r.ratio!r}", r.tracked, r.switched, int(r.changed)])
@@ -224,10 +226,7 @@ def cmd_probe_order(args) -> int:
 
 
 def cmd_dump_attention(args) -> int:
-    if args.ckpt:
-        model, _, _ = load_checkpoint(args.ckpt)
-    else:
-        model = RCFModel(_load_cfg(args))
+    model, _ = _load_model(args)
     clip = read_clip(args.clip)
     t = args.frame if args.frame is not None else clip.num_frames - 1
     if not 0 <= t < clip.num_frames:
@@ -305,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clip", default=None, help="single clip directory")
     p.add_argument("--data", default=None)
     p.add_argument("--split", default="probe")
-    p.add_argument("--no-override", action="store_true", help="disable the IoU override")
+    p.add_argument("--no-override", action="store_true", help="probe with iou_override=false")
     p.add_argument("--out", default=None, help="CSV output path")
     p.set_defaults(fn=cmd_probe_order)
 

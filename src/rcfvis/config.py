@@ -10,13 +10,10 @@ accepts the same keys as overrides.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 from .errors import ConfigError
-
-SEED_ENV_VAR = "RCFVIS_SEED"
 
 
 def _choice(*opts):
@@ -71,7 +68,6 @@ class RunConfig:
     train_clips: int = _key(64, "[1, 100000]", _range(1, 100_000))
     val_clips: int = _key(16, "[1, 100000]", _range(1, 100_000))
     probe_clips: int = _key(32, "[1, 100000]", _range(1, 100_000))
-    sim_dice: str = _key("coeff", "coeff or loss", _choice("coeff", "loss"))
     # generator
     gen_frames: int = _key(16, "[2, 512]", _range(2, 512))
     gen_min_sprites: int = _key(2, "[1, 8]", _range(1, 8))
@@ -156,10 +152,7 @@ def apply_assignments(cfg: RunConfig, items: list[tuple[str, str]]) -> RunConfig
 
 
 def load_config(path: str | Path | None = None, overrides: list[str] | None = None) -> RunConfig:
-    """Build a RunConfig from an optional key=value file plus override strings.
-
-    The RCFVIS_SEED environment variable, when set, overrides the seed last.
-    """
+    """Build a RunConfig from an optional key=value file plus override strings."""
     cfg = RunConfig()
     items: list[tuple[str, str]] = []
     if path is not None:
@@ -180,9 +173,6 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
         key, raw = ov.split("=", 1)
         items.append((key.strip(), raw))
     apply_assignments(cfg, items)
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        apply_assignments(cfg, [("seed", env_seed)])
     return cfg.validate()
 
 

@@ -48,12 +48,6 @@ class TokenLayout:
         b = a + self.n_reference
         return {"target": slice(0, a), "reference": slice(a, b), "audio": slice(b, b + self.audio_len)}
 
-    def segment_labels(self) -> np.ndarray:
-        labels = np.empty(self.total, dtype=np.int64)
-        for seg_id, name in enumerate(SEGMENT_NAMES):
-            labels[self.segment_slices()[name]] = seg_id
-        return labels
-
 
 @dataclass
 class TokenSet:
@@ -173,7 +167,7 @@ class ReferenceTokenizer(Module):
             bh, bw = block_hw
             self.dw = self.param("dw", np.full((c_cat, 1, bh, 1, bw), 1.0 / (bh * bw)))
 
-    def compressed(self, f_refs: list[Tensor], apply_weight: bool = True) -> Tensor:
+    def compressed(self, f_refs: list[Tensor]) -> Tensor:
         """Weighted and spatially compressed stack, (delta*C, K, K)."""
         if len(f_refs) != self.delta:
             raise ArgumentError(f"expected {self.delta} reference features, got {len(f_refs)}")
@@ -184,17 +178,16 @@ class ReferenceTokenizer(Module):
         c, h, w = stacked.shape
         if h % self.k or w % self.k:
             raise ArgumentError(f"feature extents {h}x{w} must divide the token grid {self.k}")
-        if apply_weight:
-            wmap = self.weight_proj(stacked.reshape(c, h * w).transpose()).sigmoid()
-            stacked = stacked * wmap.reshape(1, h, w)
+        wmap = self.weight_proj(stacked.reshape(c, h * w).transpose()).sigmoid()
+        stacked = stacked * wmap.reshape(1, h, w)
         if self.mode == "pool":
             return adaptive_avg_pool2d(stacked, (self.k, self.k))
         bh, bw = h // self.k, w // self.k
         blocks = stacked.reshape(c, self.k, bh, self.k, bw)
         return (blocks * self.dw).sum(axis=(2, 4))
 
-    def __call__(self, f_refs: list[Tensor], apply_weight: bool = True) -> Tensor:
-        comp = self.compressed(f_refs, apply_weight=apply_weight)
+    def __call__(self, f_refs: list[Tensor]) -> Tensor:
+        comp = self.compressed(f_refs)
         c = comp.shape[0]
         flat = comp.reshape(c, self.k * self.k).transpose()
         return self.proj(flat) + self.pos

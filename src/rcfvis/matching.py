@@ -53,20 +53,13 @@ def similarity_matrix(
     pred: FramePrediction,
     gt_masks: np.ndarray,
     gt_classes: np.ndarray,
-    dice_mode: str = "coeff",
 ) -> np.ndarray:
-    """(G, N) similarity; entry (i, j) scores slot j for ground truth i.
-
-    `dice_mode` picks the Dice reading of the similarity's mask term:
-    "coeff" adds the coefficient (maximize overlap), "loss" subtracts it
-    via (1 - coeff).
-    """
+    """(G, N) similarity; entry (i, j) scores slot j for ground truth i by
+    Dice coefficient plus class probability."""
     g = gt_masks.shape[0]
     n = pred.num_slots
     if g > n:
         raise CapacityError(f"{g} ground-truth instances exceed {n} prediction slots")
-    if dice_mode not in ("coeff", "loss"):
-        raise ArgumentError(f"unknown dice mode {dice_mode!r}")
     sim = np.zeros((g, n))
     if g == 0:
         return sim
@@ -75,10 +68,7 @@ def similarity_matrix(
     for i in range(g):
         gt = np.asarray(gt_masks[i], dtype=np.float64)
         for j in range(n):
-            d = dice_coeff(gt, soft[j])
-            if dice_mode == "loss":
-                d = -(1.0 - d)
-            sim[i, j] = d + probs[j, int(gt_classes[i])]
+            sim[i, j] = dice_coeff(gt, soft[j]) + probs[j, int(gt_classes[i])]
     return sim
 
 

@@ -23,20 +23,16 @@ from .fusion import (
     TokenSet,
     split_fused,
 )
-from .instance_head import FramePrediction, InstanceCode, InstanceHead
+from .instance_head import FramePrediction, InstanceHead
 from .nn import module_rng
 from .optim import ParamGroup
 from .tensor import Tensor, concat
-from .videonet import Backbone, FrameFeature, MaskFeatureDecoder, SegmentationMap
+from .videonet import Backbone, FrameFeature, MaskFeatureDecoder
 
 
 @dataclass
 class ModelOutput:
-    token_set: TokenSet
-    fused: TokenSet
     diagnostics: FusionDiagnostics
-    seg_map: SegmentationMap
-    code: InstanceCode
     class_probs: Tensor  # (N, classes+1)
     mask_logits: Tensor  # (N, H_o, W_o)
     cross_attention: list = field(default_factory=list)
@@ -180,16 +176,7 @@ class RCFModel:
         code, cross = self.head.decode(full, frame_index=target.frame_index)
         probs = self.head.predict_class(code)
         masks = self.head.dynamic_masks(code, seg)
-        return ModelOutput(
-            token_set=ts,
-            fused=fused,
-            diagnostics=diag,
-            seg_map=seg,
-            code=code,
-            class_probs=probs,
-            mask_logits=masks,
-            cross_attention=cross,
-        )
+        return ModelOutput(diagnostics=diag, class_probs=probs, mask_logits=masks, cross_attention=cross)
 
     def forward_frames(
         self,

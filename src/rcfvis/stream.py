@@ -206,7 +206,6 @@ def infer_frame(
     cache: RefCache,
     state: TrackState,
     frame_index: int | None = None,
-    iou_override: bool | None = None,
 ) -> FramePrediction:
     """One online step: extract once, fuse cached references, track, cache."""
     if not isinstance(model, RCFModel):
@@ -231,8 +230,7 @@ def infer_frame(
     pred = postprocess(
         output.to_prediction(idx), cfg.num_classes, cfg.class_threshold, cfg.mask_threshold
     )
-    override = cfg.iou_override if iou_override is None else iou_override
-    track_update(state, pred, max_gap=cfg.track_max_gap, iou_override=override)
+    track_update(state, pred, max_gap=cfg.track_max_gap, iou_override=cfg.iou_override)
     cache.push(feat, current_audio)
     return pred
 

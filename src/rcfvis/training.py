@@ -103,7 +103,7 @@ def frame_ground_truth(clip: SpriteClip, t: int, mask_hw: tuple[int, int]) -> tu
 def match_and_loss(output: ModelOutput, clip: SpriteClip, t: int, cfg: RunConfig, iteration: int = 0) -> LossReport:
     _, classes, masks = frame_ground_truth(clip, t, cfg.mask_hw)
     pred = output.to_prediction(frame_index=t)
-    sim = similarity_matrix(pred, masks.astype(np.float64), classes, dice_mode=cfg.sim_dice)
+    sim = similarity_matrix(pred, masks.astype(np.float64), classes)
     assignment = hungarian_assign(sim)
     return set_loss(
         output.class_probs, output.mask_logits, classes, masks, assignment, cfg.num_classes, iteration

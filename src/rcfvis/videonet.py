@@ -29,9 +29,7 @@ class SegmentationMap:
 class Backbone(Module):
     """Four 3x3 conv blocks (group-norm, ReLU), stride-2 downsampling at 1-3.
 
-    One parameter set serves target and reference frames; `calls` counts
-    forward passes so the online runtime can assert single extraction per
-    streamed frame.
+    One parameter set serves target and reference frames.
     """
 
     def __init__(self, name: str, out_channels: int, rng: np.random.Generator):
@@ -74,8 +72,7 @@ class Backbone(Module):
 class MaskFeatureDecoder(Module):
     """Two upsample + lateral-conv + add-skip + 3x3-conv stages, then 1x1 out.
 
-    Convs plus ReLU only; with `linear_mode` the nonlinearities drop out and
-    the decoder is affine in its input.
+    Convs plus ReLU only.
     """
 
     def __init__(self, name: str, c_in: int, skip_channels: tuple[int, int], c_out: int, rng: np.random.Generator):
@@ -88,18 +85,14 @@ class MaskFeatureDecoder(Module):
         self.out = self.child(Conv2dLayer("out", c_skip1, c_out, 1, rng))
         self.c_out = c_out
 
-    def __call__(self, fused: Tensor, skips: tuple[Tensor, Tensor], linear_mode: bool = False) -> SegmentationMap:
+    def __call__(self, fused: Tensor, skips: tuple[Tensor, Tensor]) -> SegmentationMap:
         skip1, skip2 = skips
         x = self.lat1(upsample2x(fused))
         if x.shape != skip2.shape:
             raise ArgumentError(f"stage-1 shape {x.shape} mismatches skip {skip2.shape}")
-        x = self.ref1(x + skip2)
-        if not linear_mode:
-            x = x.relu()
+        x = self.ref1(x + skip2).relu()
         x = self.lat2(upsample2x(x))
         if x.shape != skip1.shape:
             raise ArgumentError(f"stage-2 shape {x.shape} mismatches skip {skip1.shape}")
-        x = self.ref2(x + skip1)
-        if not linear_mode:
-            x = x.relu()
+        x = self.ref2(x + skip1).relu()
         return SegmentationMap(values=self.out(x))

@@ -10,7 +10,7 @@ only the top-k scored predictions per video.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,5 +1,6 @@
 """Config parsing/validation and CLI subcommand behavior."""
 
+import csv
 import json
 import shutil
 from dataclasses import fields
@@ -8,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rcfvis import cli
+from rcfvis.analysis import order_stability_probe
 from rcfvis.cli import EXIT_CONFIG, EXIT_IO, build_parser, main
 from rcfvis.config import RunConfig, load_config
 from rcfvis.container import read_container, rle_decode
@@ -50,10 +53,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(None, ["token_dim=24", "heads=16"])
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
+    def test_env_seed_is_ignored(self, monkeypatch):
+        # --seed and --set seed= are the only ways to set the seed
         monkeypatch.setenv("RCFVIS_SEED", "99")
-        cfg = load_config(None, ["seed=5"])
-        assert cfg.seed == 99
+        assert load_config(None, ["seed=5"]).seed == 5
+        assert load_config().seed == 0
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -80,10 +84,11 @@ class TestCLIBasics:
         assert "code=2" in capsys.readouterr().err
 
     def test_unknown_config_key_exit_2(self, capsys, tmp_path):
-        # fps_stream, fps_model and clip_len were keys once; bench-latency has its own flags
-        for key in ("bogus", "fps_stream", "fps_model", "clip_len"):
-            rc = main(["gen-data", "--out", str(tmp_path), "--set", f"{key}=1"])
-            assert rc == EXIT_CONFIG, key
+        # fps_stream, fps_model and clip_len were keys once; bench-latency has its own
+        # flags.  sim_dice was a key that could not change the Hungarian assignment.
+        for assignment in ("bogus=1", "fps_stream=1", "fps_model=1", "clip_len=1", "sim_dice=coeff"):
+            rc = main(["gen-data", "--out", str(tmp_path), "--set", assignment])
+            assert rc == EXIT_CONFIG, assignment
 
     def test_missing_checkpoint_exit_3(self, capsys, tmp_path):
         rc = main(["eval", "--ckpt", str(tmp_path / "none"), "--data", str(tmp_path)])
@@ -97,7 +102,7 @@ class TestCLIBasics:
         write_clip(generate_clip(0, GeneratorConfig(height=32, width=48, frames=2, max_sprites=2)), clip)
         assert main(["infer", "--ckpt", str(tmp_path / "ckpt"), "--clip", str(clip), "--out", str(tmp_path / "ok")]) == 0
 
-        for key, value in (("bogus", 1), ("fps_stream", 6.0), ("num_slots", 1000)):
+        for key, value in (("bogus", 1), ("fps_stream", 6.0), ("sim_dice", "coeff"), ("num_slots", 1000)):
             ckpt = tmp_path / f"ckpt_{key}"
             shutil.copytree(tmp_path / "ckpt", ckpt)
             manifest = json.loads((ckpt / "manifest.json").read_text())
@@ -139,6 +144,28 @@ class TestCLIBasics:
             rc = main(["infer", "--ckpt", str(ckpt), "--clip", str(clip), "--out", str(tmp_path / "out")])
             assert rc == EXIT_IO, edit.__name__
             assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--config", "--set", "--seed"])
+    def test_config_flag_with_checkpoint_exit_2(self, flag, capsys, tmp_path):
+        # a --ckpt model carries its own config, so a config flag beside it is an error
+        cfg = RunConfig(image_h=32, image_w=48, num_slots=4).validate()
+        model = RCFModel(cfg)
+        ckpt = str(tmp_path / "ckpt")
+        save_checkpoint(ckpt, model, OptimState.create(model.params(), cfg.lr0), 0)
+        clip = str(tmp_path / "clip")
+        write_clip(generate_clip(0, GeneratorConfig(height=32, width=48, frames=2, max_sprites=2)), clip)
+        (tmp_path / "run.cfg").write_text("seed=5\n")
+        value = {"--config": str(tmp_path / "run.cfg"), "--set": "token_dim=7", "--seed": "5"}[flag]
+        commands = (
+            ["probe-order", "--clip", clip],
+            ["dump-attention", "--clip", clip, "--out", str(tmp_path / "attn")],
+            ["analyze-lipschitz"],
+        )
+        for command in commands:
+            capsys.readouterr()
+            assert main([*command, "--ckpt", ckpt, flag, value]) == EXIT_CONFIG, command[0]
+            assert f"{flag} cannot be combined with --ckpt" in capsys.readouterr().err
+        assert not (tmp_path / "attn").exists()
 
 
 TINY = [
@@ -237,6 +264,34 @@ class TestCLIPipelines:
 
     def test_probe_needs_clip_or_data(self, capsys):
         assert main(["probe-order"]) == EXIT_CONFIG
+
+    def test_probe_no_override_runs_with_override_off(self, tmp_path, capsys, monkeypatch):
+        size = ["--set", "image_h=32", "--set", "image_w=48", "--set", "num_slots=4", "--set", "class_threshold=0.0"]
+        clip_dir = tmp_path / "clip"
+        write_clip(generate_clip(2, GeneratorConfig(height=32, width=48, frames=4, max_sprites=2)), clip_dir)
+        seen = []
+
+        def spy(model, clip, **kw):
+            seen.append(model.cfg.iou_override)
+            return order_stability_probe(model, clip, **kw)
+
+        monkeypatch.setattr(cli, "order_stability_probe", spy)
+        out = tmp_path / "probe.csv"
+        assert main(["probe-order", "--clip", str(clip_dir), "--no-override", "--out", str(out), *size]) == 0
+        assert main(["probe-order", "--clip", str(clip_dir), "--out", str(tmp_path / "on.csv"), *size]) == 0
+        assert seen == [False, True]
+
+        cfg = RunConfig(image_h=32, image_w=48, num_slots=4, class_threshold=0.0, iou_override=False).validate()
+        clip = read_clip(clip_dir)
+        report = order_stability_probe(RCFModel(cfg), clip, p=cfg.probe_norm_p, trained=False)
+        want = [
+            [clip.clip_id, str(r.t), repr(r.eps), repr(r.delta), repr(r.ratio), str(r.tracked), str(r.switched), str(int(r.changed))]
+            for r in report.rows
+        ]
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["# model=random p=1"]
+        assert rows[2:] == want
 
     def test_infer_deterministic(self, tmp_path, capsys):
         args = TINY + ["--set", "iter_max=2", "--set", "ckpt_every=2"]

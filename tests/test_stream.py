@@ -9,6 +9,8 @@ from rcfvis.instance_head import FramePrediction
 from rcfvis.model import RCFModel
 from rcfvis.stream import RefCache, TrackState, infer_frame, mask_iou, postprocess, stream_clip, track_update
 from rcfvis.synthav import GeneratorConfig, generate_clip
+from rcfvis.tensor import no_grad
+from rcfvis.training import sample_window
 from rcfvis.videonet import Backbone
 
 
@@ -290,3 +292,20 @@ def test_tracker_matches_pairwise_reference(seed):
         want = slow.history[ident]
         assert [(r.frame, r.slot, r.class_id, r.score) for r in records] == [w[:4] for w in want]
         assert all(np.array_equal(r.mask, w[4]) for r, w in zip(records, want))
+
+
+@pytest.mark.parametrize("delta", [1, 2, 3])
+def test_training_window_matches_streamed_references(delta):
+    # training pads the clip start with sample_window, streaming with RefCache:
+    # both must hand the model the same references and audio at every t
+    model = small_model(ref_frames=delta)
+    clip = small_clip(seed=delta, frames=6)
+    # a distinct gain per frame, so that audio windows in the wrong order show
+    clip.waveform = clip.waveform * np.repeat(np.arange(1.0, 7.0), clip.samples_per_frame).astype(np.float32)
+    preds, _ = stream_clip(model, clip)
+    for t, pred in enumerate(preds):
+        refs, windows = sample_window(clip, t, delta)
+        with no_grad():
+            out = model.forward_frames(clip.frames[t].astype(np.float64), refs, windows, frame_index=t)
+        assert np.array_equal(out.class_probs.data, pred.class_probs), t
+        assert np.array_equal(out.mask_logits.data, pred.mask_logits), t

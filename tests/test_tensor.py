@@ -187,7 +187,7 @@ class TestGradCheck:
 
     def test_nonfinite_raises(self):
         x = Tensor(np.zeros(2))
-        with pytest.raises(NumericError):
+        with np.errstate(divide="ignore"), pytest.raises(NumericError):
             grad_check(lambda t: (t.log()).sum(), x)
 
 
@@ -283,7 +283,7 @@ class TestTapeMechanics:
     def test_strict_finite_mode(self):
         prev = set_strict_finite(True)
         try:
-            with pytest.raises(NumericError):
+            with np.errstate(divide="ignore"), pytest.raises(NumericError):
                 Tensor(np.array([1.0, 0.0])).log()
             out = (Tensor(np.ones(4)) * 2.0).exp()
             assert np.isfinite(out.data).all()

@@ -78,20 +78,6 @@ def test_decoder_zero_inputs_bias_driven(rng):
     assert np.abs(c.values.data).max() == 0.0
 
 
-def test_decoder_affine_in_linear_mode(rng):
-    bb, dec = make_decoder(seed=3)
-    skips = (Tensor(rng.standard_normal((8, 8, 12))), Tensor(rng.standard_normal((16, 4, 6))))
-    a = rng.standard_normal((24, 2, 3))
-    b = rng.standard_normal((24, 2, 3))
-
-    def run(x):
-        return dec(Tensor(x), skips, linear_mode=True).values.data
-
-    lhs = run(a + b) + run(np.zeros_like(a))
-    rhs = run(a) + run(b)
-    assert np.abs(lhs - rhs).max() < 1e-12
-
-
 def test_decoder_skip_shape_mismatch(rng):
     bb, dec = make_decoder()
     bad_skips = (Tensor(rng.random((8, 6, 12))), Tensor(rng.random((16, 4, 6))))

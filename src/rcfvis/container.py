@@ -10,6 +10,7 @@ unsigned 32-bit integers.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -74,8 +75,42 @@ def write_container(path: str | Path, meta: dict, blocks: dict[str, np.ndarray])
     (path / MANIFEST_FILE).write_text(json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8")
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_block(index: int, entry) -> None:
+    """Raise FormatError naming the block and the field a manifest entry gets wrong."""
+    if not isinstance(entry, dict):
+        raise FormatError(f"block {index} is not an object")
+    label = f"block {index} {entry.get('name')!r}"
+    for key in ("name", "dtype", "shape", "offset", "nbytes"):
+        if key not in entry:
+            raise FormatError(f"{label} has no field {key!r}")
+    if not isinstance(entry["name"], str):
+        raise FormatError(f"{label} field 'name' is not a string")
+    if not isinstance(entry["dtype"], str) or entry["dtype"] not in _DTYPES:
+        raise FormatError(f"{label} field 'dtype' is unsupported: {entry['dtype']!r}")
+    shape = entry["shape"]
+    if not isinstance(shape, list) or not all(_is_count(n) for n in shape):
+        raise FormatError(f"{label} field 'shape' is not a list of non-negative integers: {shape!r}")
+    for key in ("offset", "nbytes"):
+        if not _is_count(entry[key]):
+            raise FormatError(f"{label} field {key!r} is not a non-negative integer: {entry[key]!r}")
+    expected = math.prod(shape) * _DTYPES[entry["dtype"]].itemsize
+    if entry["nbytes"] != expected:
+        raise FormatError(f"{label} field 'nbytes' is {entry['nbytes']}, but shape {shape} holds {expected} bytes")
+
+
 def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a container directory; returns (meta, {name: array})."""
+    """Read a container directory; returns (meta, {name: array}).
+
+    Every manifest field is checked before any block is read.  A manifest
+    that is not an object, a missing or mistyped `meta` or `blocks`, a block
+    entry with a missing or mistyped field, a block name used twice and an
+    `nbytes` other than prod(shape) x itemsize each raise FormatError naming
+    the block and field.
+    """
     path = Path(path)
     mpath = path / MANIFEST_FILE
     tpath = path / TENSORS_FILE
@@ -85,10 +120,22 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         manifest = json.loads(mpath.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise FormatError(f"corrupt manifest: {e}") from e
+    if not isinstance(manifest, dict):
+        raise FormatError(f"manifest is a JSON {type(manifest).__name__}, not an object")
     if manifest.get("format") != FORMAT_NAME:
         raise FormatError(f"unrecognized format {manifest.get('format')!r}")
     if manifest.get("version") != FORMAT_VERSION:
         raise FormatError(f"unrecognized container version {manifest.get('version')!r}")
+    if not isinstance(manifest.get("meta"), dict):
+        raise FormatError("manifest field 'meta' is missing or not an object")
+    if not isinstance(manifest.get("blocks"), list):
+        raise FormatError("manifest field 'blocks' is missing or not a list")
+    first_index: dict[str, int] = {}
+    for index, entry in enumerate(manifest["blocks"]):
+        _check_block(index, entry)
+        if entry["name"] in first_index:
+            raise FormatError(f"block {index} {entry['name']!r} field 'name' repeats block {first_index[entry['name']]}")
+        first_index[entry["name"]] = index
     if not tpath.is_file():
         raise FormatError(f"missing {TENSORS_FILE} under {path}")
     raw = tpath.read_bytes()
@@ -100,9 +147,7 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             raise FormatError(f"block {name!r} overlaps the previous block", offset=offset)
         if offset + nbytes > len(raw):
             raise FormatError(f"truncated tensors.bin: block {name!r} extends past end of file", offset=offset)
-        dtype = _DTYPES.get(entry["dtype"])
-        if dtype is None:
-            raise FormatError(f"block {name!r} has unsupported dtype {entry['dtype']!r}", offset=offset)
+        dtype = _DTYPES[entry["dtype"]]
         arr = np.frombuffer(raw, dtype=dtype, count=nbytes // dtype.itemsize, offset=offset)
         blocks[name] = arr.reshape(entry["shape"]).copy()
         prev_end = offset + nbytes

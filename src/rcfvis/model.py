@@ -6,7 +6,7 @@ name), so e.g. toggling audio never shifts the visual parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class ModelOutput:
     diagnostics: FusionDiagnostics
     class_probs: Tensor  # (N, classes+1)
     mask_logits: Tensor  # (N, H_o, W_o)
-    cross_attention: list = field(default_factory=list)
 
     def to_prediction(self, frame_index: int = 0) -> FramePrediction:
         return FramePrediction(
@@ -173,10 +172,10 @@ class RCFModel:
         fused, diag = self.encoder(ts)
         tgt_map, full = split_fused(fused)
         seg = self.mask_decoder(tgt_map, target.skips)
-        code, cross = self.head.decode(full, frame_index=target.frame_index)
+        code, _ = self.head.decode(full, frame_index=target.frame_index)
         probs = self.head.predict_class(code)
         masks = self.head.dynamic_masks(code, seg)
-        return ModelOutput(diagnostics=diag, class_probs=probs, mask_logits=masks, cross_attention=cross)
+        return ModelOutput(diagnostics=diag, class_probs=probs, mask_logits=masks)
 
     def forward_frames(
         self,

@@ -106,7 +106,9 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
 
-def postprocess(raw: FramePrediction, num_classes: int, class_threshold: float = 0.4, mask_threshold: float = 0.5) -> FramePrediction:
+def postprocess(
+    raw: FramePrediction, num_classes: int, *, class_threshold: float, mask_threshold: float
+) -> FramePrediction:
     """Binarize masks (sigmoid >= threshold) and fire slots above the class bar."""
     probs = raw.class_probs
     scores = probs[:, :num_classes].max(axis=1)
@@ -119,8 +121,9 @@ def postprocess(raw: FramePrediction, num_classes: int, class_threshold: float =
 def track_update(
     state: TrackState,
     pred: FramePrediction,
-    max_gap: int = 5,
-    iou_override: bool = True,
+    *,
+    max_gap: int,
+    iou_override: bool,
 ) -> np.ndarray:
     """Assign identities to fired slots; returns (N,) identities, -1 unfired.
 
@@ -228,7 +231,10 @@ def infer_frame(
             audio_feats = cache.padded_audio(current_audio)
         output = model.forward_features(feat, refs, audio_feats)
     pred = postprocess(
-        output.to_prediction(idx), cfg.num_classes, cfg.class_threshold, cfg.mask_threshold
+        output.to_prediction(idx),
+        cfg.num_classes,
+        class_threshold=cfg.class_threshold,
+        mask_threshold=cfg.mask_threshold,
     )
     track_update(state, pred, max_gap=cfg.track_max_gap, iou_override=cfg.iou_override)
     cache.push(feat, current_audio)

@@ -4,8 +4,9 @@ Every array in the pipeline lives in a ``Tensor``: float64 by default so
 finite-difference checks are decisive, float32 available for speed.  The
 tape is a per-result closure graph, freed after each ``backward()``.
 Convolution forward/backward run through the kernels in ``_kernels``.
-Multi-head attention is a single node with an analytic backward: all
-heads run as batched (heads, L, d) products over views of Q, K and V.
+Multi-head attention is a single node with an analytic backward: heads
+run as batched (heads, L, d) products over views of Q, K and V; the forward
+walks them in groups whose weights fit in L2 (see `_ATTN_TILE_BYTES`).
 """
 
 from __future__ import annotations
@@ -57,8 +58,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function in a form whose exp never overflows."""
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    """Logistic function in a form whose exp never overflows.
+
+    With e = exp(-|x|): 1 / (1 + e) where x >= 0, else e / (1 + e); one exp
+    for both branches.
+    """
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    out = np.asarray(e / d)
+    np.divide(1.0, d, out=out, where=x >= 0)
+    return out
 
 
 class Tensor:
@@ -499,6 +508,21 @@ def adaptive_avg_pool2d(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
     return out
 
 
+# Bytes of (L_q, L_k) attention weights the forward processes per head group:
+# half of a 2 MiB per-core L2, which leaves room for the row max and sum
+# vectors and for the Q, K and V blocks the group reads.  Calls whose weights
+# all fit stay one batched product: a loop of one head per step costs small
+# calls a Python round trip per head.
+_ATTN_TILE_BYTES = 1 << 20
+
+
+def _head_tiles(heads: int, lq: int, lk: int, itemsize: int) -> list[slice]:
+    """Groups of heads whose weights fill at most _ATTN_TILE_BYTES, or one head
+    per group when a single head's weights exceed it."""
+    step = max(1, _ATTN_TILE_BYTES // (lq * lk * itemsize or 1))
+    return [slice(h, min(h + step, heads)) for h in range(0, heads, step)]
+
+
 def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
     """Multi-head Attention(Q,K,V) = softmax(QK^T/sqrt(d_k)) V as one tape node.
 
@@ -510,6 +534,17 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) ->
     callers must not write to them.  The arithmetic per head is the same as
     separate 2-D products followed by a softmax: the product is scaled, then
     shifted by its row max, exponentiated and divided by its row sum.
+
+    Tile rule: the forward walks the heads in groups of
+    max(1, _ATTN_TILE_BYTES // (L_q * L_k * itemsize)) heads, so each
+    group's weights stay in L2 through their six passes (product, scale,
+    shift, exp, divide, product with V) instead of going through memory
+    once per pass: 390 tokens need 1.2 MB per head and run one head per
+    group, while 102 tokens (666 KB for 8 heads) and 32 x 390
+    cross-attention (799 KB) fit in one group.  The backward runs batched
+    over the full weights.  Each head is its own GEMM and its softmax is
+    row-wise either way, so the grouping changes no bit of the output, the
+    weights or the gradients.
     """
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
         raise ArgumentError("attention expects 2-D Q, K, V")
@@ -527,12 +562,18 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) ->
     qh = q.data.reshape(lq, heads, dk).transpose(1, 0, 2)  # (H, L_q, d_k) views
     kh = k.data.reshape(lk, heads, dk).transpose(1, 0, 2)
     vh = v.data.reshape(lk, heads, dv).transpose(1, 0, 2)
-    weights = np.matmul(qh, kh.transpose(0, 2, 1))
-    weights *= scale
-    weights -= weights.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    out_data = np.matmul(weights, vh).transpose(1, 0, 2).reshape(lq, heads * dv)
+    weights = np.empty((heads, lq, lk), dtype=np.result_type(q.data, k.data))
+    out_data = np.empty((lq, heads * dv), dtype=np.result_type(weights, v.data))
+    out_h = out_data.reshape(lq, heads, dv).transpose(1, 0, 2)  # each head's column block
+    tiles = _head_tiles(heads, lq, lk, weights.itemsize)
+    for t in tiles:
+        w = weights[t]
+        np.matmul(qh[t], kh[t].transpose(0, 2, 1), out=w)
+        w *= scale
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
+        np.matmul(w, vh[t], out=out_h[t])
 
     def bw(a=q, b=k, c=v):
         g = out.grad.reshape(lq, heads, dv).transpose(1, 0, 2)

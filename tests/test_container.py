@@ -1,12 +1,19 @@
 """Container format: round-trips, RLE, corruption reporting."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from rcfvis.cli import EXIT_IO, main
+from rcfvis.config import RunConfig
 from rcfvis.container import read_container, rle_decode, rle_encode, write_container
 from rcfvis.errors import FormatError
+from rcfvis.model import RCFModel
+from rcfvis.optim import OptimState
+from rcfvis.synthav import GeneratorConfig, generate_clip, read_clip, write_clip
+from rcfvis.training import save_checkpoint
 
 
 def test_roundtrip_bit_exact(tmp_path, rng):
@@ -72,3 +79,79 @@ def test_overlapping_blocks_rejected(tmp_path):
     mpath.write_text(json.dumps(manifest))
     with pytest.raises(FormatError, match="overlap"):
         read_container(tmp_path / "c")
+
+
+_DELETE = object()
+
+
+def _set(path, value):
+    """Manifest edit: set the item at `path` to `value`, or delete it if `value` is _DELETE."""
+
+    def edit(manifest):
+        *parents, last = path
+        node = manifest
+        for key in parents:
+            node = node[key]
+        if value is _DELETE:
+            del node[last]
+        else:
+            node[last] = value
+        return manifest
+
+    return edit
+
+# (edit, text the error must contain); block 1 of a clip is "waveform", 4000 float32
+MANIFEST_FAULTS = {
+    "not-an-object": (lambda m: [m], "not an object"),
+    "no-blocks": (_set(["blocks"], _DELETE), "'blocks'"),
+    "blocks-not-list": (_set(["blocks"], {"frames": 0}), "'blocks'"),
+    "no-meta": (_set(["meta"], _DELETE), "'meta'"),
+    "meta-not-object": (_set(["meta"], ["clip"]), "'meta'"),
+    "block-not-object": (_set(["blocks", 1], "waveform"), "block 1"),
+    **{
+        f"no-{key}": (_set(["blocks", 1, key], _DELETE), f"block 1 .*'{key}'")
+        for key in ("name", "dtype", "shape", "offset", "nbytes")
+    },
+    "name-not-string": (_set(["blocks", 1, "name"], 7), "block 1 .*'name'"),
+    "dtype-unknown": (_set(["blocks", 1, "dtype"], "<i8"), "block 1 'waveform' field 'dtype'"),
+    "dtype-not-string": (_set(["blocks", 1, "dtype"], ["<f4"]), "block 1 'waveform' field 'dtype'"),
+    "shape-not-list": (_set(["blocks", 1, "shape"], 4000), "block 1 'waveform' field 'shape'"),
+    "shape-negative": (_set(["blocks", 1, "shape"], [-4000]), "block 1 'waveform' field 'shape'"),
+    "shape-float": (_set(["blocks", 1, "shape"], [4000.0]), "block 1 'waveform' field 'shape'"),
+    "offset-string": (_set(["blocks", 1, "offset"], "0"), "block 1 'waveform' field 'offset'"),
+    "offset-negative": (_set(["blocks", 1, "offset"], -8), "block 1 'waveform' field 'offset'"),
+    "nbytes-float": (_set(["blocks", 1, "nbytes"], 16000.0), "block 1 'waveform' field 'nbytes'"),
+    "nbytes-bool": (_set(["blocks", 1, "nbytes"], True), "block 1 'waveform' field 'nbytes'"),
+    "nbytes-not-shape": (_set(["blocks", 1, "shape"], [2000]), "block 1 'waveform' field 'nbytes' is 16000"),
+    "duplicate-name": (
+        lambda m: _set(["blocks", 1, "name"], m["blocks"][0]["name"])(m),
+        "block 1 'frames' field 'name' repeats block 0",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def clip_and_checkpoint(tmp_path_factory):
+    root = tmp_path_factory.mktemp("faults")
+    cfg = RunConfig(image_h=32, image_w=48, num_slots=4).validate()
+    model = RCFModel(cfg)
+    save_checkpoint(root / "ckpt", model, OptimState.create(model.params(), cfg.lr0), 0)
+    write_clip(generate_clip(0, GeneratorConfig(height=32, width=48, frames=2, max_sprites=2)), root / "clip")
+    return root / "clip", root / "ckpt"
+
+
+@pytest.mark.parametrize("fault", list(MANIFEST_FAULTS))
+def test_malformed_manifest_is_format_error(fault, clip_and_checkpoint, tmp_path, capsys):
+    edit, text = MANIFEST_FAULTS[fault]
+    clip_dir, ckpt = clip_and_checkpoint
+    clip = tmp_path / "clip"
+    shutil.copytree(clip_dir, clip)
+    mpath = clip / "manifest.json"
+    mpath.write_text(json.dumps(edit(json.loads(mpath.read_text()))))
+    with pytest.raises(FormatError, match=text):
+        read_clip(clip)
+    capsys.readouterr()
+    rc = main(["infer", "--ckpt", str(ckpt), "--clip", str(clip), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_IO
+    assert "kind=io" in err and "Traceback" not in err

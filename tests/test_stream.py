@@ -36,17 +36,17 @@ class TestPostprocess:
 
     def test_no_probability_above_bar_fires_nothing(self):
         pred = self.make([[0.4, 0.3, 0.3], [0.2, 0.2, 0.6]], np.zeros((2, 2, 2)))
-        out = postprocess(pred, num_classes=2)
+        out = postprocess(pred, num_classes=2, class_threshold=0.4, mask_threshold=0.5)
         assert not out.fired.any()
 
     def test_zero_logit_pixel_included(self):
         pred = self.make([[0.5, 0.2, 0.3]], np.zeros((1, 2, 2)))
-        out = postprocess(pred, num_classes=2)
+        out = postprocess(pred, num_classes=2, class_threshold=0.4, mask_threshold=0.5)
         assert out.binary_masks.all()  # sigmoid(0) = 0.5 >= 0.5
 
     def test_threshold_is_strict(self):
         pred = self.make([[0.39, 0.11, 0.5], [0.41, 0.09, 0.5]], np.zeros((2, 2, 2)))
-        out = postprocess(pred, num_classes=2)
+        out = postprocess(pred, num_classes=2, class_threshold=0.4, mask_threshold=0.5)
         assert out.fired.tolist() == [False, True]
         assert out.scores[1] == pytest.approx(0.41)
 
@@ -63,7 +63,7 @@ def manual_pred(num_slots, fired_masks, frame=0, num_classes=2):
         probs[slot, num_classes] = 0.1
         logits[slot] = np.where(mask, 500.0, -500.0)
     pred = FramePrediction(class_probs=probs, mask_logits=logits, frame_index=frame)
-    return postprocess(pred, num_classes=num_classes)
+    return postprocess(pred, num_classes=num_classes, class_threshold=0.4, mask_threshold=0.5)
 
 
 def box(y0, y1, x0, x1, h=8, w=8):
@@ -75,22 +75,22 @@ def box(y0, y1, x0, x1, h=8, w=8):
 class TestTracker:
     def test_same_slot_keeps_identity(self):
         state = TrackState(num_slots=4)
-        ids0 = track_update(state, manual_pred(4, {1: box(0, 3, 0, 3)}, 0))
-        ids1 = track_update(state, manual_pred(4, {1: box(0, 3, 1, 4)}, 1))
+        ids0 = track_update(state, manual_pred(4, {1: box(0, 3, 0, 3)}, 0), max_gap=5, iou_override=True)
+        ids1 = track_update(state, manual_pred(4, {1: box(0, 3, 1, 4)}, 1), max_gap=5, iou_override=True)
         assert ids0[1] == ids1[1] >= 0
 
     def test_override_moves_identity_across_slots(self):
         state = TrackState(num_slots=6)
         m = box(2, 6, 2, 6)
-        ids0 = track_update(state, manual_pred(6, {2: m}, 0))
-        ids1 = track_update(state, manual_pred(6, {5: m}, 1))  # same mask, new slot
+        ids0 = track_update(state, manual_pred(6, {2: m}, 0), max_gap=5, iou_override=True)
+        ids1 = track_update(state, manual_pred(6, {5: m}, 1), max_gap=5, iou_override=True)  # same mask, new slot
         assert ids1[5] == ids0[2]
         assert state.slot_ids[2] is None  # identity moved, not duplicated
 
     def test_multi_claim_resolved_by_largest_iou(self):
         state = TrackState(num_slots=6)
         prev = box(0, 4, 0, 8)  # 32 px
-        track_update(state, manual_pred(6, {0: prev}, 0))
+        track_update(state, manual_pred(6, {0: prev}, 0), max_gap=5, iou_override=True)
         prev_id = state.slot_ids[0]
         # slot1 IoU 0.6: 24 shared / 40 union ; slot2 IoU ~0.55
         m1 = box(0, 3, 0, 8)
@@ -98,7 +98,7 @@ class TestTracker:
         m2[3, :6] = False  # 26 px, inter 26, union 32 -> 0.8125? adjust to be below m1
         m1 = box(0, 4, 0, 8).copy()
         m1[0, :2] = False  # 30 px, inter 30, union 32 -> 0.9375
-        ids = track_update(state, manual_pred(6, {1: m1, 2: m2}, 1))
+        ids = track_update(state, manual_pred(6, {1: m1, 2: m2}, 1), max_gap=5, iou_override=True)
         iou1, iou2 = mask_iou(np.stack([m1, m2]), prev[None])[:, 0]
         assert iou1 > 0.5 and iou2 > 0.5 and iou1 > iou2
         assert ids[1] == prev_id  # larger IoU wins
@@ -108,28 +108,28 @@ class TestTracker:
         state = TrackState(num_slots=4)
         a = box(0, 4, 0, 4)
         b = box(4, 8, 4, 8)
-        ids0 = track_update(state, manual_pred(4, {0: a, 1: b}, 0))
+        ids0 = track_update(state, manual_pred(4, {0: a, 1: b}, 0), max_gap=5, iou_override=True)
         # next frame slot 1 lands on slot 0's old region: override must win
-        ids1 = track_update(state, manual_pred(4, {1: a}, 1))
+        ids1 = track_update(state, manual_pred(4, {1: a}, 1), max_gap=5, iou_override=True)
         assert ids1[1] == ids0[0]
 
     def test_gap_tolerance_then_clear(self):
         state = TrackState(num_slots=3)
-        ids0 = track_update(state, manual_pred(3, {0: box(0, 4, 0, 4)}, 0))
+        ids0 = track_update(state, manual_pred(3, {0: box(0, 4, 0, 4)}, 0), max_gap=5, iou_override=True)
         for t in range(1, 6):  # five unfired frames: identity retained
-            track_update(state, manual_pred(3, {}, t), max_gap=5)
+            track_update(state, manual_pred(3, {}, t), max_gap=5, iou_override=True)
             assert state.slot_ids[0] == ids0[0]
-        track_update(state, manual_pred(3, {}, 6), max_gap=5)  # sixth: cleared
+        track_update(state, manual_pred(3, {}, 6), max_gap=5, iou_override=True)  # sixth: cleared
         assert state.slot_ids[0] is None
-        ids7 = track_update(state, manual_pred(3, {0: box(0, 4, 0, 4)}, 7), max_gap=5)
+        ids7 = track_update(state, manual_pred(3, {0: box(0, 4, 0, 4)}, 7), max_gap=5, iou_override=True)
         assert ids7[0] != ids0[0]  # identity counter never reused
 
     def test_pure_function_of_state_and_prediction(self):
         def run():
             state = TrackState(num_slots=4)
             out = []
-            out.append(track_update(state, manual_pred(4, {0: box(0, 4, 0, 4)}, 0)).copy())
-            out.append(track_update(state, manual_pred(4, {1: box(0, 4, 0, 4)}, 1)).copy())
+            out.append(track_update(state, manual_pred(4, {0: box(0, 4, 0, 4)}, 0), max_gap=5, iou_override=True).copy())
+            out.append(track_update(state, manual_pred(4, {1: box(0, 4, 0, 4)}, 1), max_gap=5, iou_override=True).copy())
             return out
 
         a, b = run(), run()
@@ -144,7 +144,7 @@ class TestTracker:
                     y = int(rng.integers(0, 5))
                     x = int(rng.integers(0, 5))
                     fired[slot] = box(y, y + 3, x, x + 3)
-            track_update(state, manual_pred(5, fired, t), max_gap=2)
+            track_update(state, manual_pred(5, fired, t), max_gap=2, iou_override=True)
             live = state.live_identities()
             assert len(live) == len(set(live))
 

@@ -1,11 +1,17 @@
 """Autodiff core: op correctness, gradient oracle, softmax/attention contracts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from rcfvis import tensor
+from rcfvis.config import RunConfig
 from rcfvis.errors import ArgumentError, NumericError
+from rcfvis.model import RCFModel
+from rcfvis.stream import stream_clip
+from rcfvis.synthav import GeneratorConfig, generate_clip
 from rcfvis.tensor import (
     Tensor,
     adaptive_avg_pool2d,
@@ -15,6 +21,7 @@ from rcfvis.tensor import (
     no_grad,
     scaled_dot_product_attention,
     set_strict_finite,
+    sigmoid,
     softmax,
     stack,
     upsample2x,
@@ -115,18 +122,33 @@ class TestAttention:
             assert fused.shape == oracle.shape
             assert np.abs(fused - oracle).max() < 1e-12
 
+    @pytest.mark.parametrize(
+        "lq, lk, tile_heads, tile_sizes",
+        [(390, 390, None, [1] * 8), (32, 390, None, [8]), (5, 7, 3, [3, 3, 2])],
+    )
+    def test_tiles_match_batched_oracle_bit_for_bit(self, rng, monkeypatch, lq, lk, tile_heads, tile_sizes):
+        heads, dk, dv = 8, 8, 4
+        if tile_heads is not None:
+            monkeypatch.setattr(tensor, "_ATTN_TILE_BYTES", tile_heads * lq * lk * 8)
+        assert [t.stop - t.start for t in tensor._head_tiles(heads, lq, lk, 8)] == tile_sizes
+        q0, k0 = rng.standard_normal((lq, heads * dk)), rng.standard_normal((lk, heads * dk))
+        v0 = rng.standard_normal((lk, heads * dv))
+        seed = rng.standard_normal((lq, heads * dv))
+        q, k, v = (Tensor(a.copy(), requires_grad=True) for a in (q0, k0, v0))
+        out, w = scaled_dot_product_attention(q, k, v, heads)
+        out.backward(seed)
+        for got, want in zip((out.data, w, q.grad, k.grad, v.grad), batched_attention(q0, k0, v0, heads, seed)):
+            assert got.shape == want.shape and np.array_equal(got, want)
+
     @pytest.mark.parametrize("arg", [0, 1, 2])
     def test_grad_check_each_input(self, rng, arg):
-        qkv = [rng.standard_normal((3, 4)), rng.standard_normal((5, 4)), rng.standard_normal((5, 6))]
-        c = Tensor(rng.standard_normal((3, 6)))
+        assert attention_grad_error(rng, arg, heads=2) < 1e-6
 
-        def f(t):
-            args = [Tensor(a) for a in qkv]
-            args[arg] = t
-            out, _ = scaled_dot_product_attention(*args, 2)
-            return (out * c).sum()
-
-        assert grad_check(f, Tensor(qkv[arg])) < 1e-6
+    @pytest.mark.parametrize("arg", [0, 1, 2])
+    def test_grad_check_each_input_in_tiles_of_3_3_2(self, rng, monkeypatch, arg):
+        monkeypatch.setattr(tensor, "_ATTN_TILE_BYTES", 3 * 3 * 5 * 8)
+        assert [t.stop - t.start for t in tensor._head_tiles(8, 3, 5, 8)] == [3, 3, 2]
+        assert attention_grad_error(rng, arg, heads=8) < 1e-6
 
     def test_no_grad_records_no_parents(self, rng):
         q, k, v = (Tensor(rng.standard_normal((3, 4)), requires_grad=True) for _ in range(3))
@@ -149,6 +171,76 @@ class TestAttention:
             scaled_dot_product_attention(q, k, Tensor(rng.standard_normal((3, 6))), 4)
         with pytest.raises(ArgumentError):
             scaled_dot_product_attention(q, k, Tensor(rng.standard_normal((3, 5))), 2)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"num_slots": 32}, {"image_h": 128, "image_w": 192, "num_slots": 32}],
+    ids=["64x96", "64x96-32slots", "128x192-32slots"],
+)
+def test_tile_rule_on_model_configs(monkeypatch, overrides):
+    """At 64x96 every attention call is one tile; at 128x192 the 390-token
+    encoder runs one head per tile and the decoder stays in one tile."""
+    calls = []
+    head_tiles = tensor._head_tiles
+
+    def recording(heads, lq, lk, itemsize):
+        tiles = head_tiles(heads, lq, lk, itemsize)
+        calls.append((lq, lk, len(tiles)))
+        return tiles
+
+    monkeypatch.setattr(tensor, "_head_tiles", recording)
+    cfg = RunConfig(**overrides).validate()
+    clip = generate_clip(0, GeneratorConfig(height=cfg.image_h, width=cfg.image_w, frames=2))
+    stream_clip(RCFModel(cfg), clip)
+    assert len(calls) == 2 * (cfg.enc_depth + 2 * cfg.dec_depth)
+    for lq, lk, n_tiles in calls:
+        encoder_hires = lq == lk == 390
+        assert n_tiles == (cfg.heads if encoder_hires else 1), (lq, lk)
+    assert any(lq == lk == 390 for lq, lk, _ in calls) == (cfg.image_h == 128)
+
+
+def attention_grad_error(rng, arg, heads):
+    """grad_check of Q, K or V (`arg`) for L_q = 3, L_k = 5, d_k = 2 and d_v = 3."""
+    qkv = [rng.standard_normal((3, 2 * heads)), rng.standard_normal((5, 2 * heads)), rng.standard_normal((5, 3 * heads))]
+    c = Tensor(rng.standard_normal((3, 3 * heads)))
+
+    def f(t):
+        args = [Tensor(a) for a in qkv]
+        args[arg] = t
+        out, _ = scaled_dot_product_attention(*args, heads)
+        return (out * c).sum()
+
+    return grad_check(f, Tensor(qkv[arg]))
+
+
+def batched_attention(q, k, v, heads, seed):
+    """Reference: every head in one batched product per step, no tiles.
+
+    Returns the output, the weights and the Q, K and V gradients for the
+    output gradient `seed`.
+    """
+    lq, lk = q.shape[0], k.shape[0]
+    dk, dv = q.shape[1] // heads, v.shape[1] // heads
+    scale = 1.0 / math.sqrt(dk)
+    qh = q.reshape(lq, heads, dk).transpose(1, 0, 2)
+    kh = k.reshape(lk, heads, dk).transpose(1, 0, 2)
+    vh = v.reshape(lk, heads, dv).transpose(1, 0, 2)
+    w = np.matmul(qh, kh.transpose(0, 2, 1))
+    w *= scale
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    out = np.matmul(w, vh).transpose(1, 0, 2).reshape(lq, heads * dv)
+    g = seed.reshape(lq, heads, dv).transpose(1, 0, 2)
+    grad_v = np.matmul(w.transpose(0, 2, 1), g).transpose(1, 0, 2).reshape(lk, heads * dv)
+    gs = np.matmul(g, vh.transpose(0, 2, 1))
+    gs -= (gs * w).sum(axis=-1, keepdims=True)
+    gs *= w
+    gs *= scale
+    grad_q = np.matmul(gs, kh).transpose(1, 0, 2).reshape(lq, heads * dk)
+    grad_k = np.matmul(qh.transpose(0, 2, 1), gs).transpose(2, 0, 1).reshape(lk, heads * dk)
+    return out, w, grad_q, grad_k, grad_v
 
 
 def per_head_attention(q, k, v, heads):
@@ -200,6 +292,23 @@ def test_grad_check_core_ops_ten_seeds(seed):
     assert grad_check(lambda t: (softmax(t, 1) * c).sum(), x) < 1e-5
     m = Tensor(rng.standard_normal((4, 2)))
     assert grad_check(lambda t: ((t @ m).relu() ** 2).sum(), x) < 1e-5
+
+
+def three_exp_sigmoid(x):
+    """Reference: the logistic function with one exp per branch and one for the divisor."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_matches_three_exp_oracle_bit_for_bit(rng, dtype):
+    special = [0.0, -0.0, np.inf, -np.inf, 1e-300, -1e-300, 800.0, -800.0, np.nan]
+    x = np.concatenate([rng.standard_normal(1000) * 30, special]).astype(dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for arr in (x, x.reshape(-1, 1), x[-3].reshape(())):
+            got, want = sigmoid(arr), three_exp_sigmoid(arr)
+            assert got.dtype == want.dtype == dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestShapeOps:

@@ -23,11 +23,13 @@ DICE_SMOOTH = 1.0
 BRUTE_FORCE_MAX_GT = 8
 
 
-def dice_coeff(a: np.ndarray, b: np.ndarray) -> float:
-    """Smoothed Dice coefficient (2*sum(ab)+1) / (sum(a)+sum(b)+1)."""
+def dice_coeff(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Smoothed Dice coefficient (2*sum(ab)+1) / (sum(a)+sum(b)+1) over the
+    last axis; leading axes broadcast, and 1-D inputs give a float."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    return float((2.0 * (a * b).sum() + DICE_SMOOTH) / (a.sum() + b.sum() + DICE_SMOOTH))
+    out = (2.0 * (a * b).sum(axis=-1) + DICE_SMOOTH) / (a.sum(axis=-1) + b.sum(axis=-1) + DICE_SMOOTH)
+    return float(out) if out.ndim == 0 else out
 
 
 def shrink_mask(mask: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
@@ -60,16 +62,11 @@ def similarity_matrix(
     n = pred.num_slots
     if g > n:
         raise CapacityError(f"{g} ground-truth instances exceed {n} prediction slots")
-    sim = np.zeros((g, n))
     if g == 0:
-        return sim
-    probs = pred.class_probs
-    soft = sigmoid(pred.mask_logits)
-    for i in range(g):
-        gt = np.asarray(gt_masks[i], dtype=np.float64)
-        for j in range(n):
-            sim[i, j] = dice_coeff(gt, soft[j]) + probs[j, int(gt_classes[i])]
-    return sim
+        return np.zeros((0, n))
+    gt = np.asarray(gt_masks, dtype=np.float64).reshape(g, 1, -1)
+    soft = sigmoid(pred.mask_logits).reshape(1, n, -1)
+    return dice_coeff(gt, soft) + pred.class_probs[:, np.asarray(gt_classes, dtype=np.int64)].T
 
 
 @lru_cache(maxsize=64)

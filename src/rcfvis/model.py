@@ -118,10 +118,6 @@ class RCFModel:
             groups[name] = ParamGroup(lr_mult=lr_mult, weight_decay=wd)
         return groups
 
-    def zero_grads(self) -> None:
-        for p in self.params().values():
-            p.grad = None
-
     # -- feature extraction ----------------------------------------------------
 
     def extract(self, frame: np.ndarray, frame_index: int = 0) -> FrameFeature:

@@ -3,6 +3,12 @@
 Weights start from N(0, 0.02), biases at zero, normalization gains at one.
 Every module owns an rng so parameter values depend only on (seed, module
 name), not on what else the model instantiates.
+
+Each layer calls one fused op of `tensor`, one tape node per call: `Linear`
+calls `linear`, `LayerNorm` and `GroupNorm` call `normalize`, `LSTMLayer`
+calls `lstm` and `MultiheadAttention` calls `scaled_dot_product_attention`
+(after its four `Linear` projections).  `Conv2dLayer` is `conv2d` plus a
+bias add.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ import zlib
 
 import numpy as np
 
-from .tensor import Tensor, concat, conv2d, scaled_dot_product_attention
+from .tensor import Tensor, concat, conv2d, linear, lstm, normalize, scaled_dot_product_attention
 
 INIT_STD = 0.02
 NORM_EPS = 1e-5
@@ -54,10 +60,7 @@ class Linear(Module):
         self.b = self.param("b", np.zeros(d_out)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = x @ self.w
-        if self.b is not None:
-            y = y + self.b
-        return y
+        return linear(x, self.w, self.b)
 
 
 class Conv2dLayer(Module):
@@ -81,14 +84,7 @@ class GroupNorm(Module):
         self.bias = self.param("bias", np.zeros((channels, 1, 1)))
 
     def __call__(self, x: Tensor) -> Tensor:
-        c, h, w = x.shape
-        g = self.groups
-        xg = x.reshape(g, (c // g) * h * w)
-        mu = xg.mean(axis=1, keepdims=True)
-        centered = xg - mu
-        var = (centered * centered).mean(axis=1, keepdims=True)
-        norm = centered / (var + NORM_EPS) ** 0.5
-        return norm.reshape(c, h, w) * self.gain + self.bias
+        return normalize(x, self.gain, self.bias, (self.groups, -1), NORM_EPS)
 
 
 class LayerNorm(Module):
@@ -98,10 +94,7 @@ class LayerNorm(Module):
         self.bias = self.param("bias", np.zeros(dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        return centered / (var + NORM_EPS) ** 0.5 * self.gain + self.bias
+        return normalize(x, self.gain, self.bias, (-1, x.shape[-1]), NORM_EPS)
 
 
 class MultiheadAttention(Module):
@@ -182,28 +175,12 @@ class LSTMLayer(Module):
 
     def __init__(self, name: str, d_in: int, hidden: int, rng: np.random.Generator):
         super().__init__(name)
-        self.hidden = hidden
         self.wx = self.param("wx", rng.normal(0.0, INIT_STD, size=(d_in, 4 * hidden)))
         self.wh = self.param("wh", rng.normal(0.0, INIT_STD, size=(hidden, 4 * hidden)))
         self.b = self.param("b", np.zeros(4 * hidden))
 
     def __call__(self, xs: Tensor, reverse: bool = False) -> Tensor:
-        steps = xs.shape[0]
-        hd = self.hidden
-        h = Tensor(np.zeros((1, hd)))
-        c = Tensor(np.zeros((1, hd)))
-        order = range(steps - 1, -1, -1) if reverse else range(steps)
-        outs: list[Tensor | None] = [None] * steps
-        for t in order:
-            z = xs[t : t + 1, :] @ self.wx + h @ self.wh + self.b
-            i = z[:, 0 * hd : 1 * hd].sigmoid()
-            f = z[:, 1 * hd : 2 * hd].sigmoid()
-            g = z[:, 2 * hd : 3 * hd].tanh()
-            o = z[:, 3 * hd : 4 * hd].sigmoid()
-            c = f * c + i * g
-            h = o * c.tanh()
-            outs[t] = h
-        return concat(outs, axis=0)
+        return lstm(xs, self.wx, self.wh, self.b, reverse)
 
 
 class BiLSTM(Module):

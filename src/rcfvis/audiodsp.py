@@ -1,7 +1,7 @@
-"""Audio front end: resampling, log-mel spectrograms, trainable encoder.
+"""Audio front end: log-mel spectrograms and a trainable encoder.
 
-The chain is resample to 16 kHz mono -> STFT magnitudes (25 ms periodic Hann
-window, 10 ms hop, FFT 512) -> 64 triangular HTK-mel filters over
+The chain takes a 16 kHz mono waveform -> STFT magnitudes (25 ms periodic
+Hann window, 10 ms hop, FFT 512) -> 64 triangular HTK-mel filters over
 125-7500 Hz -> log(mel + 0.01).  The pretrained front end it replaces is out
 of scope; a small trainable conv encoder maps each video frame's spectrogram
 window to a fixed-size feature vector.
@@ -41,28 +41,6 @@ class LogMelSpectrogram:
     fmax: float = FMAX_HZ
 
 
-def resample_16k_mono(wave: np.ndarray, src_rate: float) -> np.ndarray:
-    """Linear-interpolation resample to 16 kHz; multi-channel is averaged.
-
-    Output length is round(len * 16000 / src_rate); a 16 kHz input passes
-    through bit-identically.
-    """
-    wave = np.asarray(wave, dtype=np.float64)
-    if wave.size == 0:
-        raise ArgumentError("cannot resample an empty waveform")
-    if src_rate <= 0:
-        raise ArgumentError("source sample rate must be positive")
-    if wave.ndim == 2:  # (samples, channels)
-        wave = wave.mean(axis=1)
-    elif wave.ndim != 1:
-        raise ArgumentError("waveform must be 1-D or (samples, channels)")
-    if src_rate == SAMPLE_RATE:
-        return wave.copy()
-    n_out = round(wave.shape[0] * SAMPLE_RATE / src_rate)
-    positions = np.arange(n_out, dtype=np.float64) * (src_rate / SAMPLE_RATE)
-    return np.interp(positions, np.arange(wave.shape[0], dtype=np.float64), wave)
-
-
 def hann_periodic(n: int) -> np.ndarray:
     """Periodic Hann window: w[0] = 0, w[n/2] = 1."""
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
@@ -87,12 +65,6 @@ def mel_filterbank() -> np.ndarray:
         falling = (right - bin_hz) / (right - center)
         fb[m] = np.maximum(0.0, np.minimum(rising, falling))
     return fb
-
-
-def mel_filter_centers_hz() -> np.ndarray:
-    """Center frequency of each of the 64 filters, in Hz."""
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(FMIN_HZ), hz_to_mel(FMAX_HZ), N_MELS + 2))
-    return edges_hz[1:-1]
 
 
 _FILTERBANK: np.ndarray | None = None

@@ -232,12 +232,7 @@ def cmd_dump_attention(args) -> int:
     if not 0 <= t < clip.num_frames:
         raise ArgumentError(f"frame {t} outside clip of {clip.num_frames} frames")
     refs, windows = sample_window(clip, t, model.cfg.ref_frames)
-    output = model.forward_frames(
-        clip.frames[t].astype(np.float64),
-        refs,
-        windows if model.cfg.audio_enabled else None,
-        frame_index=t,
-    )
+    output = model.forward_frames(clip.frames[t], refs, windows if model.cfg.audio_enabled else None)
     written = export_diagnostics(output.diagnostics, args.out)
     mass = output.diagnostics.segment_mass()
     print(f"wrote {len(written)} files to {args.out}")

@@ -23,7 +23,6 @@ from .videonet import SegmentationMap
 @dataclass
 class InstanceCode:
     e: Tensor  # (N, C_e), one slot per row
-    frame_index: int = 0
 
     @property
     def num_slots(self) -> int:
@@ -78,7 +77,7 @@ class InstanceHead(Module):
         self.theta_fc2 = self.child(Linear("theta_fc2", c_code, c_seg, rng))
         self.c_seg = c_seg
 
-    def decode(self, memory: Tensor, frame_index: int = 0) -> tuple[InstanceCode, list[np.ndarray]]:
+    def decode(self, memory: Tensor) -> tuple[InstanceCode, list[np.ndarray]]:
         """Decode fused tokens into an instance code; returns cross-attention too."""
         if memory.ndim != 2:
             raise ArgumentError("decoder memory must be a (L, C') matrix")
@@ -87,7 +86,7 @@ class InstanceHead(Module):
         for layer in self.layers:
             q, weights = layer(q, memory)
             cross.append(weights)
-        return InstanceCode(e=self.out_proj(self.final_norm(q)), frame_index=frame_index), cross
+        return InstanceCode(e=self.out_proj(self.final_norm(q))), cross
 
     def predict_class(self, code: InstanceCode) -> Tensor:
         """Per-slot probabilities over classes + the no-object class."""

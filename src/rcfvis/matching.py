@@ -1,17 +1,14 @@
-"""Set supervision support: similarity matrix, optimal assignment, oracle.
+"""Set supervision support: similarity matrix and optimal assignment.
 
 Each ground truth is assigned the prediction slot maximizing
 Dice-coefficient(gt mask, sigmoid(mask logits)) + predicted probability of
-the gt class.  The production solver is an O(n^3) augmenting-path algorithm
-with potentials; an exhaustive enumerator over injections serves as its
-oracle for small instances.
+the gt class.  The solver is an O(n^3) augmenting-path algorithm with
+potentials.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -20,7 +17,6 @@ from .instance_head import FramePrediction
 from .tensor import sigmoid
 
 DICE_SMOOTH = 1.0
-BRUTE_FORCE_MAX_GT = 8
 
 
 def dice_coeff(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
@@ -67,33 +63,6 @@ def similarity_matrix(
     gt = np.asarray(gt_masks, dtype=np.float64).reshape(g, 1, -1)
     soft = sigmoid(pred.mask_logits).reshape(1, n, -1)
     return dice_coeff(gt, soft) + pred.class_probs[:, np.asarray(gt_classes, dtype=np.int64)].T
-
-
-@lru_cache(maxsize=64)
-def _injections(n: int, g: int) -> np.ndarray:
-    count = 1
-    for i in range(g):
-        count *= n - i
-    if count > 2_000_000:
-        raise ArgumentError(f"injection count {count} exceeds the enumeration guard")
-    return np.array(list(itertools.permutations(range(n), g)), dtype=np.int64)
-
-
-def brute_force_assign(sim: np.ndarray) -> Assignment:
-    """Exhaustive oracle over injections; ties pick the lexicographically
-    smallest sigma (guaranteed by enumeration order plus strict argmax)."""
-    sim = np.asarray(sim, dtype=np.float64)
-    g, n = sim.shape
-    if g > BRUTE_FORCE_MAX_GT:
-        raise ArgumentError(f"brute force guard: G={g} exceeds {BRUTE_FORCE_MAX_GT}")
-    if g == 0:
-        return Assignment(gt_to_slot=(), total=0.0)
-    if g > n:
-        raise CapacityError(f"{g} ground truths exceed {n} slots")
-    perms = _injections(n, g)
-    totals = sim[np.arange(g)[None, :], perms].sum(axis=1)
-    best = int(np.argmax(totals))  # first maximum = lexicographically smallest
-    return Assignment(gt_to_slot=tuple(int(j) for j in perms[best]), total=float(totals[best]))
 
 
 def hungarian_assign(sim: np.ndarray) -> Assignment:

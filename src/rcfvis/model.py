@@ -120,9 +120,8 @@ class RCFModel:
 
     # -- feature extraction ----------------------------------------------------
 
-    def extract(self, frame: np.ndarray, frame_index: int = 0) -> FrameFeature:
-        x = Tensor(np.asarray(frame, dtype=np.float64))
-        return self.backbone(x, frame_index=frame_index)
+    def extract(self, frame: np.ndarray) -> FrameFeature:
+        return self.backbone(Tensor(np.asarray(frame, dtype=np.float64)))
 
     def audio_feature(self, window: np.ndarray) -> Tensor:
         """Per-video-frame audio vector: log-mel window -> trainable encoder."""
@@ -168,7 +167,7 @@ class RCFModel:
         fused, diag = self.encoder(ts)
         tgt_map, full = split_fused(fused)
         seg = self.mask_decoder(tgt_map, target.skips)
-        code, _ = self.head.decode(full, frame_index=target.frame_index)
+        code, _ = self.head.decode(full)
         probs = self.head.predict_class(code)
         masks = self.head.dynamic_masks(code, seg)
         return ModelOutput(diagnostics=diag, class_probs=probs, mask_logits=masks)
@@ -178,10 +177,9 @@ class RCFModel:
         target_frame: np.ndarray,
         ref_frames: list[np.ndarray],
         audio_windows: list[np.ndarray] | None = None,
-        frame_index: int = 0,
     ) -> ModelOutput:
         """Training-path forward: reference features recomputed with current weights."""
-        target = self.extract(target_frame, frame_index)
+        target = self.extract(target_frame)
         refs = [self.extract(f) for f in ref_frames]
         feats = None
         if self.audio_tok is not None:

@@ -101,7 +101,9 @@ class MultiheadAttention(Module):
     """Multi-head scaled dot-product attention over row-token matrices.
 
     The Q/K/V projections run as single (L x dim) products; every head is
-    attended in one `scaled_dot_product_attention` node.
+    attended in one `scaled_dot_product_attention` node.  K has no bias: a
+    key bias b adds q.b to every logit of query q, a per-query constant that
+    the softmax over keys cancels, so it could never change an output.
     """
 
     def __init__(self, name: str, dim: int, heads: int, rng: np.random.Generator):
@@ -110,7 +112,7 @@ class MultiheadAttention(Module):
             raise ValueError("dim must divide into heads")
         self.heads = heads
         self.wq = self.child(Linear("wq", dim, dim, rng))
-        self.wk = self.child(Linear("wk", dim, dim, rng))
+        self.wk = self.child(Linear("wk", dim, dim, rng, bias=False))
         self.wv = self.child(Linear("wv", dim, dim, rng))
         self.wo = self.child(Linear("wo", dim, dim, rng))
 

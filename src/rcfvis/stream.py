@@ -43,23 +43,20 @@ class RefCache:
                 del self.audio[: -self.capacity]
         self.frames_processed += 1
 
-    def padded_features(self, current: FrameFeature) -> list[FrameFeature]:
+    def _padded(self, cached: list, current) -> list:
+        """The delta cached entries, oldest first, the oldest replicated near
+        the stream start (`current` stands in while the cache is empty)."""
         if self.capacity == 0:
             return []
-        avail = list(self.features)
-        if not avail:
-            avail = [current]
-        while len(avail) < self.capacity:
-            avail.insert(0, avail[0])
-        return avail
+        avail = cached or [current]
+        return [avail[0]] * (self.capacity - len(avail)) + avail
+
+    def padded_features(self, current: FrameFeature) -> list[FrameFeature]:
+        return self._padded(self.features, current)
 
     def padded_audio(self, current: Tensor) -> list[Tensor]:
-        avail = list(self.audio)
-        if not avail:
-            avail = [current]
-        while len(avail) < self.capacity:
-            avail.insert(0, avail[0])
-        return avail + [current]
+        """Cached audio features plus the current one: delta + 1 entries."""
+        return self._padded(self.audio, current) + [current]
 
 
 @dataclass
@@ -220,14 +217,14 @@ def infer_frame(
     cfg = model.cfg
     idx = cache.frames_processed
     with no_grad():
-        feat = model.extract(np.asarray(frame, dtype=np.float64), idx)
+        feat = model.extract(frame)
         refs = cache.padded_features(feat)
         audio_feats = None
         current_audio = None
         if cfg.audio_enabled:
             if audio_window is None:
                 raise ArgumentError("model expects an audio window per frame")
-            current_audio = model.audio_feature(np.asarray(audio_window, dtype=np.float64))
+            current_audio = model.audio_feature(audio_window)
             audio_feats = cache.padded_audio(current_audio)
         output = model.forward_features(feat, refs, audio_feats)
     pred = postprocess(
@@ -248,6 +245,6 @@ def stream_clip(model: RCFModel, clip: SpriteClip) -> tuple[list[FramePrediction
     state = TrackState(num_slots=cfg.num_slots)
     preds = []
     for t in range(clip.num_frames):
-        window = clip.audio_window(t).astype(np.float64) if cfg.audio_enabled else None
-        preds.append(infer_frame(model, clip.frames[t].astype(np.float64), window, cache, state, t))
+        window = clip.audio_window(t) if cfg.audio_enabled else None
+        preds.append(infer_frame(model, clip.frames[t], window, cache, state, t))
     return preds, state

@@ -174,8 +174,8 @@ class TrainResult:
 def sample_window(clip: SpriteClip, t: int, delta: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Reference frames t-delta..t-1 (frame 0 replicated at the clip start)
     and audio windows t-delta..t."""
-    refs = [clip.frames[max(t - k, 0)].astype(np.float64) for k in range(delta, 0, -1)]
-    windows = [clip.audio_window(max(t - k, 0)).astype(np.float64) for k in range(delta, -1, -1)]
+    refs = [clip.frames[max(t - k, 0)] for k in range(delta, 0, -1)]
+    windows = [clip.audio_window(max(t - k, 0)) for k in range(delta, -1, -1)]
     return refs, windows
 
 
@@ -201,12 +201,7 @@ def train_loop(cfg: RunConfig, data_dir: str | Path, out_dir: str | Path, log_ev
             clip = clips[int(rng.integers(len(clips)))]
             t = int(rng.integers(clip.num_frames))
             refs, windows = sample_window(clip, t, cfg.ref_frames)
-            output = model.forward_frames(
-                clip.frames[t].astype(np.float64),
-                refs,
-                windows if cfg.audio_enabled else None,
-                frame_index=t,
-            )
+            output = model.forward_frames(clip.frames[t], refs, windows if cfg.audio_enabled else None)
             report = match_and_loss(output, clip, t, cfg, iteration=it)
             if not np.isfinite(report.total):
                 dump = {

@@ -17,7 +17,6 @@ NORM_GROUPS = 4
 @dataclass
 class FrameFeature:
     f: Tensor  # (C, H_img/8, W_img/8)
-    frame_index: int
     skips: tuple[Tensor, Tensor]  # from blocks 1 and 2, strides 2 and 4
 
 
@@ -48,7 +47,7 @@ class Backbone(Module):
         self.out_channels = out_channels
         self.skip_channels = (chans[0], chans[1])
 
-    def __call__(self, frame: Tensor, frame_index: int = 0, apply_norm: bool = True) -> FrameFeature:
+    def __call__(self, frame: Tensor) -> FrameFeature:
         if frame.ndim != 3 or frame.shape[0] != 3:
             raise ArgumentError("backbone expects a (3, H, W) frame")
         if frame.shape[1] % STRIDE or frame.shape[2] % STRIDE:
@@ -56,13 +55,10 @@ class Backbone(Module):
         x = frame
         skips = []
         for i, (conv, norm) in enumerate(self.blocks):
-            x = conv(x)
-            if apply_norm:
-                x = norm(x)
-            x = x.relu()
+            x = norm(conv(x)).relu()
             if i < 2:
                 skips.append(x)
-        return FrameFeature(f=x, frame_index=frame_index, skips=(skips[0], skips[1]))
+        return FrameFeature(f=x, skips=(skips[0], skips[1]))
 
     def conv_weights(self) -> list[tuple[str, Tensor, int, int]]:
         """(name, weight, stride, pad) per conv, for the Lipschitz analyzer."""

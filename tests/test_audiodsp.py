@@ -1,9 +1,11 @@
-"""Audio front end: resampler, log-mel chain, filterbank, trainable encoder."""
+"""Audio front end: log-mel chain, filterbank, trainable encoder."""
 
 import numpy as np
 import pytest
 
 from rcfvis.audiodsp import (
+    FMAX_HZ,
+    FMIN_HZ,
     HOP,
     N_FFT,
     N_MELS,
@@ -13,10 +15,8 @@ from rcfvis.audiodsp import (
     hann_periodic,
     hz_to_mel,
     log_mel,
-    mel_filter_centers_hz,
     mel_filterbank,
     mel_to_hz,
-    resample_16k_mono,
 )
 from rcfvis.errors import ArgumentError
 from rcfvis.nn import module_rng
@@ -26,41 +26,6 @@ from rcfvis.tensor import Tensor, grad_check
 def test_window_hop_constants():
     assert WINDOW == 400  # 25 ms at 16 kHz
     assert HOP == 160  # 10 ms at 16 kHz
-
-
-class TestResample:
-    def test_identity_bit_exact(self, rng):
-        wave = rng.standard_normal(1000)
-        out = resample_16k_mono(wave, 16000)
-        assert np.array_equal(out, wave)
-
-    def test_downsample_ramp_exact(self):
-        wave = np.arange(20, dtype=np.float64)
-        out = resample_16k_mono(wave, 32000)
-        assert out.shape[0] == 10
-        assert np.allclose(out, np.arange(0, 20, 2), atol=1e-12)
-
-    def test_output_length_rule(self, rng):
-        wave = rng.standard_normal(1001)
-        out = resample_16k_mono(wave, 44100)
-        assert out.shape[0] == round(1001 * 16000 / 44100)
-
-    def test_channels_averaged(self, rng):
-        stereo = rng.standard_normal((64, 2))
-        out = resample_16k_mono(stereo, 16000)
-        assert np.allclose(out, stereo.mean(axis=1))
-
-    def test_sine_440_from_48k_lands_in_correct_bin(self):
-        t = np.arange(48000) / 48000.0
-        wave = np.sin(2 * np.pi * 440.0 * t)
-        out = resample_16k_mono(wave, 48000)
-        frame = out[:N_FFT] * hann_periodic(N_FFT)
-        spec = np.abs(np.fft.rfft(frame))
-        assert np.argmax(spec) == round(440 / (16000 / N_FFT))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ArgumentError):
-            resample_16k_mono(np.zeros(0), 16000)
 
 
 class TestLogMel:
@@ -80,7 +45,7 @@ class TestLogMel:
             assert spec.values.shape[0] == -(-n // HOP)
 
     def test_sine_at_filter_centers_peaks_in_right_bin(self):
-        centers = mel_filter_centers_hz()
+        centers = mel_to_hz(np.linspace(hz_to_mel(FMIN_HZ), hz_to_mel(FMAX_HZ), N_MELS + 2))[1:-1]
         t = np.arange(3200) / 16000.0
         for m in (5, 15, 30, 45, 60):
             wave = 0.3 * np.sin(2 * np.pi * centers[m] * t)

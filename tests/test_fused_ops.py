@@ -251,16 +251,14 @@ def composite_set_loss(class_probs, mask_logits, gt_classes, gt_masks, assignmen
 def forward(cfg, clip, t):
     model = RCFModel(cfg)
     refs, windows = training.sample_window(clip, t, cfg.ref_frames)
-    out = model.forward_frames(clip.frames[t].astype(np.float64), refs, windows, frame_index=t)
+    out = model.forward_frames(clip.frames[t], refs, windows)
     return model, out
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_model_matches_composite_layers(seed, monkeypatch):
     """Forward outputs and the loss bit for bit, and every parameter gradient
-    within 1e-12 of its largest entry.  The gradient of each attention key
-    bias is zero up to rounding (softmax is shift-invariant), so it is
-    compared absolutely, to 1e-15."""
+    within 1e-12 of its largest entry."""
     cfg = RunConfig(num_slots=32, seed=seed).validate()
     clip = generate_clip(seed + 3, GeneratorConfig(frames=4, min_sprites=4, max_sprites=8))
     t = 2
@@ -269,7 +267,7 @@ def test_model_matches_composite_layers(seed, monkeypatch):
     def outputs_and_grads(fused):
         with monkeypatch.context() as m:
             if not fused:
-                m.setattr(nn.Linear, "__call__", lambda self, x: x @ self.w + self.b)
+                m.setattr(nn.Linear, "__call__", lambda self, x: x @ self.w if self.b is None else x @ self.w + self.b)
                 m.setattr(nn.LayerNorm, "__call__", lambda self, x: composite_layer_norm(x, self.gain, self.bias))
                 m.setattr(
                     nn.GroupNorm,
@@ -297,8 +295,4 @@ def test_model_matches_composite_layers(seed, monkeypatch):
     assert fused_grads.keys() == oracle_grads.keys()
     for name, g in fused_grads.items():
         want = oracle_grads[name]
-        err = np.abs(g - want).max()
-        if name.endswith(".wk.b"):
-            assert err <= 1e-15, name
-        else:
-            assert err <= 1e-12 * np.abs(want).max(), name
+        assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max(), name

@@ -169,7 +169,7 @@ class TestFusionEncoder:
 
         normed = np_ln(x, layer.ln1.gain.data, layer.ln1.bias.data)
         q = normed @ layer.attn.wq.w.data + layer.attn.wq.b.data
-        k = normed @ layer.attn.wk.w.data + layer.attn.wk.b.data
+        k = normed @ layer.attn.wk.w.data
         v = normed @ layer.attn.wv.w.data + layer.attn.wv.b.data
         heads_out = []
         for h in range(2):

@@ -1,5 +1,8 @@
 """Similarity matrix, Hungarian solver vs exhaustive oracle, Dice facts."""
 
+import itertools
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -8,12 +11,40 @@ from rcfvis.instance_head import FramePrediction
 from rcfvis.matching import (
     DICE_SMOOTH,
     Assignment,
-    brute_force_assign,
     dice_coeff,
     hungarian_assign,
     similarity_matrix,
 )
 from rcfvis.tensor import sigmoid
+
+BRUTE_FORCE_MAX_GT = 8
+
+
+@lru_cache(maxsize=64)
+def _injections(n: int, g: int) -> np.ndarray:
+    count = 1
+    for i in range(g):
+        count *= n - i
+    if count > 2_000_000:
+        raise ArgumentError(f"injection count {count} exceeds the enumeration guard")
+    return np.array(list(itertools.permutations(range(n), g)), dtype=np.int64)
+
+
+def brute_force_assign(sim: np.ndarray) -> Assignment:
+    """Exhaustive oracle over injections; ties pick the lexicographically
+    smallest sigma (guaranteed by enumeration order plus strict argmax)."""
+    sim = np.asarray(sim, dtype=np.float64)
+    g, n = sim.shape
+    if g > BRUTE_FORCE_MAX_GT:
+        raise ArgumentError(f"brute force guard: G={g} exceeds {BRUTE_FORCE_MAX_GT}")
+    if g == 0:
+        return Assignment(gt_to_slot=(), total=0.0)
+    if g > n:
+        raise CapacityError(f"{g} ground truths exceed {n} slots")
+    perms = _injections(n, g)
+    totals = sim[np.arange(g)[None, :], perms].sum(axis=1)
+    best = int(np.argmax(totals))  # first maximum = lexicographically smallest
+    return Assignment(gt_to_slot=tuple(int(j) for j in perms[best]), total=float(totals[best]))
 
 
 class TestDice:

@@ -294,7 +294,7 @@ def test_tracker_matches_pairwise_reference(seed):
         assert all(np.array_equal(r.mask, w[4]) for r, w in zip(records, want))
 
 
-@pytest.mark.parametrize("delta", [1, 2, 3])
+@pytest.mark.parametrize("delta", [0, 1, 2, 3])
 def test_training_window_matches_streamed_references(delta):
     # training pads the clip start with sample_window, streaming with RefCache:
     # both must hand the model the same references and audio at every t
@@ -306,6 +306,6 @@ def test_training_window_matches_streamed_references(delta):
     for t, pred in enumerate(preds):
         refs, windows = sample_window(clip, t, delta)
         with no_grad():
-            out = model.forward_frames(clip.frames[t].astype(np.float64), refs, windows, frame_index=t)
+            out = model.forward_frames(clip.frames[t], refs, windows)
         assert np.array_equal(out.class_probs.data, pred.class_probs), t
         assert np.array_equal(out.mask_logits.data, pred.mask_logits), t

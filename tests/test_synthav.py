@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rcfvis.audiodsp import SILENCE_FLOOR, log_mel, mel_filter_centers_hz
+from rcfvis.audiodsp import FMAX_HZ, FMIN_HZ, N_MELS, SILENCE_FLOOR, hz_to_mel, log_mel, mel_to_hz
 from rcfvis.errors import ArgumentError
 from rcfvis.synthav import (
     GeneratorConfig,
@@ -77,7 +77,7 @@ def test_offscreen_frames_silence_their_tone():
     seed = _exit_seed_and_class(cfg)
     clip = generate_clip(seed, cfg)
     c = int(clip.gt_classes[0])
-    centers = mel_filter_centers_hz()
+    centers = mel_to_hz(np.linspace(hz_to_mel(FMIN_HZ), hz_to_mel(FMAX_HZ), N_MELS + 2))[1:-1]
     bin_idx = int(np.argmin(np.abs(centers - tone_frequency(c))))
     for t in range(clip.num_frames):
         spec = log_mel(clip.audio_window(t).astype(np.float64))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rcfvis.config import RunConfig
+from rcfvis.container import read_container, write_container
 from rcfvis.errors import ArgumentError
 from rcfvis.matching import Assignment
 from rcfvis.model import RCFModel
@@ -140,6 +141,25 @@ class TestCheckpoint:
             assert np.array_equal(state2.m[name], state.m[name])
         assert model2.cfg == cfg
 
+    def test_key_bias_blocks_of_older_checkpoints_are_ignored(self, tmp_path):
+        # checkpoints written before attention keys lost their bias carry
+        # one `*.wk.b` block per prefix and attention layer
+        cfg = tiny_cfg(audio_enabled=False)
+        model = RCFModel(cfg)
+        params = model.params()
+        save_checkpoint(tmp_path / "ckpt", model, OptimState.create(params, cfg.lr0, model.param_groups()), 3)
+        meta, blocks = read_container(tmp_path / "ckpt")
+        key_biases = [name.replace(".wq.b", ".wk.b") for name in params if name.endswith(".wq.b")]
+        assert key_biases and not any(name in params for name in key_biases)
+        for name in key_biases:
+            for prefix in ("param", "optim_m", "optim_v"):
+                blocks[f"{prefix}/{name}"] = np.full(cfg.token_dim, 0.5)
+        write_container(tmp_path / "old", meta, blocks)
+        model2, _, it = load_checkpoint(tmp_path / "old")
+        assert it == 3 and model2.params().keys() == params.keys()
+        for name, p in model2.params().items():
+            assert np.array_equal(p.data, params[name].data)
+
 
 class TestTrainLoop:
     def test_short_run_and_artifacts(self, tmp_path):
@@ -192,7 +212,7 @@ def test_training_forward_tape_size_is_pinned():
     clip = generate_clip(3, GeneratorConfig(frames=4, min_sprites=4, max_sprites=8))
     model = RCFModel(cfg)
     refs, windows = sample_window(clip, 2, cfg.ref_frames)
-    out = model.forward_frames(clip.frames[2].astype(np.float64), refs, windows, frame_index=2)
+    out = model.forward_frames(clip.frames[2], refs, windows)
     loss = match_and_loss(out, clip, 2, cfg).loss
     seen, todo = {id(loss)}, [loss]
     while todo:
@@ -200,4 +220,4 @@ def test_training_forward_tape_size_is_pinned():
             if id(p) not in seen:
                 seen.add(id(p))
                 todo.append(p)
-    assert len(seen) == 428
+    assert len(seen) == 419

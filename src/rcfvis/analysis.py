@@ -95,13 +95,17 @@ def backbone_norms(model: RCFModel, p) -> list[NormEntry]:
     return entries
 
 
-def _attention_local_ratio(fn, shape: tuple, p, trials: int = 20, scale: float = 1e-3) -> float:
+LOCAL_RATIO_TRIALS = 20  # random points per attention local ratio
+LOCAL_RATIO_STEP = 1e-3  # scale of the random perturbation at each point
+
+
+def _attention_local_ratio(fn, shape: tuple, p) -> float:
     rng = np.random.default_rng(1234)
     worst = 0.0
     with no_grad():
-        for _ in range(trials):
+        for _ in range(LOCAL_RATIO_TRIALS):
             x = rng.standard_normal(shape)
-            dx = rng.standard_normal(shape) * scale
+            dx = rng.standard_normal(shape) * LOCAL_RATIO_STEP
             fx = fn(Tensor(x))
             fy = fn(Tensor(x + dx))
             worst = max(worst, _flat_norm(fy.data - fx.data, p) / _flat_norm(dx, p))
@@ -147,9 +151,7 @@ def lipschitz_bound(model: RCFModel, p) -> LipschitzReport:
     report.entries.append(class_entry)
     report.products["class_head"] = class_entry.norm
 
-    layout_len = fh * fw + (cfg.ref_token_k**2 if cfg.ref_frames else 0) + (
-        (1 + cfg.ref_frames) if cfg.audio_enabled else 0
-    )
+    layout_len = model.token_layout(fh, fw).total
     report.entries.append(NormEntry("encoder", "attention", None, "unbounded globally; local ratio reported"))
 
     def run_encoder(x: Tensor) -> Tensor:
@@ -164,7 +166,7 @@ def lipschitz_bound(model: RCFModel, p) -> LipschitzReport:
     def run_decoder(mem: Tensor) -> Tensor:
         q = model.head.query
         for layer in model.head.layers:
-            q, _ = layer(q, mem)
+            q = layer(q, mem)
         return q
 
     report.attention_ratios["head.decoder"] = _attention_local_ratio(
@@ -192,19 +194,12 @@ class ProbeRow:
 class ProbeReport:
     rows: list[ProbeRow]
     switch_rate: float
-    trained: bool
-    norm_p: object
-    median_unchanged_ratio: float
-    median_changed_ratio: float
 
 
-def order_stability_probe(
-    model: RCFModel,
-    clip: SpriteClip,
-    p=1,
-    match_iou: float = 0.3,
-    trained: bool = True,
-) -> ProbeReport:
+PROBE_MATCH_IOU = 0.3  # least IoU at which a fired slot follows a ground truth
+
+
+def order_stability_probe(model: RCFModel, clip: SpriteClip, p=1) -> ProbeReport:
     """Per consecutive frame pair: input/output discrepancy and identity events.
 
     The output vector concatenates class probabilities and sigmoid masks over
@@ -230,7 +225,7 @@ def order_stability_probe(
             iou = mask_iou(gt_small, pred.binary_masks[slots])
             for g, row in zip(visible, iou):
                 best = int(np.argmax(row))  # first maximum: lowest fired slot wins a tie
-                if row[best] > 0.0 and row[best] >= match_iou:
+                if row[best] > 0.0 and row[best] >= PROBE_MATCH_IOU:
                     match[int(g)] = int(pred.identities[slots[best]])
         per_frame_match.append(match)
 
@@ -258,14 +253,4 @@ def order_stability_probe(
         total_tracked += tracked
         total_switched += switched
         rows.append(ProbeRow(t, eps, delta, ratio, tracked, switched, changed=switched > 0))
-
-    unchanged = [r.ratio for r in rows if not r.changed and math.isfinite(r.ratio)]
-    changed = [r.ratio for r in rows if r.changed and math.isfinite(r.ratio)]
-    return ProbeReport(
-        rows=rows,
-        switch_rate=total_switched / total_tracked if total_tracked else 0.0,
-        trained=trained,
-        norm_p=p,
-        median_unchanged_ratio=float(np.median(unchanged)) if unchanged else 0.0,
-        median_changed_ratio=float(np.median(changed)) if changed else 0.0,
-    )
+    return ProbeReport(rows=rows, switch_rate=total_switched / total_tracked if total_tracked else 0.0)

@@ -9,8 +9,6 @@ window to a fixed-size feature vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ArgumentError
@@ -29,16 +27,6 @@ FMIN_HZ = 125.0
 FMAX_HZ = 7500.0
 LOG_OFFSET = 0.01
 SILENCE_FLOOR = float(np.log(LOG_OFFSET))
-
-
-@dataclass
-class LogMelSpectrogram:
-    values: np.ndarray  # (frames, 64)
-    sample_rate: int = SAMPLE_RATE
-    window: int = WINDOW
-    hop: int = HOP
-    fmin: float = FMIN_HZ
-    fmax: float = FMAX_HZ
 
 
 def hann_periodic(n: int) -> np.ndarray:
@@ -71,8 +59,8 @@ _FILTERBANK: np.ndarray | None = None
 _WINDOW_FN: np.ndarray | None = None
 
 
-def log_mel(wave: np.ndarray) -> LogMelSpectrogram:
-    """Stabilized log-mel spectrogram of a 16 kHz mono waveform.
+def log_mel(wave: np.ndarray) -> np.ndarray:
+    """Stabilized (frames, 64) log-mel spectrogram of a 16 kHz mono waveform.
 
     The signal is zero-padded by window/2 on both ends so the frame count is
     ceil(len / hop); frame t starts at t*hop in the padded signal.
@@ -91,7 +79,7 @@ def log_mel(wave: np.ndarray) -> LogMelSpectrogram:
     frames = padded[idx] * _WINDOW_FN
     mags = np.abs(np.fft.rfft(frames, n=N_FFT, axis=1))
     mel = mags @ _FILTERBANK.T
-    return LogMelSpectrogram(values=np.log(mel + LOG_OFFSET))
+    return np.log(mel + LOG_OFFSET)
 
 
 class AudioEncoder(Module):
@@ -102,11 +90,9 @@ class AudioEncoder(Module):
         self.conv1 = self.child(Conv2dLayer("conv1", 1, 8, 3, rng, stride=1, pad=1))
         self.conv2 = self.child(Conv2dLayer("conv2", 8, 16, 3, rng, stride=1, pad=1))
         self.proj = self.child(Linear("proj", 16, out_dim, rng))
-        self.out_dim = out_dim
 
-    def __call__(self, spec: LogMelSpectrogram | np.ndarray | Tensor) -> Tensor:
-        values = spec.values if isinstance(spec, LogMelSpectrogram) else spec
-        x = values if isinstance(values, Tensor) else Tensor(np.asarray(values, dtype=np.float64))
+    def __call__(self, x: Tensor) -> Tensor:
+        """Feature vector (out_dim,) of one (frames, mels) log-mel window."""
         if x.ndim != 2 or x.shape[0] < 1:
             raise ArgumentError("audio encoder expects a (frames, mels) window")
         h = x.reshape(1, x.shape[0], x.shape[1])

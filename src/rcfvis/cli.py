@@ -27,6 +27,7 @@ from .fusion import export_diagnostics
 from .model import RCFModel
 from .stream import stream_clip
 from .synthav import GeneratorConfig, generate_clip, read_clip, write_clip
+from .tensor import no_grad
 from .training import list_clip_dirs, load_checkpoint, sample_window, train_loop
 from .viseval import evaluate_model_on_clips, pred_tracks_from_state
 
@@ -210,7 +211,7 @@ def cmd_probe_order(args) -> int:
     all_rows = []
     switch_rates = []
     for clip in clips:
-        report = order_stability_probe(model, clip, p=model.cfg.probe_norm_p, trained=trained)
+        report = order_stability_probe(model, clip, p=model.cfg.probe_norm_p)
         switch_rates.append(report.switch_rate)
         for r in report.rows:
             all_rows.append([clip.clip_id, r.t, f"{r.eps!r}", f"{r.delta!r}", f"{r.ratio!r}", r.tracked, r.switched, int(r.changed)])
@@ -232,7 +233,8 @@ def cmd_dump_attention(args) -> int:
     if not 0 <= t < clip.num_frames:
         raise ArgumentError(f"frame {t} outside clip of {clip.num_frames} frames")
     refs, windows = sample_window(clip, t, model.cfg.ref_frames)
-    output = model.forward_frames(clip.frames[t], refs, windows if model.cfg.audio_enabled else None)
+    with no_grad():
+        output = model.forward_frames(clip.frames[t], refs, windows if model.cfg.audio_enabled else None)
     written = export_diagnostics(output.diagnostics, args.out)
     mass = output.diagnostics.segment_mass()
     print(f"wrote {len(written)} files to {args.out}")
@@ -250,11 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p):
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override (repeatable)")
-        if seed:
-            p.add_argument("--seed", type=int, default=None, help="seed override")
+        p.add_argument("--seed", type=int, default=None, help="seed override")
 
     p = sub.add_parser("gen-data", help="synthesize the clip corpus (train/val/probe splits)")
     common(p)

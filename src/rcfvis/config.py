@@ -20,11 +20,9 @@ def _choice(*opts):
     return lambda v: v in opts
 
 
-def _range(lo, hi, lo_open=False, hi_open=False):
+def _range(lo, hi, lo_open=False):
     def check(v):
-        ok_lo = v > lo if lo_open else v >= lo
-        ok_hi = v < hi if hi_open else v <= hi
-        return ok_lo and ok_hi
+        return (v > lo if lo_open else v >= lo) and v <= hi
 
     return check
 
@@ -54,7 +52,6 @@ class RunConfig:
     audio_enabled: bool = _key(True, "true or false", lambda v: isinstance(v, bool))
     audio_dim: int = _key(128, "[8, 4096]", _range(8, 4096))
     lstm_hidden: int = _key(32, "[4, 512]", _range(4, 512))
-    ref_compress: str = _key("pool", "pool or dwconv", _choice("pool", "dwconv"))
     num_classes: int = _key(4, "[1, 16]", _range(1, 16))
     image_h: int = _key(64, "multiple of 8 in [16, 512]", lambda v: 16 <= v <= 512 and v % 8 == 0)
     image_w: int = _key(96, "multiple of 8 in [16, 512]", lambda v: 16 <= v <= 512 and v % 8 == 0)

@@ -27,8 +27,7 @@ SEGMENT_NAMES = ("target", "reference", "audio")
 class TokenLayout:
     h: int
     w: int
-    k: int
-    delta: int
+    k: int  # reference grid side, 0 without reference frames
     audio_len: int  # (1 + delta) when audio is enabled, else 0
 
     @property
@@ -135,37 +134,19 @@ class ReferenceTokenizer(Module):
     """Pixel-weighted spatial compression of stacked reference features.
 
     The stacked (delta*C, H, W) map is multiplied by sigmoid(phi(f)) with phi
-    a learned 1x1 conv to one channel, mean-pooled (or depthwise-conv
-    compressed) to K x K, projected to C', and given a learned K^2-slot
-    position embedding.
+    a learned 1x1 conv to one channel, mean-pooled to K x K, projected to C',
+    and given a learned K^2-slot position embedding.
     """
 
-    def __init__(
-        self,
-        name: str,
-        c_in: int,
-        delta: int,
-        c_tok: int,
-        k: int,
-        rng: np.random.Generator,
-        mode: str = "pool",
-        block_hw: tuple[int, int] | None = None,
-    ):
+    def __init__(self, name: str, c_in: int, delta: int, c_tok: int, k: int, rng: np.random.Generator):
         super().__init__(name)
         if delta < 1:
             raise ArgumentError("need at least one reference frame")
-        if mode not in ("pool", "dwconv"):
-            raise ArgumentError(f"unknown compression mode {mode!r}")
-        self.delta, self.k, self.mode = delta, k, mode
+        self.delta, self.k = delta, k
         c_cat = delta * c_in
         self.weight_proj = self.child(Linear("weight_proj", c_cat, 1, rng))
         self.proj = self.child(Linear("proj", c_cat, c_tok, rng))
         self.pos = self.param("pos", rng.normal(0.0, INIT_STD, size=(k * k, c_tok)))
-        if mode == "dwconv":
-            if block_hw is None:
-                raise ArgumentError("dwconv compression needs the feature block size")
-            bh, bw = block_hw
-            self.dw = self.param("dw", np.full((c_cat, 1, bh, 1, bw), 1.0 / (bh * bw)))
 
     def compressed(self, f_refs: list[Tensor]) -> Tensor:
         """Weighted and spatially compressed stack, (delta*C, K, K)."""
@@ -180,11 +161,7 @@ class ReferenceTokenizer(Module):
             raise ArgumentError(f"feature extents {h}x{w} must divide the token grid {self.k}")
         wmap = self.weight_proj(stacked.reshape(c, h * w).transpose()).sigmoid()
         stacked = stacked * wmap.reshape(1, h, w)
-        if self.mode == "pool":
-            return adaptive_avg_pool2d(stacked, (self.k, self.k))
-        bh, bw = h // self.k, w // self.k
-        blocks = stacked.reshape(c, self.k, bh, self.k, bw)
-        return (blocks * self.dw).sum(axis=(2, 4))
+        return adaptive_avg_pool2d(stacked, (self.k, self.k))
 
     def __call__(self, f_refs: list[Tensor]) -> Tensor:
         comp = self.compressed(f_refs)
@@ -232,13 +209,12 @@ class FusionEncoder(Module):
         return fused, FusionDiagnostics(attention=attn, layout=ts.layout)
 
 
-def split_fused(fused: TokenSet) -> tuple[Tensor, Tensor]:
-    """Split a fused token set into (target map (C',H,W), full matrix (L,C'))."""
+def split_fused(fused: TokenSet) -> Tensor:
+    """The target segment of a fused token set as a (C', H, W) map."""
     fused.validate()
     lay = fused.layout
     tgt = fused.tokens[lay.segment_slices()["target"], :]
-    tgt_map = tgt.transpose().reshape(tgt.shape[1], lay.h, lay.w)
-    return tgt_map, fused.tokens
+    return tgt.transpose().reshape(tgt.shape[1], lay.h, lay.w)
 
 
 def write_pgm(path: str | Path, image: np.ndarray) -> None:

@@ -62,8 +62,6 @@ class InstanceHead(Module):
         rng: np.random.Generator,
     ):
         super().__init__(name)
-        self.num_slots = num_slots
-        self.num_classes = num_classes
         self.query = self.param("query", rng.normal(0.0, INIT_STD, size=(num_slots, c_tok)))
         self.layers = [
             self.child(DecoderLayer(f"layer{i}", c_tok, heads, 4 * c_tok, rng)) for i in range(depth)
@@ -75,18 +73,15 @@ class InstanceHead(Module):
         self.class_head = self.child(Linear("class_head", c_code, num_classes + 1, rng))
         self.theta_fc1 = self.child(Linear("theta_fc1", c_code, c_code, rng))
         self.theta_fc2 = self.child(Linear("theta_fc2", c_code, c_seg, rng))
-        self.c_seg = c_seg
 
-    def decode(self, memory: Tensor) -> tuple[InstanceCode, list[np.ndarray]]:
-        """Decode fused tokens into an instance code; returns cross-attention too."""
+    def decode(self, memory: Tensor) -> InstanceCode:
+        """Decode fused tokens into an instance code."""
         if memory.ndim != 2:
             raise ArgumentError("decoder memory must be a (L, C') matrix")
         q = self.query
-        cross = []
         for layer in self.layers:
-            q, weights = layer(q, memory)
-            cross.append(weights)
-        return InstanceCode(e=self.out_proj(self.final_norm(q))), cross
+            q = layer(q, memory)
+        return InstanceCode(e=self.out_proj(self.final_norm(q)))
 
     def predict_class(self, code: InstanceCode) -> Tensor:
         """Per-slot probabilities over classes + the no-object class."""

@@ -53,20 +53,12 @@ class RCFModel:
         seed = cfg.seed
         c = cfg.backbone_channels
         ct = cfg.token_dim
-        fh, fw = cfg.feature_hw
         self.backbone = Backbone("backbone", c, module_rng(seed, "backbone"))
         self.target_tok = TargetTokenizer("target_tok", c, ct, module_rng(seed, "target_tok"))
         self.ref_tok = None
         if cfg.ref_frames >= 1:
             self.ref_tok = ReferenceTokenizer(
-                "ref_tok",
-                c,
-                cfg.ref_frames,
-                ct,
-                cfg.ref_token_k,
-                module_rng(seed, "ref_tok"),
-                mode=cfg.ref_compress,
-                block_hw=(fh // cfg.ref_token_k, fw // cfg.ref_token_k),
+                "ref_tok", c, cfg.ref_frames, ct, cfg.ref_token_k, module_rng(seed, "ref_tok")
             )
         self.audio_enc = None
         self.audio_tok = None
@@ -113,7 +105,7 @@ class RCFModel:
         for name in self.params():
             lr_mult = self.cfg.backbone_lr_mult if name.startswith("backbone.") else 1.0
             leaf = name.rsplit(".", 1)[-1]
-            decayed = leaf in ("w", "wx", "wh", "dw")
+            decayed = leaf in ("w", "wx", "wh")
             wd = self.cfg.weight_decay if decayed else 0.0
             groups[name] = ParamGroup(lr_mult=lr_mult, weight_decay=wd)
         return groups
@@ -127,10 +119,20 @@ class RCFModel:
         """Per-video-frame audio vector: log-mel window -> trainable encoder."""
         if self.audio_enc is None:
             raise ArgumentError("audio path is disabled in this model")
-        spec = log_mel(np.asarray(window, dtype=np.float64))
-        return self.audio_enc(spec)
+        return self.audio_enc(Tensor(log_mel(np.asarray(window, dtype=np.float64))))
 
     # -- forward ----------------------------------------------------------------
+
+    def token_layout(self, fh: int, fw: int) -> TokenLayout:
+        """Token layout over an fh x fw feature grid: the one rule for which
+        segments the encoder sees and how many tokens each has."""
+        cfg = self.cfg
+        return TokenLayout(
+            h=fh,
+            w=fw,
+            k=cfg.ref_token_k if self.ref_tok is not None else 0,
+            audio_len=1 + cfg.ref_frames if self.audio_tok is not None else 0,
+        )
 
     def build_tokens(
         self,
@@ -139,20 +141,16 @@ class RCFModel:
         audio_feats: list[Tensor] | None = None,
     ) -> TokenSet:
         cfg = self.cfg
-        fh, fw = target.f.shape[1], target.f.shape[2]
         blocks = [self.target_tok(target.f)]
-        k = cfg.ref_token_k if cfg.ref_frames >= 1 else 0
         if self.ref_tok is not None:
             if len(refs) != cfg.ref_frames:
                 raise ArgumentError(f"expected {cfg.ref_frames} reference features, got {len(refs)}")
             blocks.append(self.ref_tok([r.f for r in refs]))
-        audio_len = 0
         if self.audio_tok is not None:
             if audio_feats is None:
                 raise ArgumentError("audio is enabled but no audio features were given")
             blocks.append(self.audio_tok(audio_feats))
-            audio_len = 1 + cfg.ref_frames
-        layout = TokenLayout(h=fh, w=fw, k=k, delta=cfg.ref_frames, audio_len=audio_len)
+        layout = self.token_layout(target.f.shape[1], target.f.shape[2])
         ts = TokenSet(tokens=concat(blocks, axis=0) if len(blocks) > 1 else blocks[0], layout=layout)
         ts.validate()
         return ts
@@ -165,9 +163,8 @@ class RCFModel:
     ) -> ModelOutput:
         ts = self.build_tokens(target, refs, audio_feats)
         fused, diag = self.encoder(ts)
-        tgt_map, full = split_fused(fused)
-        seg = self.mask_decoder(tgt_map, target.skips)
-        code, _ = self.head.decode(full)
+        seg = self.mask_decoder(split_fused(fused), target.skips)
+        code = self.head.decode(fused.tokens)
         probs = self.head.predict_class(code)
         masks = self.head.dynamic_masks(code, seg)
         return ModelOutput(diagnostics=diag, class_probs=probs, mask_logits=masks)

@@ -5,10 +5,9 @@ Every module owns an rng so parameter values depend only on (seed, module
 name), not on what else the model instantiates.
 
 Each layer calls one fused op of `tensor`, one tape node per call: `Linear`
-calls `linear`, `LayerNorm` and `GroupNorm` call `normalize`, `LSTMLayer`
-calls `lstm` and `MultiheadAttention` calls `scaled_dot_product_attention`
-(after its four `Linear` projections).  `Conv2dLayer` is `conv2d` plus a
-bias add.
+calls `linear`, `Conv2dLayer` calls `conv2d`, `LayerNorm` and `GroupNorm`
+call `normalize`, `LSTMLayer` calls `lstm` and `MultiheadAttention` calls
+`scaled_dot_product_attention` (after its four `Linear` projections).
 """
 
 from __future__ import annotations
@@ -64,14 +63,14 @@ class Linear(Module):
 
 
 class Conv2dLayer(Module):
-    def __init__(self, name, c_in, c_out, k, rng, stride=1, pad=0, bias=True):
+    def __init__(self, name, c_in, c_out, k, rng, stride=1, pad=0):
         super().__init__(name)
         self.stride, self.pad = stride, pad
         self.w = self.param("w", rng.normal(0.0, INIT_STD, size=(c_out, c_in, k, k)))
-        self.b = self.param("b", np.zeros(c_out)) if bias else None
+        self.b = self.param("b", np.zeros(c_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.w, self.b, stride=self.stride, pad=self.pad)
+        return conv2d(x, self.w, self.b, self.stride, self.pad)
 
 
 class GroupNorm(Module):
@@ -162,14 +161,13 @@ class DecoderLayer(Module):
         self.ln3 = self.child(LayerNorm("ln3", dim))
         self.ffn = self.child(FeedForward("ffn", dim, ffn, rng))
 
-    def __call__(self, q: Tensor, memory: Tensor) -> tuple[Tensor, np.ndarray]:
+    def __call__(self, q: Tensor, memory: Tensor) -> Tensor:
         normed = self.ln1(q)
         attended, _ = self.self_attn(normed, normed)
         q = q + attended
-        attended, cross_weights = self.cross_attn(self.ln2(q), memory)
+        attended, _ = self.cross_attn(self.ln2(q), memory)
         q = q + attended
-        q = q + self.ffn(self.ln3(q))
-        return q, cross_weights
+        return q + self.ffn(self.ln3(q))
 
 
 class LSTMLayer(Module):

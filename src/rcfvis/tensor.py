@@ -8,6 +8,7 @@ Convolution forward/backward run through the kernels in ``_kernels``.
 Each layer kind of the model is one tape node with an analytic backward:
 
 - `linear`: x @ W + b
+- `conv2d`: convolution plus bias
 - `normalize`: layer norm and group norm, with the closed-form backward
 - `lstm`: one LSTM direction over a whole sequence, backward through time
 - `scaled_dot_product_attention`: every head at once; the forward walks
@@ -124,12 +125,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def item(self) -> float:
-        return float(self.data)
 
     def _accum(self, g: np.ndarray):
         if self.grad is None:
@@ -284,10 +279,6 @@ class Tensor:
         out = Tensor._from_op(out_data, (self,), bw)
         return out
 
-    @property
-    def T(self):
-        return self.transpose()
-
     def __getitem__(self, idx):
         out_data = self.data[idx]
 
@@ -377,12 +368,6 @@ class Tensor:
 
         out = Tensor._from_op(out_data, (self,), bw)
         return out
-
-    def sqrt(self):
-        return self**0.5
-
-    def softmax(self, axis: int = -1):
-        return softmax(self, axis)
 
 
 # ---------------------------------------------------------------------------
@@ -599,24 +584,28 @@ def dice_loss(logits: Tensor, rows: Sequence[int], targets: np.ndarray, smooth: 
     return out
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D convolution of x (C,H,W) with w (CO,CI,KH,KW), optional bias (CO,)."""
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
+    """2-D convolution of x (C,H,W) with w (CO,CI,KH,KW) plus bias b (CO,),
+    as one tape node."""
     if x.ndim != 3 or w.ndim != 4:
         raise ArgumentError("conv2d expects x (C,H,W) and w (CO,CI,KH,KW)")
     if x.shape[0] != w.shape[1]:
         raise ArgumentError(f"conv2d channel mismatch: x has {x.shape[0]}, w expects {w.shape[1]}")
+    if b.shape != (w.shape[0],):
+        raise ArgumentError(f"conv2d bias {b.shape} does not match {w.shape[0]} output channels")
     out_data = _kernels.conv2d_forward(x.data, w.data, stride, pad)
+    out_data += b.data[:, None, None]
 
-    def bw(a=x, b=w, stride=stride, pad=pad):
+    def bw(a=x, w=w, b=b):
         g = out.grad
         if a.requires_grad:
-            a._accum(_kernels.conv2d_grad_input(g, b.data, a.data.shape, stride, pad))
+            a._accum(_kernels.conv2d_grad_input(g, w.data, a.data.shape, stride, pad))
+        if w.requires_grad:
+            w._accum(_kernels.conv2d_grad_weight(g, a.data, w.data.shape, stride, pad))
         if b.requires_grad:
-            b._accum(_kernels.conv2d_grad_weight(g, a.data, b.data.shape, stride, pad))
+            b._accum(g.sum(axis=(1, 2)))
 
-    out = Tensor._from_op(out_data, (x, w), bw)
-    if bias is not None:
-        out = out + bias.reshape(-1, 1, 1)
+    out = Tensor._from_op(out_data, (x, w, b), bw)
     return out
 
 

@@ -25,6 +25,8 @@ from .optim import OptimState, adamw_step, poly_lr
 from .synthav import SpriteClip, read_clip
 from .tensor import Tensor, cross_entropy, dice_loss
 
+LOG_EVERY = 50  # iterations between progress lines on stdout
+
 
 @dataclass
 class LossReport:
@@ -32,8 +34,6 @@ class LossReport:
     total: float
     ce: float
     dice: float
-    assignment: Assignment
-    iteration: int = 0
 
 
 def set_loss(
@@ -43,7 +43,6 @@ def set_loss(
     gt_masks: np.ndarray,
     assignment: Assignment,
     num_classes: int,
-    iteration: int = 0,
 ) -> LossReport:
     """Cross-entropy over every slot plus Dice loss on matched masks.
 
@@ -68,14 +67,7 @@ def set_loss(
     ce = cross_entropy(class_probs, targets)
     dice = dice_loss(mask_logits, assignment.gt_to_slot, gt_masks, DICE_SMOOTH)
     loss = ce + dice
-    return LossReport(
-        loss=loss,
-        total=float(loss.data),
-        ce=float(ce.data),
-        dice=float(dice.data),
-        assignment=assignment,
-        iteration=iteration,
-    )
+    return LossReport(loss=loss, total=float(loss.data), ce=float(ce.data), dice=float(dice.data))
 
 
 def frame_ground_truth(clip: SpriteClip, t: int, mask_hw: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -88,14 +80,12 @@ def frame_ground_truth(clip: SpriteClip, t: int, mask_hw: tuple[int, int]) -> tu
     return idx, classes, masks
 
 
-def match_and_loss(output: ModelOutput, clip: SpriteClip, t: int, cfg: RunConfig, iteration: int = 0) -> LossReport:
+def match_and_loss(output: ModelOutput, clip: SpriteClip, t: int, cfg: RunConfig) -> LossReport:
     _, classes, masks = frame_ground_truth(clip, t, cfg.mask_hw)
     pred = output.to_prediction(frame_index=t)
     sim = similarity_matrix(pred, masks.astype(np.float64), classes)
     assignment = hungarian_assign(sim)
-    return set_loss(
-        output.class_probs, output.mask_logits, classes, masks, assignment, cfg.num_classes, iteration
-    )
+    return set_loss(output.class_probs, output.mask_logits, classes, masks, assignment, cfg.num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +169,7 @@ def sample_window(clip: SpriteClip, t: int, delta: int) -> tuple[list[np.ndarray
     return refs, windows
 
 
-def train_loop(cfg: RunConfig, data_dir: str | Path, out_dir: str | Path, log_every: int = 50) -> TrainResult:
+def train_loop(cfg: RunConfig, data_dir: str | Path, out_dir: str | Path) -> TrainResult:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     clip_dirs = list_clip_dirs(Path(data_dir) / "train")[: cfg.train_clips]
@@ -202,7 +192,7 @@ def train_loop(cfg: RunConfig, data_dir: str | Path, out_dir: str | Path, log_ev
             t = int(rng.integers(clip.num_frames))
             refs, windows = sample_window(clip, t, cfg.ref_frames)
             output = model.forward_frames(clip.frames[t], refs, windows if cfg.audio_enabled else None)
-            report = match_and_loss(output, clip, t, cfg, iteration=it)
+            report = match_and_loss(output, clip, t, cfg)
             if not np.isfinite(report.total):
                 dump = {
                     "iteration": it,
@@ -224,8 +214,8 @@ def train_loop(cfg: RunConfig, data_dir: str | Path, out_dir: str | Path, log_ev
             mf.write(f"{it},{lr!r},{report.total!r},{report.ce!r},{report.dice!r}\n")
             if (it + 1) % cfg.ckpt_every == 0:
                 save_checkpoint(out_dir / f"ckpt_{it + 1:06d}", model, state, it + 1)
-            if log_every and (it % log_every == 0):
-                recent = np.mean(losses[-log_every:])
+            if it % LOG_EVERY == 0:
+                recent = np.mean(losses[-LOG_EVERY:])
                 print(f"iter {it:6d}  lr {lr:.3e}  loss {recent:.4f}", flush=True)
 
     final = out_dir / "ckpt_final"

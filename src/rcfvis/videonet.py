@@ -44,7 +44,6 @@ class Backbone(Module):
             norm = self.child(GroupNorm(f"b{i}_norm", NORM_GROUPS, c))
             self.blocks.append((conv, norm))
             c_prev = c
-        self.out_channels = out_channels
         self.skip_channels = (chans[0], chans[1])
 
     def __call__(self, frame: Tensor) -> FrameFeature:
@@ -79,7 +78,6 @@ class MaskFeatureDecoder(Module):
         self.lat2 = self.child(Conv2dLayer("lat2", c_skip2, c_skip1, 1, rng))
         self.ref2 = self.child(Conv2dLayer("ref2", c_skip1, c_skip1, 3, rng, pad=1))
         self.out = self.child(Conv2dLayer("out", c_skip1, c_out, 1, rng))
-        self.c_out = c_out
 
     def __call__(self, fused: Tensor, skips: tuple[Tensor, Tensor]) -> SegmentationMap:
         skip1, skip2 = skips

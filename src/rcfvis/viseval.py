@@ -20,6 +20,7 @@ from .stream import TrackState, stream_clip
 from .synthav import SpriteClip
 
 IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * k, 2) for k in range(10))
+MASK_UPSAMPLE = 2  # image pixels per prediction-grid pixel along each axis
 
 
 @dataclass
@@ -79,11 +80,7 @@ def _ap_101(tp_flags: list[bool], npos: int) -> float:
     return ap / 101.0
 
 
-def evaluate_vis(
-    pred_tracks: dict[str, list[PredTrack]],
-    gt_tracks: dict[str, list[GtTrack]],
-    top_k: int | None = None,
-) -> VisScore:
+def evaluate_vis(pred_tracks: dict[str, list[PredTrack]], gt_tracks: dict[str, list[GtTrack]]) -> VisScore:
     """Score predicted tracks against ground truth over a set of videos."""
     for vid, tracks in pred_tracks.items():
         idents = [t.identity for t in tracks if t.identity >= 0]
@@ -164,21 +161,17 @@ def gt_tracks_from_clip(clip: SpriteClip) -> list[GtTrack]:
     return tracks
 
 
-def pred_tracks_from_state(state: TrackState, upsample: int = 2) -> list[PredTrack]:
+def pred_tracks_from_state(state: TrackState) -> list[PredTrack]:
     """Tracks from the tracker history; class by majority vote, score = mean
-    of per-frame max class probability, masks upsampled to image resolution."""
+    of per-frame max class probability, masks upsampled from the prediction
+    grid to image resolution."""
     tracks = []
     for ident in sorted(state.history):
         records = state.history[ident]
         votes = np.bincount([r.class_id for r in records])
         class_id = int(np.argmax(votes))
         score = float(np.mean([r.score for r in records]))
-        masks = {}
-        for r in records:
-            m = r.mask
-            if upsample > 1:
-                m = np.repeat(np.repeat(m, upsample, axis=0), upsample, axis=1)
-            masks[r.frame] = m
+        masks = {r.frame: np.repeat(np.repeat(r.mask, MASK_UPSAMPLE, axis=0), MASK_UPSAMPLE, axis=1) for r in records}
         tracks.append(PredTrack(class_id=class_id, score=score, masks=masks, identity=ident))
     return tracks
 
@@ -189,6 +182,6 @@ def evaluate_model_on_clips(model: RCFModel, clips: list[SpriteClip]) -> VisScor
     for i, clip in enumerate(clips):
         vid = clip.clip_id or f"video-{i}"
         _, state = stream_clip(model, clip)
-        preds[vid] = pred_tracks_from_state(state, upsample=2)
+        preds[vid] = pred_tracks_from_state(state)
         gts[vid] = gt_tracks_from_clip(clip)
     return evaluate_vis(preds, gts)

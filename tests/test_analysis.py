@@ -158,14 +158,13 @@ def static_clip(seed=0, frames=4):
 class TestOrderProbe:
     def test_duplicated_frames_zero_discrepancy(self):
         model = probe_model()
-        report = order_stability_probe(model, static_clip(), trained=False)
+        report = order_stability_probe(model, static_clip())
         assert len(report.rows) == 3
         for row in report.rows:
             assert row.eps == 0.0
             assert row.delta == pytest.approx(0.0, abs=1e-12)
             assert row.ratio == 0.0
             assert not row.changed
-        assert not report.trained
 
     def test_hard_cut_has_maximal_output_discrepancy(self):
         model = probe_model()
@@ -174,7 +173,7 @@ class TestOrderProbe:
         cut = hard_cut_clip(a, b)
         assert cut.num_frames == 8
         assert cut.gt_masks.shape[1] == a.num_instances + b.num_instances
-        report = order_stability_probe(model, cut, trained=False)
+        report = order_stability_probe(model, cut)
         deltas = [r.delta for r in report.rows]
         cut_row = report.rows[a.num_frames - 1]
         assert cut_row.t == a.num_frames
@@ -191,5 +190,5 @@ class TestOrderProbe:
         model = probe_model()
         clip = static_clip()
         for p in (1, 2, "inf"):
-            report = order_stability_probe(model, clip, p=p, trained=False)
+            report = order_stability_probe(model, clip, p=p)
             assert len(report.rows) == clip.num_frames - 1

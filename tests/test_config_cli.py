@@ -85,8 +85,11 @@ class TestCLIBasics:
 
     def test_unknown_config_key_exit_2(self, capsys, tmp_path):
         # fps_stream, fps_model and clip_len were keys once; bench-latency has its own
-        # flags.  sim_dice was a key that could not change the Hungarian assignment.
-        for assignment in ("bogus=1", "fps_stream=1", "fps_model=1", "clip_len=1", "sim_dice=coeff"):
+        # flags.  sim_dice was a key that could not change the Hungarian assignment,
+        # and ref_compress chose a depthwise-conv compression no workload used.
+        for assignment in (
+            "bogus=1", "fps_stream=1", "fps_model=1", "clip_len=1", "sim_dice=coeff", "ref_compress=pool"
+        ):
             rc = main(["gen-data", "--out", str(tmp_path), "--set", assignment])
             assert rc == EXIT_CONFIG, assignment
 
@@ -102,7 +105,10 @@ class TestCLIBasics:
         write_clip(generate_clip(0, GeneratorConfig(height=32, width=48, frames=2, max_sprites=2)), clip)
         assert main(["infer", "--ckpt", str(tmp_path / "ckpt"), "--clip", str(clip), "--out", str(tmp_path / "ok")]) == 0
 
-        for key, value in (("bogus", 1), ("fps_stream", 6.0), ("sim_dice", "coeff"), ("num_slots", 1000)):
+        # checkpoints written while ref_compress was a key carry it, and are rejected
+        for key, value in (
+            ("bogus", 1), ("fps_stream", 6.0), ("sim_dice", "coeff"), ("ref_compress", "pool"), ("num_slots", 1000)
+        ):
             ckpt = tmp_path / f"ckpt_{key}"
             shutil.copytree(tmp_path / "ckpt", ckpt)
             manifest = json.loads((ckpt / "manifest.json").read_text())
@@ -265,6 +271,24 @@ class TestCLIPipelines:
     def test_probe_needs_clip_or_data(self, capsys):
         assert main(["probe-order"]) == EXIT_CONFIG
 
+    def test_dump_attention_records_no_tape(self, tmp_path, capsys, monkeypatch):
+        # a read-only dump must not record, and hold, a training tape
+        clip = tmp_path / "clip"
+        write_clip(generate_clip(0, GeneratorConfig(height=32, width=48, frames=2, max_sprites=2)), clip)
+        outputs = []
+        forward = RCFModel.forward_frames
+
+        def spy(self, *args):
+            outputs.append(forward(self, *args))
+            return outputs[-1]
+
+        monkeypatch.setattr(RCFModel, "forward_frames", spy)
+        size = ["--set", "image_h=32", "--set", "image_w=48", "--set", "num_slots=4"]
+        assert main(["dump-attention", "--clip", str(clip), "--out", str(tmp_path / "attn"), *size]) == 0
+        assert len(outputs) == 1
+        assert not outputs[0].class_probs.requires_grad
+        assert not outputs[0].mask_logits.requires_grad
+
     def test_probe_no_override_runs_with_override_off(self, tmp_path, capsys, monkeypatch):
         size = ["--set", "image_h=32", "--set", "image_w=48", "--set", "num_slots=4", "--set", "class_threshold=0.0"]
         clip_dir = tmp_path / "clip"
@@ -283,7 +307,7 @@ class TestCLIPipelines:
 
         cfg = RunConfig(image_h=32, image_w=48, num_slots=4, class_threshold=0.0, iou_override=False).validate()
         clip = read_clip(clip_dir)
-        report = order_stability_probe(RCFModel(cfg), clip, p=cfg.probe_norm_p, trained=False)
+        report = order_stability_probe(RCFModel(cfg), clip, p=cfg.probe_norm_p)
         want = [
             [clip.clip_id, str(r.t), repr(r.eps), repr(r.delta), repr(r.ratio), str(r.tracked), str(r.switched), str(int(r.changed))]
             for r in report.rows

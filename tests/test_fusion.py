@@ -39,8 +39,8 @@ class TestTargetTokens:
 
 
 class TestReferenceTokens:
-    def make(self, delta=1, k=2, mode="pool", seed=0):
-        return ReferenceTokenizer("r", 6, delta, 12, k, module_rng(seed, "r"), mode=mode, block_hw=(2, 3))
+    def make(self, delta=1, k=2, seed=0):
+        return ReferenceTokenizer("r", 6, delta, 12, k, module_rng(seed, "r"))
 
     def test_token_count_k2(self, rng):
         tok = self.make()
@@ -63,14 +63,6 @@ class TestReferenceTokens:
         comp = tok.compressed([Tensor(x)])
         block_mean = x.reshape(6, 2, 2, 2, 3).mean(axis=(2, 4))
         assert np.abs(comp.data - 0.5 * block_mean).max() < 1e-12
-
-    def test_dwconv_mode_initialized_as_mean_pool(self, rng):
-        pool = self.make(mode="pool", seed=4)
-        dw = self.make(mode="dwconv", seed=4)
-        refs = [Tensor(rng.standard_normal((6, 4, 6)))]
-        a = pool.compressed(refs)
-        b = dw.compressed(refs)
-        assert np.abs(a.data - b.data).max() < 1e-12
 
     def test_mismatched_extents_rejected(self, rng):
         tok = self.make(delta=2)
@@ -117,8 +109,8 @@ class TestAudioTokens:
         assert grad_check(lambda t: (lstm(t) ** 2).sum(), x) < 1e-4
 
 
-def layout(h=8, w=12, k=2, delta=1, audio=2):
-    return TokenLayout(h=h, w=w, k=k, delta=delta, audio_len=audio)
+def layout(h=8, w=12, k=2, audio=2):
+    return TokenLayout(h=h, w=w, k=k, audio_len=audio)
 
 
 class TestFusionEncoder:
@@ -127,7 +119,7 @@ class TestFusionEncoder:
 
     def test_attention_rows_sum_to_one(self, rng):
         enc = self.make()
-        lay = TokenLayout(h=2, w=3, k=1, delta=1, audio_len=2)
+        lay = TokenLayout(h=2, w=3, k=1, audio_len=2)
         ts = TokenSet(tokens=Tensor(rng.standard_normal((lay.total, 16))), layout=lay)
         _, diag = enc(ts)
         for layer in diag.attention:
@@ -135,7 +127,7 @@ class TestFusionEncoder:
 
     def test_single_token_weight_is_one(self, rng):
         enc = self.make()
-        lay = TokenLayout(h=1, w=1, k=0, delta=0, audio_len=0)
+        lay = TokenLayout(h=1, w=1, k=0, audio_len=0)
         ts = TokenSet(tokens=Tensor(rng.standard_normal((1, 16))), layout=lay)
         fused, diag = enc(ts)
         for layer in diag.attention:
@@ -149,14 +141,14 @@ class TestFusionEncoder:
             layer.attn.wo.b.data[:] = 0.0
             layer.ffn.fc2.w.data[:] = 0.0
             layer.ffn.fc2.b.data[:] = 0.0
-        lay = TokenLayout(h=2, w=2, k=1, delta=1, audio_len=0)
+        lay = TokenLayout(h=2, w=2, k=1, audio_len=0)
         x = rng.standard_normal((lay.total, 16))
         fused, _ = enc(TokenSet(tokens=Tensor(x), layout=lay))
         assert np.array_equal(fused.tokens.data, x)
 
     def test_matches_naive_per_head_reference(self, rng):
         enc = self.make(dim=8, heads=2, depth=1, seed=7)
-        lay = TokenLayout(h=2, w=2, k=2, delta=1, audio_len=0)
+        lay = TokenLayout(h=2, w=2, k=2, audio_len=0)
         x = rng.standard_normal((8, 8))
         fused, diag = enc(TokenSet(tokens=Tensor(x), layout=lay))
 
@@ -198,14 +190,32 @@ class TestLayoutAndSplit:
         ts = model.build_tokens(target, refs, feats)
         assert ts.layout.total == 96 + 4 + 2 == 102
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"ref_frames": 0},
+            {"audio_enabled": False},
+            {"ref_frames": 0, "audio_enabled": False},
+            {"ref_frames": 3, "ref_token_k": 4},
+        ],
+    )
+    def test_token_layout_is_the_built_layout(self, overrides):
+        cfg = RunConfig(**overrides).validate()
+        model = RCFModel(cfg)
+        frame = np.zeros((3, cfg.image_h, cfg.image_w))
+        refs = [model.extract(frame) for _ in range(cfg.ref_frames)]
+        feats = [Tensor(np.zeros(cfg.audio_dim)) for _ in range(cfg.ref_frames + 1)] if cfg.audio_enabled else None
+        built = model.build_tokens(model.extract(frame), refs, feats).layout
+        assert built == model.token_layout(*cfg.feature_hw)
+
     def test_split_round_trip(self, rng):
         lay = layout()
         c = 16
         tokens = rng.standard_normal((lay.total, c))
         ts = TokenSet(tokens=Tensor(tokens), layout=lay)
-        tgt_map, full = split_fused(ts)
+        tgt_map = split_fused(ts)
         assert tgt_map.shape == (c, lay.h, lay.w)
-        assert np.array_equal(full.data, tokens)
         # reshape(flatten(x)) == x
         back = tgt_map.reshape(c, lay.h * lay.w).transpose().data
         assert np.array_equal(back, tokens[: lay.n_target])

@@ -17,24 +17,16 @@ def make_head(seed=0, c_tok=16, c_code=12, c_seg=6, n=5, classes=3, heads=4, dep
 def test_code_shape_for_any_memory_length(rng):
     head = make_head()
     for length in (3, 17, 50):
-        code, _ = head.decode(Tensor(rng.standard_normal((length, 16))))
+        code = head.decode(Tensor(rng.standard_normal((length, 16))))
         assert code.e.shape == (5, 12)
 
 
 def test_stateless_decode(rng):
     head = make_head()
     memory = rng.standard_normal((20, 16))
-    a, _ = head.decode(Tensor(memory.copy()))
-    b, _ = head.decode(Tensor(memory.copy()))
+    a = head.decode(Tensor(memory.copy()))
+    b = head.decode(Tensor(memory.copy()))
     assert np.array_equal(a.e.data, b.e.data)
-
-
-def test_cross_attention_rows_sum_to_one(rng):
-    head = make_head(seed=1)
-    _, cross = head.decode(Tensor(rng.standard_normal((9, 16))))
-    assert len(cross) == 2
-    for layer in cross:
-        assert np.abs(layer.sum(axis=2) - 1.0).max() < 1e-6
 
 
 class TestClassHead:
@@ -47,7 +39,7 @@ class TestClassHead:
 
     def test_rows_sum_to_one(self, rng):
         head = make_head(seed=3)
-        code, _ = head.decode(Tensor(rng.standard_normal((8, 16))))
+        code = head.decode(Tensor(rng.standard_normal((8, 16))))
         probs = head.predict_class(code)
         assert np.abs(probs.data.sum(axis=1) - 1.0).max() < 1e-9
 
@@ -109,13 +101,13 @@ def test_slot_permutation_equivariance(rng):
     head = make_head(seed=9)
     memory = Tensor(rng.standard_normal((11, 16)))
     seg = SegmentationMap(values=Tensor(rng.standard_normal((6, 4, 4))))
-    code, _ = head.decode(memory)
+    code = head.decode(memory)
     probs = head.predict_class(code).data
     masks = head.dynamic_masks(code, seg).data
 
     perm = rng.permutation(5)
     head.query.data = head.query.data[perm]
-    code_p, _ = head.decode(memory)
+    code_p = head.decode(memory)
     probs_p = head.predict_class(code_p).data
     masks_p = head.dynamic_masks(code_p, seg).data
     assert np.abs(probs_p - probs[perm]).max() < 1e-9
@@ -128,7 +120,7 @@ def test_full_head_gradient(rng):
     memory = Tensor(rng.standard_normal((5, 8)))
 
     def f(mem):
-        code, _ = head.decode(mem)
+        code = head.decode(mem)
         probs = head.predict_class(code)
         masks = head.dynamic_masks(code, SegmentationMap(values=Tensor(seg_values)))
         return (probs * probs).sum() + (masks.sigmoid()).sum()

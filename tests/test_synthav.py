@@ -81,7 +81,7 @@ def test_offscreen_frames_silence_their_tone():
     bin_idx = int(np.argmin(np.abs(centers - tone_frequency(c))))
     for t in range(clip.num_frames):
         spec = log_mel(clip.audio_window(t).astype(np.float64))
-        energy = spec.values[:, bin_idx].max()
+        energy = spec[:, bin_idx].max()
         if clip.visibility[t, 0]:
             assert energy > SILENCE_FLOOR + 1.0
         else:

@@ -249,7 +249,7 @@ def per_head_attention(q, k, v, heads):
     outs, weights = [], []
     for h in range(heads):
         qh, kh, vh = q[:, h * dk : (h + 1) * dk], k[:, h * dk : (h + 1) * dk], v[:, h * dv : (h + 1) * dv]
-        w = softmax((qh @ kh.T) * (1.0 / math.sqrt(dk)), axis=1)
+        w = softmax((qh @ kh.transpose()) * (1.0 / math.sqrt(dk)), axis=1)
         outs.append(w @ vh)
         weights.append(w.data)
     return concat(outs, axis=1), np.stack(weights)
@@ -344,13 +344,14 @@ class TestConv:
     def test_matches_explicit_loops(self, rng):
         x = rng.standard_normal((2, 5, 6))
         w = rng.standard_normal((3, 2, 3, 3))
-        y = conv2d(Tensor(x), Tensor(w), stride=2, pad=1).data
+        b = rng.standard_normal(3)
+        y = conv2d(Tensor(x), Tensor(w), Tensor(b), 2, 1).data
         xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
         ref = np.zeros_like(y)
         for co in range(3):
             for oh in range(y.shape[1]):
                 for ow in range(y.shape[2]):
-                    acc = 0.0
+                    acc = b[co]
                     for ci in range(2):
                         for i in range(3):
                             for j in range(3):
@@ -361,12 +362,17 @@ class TestConv:
     def test_grads(self, rng):
         x = Tensor(rng.standard_normal((2, 6, 6)))
         w = Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.5)
-        assert grad_check(lambda t: (conv2d(t, w, stride=1, pad=1) ** 2).sum(), x) < 1e-5
-        assert grad_check(lambda t: (conv2d(x, t, stride=2, pad=1) ** 2).sum(), w) < 1e-5
+        b = Tensor(rng.standard_normal(3))
+        assert grad_check(lambda t: (conv2d(t, w, b, 1, 1) ** 2).sum(), x) < 1e-5
+        assert grad_check(lambda t: (conv2d(x, t, b, 2, 1) ** 2).sum(), w) < 1e-5
+        assert grad_check(lambda t: (conv2d(x, w, t, 2, 1) ** 2).sum(), b) < 1e-5
 
     def test_channel_mismatch(self, rng):
+        w = Tensor(rng.standard_normal((3, 5, 3, 3)))
         with pytest.raises(ArgumentError):
-            conv2d(Tensor(rng.standard_normal((2, 4, 4))), Tensor(rng.standard_normal((3, 5, 3, 3))))
+            conv2d(Tensor(rng.standard_normal((2, 4, 4))), w, Tensor(np.zeros(3)), 1, 0)
+        with pytest.raises(ArgumentError):  # one bias per output channel
+            conv2d(Tensor(rng.standard_normal((5, 4, 4))), w, Tensor(np.zeros(2)), 1, 0)
 
 
 class TestTapeMechanics:

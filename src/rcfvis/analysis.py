@@ -156,7 +156,7 @@ def lipschitz_bound(model: RCFModel, p) -> LipschitzReport:
 
     def run_encoder(x: Tensor) -> Tensor:
         for layer in model.encoder.layers:
-            x, _ = layer(x)
+            x = layer(x)
         return x
 
     report.attention_ratios["encoder"] = _attention_local_ratio(run_encoder, (layout_len, cfg.token_dim), p)

@@ -234,9 +234,11 @@ def cmd_dump_attention(args) -> int:
         raise ArgumentError(f"frame {t} outside clip of {clip.num_frames} frames")
     refs, windows = sample_window(clip, t, model.cfg.ref_frames)
     with no_grad():
-        output = model.forward_frames(clip.frames[t], refs, windows if model.cfg.audio_enabled else None)
-    written = export_diagnostics(output.diagnostics, args.out)
-    mass = output.diagnostics.segment_mass()
+        feats = [model.audio_feature(w) for w in windows] if model.cfg.audio_enabled else None
+        tokens = model.build_tokens(model.extract(clip.frames[t]), [model.extract(f) for f in refs], feats)
+        diag = model.encoder.attention_maps(tokens)
+    written = export_diagnostics(diag, args.out)
+    mass = diag.segment_mass()
     print(f"wrote {len(written)} files to {args.out}")
     print(f"reference->target attention mass: {mass[1, 0]:.4f}")
     return EXIT_OK

@@ -16,7 +16,6 @@ class FormatError(ValueError):
         if offset is not None:
             message = f"{message} (at byte offset {offset})"
         super().__init__(message)
-        self.offset = offset
 
 
 class NumericError(ArithmeticError):

@@ -5,7 +5,8 @@ Target frames keep their full spatial grid (H*W tokens); the stacked
 reference features are reweighted by a learned pixel map, compressed to a
 K x K grid, and projected to the shared token width; audio features pass
 through a bi-LSTM before projection.  All tokens attend to all tokens in
-the encoder, and every head's attention is kept for diagnostics.
+the encoder.  The forward keeps no attention weights; `attention_maps`
+recomputes every head's for diagnostics.
 """
 
 from __future__ import annotations
@@ -198,15 +199,24 @@ class FusionEncoder(Module):
             self.child(EncoderLayer(f"layer{i}", c_tok, heads, 4 * c_tok, rng)) for i in range(depth)
         ]
 
-    def __call__(self, ts: TokenSet) -> tuple[TokenSet, FusionDiagnostics]:
+    def __call__(self, ts: TokenSet) -> TokenSet:
+        ts.validate()
+        x = ts.tokens
+        for layer in self.layers:
+            x = layer(x)
+        return TokenSet(tokens=x, layout=ts.layout)
+
+    def attention_maps(self, ts: TokenSet) -> FusionDiagnostics:
+        """Every layer's per-head attention weights over `ts`, from a second
+        walk of the layers; bit for bit the weights a recording forward keeps."""
         ts.validate()
         x = ts.tokens
         attn = []
         for layer in self.layers:
-            x, weights = layer(x)
-            attn.append(weights)
-        fused = TokenSet(tokens=x, layout=ts.layout)
-        return fused, FusionDiagnostics(attention=attn, layout=ts.layout)
+            normed = layer.ln1(x)
+            attn.append(layer.attn.weights(normed, normed))
+            x = layer(x)
+        return FusionDiagnostics(attention=attn, layout=ts.layout)
 
 
 def split_fused(fused: TokenSet) -> Tensor:

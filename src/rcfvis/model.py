@@ -15,7 +15,6 @@ from .config import RunConfig
 from .errors import ArgumentError
 from .fusion import (
     AudioTokenizer,
-    FusionDiagnostics,
     FusionEncoder,
     ReferenceTokenizer,
     TargetTokenizer,
@@ -32,7 +31,6 @@ from .videonet import Backbone, FrameFeature, MaskFeatureDecoder
 
 @dataclass
 class ModelOutput:
-    diagnostics: FusionDiagnostics
     class_probs: Tensor  # (N, classes+1)
     mask_logits: Tensor  # (N, H_o, W_o)
 
@@ -162,12 +160,12 @@ class RCFModel:
         audio_feats: list[Tensor] | None = None,
     ) -> ModelOutput:
         ts = self.build_tokens(target, refs, audio_feats)
-        fused, diag = self.encoder(ts)
+        fused = self.encoder(ts)
         seg = self.mask_decoder(split_fused(fused), target.skips)
         code = self.head.decode(fused.tokens)
         probs = self.head.predict_class(code)
         masks = self.head.dynamic_masks(code, seg)
-        return ModelOutput(diagnostics=diag, class_probs=probs, mask_logits=masks)
+        return ModelOutput(class_probs=probs, mask_logits=masks)
 
     def forward_frames(
         self,

@@ -16,7 +16,7 @@ import zlib
 
 import numpy as np
 
-from .tensor import Tensor, concat, conv2d, linear, lstm, normalize, scaled_dot_product_attention
+from .tensor import Tensor, attention_weights, concat, conv2d, linear, lstm, normalize, scaled_dot_product_attention
 
 INIT_STD = 0.02
 NORM_EPS = 1e-5
@@ -115,10 +115,13 @@ class MultiheadAttention(Module):
         self.wv = self.child(Linear("wv", dim, dim, rng))
         self.wo = self.child(Linear("wo", dim, dim, rng))
 
-    def __call__(self, q_in: Tensor, kv_in: Tensor) -> tuple[Tensor, np.ndarray]:
-        """Returns (output [L_q x dim], per-head weights [heads, L_q, L_k])."""
-        out, weights = scaled_dot_product_attention(self.wq(q_in), self.wk(kv_in), self.wv(kv_in), self.heads)
-        return self.wo(out), weights
+    def __call__(self, q_in: Tensor, kv_in: Tensor) -> Tensor:
+        """Returns the output [L_q x dim]."""
+        return self.wo(scaled_dot_product_attention(self.wq(q_in), self.wk(kv_in), self.wv(kv_in), self.heads))
+
+    def weights(self, q_in: Tensor, kv_in: Tensor) -> np.ndarray:
+        """Per-head attention weights [heads, L_q, L_k] of a call on the same inputs."""
+        return attention_weights(self.wq(q_in).data, self.wk(kv_in).data, self.heads)
 
 
 class FeedForward(Module):
@@ -141,12 +144,10 @@ class EncoderLayer(Module):
         self.ln2 = self.child(LayerNorm("ln2", dim))
         self.ffn = self.child(FeedForward("ffn", dim, ffn, rng))
 
-    def __call__(self, x: Tensor) -> tuple[Tensor, np.ndarray]:
+    def __call__(self, x: Tensor) -> Tensor:
         normed = self.ln1(x)
-        attended, weights = self.attn(normed, normed)
-        x = x + attended
-        x = x + self.ffn(self.ln2(x))
-        return x, weights
+        x = x + self.attn(normed, normed)
+        return x + self.ffn(self.ln2(x))
 
 
 class DecoderLayer(Module):
@@ -163,10 +164,8 @@ class DecoderLayer(Module):
 
     def __call__(self, q: Tensor, memory: Tensor) -> Tensor:
         normed = self.ln1(q)
-        attended, _ = self.self_attn(normed, normed)
-        q = q + attended
-        attended, _ = self.cross_attn(self.ln2(q), memory)
-        q = q + attended
+        q = q + self.self_attn(normed, normed)
+        q = q + self.cross_attn(self.ln2(q), memory)
         return q + self.ffn(self.ln3(q))
 
 

@@ -11,6 +11,7 @@ from one matrix product per frame (`mask_iou`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,7 @@ from .errors import ArgumentError, StateError
 from .instance_head import FramePrediction
 from .model import RCFModel
 from .synthav import SpriteClip
-from .tensor import Tensor, no_grad, sigmoid
+from .tensor import Tensor, no_grad
 from .videonet import FrameFeature
 
 IOU_OVERRIDE_THRESHOLD = 0.5
@@ -106,10 +107,19 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def postprocess(
     raw: FramePrediction, num_classes: int, *, class_threshold: float, mask_threshold: float
 ) -> FramePrediction:
-    """Binarize masks (sigmoid >= threshold) and fire slots above the class bar."""
+    """Binarize masks and fire slots above the class bar.
+
+    A mask pixel is on when its logit reaches log(t / (1 - t)) for
+    t = mask_threshold, the logit where the sigmoid crosses t: -inf at
+    t = 0, +inf at t = 1.  Comparing logits skips a sigmoid over the whole
+    (N, H_o, W_o) array.  At t = 0.5 the bar is 0; a float sigmoid would
+    round logits in (-2^-54, 0) up to exactly 0.5 and turn them on too.
+    """
+    t = mask_threshold
+    bar = -math.inf if t <= 0.0 else math.inf if t >= 1.0 else math.log(t) - math.log1p(-t)
     probs = raw.class_probs
     scores = probs[:, :num_classes].max(axis=1)
-    raw.binary_masks = sigmoid(raw.mask_logits) >= mask_threshold
+    raw.binary_masks = raw.mask_logits >= bar
     raw.fired = scores > class_threshold
     raw.scores = scores
     return raw

@@ -12,11 +12,14 @@ Each layer kind of the model is one tape node with an analytic backward:
 - `normalize`: layer norm and group norm, with the closed-form backward
 - `lstm`: one LSTM direction over a whole sequence, backward through time
 - `scaled_dot_product_attention`: every head at once; the forward walks
-  the heads in groups whose weights fit in L2 (see `_ATTN_TILE_BYTES`)
+  the heads in groups whose scores fit in L2 (see `_ATTN_TILE_BYTES`) and
+  keeps the weights only when the node records
 - `cross_entropy` and `dice_loss`: the two terms of the set loss
 
 Their forwards run the same floating-point operations, in the same order,
-as the compositions of elementary ops they replace.
+as the compositions of elementary ops they replace, except attention's,
+which scales Q rather than the scores and divides each output row by its
+softmax sum rather than the weights.
 """
 
 from __future__ import annotations
@@ -56,6 +59,11 @@ class no_grad:
         return False
 
 
+def _records(parents: Sequence["Tensor"]) -> bool:
+    """Whether an op on `parents` goes on the tape."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum gradient g down to `shape` (inverse of numpy broadcasting)."""
     while g.ndim > len(shape):
@@ -70,13 +78,11 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function in a form whose exp never overflows.
 
     With e = exp(-|x|): 1 / (1 + e) where x >= 0, else e / (1 + e); one exp
-    for both branches.
+    for both branches.  Since 0 <= e <= 1, max(e, x >= 0) is exactly that
+    numerator, and one unmasked divide replaces a divide masked to x >= 0.
     """
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    out = np.asarray(e / d)
-    np.divide(1.0, d, out=out, where=x >= 0)
-    return out
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 class Tensor:
@@ -97,7 +103,7 @@ class Tensor:
     @staticmethod
     def _from_op(data: np.ndarray, parents: Sequence["Tensor"], backward: Callable[["Tensor"], None]):
         out = Tensor(data)
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        if _records(parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -652,43 +658,72 @@ def adaptive_avg_pool2d(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
     return out
 
 
-# Bytes of (L_q, L_k) attention weights the forward processes per head group:
-# half of a 2 MiB per-core L2, which leaves room for the row max and sum
-# vectors and for the Q, K and V blocks the group reads.  Calls whose weights
-# all fit stay one batched product: a loop of one head per step costs small
-# calls a Python round trip per head.
+# Bytes of (L_q, L_k) attention scores one head tile holds: half of a 2 MiB
+# per-core L2, which leaves room for the row max and sum vectors and for the
+# Q, K and V blocks the tile reads.  Calls whose scores all fit stay one
+# batched product: a loop of one head per step costs small calls a Python
+# round trip per head.
 _ATTN_TILE_BYTES = 1 << 20
 
 
 def _head_tiles(heads: int, lq: int, lk: int, itemsize: int) -> list[slice]:
-    """Groups of heads whose weights fill at most _ATTN_TILE_BYTES, or one head
-    per group when a single head's weights exceed it."""
+    """Groups of heads whose scores fill at most _ATTN_TILE_BYTES, or one head
+    per group when a single head's scores exceed it."""
     step = max(1, _ATTN_TILE_BYTES // (lq * lk * itemsize or 1))
     return [slice(h, min(h + step, heads)) for h in range(0, heads, step)]
 
 
-def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(L, heads * d) -> (heads, L, d) view: each head's column block."""
+    return x.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
+
+
+def _exp_scores(qs: np.ndarray, kh: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Softmax numerators of one head tile, written into `e`:
+    exp(Qs K^T - row max) for the pre-scaled Qs.  Returns the row sums,
+    (tile heads, L_q, 1)."""
+    np.matmul(qs, kh.transpose(0, 2, 1), out=e)
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    return e.sum(axis=-1, keepdims=True)
+
+
+def attention_weights(q: np.ndarray, k: np.ndarray, heads: int) -> np.ndarray:
+    """Per-head softmax(QK^T/sqrt(d_k)), (heads, L_q, L_k), each row summing
+    to 1: bit for bit the weights a recording `scaled_dot_product_attention`
+    with these Q and K keeps for its backward."""
+    scale = 1.0 / math.sqrt(q.shape[1] // heads)
+    qs, kh = _split_heads(q * scale, heads), _split_heads(k, heads)
+    w = np.empty((heads, q.shape[0], k.shape[0]), dtype=np.result_type(q, k))
+    for t in _head_tiles(heads, q.shape[0], k.shape[0], w.itemsize):
+        w[t] /= _exp_scores(qs[t], kh[t], w[t])
+    return w
+
+
+def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Multi-head Attention(Q,K,V) = softmax(QK^T/sqrt(d_k)) V as one tape node.
 
     Q (L_q x D), K (L_k x D) and V (L_k x D_v) are split column-wise into
     `heads` equal blocks, each attended independently (d_k = D / heads).
-    Returns (output [L_q x D_v], weights ndarray [heads x L_q x L_k]); the
-    output columns are the heads' outputs side by side, and each weight
-    row sums to 1.  The weights are the buffer the backward reads, so
-    callers must not write to them.  The arithmetic per head is the same as
-    separate 2-D products followed by a softmax: the product is scaled, then
-    shifted by its row max, exponentiated and divided by its row sum.
+    Returns the output [L_q x D_v], the heads' outputs side by side.  Per
+    head the scale multiplies Q, the product with K^T is shifted by its row
+    max and exponentiated, and each row of that times V is divided by the
+    row's sum: the (L_q, L_k) weights are never divided on the way to the
+    output.  `attention_weights` gives them for diagnostics.
 
     Tile rule: the forward walks the heads in groups of
     max(1, _ATTN_TILE_BYTES // (L_q * L_k * itemsize)) heads, so each
-    group's weights stay in L2 through their six passes (product, scale,
-    shift, exp, divide, product with V) instead of going through memory
-    once per pass: 390 tokens need 1.2 MB per head and run one head per
-    group, while 102 tokens (666 KB for 8 heads) and 32 x 390
-    cross-attention (799 KB) fit in one group.  The backward runs batched
-    over the full weights.  Each head is its own GEMM and its softmax is
-    row-wise either way, so the grouping changes no bit of the output, the
-    weights or the gradients.
+    group's scores stay in L2 through their passes (product, shift, exp,
+    sum, product with V) instead of going through memory once per pass:
+    390 tokens need 1.2 MB per head and run one head per group, while
+    102 tokens (666 KB for 8 heads) and 32 x 390 cross-attention (799 KB)
+    fit in one group.  Unless the node records, every group reuses one
+    scratch buffer of a group's size.  A recording node also divides each
+    group's scores by their row sums and keeps all of them, (heads, L_q,
+    L_k), for the backward, which runs batched over the full weights.  The
+    output comes from the same operations either way, so recording changes
+    no bit of it.  Each head is its own GEMM and its softmax is row-wise,
+    so the grouping changes no bit of the output or the gradients either.
     """
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
         raise ArgumentError("attention expects 2-D Q, K, V")
@@ -703,24 +738,24 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) ->
     if dk <= 0:
         raise ArgumentError("d_k must be positive")
     scale = 1.0 / math.sqrt(dk)
-    qh = q.data.reshape(lq, heads, dk).transpose(1, 0, 2)  # (H, L_q, d_k) views
-    kh = k.data.reshape(lk, heads, dk).transpose(1, 0, 2)
-    vh = v.data.reshape(lk, heads, dv).transpose(1, 0, 2)
-    weights = np.empty((heads, lq, lk), dtype=np.result_type(q.data, k.data))
-    out_data = np.empty((lq, heads * dv), dtype=np.result_type(weights, v.data))
-    out_h = out_data.reshape(lq, heads, dv).transpose(1, 0, 2)  # each head's column block
-    tiles = _head_tiles(heads, lq, lk, weights.itemsize)
+    qs = _split_heads(q.data * scale, heads)
+    kh, vh = _split_heads(k.data, heads), _split_heads(v.data, heads)
+    dtype = np.result_type(q.data, k.data)
+    tiles = _head_tiles(heads, lq, lk, dtype.itemsize)
+    records = _records((q, k, v))
+    weights = np.empty((heads if records else tiles[0].stop, lq, lk), dtype=dtype)
+    out_data = np.empty((lq, heads * dv), dtype=np.result_type(dtype, v.data))
+    out_h = _split_heads(out_data, heads)
     for t in tiles:
-        w = weights[t]
-        np.matmul(qh[t], kh[t].transpose(0, 2, 1), out=w)
-        w *= scale
-        w -= w.max(axis=-1, keepdims=True)
-        np.exp(w, out=w)
-        w /= w.sum(axis=-1, keepdims=True)
-        np.matmul(w, vh[t], out=out_h[t])
+        e = weights[t] if records else weights[: t.stop - t.start]
+        sums = _exp_scores(qs[t], kh[t], e)
+        np.matmul(e, vh[t], out=out_h[t])
+        out_h[t] /= sums
+        if records:
+            e /= sums
 
     def bw(a=q, b=k, c=v):
-        g = out.grad.reshape(lq, heads, dv).transpose(1, 0, 2)
+        g = _split_heads(out.grad, heads)
         if c.requires_grad:
             c._accum(np.matmul(weights.transpose(0, 2, 1), g).transpose(1, 0, 2).reshape(lk, heads * dv))
         if not (a.requires_grad or b.requires_grad):
@@ -732,10 +767,11 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) ->
         if a.requires_grad:
             a._accum(np.matmul(gs, kh).transpose(1, 0, 2).reshape(lq, heads * dk))
         if b.requires_grad:
+            qh = _split_heads(a.data, heads)
             b._accum(np.matmul(qh.transpose(0, 2, 1), gs).transpose(2, 0, 1).reshape(lk, heads * dk))
 
     out = Tensor._from_op(out_data, (q, k, v), bw)
-    return out, weights
+    return out
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-6) -> float:

@@ -15,6 +15,7 @@ from rcfvis.cli import EXIT_CONFIG, EXIT_IO, build_parser, main
 from rcfvis.config import RunConfig, load_config
 from rcfvis.container import read_container, rle_decode
 from rcfvis.errors import ConfigError
+from rcfvis.fusion import FusionEncoder
 from rcfvis.model import RCFModel
 from rcfvis.optim import OptimState
 from rcfvis.stream import stream_clip
@@ -275,19 +276,18 @@ class TestCLIPipelines:
         # a read-only dump must not record, and hold, a training tape
         clip = tmp_path / "clip"
         write_clip(generate_clip(0, GeneratorConfig(height=32, width=48, frames=2, max_sprites=2)), clip)
-        outputs = []
-        forward = RCFModel.forward_frames
+        token_sets = []
+        maps = FusionEncoder.attention_maps
 
-        def spy(self, *args):
-            outputs.append(forward(self, *args))
-            return outputs[-1]
+        def spy(self, ts):
+            token_sets.append(ts)
+            return maps(self, ts)
 
-        monkeypatch.setattr(RCFModel, "forward_frames", spy)
+        monkeypatch.setattr(FusionEncoder, "attention_maps", spy)
         size = ["--set", "image_h=32", "--set", "image_w=48", "--set", "num_slots=4"]
         assert main(["dump-attention", "--clip", str(clip), "--out", str(tmp_path / "attn"), *size]) == 0
-        assert len(outputs) == 1
-        assert not outputs[0].class_probs.requires_grad
-        assert not outputs[0].mask_logits.requires_grad
+        assert len(token_sets) == 1
+        assert not token_sets[0].tokens.requires_grad
 
     def test_probe_no_override_runs_with_override_off(self, tmp_path, capsys, monkeypatch):
         size = ["--set", "image_h=32", "--set", "image_w=48", "--set", "num_slots=4", "--set", "class_threshold=0.0"]

@@ -121,7 +121,7 @@ class TestFusionEncoder:
         enc = self.make()
         lay = TokenLayout(h=2, w=3, k=1, audio_len=2)
         ts = TokenSet(tokens=Tensor(rng.standard_normal((lay.total, 16))), layout=lay)
-        _, diag = enc(ts)
+        diag = enc.attention_maps(ts)
         for layer in diag.attention:
             assert np.abs(layer.sum(axis=2) - 1.0).max() < 1e-6
 
@@ -129,7 +129,7 @@ class TestFusionEncoder:
         enc = self.make()
         lay = TokenLayout(h=1, w=1, k=0, audio_len=0)
         ts = TokenSet(tokens=Tensor(rng.standard_normal((1, 16))), layout=lay)
-        fused, diag = enc(ts)
+        fused, diag = enc(ts), enc.attention_maps(ts)
         for layer in diag.attention:
             assert np.abs(layer - 1.0).max() < 1e-12
         assert np.isfinite(fused.tokens.data).all()
@@ -143,14 +143,15 @@ class TestFusionEncoder:
             layer.ffn.fc2.b.data[:] = 0.0
         lay = TokenLayout(h=2, w=2, k=1, audio_len=0)
         x = rng.standard_normal((lay.total, 16))
-        fused, _ = enc(TokenSet(tokens=Tensor(x), layout=lay))
+        fused = enc(TokenSet(tokens=Tensor(x), layout=lay))
         assert np.array_equal(fused.tokens.data, x)
 
     def test_matches_naive_per_head_reference(self, rng):
         enc = self.make(dim=8, heads=2, depth=1, seed=7)
         lay = TokenLayout(h=2, w=2, k=2, audio_len=0)
         x = rng.standard_normal((8, 8))
-        fused, diag = enc(TokenSet(tokens=Tensor(x), layout=lay))
+        ts = TokenSet(tokens=Tensor(x), layout=lay)
+        fused, diag = enc(ts), enc.attention_maps(ts)
 
         layer = enc.layers[0]
 
@@ -171,6 +172,7 @@ class TestFusionEncoder:
             w /= w.sum(axis=1, keepdims=True)
             heads_out.append(w @ v[:, sl])
             assert np.abs(diag.attention[0][h] - w).max() < 1e-12
+            assert np.abs(diag.attention[0][h].sum(axis=1) - 1.0).max() < 1e-12
         attended = np.concatenate(heads_out, axis=1) @ layer.attn.wo.w.data + layer.attn.wo.b.data
         mid = x + attended
         normed2 = np_ln(mid, layer.ln2.gain.data, layer.ln2.bias.data)

@@ -44,6 +44,27 @@ class TestPostprocess:
         out = postprocess(pred, num_classes=2, class_threshold=0.4, mask_threshold=0.5)
         assert out.binary_masks.all()  # sigmoid(0) = 0.5 >= 0.5
 
+    def binarize(self, logits, t):
+        pred = self.make([[0.5, 0.2, 0.3]], np.asarray(logits, float).reshape(1, 1, -1))
+        return postprocess(pred, num_classes=2, class_threshold=0.4, mask_threshold=t).binary_masks.ravel().tolist()
+
+    def test_half_bar_is_logit_zero(self):
+        # a float sigmoid rounds logits in (-2^-54, 0) to exactly 0.5; the logit bar keeps them off
+        logits = [-(2.0**-60), -(2.0**-54), -1e-15, 0.0, 2.0**-60]
+        assert self.binarize(logits, 0.5) == [False, False, False, True, True]
+
+    def test_bar_matches_sigmoid_inside_the_unit_interval(self, rng):
+        logits = rng.standard_normal(2000) * 8
+        for t in (0.1, 0.3, 0.7, 0.95):
+            expect = 1.0 / (1.0 + np.exp(-logits)) >= t
+            assert np.array_equal(self.binarize(logits, t), expect)
+
+    def test_bar_at_zero_and_one(self):
+        # at t = 1 a float sigmoid reaches 1 above a logit of about 36.7; the bar is +inf
+        logits = [-np.inf, -800.0, 0.0, 40.0, 800.0]
+        assert self.binarize(logits, 0.0) == [True] * 5
+        assert self.binarize(logits, 1.0) == [False] * 5
+
     def test_threshold_is_strict(self):
         pred = self.make([[0.39, 0.11, 0.5], [0.41, 0.09, 0.5]], np.zeros((2, 2, 2)))
         out = postprocess(pred, num_classes=2, class_threshold=0.4, mask_threshold=0.5)

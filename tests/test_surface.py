@@ -1,10 +1,14 @@
 """No dead surface: every top-level function and class of the package is
-named by package code other than its own definition, and every defaulted
-parameter of a top-level function or method is passed by some package call.
+named by package code other than its own definition, so is every method of
+a top-level class, every attribute that a class's `__init__` writes is read
+by package code, and every defaulted parameter of a top-level function or
+method is passed by some package call.
 
 A name counts as used when another part of `src/rcfvis` loads it, reads it
 as an attribute or imports it (the package `__init__` re-exports its public
-API this way).  Code that only tests need belongs in the tests.
+API this way).  Code that only tests need belongs in the tests.  Methods and attributes
+are matched by name alone, like parameters below; special methods such as
+`__call__` run through syntax and are not checked.
 
 A parameter counts as passed when a call in `src/rcfvis`, outside the
 function's own body, names the function (a method by its attribute name, a
@@ -18,6 +22,7 @@ default values that no caller is meant to pass.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rcfvis"
@@ -26,6 +31,9 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rcfvis"
 ALLOWED = {
     "set_strict_finite": "the tests' switch for raising on non-finite tape values",
 }
+
+# "module.Class.member" -> why no package code names the method or reads the attribute
+ALLOWED_MEMBERS: dict[str, str] = {}
 
 # "module.qualname(parameter)" -> why no package call passes it
 ALLOWED_PARAMETERS = {
@@ -62,6 +70,48 @@ def surface_report():
             for name in _names(top):
                 users.setdefault(name, set()).add((module, index))
     return definitions, users
+
+
+def _is_special(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def member_report():
+    """(members, unused): every "module.Class.member" for the methods of
+    top-level classes and the attributes their `__init__` writes, and those
+    that no package code names (a method outside its own body) or reads (an
+    attribute)."""
+    trees = _trees()
+    named, read = Counter(), set()
+    for _, tree in trees:
+        named.update(_names(tree))
+        read.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    members, unused = [], []
+    for module, tree in trees:
+        for top in tree.body:
+            if not isinstance(top, ast.ClassDef):
+                continue
+            for node in top.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if not _is_special(node.name):
+                    key = f"{module}.{top.name}.{node.name}"
+                    members.append(key)
+                    if named[node.name] <= Counter(_names(node))[node.name]:
+                        unused.append(key)
+                elif node.name == "__init__":
+                    for n in ast.walk(node):
+                        if (
+                            isinstance(n, ast.Attribute)
+                            and isinstance(n.ctx, ast.Store)
+                            and isinstance(n.value, ast.Name)
+                            and n.value.id == "self"
+                        ):
+                            key = f"{module}.{top.name}.{n.attr}"
+                            members.append(key)
+                            if n.attr not in read:
+                                unused.append(key)
+    return members, unused
 
 
 def _functions(tree: ast.Module):
@@ -142,6 +192,21 @@ def test_allowlist_entries_exist_and_are_unused():
         assert reason
         assert name in defined, f"{name} is gone; drop it from the allowlist"
         assert not users.get(name, set()) - {defined[name]}, f"{name} is used now; drop it from the allowlist"
+
+
+def test_every_method_and_init_attribute_is_used_by_the_package():
+    members, unused = member_report()
+    assert len(members) > 100  # the scan found the classes
+    dead = [key for key in unused if key not in ALLOWED_MEMBERS]
+    assert not dead, f"named or read by no package code: {', '.join(dead)}"
+
+
+def test_member_allowlist_entries_exist_and_are_unused():
+    members, unused = member_report()
+    for key, reason in ALLOWED_MEMBERS.items():
+        assert reason
+        assert key in members, f"{key} is gone; drop it from the allowlist"
+        assert key in unused, f"{key} is used now; drop it from the allowlist"
 
 
 def test_every_defaulted_parameter_is_passed_by_the_package():

@@ -1,6 +1,7 @@
 """Autodiff core: op correctness, gradient oracle, softmax/attention contracts."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from rcfvis.synthav import GeneratorConfig, generate_clip
 from rcfvis.tensor import (
     Tensor,
     adaptive_avg_pool2d,
+    attention_weights,
     concat,
     conv2d,
     grad_check,
@@ -62,7 +64,8 @@ class TestAttention:
         q = Tensor(rng.standard_normal((4, 3)))
         k = Tensor(rng.standard_normal((1, 3)))
         v = Tensor(rng.standard_normal((1, 6)))
-        out, w = scaled_dot_product_attention(q, k, v, 1)
+        out = scaled_dot_product_attention(q, k, v, 1)
+        w = attention_weights(q.data, k.data, 1)
         assert np.allclose(out.data, np.repeat(v.data, 4, axis=0))
         assert w.shape == (1, 4, 1) and np.allclose(w[0], 1.0)
 
@@ -70,12 +73,13 @@ class TestAttention:
         q = Tensor(np.zeros((2, 3)))
         k = Tensor(rng.standard_normal((5, 3)))
         v = Tensor(rng.standard_normal((5, 4)))
-        out, w = scaled_dot_product_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((5, 3))), v, 1)
+        out = scaled_dot_product_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((5, 3))), v, 1)
         assert np.allclose(out.data, v.data.mean(axis=0), atol=1e-12)
 
     def test_matches_naive_double_loop(self, rng):
         q, k, v = (rng.standard_normal((3, 4)) for _ in range(3))
-        out, w = scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v), 1)
+        out = scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v), 1)
+        w = attention_weights(q, k, 1)
         # independent reference: explicit loops, no shared code path
         logits = np.empty((3, 3))
         for i in range(3):
@@ -92,8 +96,9 @@ class TestAttention:
         k = rng.standard_normal((6, 5))
         v = rng.standard_normal((6, 3))
         perm = rng.permutation(6)
-        out, w = scaled_dot_product_attention(q, Tensor(k), Tensor(v), 1)
-        out_p, w_p = scaled_dot_product_attention(q, Tensor(k[perm]), Tensor(v[perm]), 1)
+        out = scaled_dot_product_attention(q, Tensor(k), Tensor(v), 1)
+        out_p = scaled_dot_product_attention(q, Tensor(k[perm]), Tensor(v[perm]), 1)
+        w, w_p = attention_weights(q.data, k, 1), attention_weights(q.data, k[perm], 1)
         assert np.abs(out.data - out_p.data).max() < 1e-12
         assert np.abs(w[0][:, perm] - w_p[0]).max() < 1e-12
 
@@ -113,7 +118,7 @@ class TestAttention:
         v0 = rng.standard_normal((lk, heads * dv))
         seed = rng.standard_normal((lq, heads * dv))
         results = []
-        for attend in (scaled_dot_product_attention, per_head_attention):
+        for attend in (fused_attention, per_head_attention):
             q, k, v = (Tensor(a.copy(), requires_grad=True) for a in (q0, k0, v0))
             out, w = attend(q, k, v, heads)
             out.backward(seed)
@@ -135,10 +140,37 @@ class TestAttention:
         v0 = rng.standard_normal((lk, heads * dv))
         seed = rng.standard_normal((lq, heads * dv))
         q, k, v = (Tensor(a.copy(), requires_grad=True) for a in (q0, k0, v0))
-        out, w = scaled_dot_product_attention(q, k, v, heads)
+        out, w = fused_attention(q, k, v, heads)
         out.backward(seed)
         for got, want in zip((out.data, w, q.grad, k.grad, v.grad), batched_attention(q0, k0, v0, heads, seed)):
             assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("lq, lk, tile_heads", [(390, 390, None), (102, 102, None), (5, 7, 3)])
+    def test_no_grad_output_is_bit_identical_to_recording(self, rng, monkeypatch, lq, lk, tile_heads):
+        heads, dk, dv = 8, 8, 8
+        if tile_heads is not None:
+            monkeypatch.setattr(tensor, "_ATTN_TILE_BYTES", tile_heads * lq * lk * 8)
+        shapes = ((lq, heads * dk), (lk, heads * dk), (lk, heads * dv))
+        q, k, v = (Tensor(rng.standard_normal(shape), requires_grad=True) for shape in shapes)
+        recorded = scaled_dot_product_attention(q, k, v, heads)
+        with no_grad():
+            streamed = scaled_dot_product_attention(q, k, v, heads)
+        assert recorded.requires_grad and not streamed.requires_grad
+        assert np.array_equal(recorded.data, streamed.data)
+
+    def test_no_grad_call_keeps_no_weights(self, rng):
+        # the (8, 390, 390) weights alone are 9.7 MB; one head's scratch tile is 1.2 MB
+        heads, lq = 8, 390
+        q, k, v = (Tensor(rng.standard_normal((lq, heads * 8))) for _ in range(3))
+        scaled_dot_product_attention(q, k, v, heads)  # warm up numpy's own caches
+        tracemalloc.start()
+        try:
+            with no_grad():
+                scaled_dot_product_attention(q, k, v, heads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
 
     @pytest.mark.parametrize("arg", [0, 1, 2])
     def test_grad_check_each_input(self, rng, arg):
@@ -153,7 +185,7 @@ class TestAttention:
     def test_no_grad_records_no_parents(self, rng):
         q, k, v = (Tensor(rng.standard_normal((3, 4)), requires_grad=True) for _ in range(3))
         with no_grad():
-            out, _ = scaled_dot_product_attention(q, k, v, 2)
+            out = scaled_dot_product_attention(q, k, v, 2)
         assert not out.requires_grad and out._parents == ()
 
     def test_strict_finite_raises(self):
@@ -180,13 +212,14 @@ class TestAttention:
 )
 def test_tile_rule_on_model_configs(monkeypatch, overrides):
     """At 64x96 every attention call is one tile; at 128x192 the 390-token
-    encoder runs one head per tile and the decoder stays in one tile."""
+    encoder runs one head per tile and the decoder stays in one tile.  Each
+    tile's scores fit in _ATTN_TILE_BYTES, except a lone 390-token head."""
     calls = []
     head_tiles = tensor._head_tiles
 
     def recording(heads, lq, lk, itemsize):
         tiles = head_tiles(heads, lq, lk, itemsize)
-        calls.append((lq, lk, len(tiles)))
+        calls.append((lq, lk, len(tiles), max(t.stop - t.start for t in tiles) * lq * lk * itemsize))
         return tiles
 
     monkeypatch.setattr(tensor, "_head_tiles", recording)
@@ -194,10 +227,11 @@ def test_tile_rule_on_model_configs(monkeypatch, overrides):
     clip = generate_clip(0, GeneratorConfig(height=cfg.image_h, width=cfg.image_w, frames=2))
     stream_clip(RCFModel(cfg), clip)
     assert len(calls) == 2 * (cfg.enc_depth + 2 * cfg.dec_depth)
-    for lq, lk, n_tiles in calls:
+    for lq, lk, n_tiles, tile_bytes in calls:
         encoder_hires = lq == lk == 390
         assert n_tiles == (cfg.heads if encoder_hires else 1), (lq, lk)
-    assert any(lq == lk == 390 for lq, lk, _ in calls) == (cfg.image_h == 128)
+        assert tile_bytes == 390 * 390 * 8 if encoder_hires else tile_bytes <= tensor._ATTN_TILE_BYTES
+    assert any(lq == lk == 390 for lq, lk, _, _ in calls) == (cfg.image_h == 128)
 
 
 def attention_grad_error(rng, arg, heads):
@@ -208,16 +242,21 @@ def attention_grad_error(rng, arg, heads):
     def f(t):
         args = [Tensor(a) for a in qkv]
         args[arg] = t
-        out, _ = scaled_dot_product_attention(*args, heads)
-        return (out * c).sum()
+        return (scaled_dot_product_attention(*args, heads) * c).sum()
 
     return grad_check(f, Tensor(qkv[arg]))
+
+
+def fused_attention(q, k, v, heads):
+    """The op's output with its weights from `attention_weights`."""
+    return scaled_dot_product_attention(q, k, v, heads), attention_weights(q.data, k.data, heads)
 
 
 def batched_attention(q, k, v, heads, seed):
     """Reference: every head in one batched product per step, no tiles.
 
-    Returns the output, the weights and the Q, K and V gradients for the
+    Scales Q, divides each row of exp(scores) V by its softmax sum, and
+    returns the output, the weights and the Q, K and V gradients for the
     output gradient `seed`.
     """
     lq, lk = q.shape[0], k.shape[0]
@@ -226,12 +265,12 @@ def batched_attention(q, k, v, heads, seed):
     qh = q.reshape(lq, heads, dk).transpose(1, 0, 2)
     kh = k.reshape(lk, heads, dk).transpose(1, 0, 2)
     vh = v.reshape(lk, heads, dv).transpose(1, 0, 2)
-    w = np.matmul(qh, kh.transpose(0, 2, 1))
-    w *= scale
+    w = np.matmul(qh * scale, kh.transpose(0, 2, 1))
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
-    out = np.matmul(w, vh).transpose(1, 0, 2).reshape(lq, heads * dv)
+    sums = w.sum(axis=-1, keepdims=True)
+    out = (np.matmul(w, vh) / sums).transpose(1, 0, 2).reshape(lq, heads * dv)
+    w /= sums
     g = seed.reshape(lq, heads, dv).transpose(1, 0, 2)
     grad_v = np.matmul(w.transpose(0, 2, 1), g).transpose(1, 0, 2).reshape(lk, heads * dv)
     gs = np.matmul(g, vh.transpose(0, 2, 1))
@@ -272,7 +311,7 @@ class TestGradCheck:
         v = Tensor(rng.standard_normal((2, 2)))
 
         def f(t):
-            out, _ = scaled_dot_product_attention(t, k, v, 1)
+            out = scaled_dot_product_attention(t, k, v, 1)
             return (softmax(out, 1) * Tensor(np.array([[0.3, 1.7], [0.2, -0.4]]))).sum()
 
         assert grad_check(f, x, eps=1e-6) < 1e-5
@@ -292,6 +331,27 @@ def test_grad_check_core_ops_ten_seeds(seed):
     assert grad_check(lambda t: (softmax(t, 1) * c).sum(), x) < 1e-5
     m = Tensor(rng.standard_normal((4, 2)))
     assert grad_check(lambda t: ((t @ m).relu() ** 2).sum(), x) < 1e-5
+
+
+def masked_divide_sigmoid(x):
+    """Reference: the logistic function with one exp and a divide masked to x >= 0."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    out = np.asarray(e / d)
+    np.divide(1.0, d, out=out, where=x >= 0)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_matches_masked_divide_bit_for_bit(rng, dtype):
+    special = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 700.0, -700.0]
+    x = np.concatenate([rng.standard_normal(1000) * 30, rng.uniform(-800, 800, 1000), special]).astype(dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for arr in (x, x.reshape(-1, 8)):
+            got, want = sigmoid(arr), masked_divide_sigmoid(arr)
+            assert got.dtype == want.dtype == dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def three_exp_sigmoid(x):

@@ -1,9 +1,16 @@
 """Hot numeric kernels: 2-D convolution forward and both backward passes.
 
-These inner loops dominate training time.  Each pass is a numpy contraction
-per kernel offset (kh, kw): one ``tensordot`` over channels against a
-strided view of the padded input.  ``benchmarks/run.py`` reports their
-time as the ``kernels.conv`` layer.
+Each pass is one matrix product on im2col columns (Chellapilla et al.,
+2006).  The forward builds a contiguous ``(C_in·KH·KW, HO·WO)`` column
+matrix from KH·KW strided slice copies of the padded input and returns it
+beside its output, so that the grad-weight product of the same call reuses
+it.  Grad-input multiplies by the transposed weights and scatters the
+product back with KH·KW strided adds (col2im).  All column work happens
+inside these three entry points, which ``benchmarks/run.py`` times as the
+``kernels.conv`` layer.
+
+Each kernel returns the dtype of its input array (x, or gy for the
+backward passes).
 """
 
 from __future__ import annotations
@@ -11,66 +18,54 @@ from __future__ import annotations
 import numpy as np
 
 
-def _forward(xp, w, stride):
-    co, ci, kh, kw = w.shape
-    hp, wp = xp.shape[1], xp.shape[2]
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    y = np.zeros((co, ho, wo), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            patch = xp[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
-            y += np.tensordot(w[:, :, i, j], patch, axes=(1, 0))
-    return y
+def _is_pointwise(kh: int, kw: int, stride: int, pad: int) -> bool:
+    """A 1×1 stride-1 unpadded conv: its columns are the input itself."""
+    return kh == kw == stride == 1 and pad == 0
 
 
-def _grad_input(gy, w, xp_shape, stride):
-    co, ci, kh, kw = w.shape
-    ho, wo = gy.shape[1], gy.shape[2]
-    gxp = np.zeros(xp_shape, dtype=gy.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            # gxp[ci, i+s*ho, j+s*wo] += sum_co w[co,ci,i,j] * gy[co,ho,wo]
-            contrib = np.tensordot(w[:, :, i, j], gy, axes=(0, 0))
-            gxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += contrib
-    return gxp
+def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Convolve x (C,H,W) with w (CO,CI,KH,KW).
+
+    Returns ``(y, cols)``: y is (CO,HO,WO) and cols the (CI·KH·KW, HO·WO)
+    column matrix that `conv2d_grad_weight` takes.
+    """
+    co, _, kh, kw = w.shape
+    c, h, wd = x.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (wd + 2 * pad - kw) // stride + 1
+    if _is_pointwise(kh, kw, stride, pad):
+        cols = x.reshape(c, h * wd)
+    else:
+        xp = x
+        if pad:
+            xp = np.zeros((c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
+            xp[:, pad : pad + h, pad : pad + wd] = x
+        blocks = np.empty((c, kh, kw, ho, wo), dtype=x.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                blocks[:, i, j] = xp[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
+        cols = blocks.reshape(c * kh * kw, ho * wo)
+    y = w.reshape(co, -1) @ cols
+    return y.astype(x.dtype, copy=False).reshape(co, ho, wo), cols
 
 
-def _grad_weight(gy, xp, kshape, stride):
-    co, ci, kh, kw = kshape
-    ho, wo = gy.shape[1], gy.shape[2]
-    gw = np.zeros(kshape, dtype=gy.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            patch = xp[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
-            gw[:, :, i, j] = np.tensordot(gy, patch, axes=((1, 2), (1, 2)))
-    return gw
-
-
-# ---------------------------------------------------------------------------
-# public entry points (padding applied here, kernels see padded arrays)
-
-
-def _pad(x, pad):
-    if pad == 0:
-        return x
-    return np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-
-
-def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Convolve x (C,H,W) with w (CO,CI,KH,KW); returns (CO,HO,WO)."""
-    return _forward(_pad(x, pad), w, stride)
-
-
-def conv2d_grad_input(gy: np.ndarray, w: np.ndarray, x_shape: tuple, stride: int = 1, pad: int = 0) -> np.ndarray:
+def conv2d_grad_input(gy: np.ndarray, w: np.ndarray, x_shape: tuple, stride: int, pad: int) -> np.ndarray:
     """Gradient of conv2d_forward w.r.t. x, given upstream gy (CO,HO,WO)."""
+    co, _, kh, kw = w.shape
     c, h, wd = x_shape
-    gxp = _grad_input(gy, w, (c, h + 2 * pad, wd + 2 * pad), stride)
-    if pad == 0:
-        return gxp
+    ho, wo = gy.shape[1], gy.shape[2]
+    g = (w.reshape(co, -1).T @ gy.reshape(co, -1)).astype(gy.dtype, copy=False)
+    if _is_pointwise(kh, kw, stride, pad):
+        return g.reshape(x_shape)
+    g = g.reshape(c, kh, kw, ho, wo)
+    gxp = np.zeros((c, h + 2 * pad, wd + 2 * pad), dtype=gy.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += g[:, i, j]
     return gxp[:, pad : pad + h, pad : pad + wd]
 
 
-def conv2d_grad_weight(gy: np.ndarray, x: np.ndarray, kshape: tuple, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Gradient of conv2d_forward w.r.t. w."""
-    return _grad_weight(gy, _pad(x, pad), kshape, stride)
+def conv2d_grad_weight(gy: np.ndarray, cols: np.ndarray, kshape: tuple) -> np.ndarray:
+    """Gradient of conv2d_forward w.r.t. w, from the columns that call returned."""
+    gw = gy.reshape(kshape[0], -1) @ cols.T
+    return gw.astype(gy.dtype, copy=False).reshape(kshape)

@@ -254,6 +254,39 @@ _CLIP_META = {
 }
 
 
+def _decode_masks(blocks: dict[str, np.ndarray], t_frames: int, g: int, h: int, w: int) -> np.ndarray:
+    """All (t_frames, g, h, w) mask planes from the per-frame RLE streams.
+
+    Each frame's stream holds, per plane, its pair count and then its
+    (value, run) pairs.  The runs of every plane are gathered and decoded
+    in one `rle_decode` call, after one check that each plane's runs sum
+    to h·w; a stream that ends early or a plane of another size raises
+    FormatError.
+    """
+    runs, pairs = [], []  # per plane: its words, and how many pairs it has
+    for t in range(t_frames):
+        stream = blocks[f"gt_masks_rle/{t:03d}"]
+        pos = 0
+        for k in range(g):
+            if pos >= stream.size:
+                raise FormatError(f"mask RLE stream for frame {t} ends before plane {k}")
+            n_pairs = int(stream[pos])
+            words = stream[pos + 1 : pos + 1 + 2 * n_pairs]
+            if words.size != 2 * n_pairs:
+                raise FormatError(f"mask RLE stream for frame {t} ends inside plane {k}")
+            runs.append(words)
+            pairs.append(n_pairs)
+            pos += 1 + 2 * n_pairs
+    runs = np.concatenate([np.zeros(0, "<u4"), *runs])  # also when there are no planes
+    covered = np.concatenate(([0], np.cumsum(runs[1::2], dtype=np.int64)))  # by the first i pairs
+    sizes = np.diff(covered[np.cumsum([0] + pairs)])
+    bad = np.flatnonzero(sizes != h * w)
+    if bad.size:
+        t, k = divmod(int(bad[0]), g)
+        raise FormatError(f"mask RLE plane {k} of frame {t} decodes to {sizes[bad[0]]} elements, expected {h * w}")
+    return rle_decode(runs, t_frames * g * h * w).reshape(t_frames, g, h, w)
+
+
 def read_clip(path: str | Path) -> SpriteClip:
     """Read a clip written by `write_clip`.
 
@@ -291,21 +324,9 @@ def read_clip(path: str | Path) -> SpriteClip:
             raise FormatError(f"clip at {path} has no block {name!r}")
         if shape is not None and blocks[name].shape != shape:
             raise FormatError(f"clip at {path} block {name!r} has shape {blocks[name].shape}, expected {shape}")
-    gt_masks = np.zeros((t_frames, g, h, w), dtype=np.uint8)
-    for t in range(t_frames):
-        stream = blocks[f"gt_masks_rle/{t:03d}"]
-        pos = 0
-        for k in range(g):
-            if pos >= stream.size:
-                raise FormatError(f"mask RLE stream for frame {t} ends before plane {k}")
-            n_pairs = int(stream[pos])
-            pos += 1
-            runs = stream[pos : pos + 2 * n_pairs]
-            pos += 2 * n_pairs
-            gt_masks[t, k] = rle_decode(runs, h * w).reshape(h, w)
     return SpriteClip(
         frames=blocks["frames"],
-        gt_masks=gt_masks,
+        gt_masks=_decode_masks(blocks, t_frames, g, h, w),
         gt_classes=blocks["gt_classes"],
         gt_identities=blocks["gt_identities"],
         visibility=blocks["visibility"].astype(bool),

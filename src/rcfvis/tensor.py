@@ -3,12 +3,13 @@
 Every array in the pipeline lives in a ``Tensor``: float64 by default so
 finite-difference checks are decisive, float32 available for speed.  The
 tape is a per-result closure graph, freed after each ``backward()``.
-Convolution forward/backward run through the kernels in ``_kernels``.
 
 Each layer kind of the model is one tape node with an analytic backward:
 
 - `linear`: x @ W + b
-- `conv2d`: convolution plus bias
+- `conv2d`: convolution plus bias, one matrix product per pass in
+  ``_kernels``; a recorded node keeps its forward's im2col columns for
+  the grad-weight product
 - `normalize`: layer norm and group norm, with the closed-form backward
 - `lstm`: one LSTM direction over a whole sequence, backward through time
 - `scaled_dot_product_attention`: every head at once; the forward walks
@@ -599,15 +600,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
         raise ArgumentError(f"conv2d channel mismatch: x has {x.shape[0]}, w expects {w.shape[1]}")
     if b.shape != (w.shape[0],):
         raise ArgumentError(f"conv2d bias {b.shape} does not match {w.shape[0]} output channels")
-    out_data = _kernels.conv2d_forward(x.data, w.data, stride, pad)
+    out_data, cols = _kernels.conv2d_forward(x.data, w.data, stride, pad)
     out_data += b.data[:, None, None]
 
+    # Only a recorded node keeps `bw`, and with it the forward's columns.
     def bw(a=x, w=w, b=b):
         g = out.grad
         if a.requires_grad:
             a._accum(_kernels.conv2d_grad_input(g, w.data, a.data.shape, stride, pad))
         if w.requires_grad:
-            w._accum(_kernels.conv2d_grad_weight(g, a.data, w.data.shape, stride, pad))
+            w._accum(_kernels.conv2d_grad_weight(g, cols, w.data.shape))
         if b.requires_grad:
             b._accum(g.sum(axis=(1, 2)))
 

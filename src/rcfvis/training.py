@@ -150,7 +150,10 @@ def list_clip_dirs(split_dir: str | Path) -> list[Path]:
     split_dir = Path(split_dir)
     if not split_dir.is_dir():
         raise FormatError(f"dataset split directory not found: {split_dir}")
-    return sorted(p for p in split_dir.iterdir() if (p / "manifest.json").is_file())
+    clip_dirs = sorted(p for p in split_dir.iterdir() if (p / "manifest.json").is_file())
+    if not clip_dirs:
+        raise FormatError(f"no clips under dataset split directory {split_dir}")
+    return clip_dirs
 
 
 @dataclass
@@ -172,10 +175,7 @@ def sample_window(clip: SpriteClip, t: int, delta: int) -> tuple[list[np.ndarray
 def train_loop(cfg: RunConfig, data_dir: str | Path, out_dir: str | Path) -> TrainResult:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    clip_dirs = list_clip_dirs(Path(data_dir) / "train")[: cfg.train_clips]
-    if not clip_dirs:
-        raise FormatError(f"no training clips under {data_dir}")
-    clips = [read_clip(p) for p in clip_dirs]
+    clips = [read_clip(p) for p in list_clip_dirs(Path(data_dir) / "train")[: cfg.train_clips]]
 
     model = RCFModel(cfg)
     params = model.params()

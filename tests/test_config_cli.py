@@ -98,6 +98,26 @@ class TestCLIBasics:
         rc = main(["eval", "--ckpt", str(tmp_path / "none"), "--data", str(tmp_path)])
         assert rc == EXIT_IO
 
+    def test_empty_split_exit_3_and_writes_nothing(self, capsys, tmp_path):
+        cfg = RunConfig(image_h=32, image_w=48, num_slots=4).validate()
+        model = RCFModel(cfg)
+        save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params(), cfg.lr0), 0)
+        data = tmp_path / "data"
+        for split in ("val", "probe", "train"):
+            (data / split).mkdir(parents=True)
+        commands = (
+            ["eval", "--ckpt", str(tmp_path / "ckpt"), "--data", str(data), "--split", "val"],
+            ["probe-order", "--data", str(data), "--split", "probe", "--set", "image_h=32", "--set", "image_w=48"],
+        )
+        for command, split in zip(commands, ("val", "probe")):
+            capsys.readouterr()
+            out = tmp_path / f"{command[0]}.csv"
+            assert main([*command, "--out", str(out)]) == EXIT_IO, command[0]
+            assert f"no clips under dataset split directory {data / split}" in capsys.readouterr().err
+            assert not out.exists()
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")]) == EXIT_IO
+        assert "no clips under dataset split directory" in capsys.readouterr().err
+
     def test_bad_checkpoint_config_exit_3(self, capsys, tmp_path):
         cfg = RunConfig(image_h=32, image_w=48, num_slots=4).validate()
         model = RCFModel(cfg)

@@ -184,3 +184,41 @@ def test_malformed_manifest_is_format_error(fault, clip_and_checkpoint, tmp_path
     assert rc == EXIT_IO
     assert "kind=io" in err and "Traceback" not in err
 
+
+def _plane_words(stream):
+    """(start, stop) word offsets of each plane's pairs in a frame's RLE stream."""
+    spans, pos = [], 0
+    while pos < stream.size:
+        n = int(stream[pos])
+        spans.append((pos + 1, pos + 1 + 2 * n))
+        pos += 1 + 2 * n
+    return spans
+
+
+def _shift_one_pixel(stream):
+    # plane 0 one pixel longer, plane 1 one shorter: the frame's total is unchanged
+    stream = stream.copy()
+    (_, end0), (_, end1) = _plane_words(stream)[:2]
+    stream[end0 - 1] += 1
+    stream[end1 - 1] -= 1
+    return stream
+
+
+# edit of frame 1's RLE stream -> text the error must contain
+RLE_FAULTS = {
+    "ends-before-plane": (lambda s: s[: _plane_words(s)[0][1]], "ends before plane 1"),
+    "odd-word-count": (lambda s: s[:-1], "ends inside plane 1"),
+    "plane-size": (_shift_one_pixel, "plane 0 of frame 1 decodes to 1537 elements, expected 1536"),
+}
+
+
+@pytest.mark.parametrize("fault", RLE_FAULTS)
+def test_malformed_mask_stream_is_format_error(fault, tmp_path):
+    edit, text = RLE_FAULTS[fault]
+    gen = GeneratorConfig(height=32, width=48, frames=2, min_sprites=2, max_sprites=2)
+    write_clip(generate_clip(0, gen), tmp_path / "clip")
+    meta, blocks = read_container(tmp_path / "clip")
+    blocks["gt_masks_rle/001"] = edit(blocks["gt_masks_rle/001"])
+    write_container(tmp_path / "bad", meta, blocks)
+    with pytest.raises(FormatError, match=text):
+        read_clip(tmp_path / "bad")

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rcfvis import tensor
+from rcfvis import _kernels, tensor
 from rcfvis.config import RunConfig
 from rcfvis.errors import ArgumentError, NumericError
 from rcfvis.model import RCFModel
@@ -426,6 +426,24 @@ class TestConv:
         assert grad_check(lambda t: (conv2d(t, w, b, 1, 1) ** 2).sum(), x) < 1e-5
         assert grad_check(lambda t: (conv2d(x, t, b, 2, 1) ** 2).sum(), w) < 1e-5
         assert grad_check(lambda t: (conv2d(x, w, t, 2, 1) ** 2).sum(), b) < 1e-5
+
+    @pytest.mark.parametrize("k, stride, pad", [(3, 2, 1), (3, 2, 0), (1, 1, 0), (1, 2, 0)])
+    def test_grads_strided_and_pointwise(self, rng, k, stride, pad):
+        x = Tensor(rng.standard_normal((2, 7, 9)))
+        w = Tensor(rng.standard_normal((3, 2, k, k)) * 0.5)
+        b = Tensor(rng.standard_normal(3))
+        assert grad_check(lambda t: (conv2d(t, w, b, stride, pad) ** 2).sum(), x) < 1e-5
+        assert grad_check(lambda t: (conv2d(x, t, b, stride, pad) ** 2).sum(), w) < 1e-5
+
+    @pytest.mark.parametrize("k, stride, pad", [(3, 2, 1), (3, 1, 1), (1, 1, 0)])
+    def test_grad_weight_from_kept_columns_equals_fresh_columns(self, rng, k, stride, pad):
+        x = Tensor(rng.standard_normal((3, 7, 9)))
+        w = Tensor(rng.standard_normal((4, 3, k, k)), requires_grad=True)
+        y = conv2d(x, w, Tensor(np.zeros(4)), stride, pad)
+        gy = rng.standard_normal(y.shape)
+        y.backward(gy)
+        fresh = _kernels.conv2d_forward(x.data.copy(), w.data, stride, pad)[1]
+        assert np.array_equal(w.grad, _kernels.conv2d_grad_weight(gy, fresh, w.shape))
 
     def test_channel_mismatch(self, rng):
         w = Tensor(rng.standard_normal((3, 5, 3, 3)))

@@ -41,11 +41,15 @@ def rle_encode(plane: np.ndarray) -> np.ndarray:
 
 
 def rle_decode(runs: np.ndarray, size: int) -> np.ndarray:
-    """Inverse of rle_encode; returns a uint8 array of `size` elements."""
+    """Inverse of rle_encode on a binary plane; returns a uint8 array of `size`
+    elements.  A value word other than 0 or 1 raises FormatError."""
     runs = np.asarray(runs, dtype="<u4")
     if runs.size % 2 != 0:
         raise FormatError("RLE stream has an odd number of words")
     values = runs[0::2]
+    bad = np.flatnonzero(values > 1)
+    if bad.size:
+        raise FormatError(f"RLE run {bad[0]} has value {values[bad[0]]}, expected 0 or 1")
     lengths = runs[1::2].astype(np.int64)
     if lengths.sum() != size:
         raise FormatError(f"RLE stream decodes to {lengths.sum()} elements, expected {size}")

@@ -94,13 +94,16 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of every mask in `a` (N_a, ...) with every mask in `b` (N_b, ...).
 
     Returns (N_a, N_b) float64; a pair whose union is empty scores 0.  The
-    intersections are one float64 product of the flattened 0/1 masks, which
-    is exact for integer counts and runs on BLAS.
+    intersections are one float32 product of the flattened 0/1 masks on
+    BLAS, and the areas are nonzero counts.  Every partial sum is an integer
+    no larger than the pixel count, which float32 holds exactly up to 2^24
+    (a mask of `RunConfig` has at most 256 x 256 pixels), so the float64
+    quotients are those of exact counts.
     """
-    fa = np.asarray(a, dtype=bool).reshape(len(a), -1).astype(np.float64)
-    fb = np.asarray(b, dtype=bool).reshape(len(b), -1).astype(np.float64)
-    inter = fa @ fb.T
-    union = fa.sum(axis=1)[:, None] + fb.sum(axis=1)[None, :] - inter
+    fa = np.asarray(a, dtype=bool).reshape(len(a), -1)
+    fb = np.asarray(b, dtype=bool).reshape(len(b), -1)
+    inter = (fa.astype(np.float32) @ fb.astype(np.float32).T).astype(np.float64)
+    union = np.count_nonzero(fa, axis=1)[:, None] + np.count_nonzero(fb, axis=1)[None, :] - inter
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
 

@@ -19,8 +19,10 @@ Each layer kind of the model is one tape node with an analytic backward:
 
 Their forwards run the same floating-point operations, in the same order,
 as the compositions of elementary ops they replace, except attention's,
-which scales Q rather than the scores and divides each output row by its
-softmax sum rather than the weights.
+which scales Q rather than the scores, shifts the scores by their row max
+only when a bound on |Q·K| says exp could overflow (see `_exp_scores`),
+takes each row's softmax sum as a product with a ones vector, and divides
+each output row by that sum rather than the weights.
 """
 
 from __future__ import annotations
@@ -680,14 +682,37 @@ def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     return x.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
 
 
-def _exp_scores(qs: np.ndarray, kh: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Softmax numerators of one head tile, written into `e`:
-    exp(Qs K^T - row max) for the pre-scaled Qs.  Returns the row sums,
-    (tile heads, L_q, 1)."""
+# Largest bound on |Q·K| under which float64 scores skip the row-max shift;
+# `_exp_scores` says why 600.
+_SAFE_LOGIT = 600.0
+
+
+def _needs_shift(qs: np.ndarray, kh: np.ndarray, dtype: np.dtype) -> bool:
+    """Whether a call shifts its scores: unless it is float64 and
+    d_k * max|Qs| * max|K| <= _SAFE_LOGIT.  A NaN or inf fails the test
+    (Python floats overflow to inf without a warning)."""
+    bound = qs.shape[-1] * float(np.abs(qs).max(initial=0.0)) * float(np.abs(kh).max(initial=0.0))
+    return not (dtype == np.float64 and bound <= _SAFE_LOGIT)
+
+
+def _exp_scores(qs: np.ndarray, kh: np.ndarray, e: np.ndarray, shift: bool) -> np.ndarray:
+    """Softmax numerators of one head tile, written into `e`: exp(Qs K^T)
+    for the pre-scaled Qs, less each row's max first when `shift`.  Returns
+    the row sums, (tile heads, L_q, 1), as one product with a ones vector.
+
+    The shift is a softmax identity that costs two passes over the scores,
+    so `_needs_shift` drops it once per call when every score is bounded:
+    |Qs·K| <= d_k * max|Qs| * max|K| <= _SAFE_LOGIT = 600.  Each exp is
+    then a normal float64 in [e^-600, e^600], and each row sum is at most
+    L_k * e^600: exp overflows past 709.78, so the limit leaves a factor
+    e^109 of headroom for the sums.  float32 calls always shift (their exp
+    overflows past 88.7).
+    """
     np.matmul(qs, kh.transpose(0, 2, 1), out=e)
-    e -= e.max(axis=-1, keepdims=True)
+    if shift:
+        e -= e.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
-    return e.sum(axis=-1, keepdims=True)
+    return e @ np.ones((e.shape[-1], 1), dtype=e.dtype)
 
 
 def attention_weights(q: np.ndarray, k: np.ndarray, heads: int) -> np.ndarray:
@@ -697,8 +722,9 @@ def attention_weights(q: np.ndarray, k: np.ndarray, heads: int) -> np.ndarray:
     scale = 1.0 / math.sqrt(q.shape[1] // heads)
     qs, kh = _split_heads(q * scale, heads), _split_heads(k, heads)
     w = np.empty((heads, q.shape[0], k.shape[0]), dtype=np.result_type(q, k))
+    shift = _needs_shift(qs, kh, w.dtype)
     for t in _head_tiles(heads, q.shape[0], k.shape[0], w.itemsize):
-        w[t] /= _exp_scores(qs[t], kh[t], w[t])
+        w[t] /= _exp_scores(qs[t], kh[t], w[t], shift)
     return w
 
 
@@ -708,15 +734,17 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) ->
     Q (L_q x D), K (L_k x D) and V (L_k x D_v) are split column-wise into
     `heads` equal blocks, each attended independently (d_k = D / heads).
     Returns the output [L_q x D_v], the heads' outputs side by side.  Per
-    head the scale multiplies Q, the product with K^T is shifted by its row
-    max and exponentiated, and each row of that times V is divided by the
-    row's sum: the (L_q, L_k) weights are never divided on the way to the
-    output.  `attention_weights` gives them for diagnostics.
+    head the scale multiplies Q, the product with K^T is exponentiated
+    (after a shift by its row max only when a bound on |Q·K| needs one, see
+    `_exp_scores`), and each row of that times V is divided by the row's
+    sum: the (L_q, L_k) weights are never divided on the way to the output.
+    `attention_weights` gives them for diagnostics.
 
     Tile rule: the forward walks the heads in groups of
     max(1, _ATTN_TILE_BYTES // (L_q * L_k * itemsize)) heads, so each
-    group's scores stay in L2 through their passes (product, shift, exp,
-    sum, product with V) instead of going through memory once per pass:
+    group's scores stay in L2 through their passes (product, exp, sum as a
+    matrix-vector product, product with V; plus row max and subtraction
+    when shifted) instead of going through memory once per pass:
     390 tokens need 1.2 MB per head and run one head per group, while
     102 tokens (666 KB for 8 heads) and 32 x 390 cross-attention (799 KB)
     fit in one group.  Unless the node records, every group reuses one
@@ -733,6 +761,8 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) ->
         raise ArgumentError(f"Q/K depth mismatch: {q.shape} vs {k.shape}")
     if k.shape[0] != v.shape[0]:
         raise ArgumentError(f"K/V length mismatch: {k.shape} vs {v.shape}")
+    if k.shape[0] == 0:
+        raise ArgumentError("attention needs at least one key")
     if heads < 1 or q.shape[1] % heads or v.shape[1] % heads:
         raise ArgumentError(f"depths {q.shape[1]} and {v.shape[1]} do not split into {heads} heads")
     lq, lk = q.shape[0], k.shape[0]
@@ -744,13 +774,14 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) ->
     kh, vh = _split_heads(k.data, heads), _split_heads(v.data, heads)
     dtype = np.result_type(q.data, k.data)
     tiles = _head_tiles(heads, lq, lk, dtype.itemsize)
+    shift = _needs_shift(qs, kh, dtype)
     records = _records((q, k, v))
     weights = np.empty((heads if records else tiles[0].stop, lq, lk), dtype=dtype)
     out_data = np.empty((lq, heads * dv), dtype=np.result_type(dtype, v.data))
     out_h = _split_heads(out_data, heads)
     for t in tiles:
         e = weights[t] if records else weights[: t.stop - t.start]
-        sums = _exp_scores(qs[t], kh[t], e)
+        sums = _exp_scores(qs[t], kh[t], e, shift)
         np.matmul(e, vh[t], out=out_h[t])
         out_h[t] /= sums
         if records:

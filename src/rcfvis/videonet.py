@@ -65,9 +65,12 @@ class Backbone(Module):
 
 
 class MaskFeatureDecoder(Module):
-    """Two upsample + lateral-conv + add-skip + 3x3-conv stages, then 1x1 out.
+    """Two lateral-conv + upsample + add-skip + 3x3-conv stages, then 1x1 out.
 
-    Convs plus ReLU only.
+    Convs plus ReLU only.  Each 1x1 lateral runs before its nearest 2x
+    upsample: the conv acts on each pixel alone and the upsample copies
+    pixels, so the order gives the same function while the conv sees a
+    quarter of the pixels and the upsample copies the narrower channels.
     """
 
     def __init__(self, name: str, c_in: int, skip_channels: tuple[int, int], c_out: int, rng: np.random.Generator):
@@ -81,11 +84,11 @@ class MaskFeatureDecoder(Module):
 
     def __call__(self, fused: Tensor, skips: tuple[Tensor, Tensor]) -> SegmentationMap:
         skip1, skip2 = skips
-        x = self.lat1(upsample2x(fused))
+        x = upsample2x(self.lat1(fused))
         if x.shape != skip2.shape:
             raise ArgumentError(f"stage-1 shape {x.shape} mismatches skip {skip2.shape}")
         x = self.ref1(x + skip2).relu()
-        x = self.lat2(upsample2x(x))
+        x = upsample2x(self.lat2(x))
         if x.shape != skip1.shape:
             raise ArgumentError(f"stage-2 shape {x.shape} mismatches skip {skip1.shape}")
         x = self.ref2(x + skip1).relu()

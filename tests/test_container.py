@@ -48,6 +48,11 @@ def test_rle_length_mismatch():
         rle_decode(np.array([1, 5], dtype="<u4"), 6)
 
 
+def test_rle_value_other_than_0_or_1():
+    with pytest.raises(FormatError, match="run 0 has value 256, expected 0 or 1"):
+        rle_decode(np.array([256, 2, 3, 2], dtype="<u4"), 4)
+
+
 def test_truncated_tensor_file_names_block(tmp_path, rng):
     write_container(tmp_path / "c", {}, {"alpha": rng.standard_normal(4), "beta": rng.standard_normal(4)})
     raw = (tmp_path / "c" / "tensors.bin").read_bytes()
@@ -204,11 +209,18 @@ def _shift_one_pixel(stream):
     return stream
 
 
+def _first_value_2(stream):
+    stream = stream.copy()
+    stream[1] = 2  # word 0 is plane 0's pair count, word 1 its first value
+    return stream
+
+
 # edit of frame 1's RLE stream -> text the error must contain
 RLE_FAULTS = {
     "ends-before-plane": (lambda s: s[: _plane_words(s)[0][1]], "ends before plane 1"),
     "odd-word-count": (lambda s: s[:-1], "ends inside plane 1"),
     "plane-size": (_shift_one_pixel, "plane 0 of frame 1 decodes to 1537 elements, expected 1536"),
+    "value-not-binary": (_first_value_2, "has value 2, expected 0 or 1"),
 }
 
 

@@ -293,6 +293,25 @@ def test_mask_iou_matches_scalar_definition(rng):
             assert iou[i, j] == scalar_iou(a[i], b[j])
 
 
+def float64_mask_iou(a, b):
+    """Reference: intersections and areas in float64."""
+    fa, fb = (np.asarray(m, dtype=bool).reshape(len(m), -1).astype(np.float64) for m in (a, b))
+    inter = fa @ fb.T
+    union = fa.sum(axis=1)[:, None] + fb.sum(axis=1)[None, :] - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
+
+
+@pytest.mark.parametrize("hw", [(32, 48), (64, 96), (256, 256)])
+def test_mask_iou_equals_float64_formula_bit_for_bit(rng, hw):
+    a = rng.random((12, *hw)) < rng.random((12, 1, 1))
+    b = rng.random((9, *hw)) < rng.random((9, 1, 1))
+    a[0], a[1], b[0], b[1] = False, True, False, True  # empty and full masks
+    b[2] = a[3]
+    iou = mask_iou(a, b)
+    assert iou.dtype == np.float64 and np.array_equal(iou, float64_mask_iou(a, b))
+    assert iou[0, 0] == 0.0 and iou[1, 1] == 1.0 and iou[3, 2] == 1.0
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_tracker_matches_pairwise_reference(seed):
     rng = np.random.default_rng(seed)

@@ -145,6 +145,63 @@ class TestAttention:
         for got, want in zip((out.data, w, q.grad, k.grad, v.grad), batched_attention(q0, k0, v0, heads, seed)):
             assert got.shape == want.shape and np.array_equal(got, want)
 
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    def test_matches_shifted_softmax_within_1e_14_relative(self, rng, heads):
+        lq, lk, dk, dv = 9, 13, 8, 4
+        q, k = 2 * rng.standard_normal((lq, heads * dk)), 2 * rng.standard_normal((lk, heads * dk))
+        v = rng.standard_normal((lk, heads * dv))
+        assert not tensor._needs_shift(q.reshape(lq, heads, dk) / math.sqrt(dk), k.reshape(lk, heads, dk), q.dtype)
+        want_out, want_w = max_shifted_attention(q, k, v, heads)
+        got_out = scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v), heads).data
+        got_w = attention_weights(q, k, heads)
+        assert np.abs(got_out - want_out).max() <= 1e-14 * np.abs(want_out).max()
+        assert np.abs(got_w - want_w).max() <= 1e-14 * np.abs(want_w).max()
+
+    # Q and K scales: small scores, where the row-max shift is skipped, and
+    # scores beyond +-1e3, where an unshifted exp overflows
+    @pytest.mark.parametrize("scale, shift", [(1.0, False), (30.0, True)], ids=["unshifted", "shifted"])
+    @pytest.mark.parametrize("lq, lk, tile_heads", [(390, 390, None), (5, 7, 3)])
+    def test_both_branches_match_oracle_and_agree_across_paths(
+        self, rng, monkeypatch, scale, shift, lq, lk, tile_heads
+    ):
+        heads, dk, dv = 8, 8, 4
+        if tile_heads is not None:
+            monkeypatch.setattr(tensor, "_ATTN_TILE_BYTES", tile_heads * lq * lk * 8)
+        q0, k0 = scale * rng.standard_normal((lq, heads * dk)), scale * rng.standard_normal((lk, heads * dk))
+        v0 = rng.standard_normal((lk, heads * dv))
+        qh, kh = q0.reshape(lq, heads, dk), k0.reshape(lk, heads, dk)
+        assert tensor._needs_shift(qh / math.sqrt(dk), kh, q0.dtype) == shift
+        scores = np.abs(np.einsum("qhd,khd->hqk", qh, kh)) / math.sqrt(dk)
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.exp(scores)).any() == shift and (scores.max() > 1e3) == shift
+        seed = rng.standard_normal((lq, heads * dv))
+        q, k, v = (Tensor(a.copy(), requires_grad=True) for a in (q0, k0, v0))
+        recorded = scaled_dot_product_attention(q, k, v, heads)
+        with no_grad():
+            streamed = scaled_dot_product_attention(q, k, v, heads)
+        w, kept = attention_weights(q0, k0, heads), kept_weights(recorded)
+        recorded.backward(seed)
+        want = batched_attention(q0, k0, v0, heads, seed)
+        for got, oracle in zip((recorded.data, w, q.grad, k.grad, v.grad), want):
+            assert np.isfinite(got).all() and np.array_equal(got, oracle)
+        assert np.array_equal(streamed.data, recorded.data)
+        assert np.array_equal(w, kept)
+        # a score's rounding error, and with it each weight's, grows with |score|
+        tol = 1e-15 * max(10.0, scores.max())
+        want_out, want_w = max_shifted_attention(q0, k0, v0, heads)
+        assert np.abs(recorded.data - want_out).max() <= tol * np.abs(want_out).max()
+        assert np.abs(w - want_w).max() <= tol
+
+    @pytest.mark.parametrize("arg", [0, 1, 2])
+    def test_grad_check_in_shift_branch(self, rng, arg):
+        # one large entry in Q's first column and one in K's second: the bound
+        # 2 * 25 / sqrt(2) * 25 exceeds _SAFE_LOGIT, but no product pairs them
+        def big(qkv):
+            qkv[0][0, 0] = qkv[1][0, 1] = 25.0
+            assert tensor._needs_shift(qkv[0][None] / math.sqrt(2), qkv[1][None], np.float64)
+
+        assert attention_grad_error(rng, arg, heads=1, edit=big) < 1e-6
+
     @pytest.mark.parametrize("lq, lk, tile_heads", [(390, 390, None), (102, 102, None), (5, 7, 3)])
     def test_no_grad_output_is_bit_identical_to_recording(self, rng, monkeypatch, lq, lk, tile_heads):
         heads, dk, dv = 8, 8, 8
@@ -197,6 +254,10 @@ class TestAttention:
         finally:
             set_strict_finite(prev)
 
+    def test_no_keys_rejected(self):
+        with pytest.raises(ArgumentError, match="at least one key"):
+            scaled_dot_product_attention(Tensor(np.ones((2, 4))), Tensor(np.ones((0, 4))), Tensor(np.ones((0, 4))), 2)
+
     def test_depth_must_split_into_heads(self, rng):
         q, k = Tensor(rng.standard_normal((2, 6))), Tensor(rng.standard_normal((3, 6)))
         with pytest.raises(ArgumentError):
@@ -234,9 +295,11 @@ def test_tile_rule_on_model_configs(monkeypatch, overrides):
     assert any(lq == lk == 390 for lq, lk, _, _ in calls) == (cfg.image_h == 128)
 
 
-def attention_grad_error(rng, arg, heads):
-    """grad_check of Q, K or V (`arg`) for L_q = 3, L_k = 5, d_k = 2 and d_v = 3."""
+def attention_grad_error(rng, arg, heads, edit=lambda qkv: None):
+    """grad_check of Q, K or V (`arg`) for L_q = 3, L_k = 5, d_k = 2 and d_v = 3,
+    after `edit` has changed the random Q, K and V in place."""
     qkv = [rng.standard_normal((3, 2 * heads)), rng.standard_normal((5, 2 * heads)), rng.standard_normal((5, 3 * heads))]
+    edit(qkv)
     c = Tensor(rng.standard_normal((3, 3 * heads)))
 
     def f(t):
@@ -255,9 +318,11 @@ def fused_attention(q, k, v, heads):
 def batched_attention(q, k, v, heads, seed):
     """Reference: every head in one batched product per step, no tiles.
 
-    Scales Q, divides each row of exp(scores) V by its softmax sum, and
-    returns the output, the weights and the Q, K and V gradients for the
-    output gradient `seed`.
+    Scales Q, shifts the scores by their row max only when the bound
+    d_k * max|Q * scale| * max|K| exceeds _SAFE_LOGIT, takes the row sums
+    of exp(scores) as a product with a ones vector, divides each row of
+    exp(scores) V by its sum, and returns the output, the weights and the
+    Q, K and V gradients for the output gradient `seed`.
     """
     lq, lk = q.shape[0], k.shape[0]
     dk, dv = q.shape[1] // heads, v.shape[1] // heads
@@ -266,9 +331,10 @@ def batched_attention(q, k, v, heads, seed):
     kh = k.reshape(lk, heads, dk).transpose(1, 0, 2)
     vh = v.reshape(lk, heads, dv).transpose(1, 0, 2)
     w = np.matmul(qh * scale, kh.transpose(0, 2, 1))
-    w -= w.max(axis=-1, keepdims=True)
+    if dk * np.abs(qh * scale).max() * np.abs(kh).max() > tensor._SAFE_LOGIT:
+        w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
-    sums = w.sum(axis=-1, keepdims=True)
+    sums = w @ np.ones((lk, 1))
     out = (np.matmul(w, vh) / sums).transpose(1, 0, 2).reshape(lq, heads * dv)
     w /= sums
     g = seed.reshape(lq, heads, dv).transpose(1, 0, 2)
@@ -280,6 +346,19 @@ def batched_attention(q, k, v, heads, seed):
     grad_q = np.matmul(gs, kh).transpose(1, 0, 2).reshape(lq, heads * dk)
     grad_k = np.matmul(qh.transpose(0, 2, 1), gs).transpose(2, 0, 1).reshape(lk, heads * dk)
     return out, w, grad_q, grad_k, grad_v
+
+
+def max_shifted_attention(q, k, v, heads):
+    """`per_head_attention` (whose softmax shifts by the row max) on arrays."""
+    out, w = per_head_attention(Tensor(q), Tensor(k), Tensor(v), heads)
+    return out.data, w
+
+
+def kept_weights(out):
+    """The (heads, L_q, L_k) weights a recording attention node keeps for
+    its backward."""
+    bw = out._backward
+    return bw.__closure__[bw.__code__.co_freevars.index("weights")].cell_contents
 
 
 def per_head_attention(q, k, v, heads):

@@ -5,7 +5,7 @@ import pytest
 
 from rcfvis.errors import ArgumentError
 from rcfvis.nn import module_rng
-from rcfvis.tensor import Tensor, grad_check
+from rcfvis.tensor import Tensor, grad_check, upsample2x
 from rcfvis.videonet import Backbone, MaskFeatureDecoder
 
 
@@ -91,3 +91,35 @@ def test_decoder_end_to_end_gradient(rng):
     skips = tuple(Tensor(s.data) for s in feat.skips)
     fused = Tensor(rng.standard_normal((24, 1, 1)))
     assert grad_check(lambda t: (dec(t, skips).values ** 2).sum(), fused) < 1e-5
+
+
+def old_order_decoder(dec, fused, skips):
+    """Reference: each 1x1 lateral after its upsample, the decoder's former order."""
+    skip1, skip2 = skips
+    x = dec.ref1(dec.lat1(upsample2x(fused)) + skip2).relu()
+    x = dec.ref2(dec.lat2(upsample2x(x)) + skip1).relu()
+    return dec.out(x)
+
+
+@pytest.mark.parametrize("hw", [(16, 24), (64, 96)])
+def test_laterals_before_upsample_match_former_order(rng, hw):
+    bb, dec = make_decoder(seed=2)
+    feat = bb(Tensor(rng.random((3, *hw))))
+    skips = tuple(Tensor(s.data, requires_grad=True) for s in feat.skips)
+    fused0 = rng.standard_normal((24, hw[0] // 8, hw[1] // 8))
+    seed = rng.standard_normal((16, hw[0] // 2, hw[1] // 2))
+    results = []
+    for decode in (lambda f, s: dec(f, s).values, lambda f, s: old_order_decoder(dec, f, s)):
+        fused = Tensor(fused0.copy(), requires_grad=True)
+        for p in dec.params().values():
+            p.grad = None
+        out = decode(fused, skips)
+        out.backward(seed)
+        grads = [fused.grad, *(s.grad.copy() for s in skips), *(p.grad for p in dec.params().values())]
+        for s in skips:
+            s.grad = None
+        results.append((out.data, grads))
+    (new, new_grads), (old, old_grads) = results
+    assert np.array_equal(new, old)
+    for got, want in zip(new_grads, old_grads):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

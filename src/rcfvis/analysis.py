@@ -29,8 +29,8 @@ def latency_model(fps_stream: float, fps_model: float, n_f: int = 1) -> tuple[fl
     Online waits for one frame to stream and one model pass; offline waits
     for the whole clip to stream and process.
     """
-    if fps_stream <= 0 or fps_model <= 0 or n_f <= 0:
-        raise ArgumentError("latency model needs strictly positive inputs")
+    if not (0 < fps_stream < math.inf and 0 < fps_model < math.inf) or n_f <= 0:
+        raise ArgumentError("latency model needs strictly positive, finite inputs")
     online = 1.0 / fps_stream + 1.0 / fps_model
     return online, online * n_f
 
@@ -221,7 +221,7 @@ def order_stability_probe(model: RCFModel, clip: SpriteClip, p=1) -> ProbeReport
         visible = np.flatnonzero(clip.visibility[t])
         slots = np.flatnonzero(pred.fired)
         if visible.size and slots.size:
-            gt_small = np.stack([shrink_mask(clip.gt_masks[t, g], cfg.mask_hw) for g in visible])
+            gt_small = shrink_mask(clip.gt_masks[t, visible], cfg.mask_hw)
             iou = mask_iou(gt_small, pred.binary_masks[slots])
             for g, row in zip(visible, iou):
                 best = int(np.argmax(row))  # first maximum: lowest fired slot wins a tie

@@ -29,13 +29,15 @@ def dice_coeff(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
 
 
 def shrink_mask(mask: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
-    """Downsample a binary mask by block-mean >= 0.5 (gt -> prediction grid)."""
-    h, w = mask.shape
+    """Downsample binary masks (..., H, W) by block-mean >= 0.5 (gt ->
+    prediction grid).  Block sums of 0/1 values are exact in any order, so a
+    stack shrinks to the same bits as its masks one at a time."""
+    *lead, h, w = mask.shape
     oh, ow = out_hw
     if h % oh or w % ow:
         raise ArgumentError(f"mask {h}x{w} not divisible into {oh}x{ow}")
-    blocks = mask.reshape(oh, h // oh, ow, w // ow).astype(np.float64)
-    return blocks.mean(axis=(1, 3)) >= 0.5
+    blocks = mask.reshape(*lead, oh, h // oh, ow, w // ow).astype(np.float64)
+    return blocks.mean(axis=(-3, -1)) >= 0.5
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,8 @@ def hungarian_assign(sim: np.ndarray) -> Assignment:
     """Maximum-total-similarity assignment of G ground truths to N slots.
 
     Augmenting-path algorithm with row/column potentials on the negated
-    matrix, O(G^2 N).
+    matrix, O(G^2 N).  The loops run on Python floats, which are the same
+    IEEE doubles as numpy's float64 scalars at a fraction of the dispatch.
     """
     sim = np.asarray(sim, dtype=np.float64)
     if not np.isfinite(sim).all():
@@ -79,26 +82,27 @@ def hungarian_assign(sim: np.ndarray) -> Assignment:
         raise CapacityError(f"{g} ground truths exceed {n} slots")
     if g == 0:
         return Assignment(gt_to_slot=(), total=0.0)
-    cost = -sim
-    inf = np.inf
-    u = np.zeros(g + 1)
-    v = np.zeros(n + 1)
-    match = np.zeros(n + 1, dtype=np.int64)  # column j -> row (1-based), 0 = free
-    way = np.zeros(n + 1, dtype=np.int64)
+    cost = (-sim).tolist()
+    inf = float("inf")
+    u = [0.0] * (g + 1)
+    v = [0.0] * (n + 1)
+    match = [0] * (n + 1)  # column j -> row (1-based), 0 = free
+    way = [0] * (n + 1)
     for i in range(1, g + 1):
         match[0] = i
         j0 = 0
-        minv = np.full(n + 1, inf)
-        used = np.zeros(n + 1, dtype=bool)
+        minv = [inf] * (n + 1)
+        used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = match[j0]
+            row, u_i0 = cost[i0 - 1], u[i0]
             delta = inf
             j1 = -1
             for j in range(1, n + 1):
                 if used[j]:
                     continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                cur = row[j - 1] - u_i0 - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0

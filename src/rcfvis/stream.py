@@ -156,21 +156,20 @@ def track_update(
     claimed: set[int] = set()
 
     if iou_override:
-        candidates = []
         rows = np.flatnonzero(fired)
-        cols = [j for j in range(n) if prev_ids[j] is not None and prev_masks[j] is not None]
-        if rows.size and cols:
+        cols = np.array([j for j in range(n) if prev_ids[j] is not None and prev_masks[j] is not None])
+        if rows.size and cols.size:
             iou = mask_iou(pred.binary_masks[rows], np.stack([prev_masks[j] for j in cols]))
-            for r, c in zip(*np.nonzero(iou > IOU_OVERRIDE_THRESHOLD)):
-                i, j = int(rows[r]), cols[c]
-                if i != j:
-                    candidates.append((float(iou[r, c]), j, i))
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        for iou, j, i in candidates:
-            if i in assigned or prev_ids[j] in claimed:
-                continue
-            assigned[i] = prev_ids[j]
-            claimed.add(prev_ids[j])
+            r, c = np.nonzero(iou > IOU_OVERRIDE_THRESHOLD)
+            cur, prev, overlap = rows[r], cols[c], iou[r, c]
+            other = cur != prev
+            cur, prev, overlap = cur[other], prev[other], overlap[other]
+            order = np.lexsort((cur, prev, -overlap))  # largest IoU first, then lower j, then lower i
+            for i, j in zip(cur[order].tolist(), prev[order].tolist()):
+                if i in assigned or prev_ids[j] in claimed:
+                    continue
+                assigned[i] = prev_ids[j]
+                claimed.add(prev_ids[j])
 
     for i in range(n):
         if not fired[i] or i in assigned:
@@ -184,17 +183,17 @@ def track_update(
         claimed.add(assigned[i])
 
     identities = np.full(n, -1, dtype=np.int64)
+    class_ids = np.argmax(pred.class_probs[:, :-1], axis=1).tolist()
+    scores = pred.scores.tolist()
     for i in range(n):
         if fired[i]:
             ident = assigned[i]
             identities[i] = ident
             state.slot_ids[i] = ident
-            state.last_masks[i] = pred.binary_masks[i].copy()
+            mask = pred.binary_masks[i].copy()  # shared by last_masks and the history; neither is written
+            state.last_masks[i] = mask
             state.gaps[i] = 0
-            class_id = int(np.argmax(pred.class_probs[i, :-1]))
-            state.history.setdefault(ident, []).append(
-                TrackRecord(pred.frame_index, i, class_id, float(pred.scores[i]), pred.binary_masks[i].copy())
-            )
+            state.history.setdefault(ident, []).append(TrackRecord(pred.frame_index, i, class_ids[i], scores[i], mask))
         else:
             own = prev_ids[i]
             if own is not None and own not in claimed and state.gaps[i] + 1 <= max_gap:

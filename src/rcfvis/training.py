@@ -74,10 +74,7 @@ def frame_ground_truth(clip: SpriteClip, t: int, mask_hw: tuple[int, int]) -> tu
     """Visible instances at frame t: (indices, classes, masks on mask_hw grid)."""
     idx = np.flatnonzero(clip.visibility[t])
     classes = clip.gt_classes[idx]
-    masks = np.stack([shrink_mask(clip.gt_masks[t, g], mask_hw) for g in idx]) if idx.size else np.zeros(
-        (0, *mask_hw), dtype=bool
-    )
-    return idx, classes, masks
+    return idx, classes, shrink_mask(clip.gt_masks[t, idx], mask_hw)
 
 
 def match_and_loss(output: ModelOutput, clip: SpriteClip, t: int, cfg: RunConfig) -> LossReport:
@@ -95,9 +92,9 @@ def match_and_loss(output: ModelOutput, clip: SpriteClip, t: int, cfg: RunConfig
 def save_checkpoint(path: str | Path, model: RCFModel, state: OptimState, iteration: int) -> None:
     blocks: dict[str, np.ndarray] = {}
     for name, p in model.params().items():
-        blocks[f"param/{name}"] = p.data.astype("<f8")
-        blocks[f"optim_m/{name}"] = state.m[name].astype("<f8")
-        blocks[f"optim_v/{name}"] = state.v[name].astype("<f8")
+        blocks[f"param/{name}"] = p.data
+        blocks[f"optim_m/{name}"] = state.m[name]
+        blocks[f"optim_v/{name}"] = state.v[name]
     meta = {
         "kind": "checkpoint",
         "iteration": iteration,
@@ -136,9 +133,11 @@ def load_checkpoint(path: str | Path) -> tuple[RCFModel, OptimState, int]:
                 raise FormatError(f"checkpoint missing block {key!r}")
             if blocks[key].shape != p.data.shape:
                 raise FormatError(f"checkpoint block {key!r} has shape {blocks[key].shape}, expected {p.data.shape}")
-        p.data = blocks[f"param/{name}"].astype(np.float64)
-        state.m[name] = blocks[f"optim_m/{name}"].astype(np.float64)
-        state.v[name] = blocks[f"optim_v/{name}"].astype(np.float64)
+        # in place: the model's parameters and the moments are views of the
+        # arrays that adamw_step updates
+        p.data[...] = blocks[f"param/{name}"]
+        state.m[name][...] = blocks[f"optim_m/{name}"]
+        state.v[name][...] = blocks[f"optim_v/{name}"]
     return model, state, meta["iteration"]
 
 
@@ -205,11 +204,9 @@ def train_loop(cfg: RunConfig, data_dir: str | Path, out_dir: str | Path) -> Tra
                 }
                 (out_dir / "abort_dump.json").write_text(json.dumps(dump, indent=1))
                 raise NumericError(f"non-finite loss at iteration {it}; diagnostics in abort_dump.json")
+            state.zero_grads(params)
             report.loss.backward()
-            grads = {name: p.grad for name, p in params.items()}
-            adamw_step(state, params, grads, lr)
-            for p in params.values():
-                p.grad = None
+            adamw_step(state, params, {name: p.grad for name, p in params.items()}, lr)
             losses.append(report.total)
             mf.write(f"{it},{lr!r},{report.total!r},{report.ce!r},{report.dice!r}\n")
             if (it + 1) % cfg.ckpt_every == 0:

@@ -42,6 +42,11 @@ class TestLatency:
         with pytest.raises(ArgumentError):
             latency_model(6.0, 10.0, 0)
 
+    @pytest.mark.parametrize("fps_stream, fps_model", [(np.nan, 10.0), (6.0, np.nan), (np.inf, 10.0), (6.0, np.inf)])
+    def test_nonfinite_rejected(self, fps_stream, fps_model):
+        with pytest.raises(ArgumentError, match="finite"):
+            latency_model(fps_stream, fps_model)
+
 
 def unrolled_conv_matrix(w, in_shape, stride, pad):
     """Build the explicit matrix by pushing basis vectors through the conv."""

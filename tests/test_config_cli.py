@@ -84,6 +84,15 @@ class TestCLIBasics:
         assert rc == EXIT_CONFIG
         assert "code=2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--fps-stream", "nan"), ("--fps-model", "inf")])
+    def test_bench_latency_nonfinite_exit_2(self, capsys, flag, value):
+        rates = {"--fps-stream": "6", "--fps-model": "10", flag: value}
+        rc = main(["bench-latency", *(x for item in rates.items() for x in item)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert "code=2 kind=config" in captured.err and "Traceback" not in captured.err
+        assert "latency" not in captured.out
+
     def test_unknown_config_key_exit_2(self, capsys, tmp_path):
         # fps_stream, fps_model and clip_len were keys once; bench-latency has its own
         # flags.  sim_dice was a key that could not change the Hungarian assignment,

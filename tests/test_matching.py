@@ -13,6 +13,7 @@ from rcfvis.matching import (
     Assignment,
     dice_coeff,
     hungarian_assign,
+    shrink_mask,
     similarity_matrix,
 )
 from rcfvis.tensor import sigmoid
@@ -45,6 +46,79 @@ def brute_force_assign(sim: np.ndarray) -> Assignment:
     totals = sim[np.arange(g)[None, :], perms].sum(axis=1)
     best = int(np.argmax(totals))  # first maximum = lexicographically smallest
     return Assignment(gt_to_slot=tuple(int(j) for j in perms[best]), total=float(totals[best]))
+
+
+def numpy_scalar_hungarian(sim: np.ndarray) -> Assignment:
+    """Oracle: the solver as it ran on numpy arrays and scalars before its
+    loops moved to Python lists."""
+    sim = np.asarray(sim, dtype=np.float64)
+    g, n = sim.shape
+    cost = -sim
+    inf = np.inf
+    u = np.zeros(g + 1)
+    v = np.zeros(n + 1)
+    match = np.zeros(n + 1, dtype=np.int64)
+    way = np.zeros(n + 1, dtype=np.int64)
+    for i in range(1, g + 1):
+        match[0] = i
+        j0 = 0
+        minv = np.full(n + 1, inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = match[j0]
+            delta = inf
+            j1 = -1
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if match[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    gt_to_slot = [0] * g
+    for j in range(1, n + 1):
+        if match[j]:
+            gt_to_slot[match[j] - 1] = j - 1
+    return Assignment(gt_to_slot=tuple(gt_to_slot), total=float(sim[np.arange(g), gt_to_slot].sum()))
+
+
+class TestShrinkMask:
+    @pytest.mark.parametrize("hw, out_hw", [((32, 48), (16, 24)), ((128, 192), (32, 48)), ((6, 9), (2, 3))])
+    def test_stack_equals_per_mask_loop(self, rng, hw, out_hw):
+        stack = (rng.random((7, *hw)) < rng.random((7, 1, 1))).astype(np.uint8)
+        stack[0], stack[1] = 0, 1
+        got = shrink_mask(stack, out_hw)
+        want = np.stack([shrink_mask(m, out_hw) for m in stack])
+        assert got.dtype == bool and got.shape == (7, *out_hw)
+        assert np.array_equal(got, want)
+        # a half-covered block is on: its mean is exactly 0.5
+        half = np.zeros((1, 2, 2), dtype=np.uint8)
+        half[0, 0] = 1
+        assert shrink_mask(half, (1, 1)).tolist() == [[[True]]]
+
+    def test_empty_stack(self):
+        assert shrink_mask(np.zeros((0, 8, 12), dtype=np.uint8), (4, 6)).shape == (0, 4, 6)
+
+    def test_indivisible_rejected(self):
+        with pytest.raises(ArgumentError):
+            shrink_mask(np.zeros((2, 5, 6), dtype=bool), (2, 3))
 
 
 class TestDice:
@@ -172,6 +246,15 @@ class TestAssignment:
             assert h.total == pytest.approx(b.total, abs=1e-9)
             # sigma itself may differ only among equal-total optima
             assert len(set(h.gt_to_slot)) == g
+
+    def test_python_float_loops_equal_numpy_scalar_oracle(self, rng):
+        for k in range(200):
+            g = int(rng.integers(1, 9))
+            sim = rng.random((g, 32)) + rng.random((1, 32))
+            if k % 2:  # repeated columns: exact ties between slots
+                sim[:, rng.integers(0, 32, size=16)] = sim[:, rng.integers(0, 32, size=16)]
+            got, want = hungarian_assign(sim), numpy_scalar_hungarian(sim)
+            assert got.gt_to_slot == want.gt_to_slot and got.total == want.total
 
     def test_constant_shift_invariance(self, rng):
         sim = rng.normal(size=(4, 6))

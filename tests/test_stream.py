@@ -317,12 +317,32 @@ def test_tracker_matches_pairwise_reference(seed):
     rng = np.random.default_rng(seed)
     n = 8
     # few distinct shapes, so slots often repeat a mask (exact IoU ties) and
-    # the empty mask gives unions of 0
-    palette = [np.zeros((8, 8), dtype=bool), box(0, 4, 0, 4), box(0, 4, 0, 5), box(1, 5, 0, 4), box(4, 8, 4, 8)]
+    # the empty mask gives unions of 0; two corners repeat one geometry, so
+    # different mask pairs also tie: IoU 0.8 for (0:4, 0:4) vs (0:4, 0:5) and
+    # for (4:8, 4:8) vs (4:8, 3:8), 0.6 for (0:4, 0:4) vs (1:5, 0:4) and for
+    # (4:8, 4:8) vs (3:7, 4:8)
+    palette = [
+        np.zeros((8, 8), dtype=bool),
+        box(0, 4, 0, 4),
+        box(0, 4, 0, 5),
+        box(1, 5, 0, 4),
+        box(4, 8, 4, 8),
+        box(4, 8, 3, 8),
+        box(3, 7, 4, 8),
+    ]
     fast, slow = TrackState(num_slots=n), TrackState(num_slots=n)
+    cross_ties = 0
     for t in range(30):
         fired = {s: palette[int(rng.integers(len(palette)))] for s in range(n) if rng.random() < 0.6}
         override = bool(rng.random() < 0.9)
+        pairs = {}  # IoU -> distinct (previous mask, current mask) geometries scoring it
+        for i, mask in fired.items():
+            for j, prev in enumerate(slow.last_masks):
+                if override and j != i and prev is not None and slow.slot_ids[j] is not None:
+                    iou = scalar_iou(mask, prev)
+                    if 0.5 < iou < 1.0:
+                        pairs.setdefault(iou, set()).add((prev.tobytes(), mask.tobytes()))
+        cross_ties += sum(len(geometries) > 1 for geometries in pairs.values())
         got = track_update(fast, manual_pred(n, fired, t), max_gap=2, iou_override=override)
         want = pairwise_track_update(slow, manual_pred(n, fired, t), max_gap=2, iou_override=override)
         assert np.array_equal(got, want)
@@ -332,6 +352,7 @@ def test_tracker_matches_pairwise_reference(seed):
         want = slow.history[ident]
         assert [(r.frame, r.slot, r.class_id, r.score) for r in records] == [w[:4] for w in want]
         assert all(np.array_equal(r.mask, w[4]) for r, w in zip(records, want))
+    assert cross_ties > 0
 
 
 @pytest.mark.parametrize("delta", [0, 1, 2, 3])

@@ -10,7 +10,8 @@ from rcfvis.container import read_container, write_container
 from rcfvis.errors import ArgumentError
 from rcfvis.matching import Assignment
 from rcfvis.model import RCFModel
-from rcfvis.optim import OptimState
+from rcfvis import training
+from rcfvis.optim import OptimState, adamw_step
 from rcfvis.synthav import GeneratorConfig, generate_clip, write_clip
 from rcfvis.tensor import Tensor, grad_check
 from rcfvis.training import (
@@ -21,6 +22,8 @@ from rcfvis.training import (
     set_loss,
     train_loop,
 )
+
+from test_optim import per_tensor_adamw_step  # the per-tensor oracle
 
 
 def tiny_cfg(**kw):
@@ -129,8 +132,8 @@ class TestCheckpoint:
         state = OptimState.create(params, cfg.lr0, model.param_groups())
         state.step = 17
         rng = np.random.default_rng(0)
-        for name in params:
-            state.m[name] = rng.standard_normal(params[name].shape)
+        for name in params:  # in place: the moments are views of the optimizer's arrays
+            state.m[name][...] = rng.standard_normal(params[name].shape)
         save_checkpoint(tmp_path / "ckpt", model, state, iteration=42)
         model2, state2, it = load_checkpoint(tmp_path / "ckpt")
         assert it == 42 and state2.step == 17
@@ -138,6 +141,18 @@ class TestCheckpoint:
             assert np.array_equal(p.data, params[name].data)
             assert np.array_equal(state2.m[name], state.m[name])
         assert model2.cfg == cfg
+
+    def test_loaded_parameters_are_the_arrays_adamw_updates(self, tmp_path):
+        # a load that rebound p.data would leave the model behind the optimizer
+        cfg = tiny_cfg(audio_enabled=False)
+        model = RCFModel(cfg)
+        save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params(), cfg.lr0, model.param_groups()), 0)
+        model2, state2, _ = load_checkpoint(tmp_path / "ckpt")
+        params = model2.params()
+        before = {name: p.data.copy() for name, p in params.items()}
+        adamw_step(state2, params, {name: np.ones(p.data.shape) for name, p in params.items()}, cfg.lr0)
+        for name, p in model2.params().items():
+            assert not np.array_equal(p.data, before[name]), name
 
     def test_key_bias_blocks_of_older_checkpoints_are_ignored(self, tmp_path):
         # checkpoints written before attention keys lost their bias carry
@@ -185,6 +200,17 @@ class TestTrainLoop:
         b1 = (tmp_path / "run1" / "ckpt_final" / "tensors.bin").read_bytes()
         b2 = (tmp_path / "run2" / "ckpt_final" / "tensors.bin").read_bytes()
         assert b1 == b2
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_flat_adamw_matches_per_tensor_oracle_bytes(self, tmp_path, monkeypatch, seed):
+        cfg = tiny_cfg(iter_max=3, seed=seed)
+        write_corpus(cfg, tmp_path / "data")
+        flat = train_loop(cfg, tmp_path / "data", tmp_path / "flat")
+        monkeypatch.setattr(training, "adamw_step", per_tensor_adamw_step)
+        oracle = train_loop(cfg, tmp_path / "data", tmp_path / "oracle")
+        for f in ("metrics.csv", "ckpt_final/tensors.bin", "ckpt_final/manifest.json"):
+            assert (tmp_path / "flat" / f).read_bytes() == (tmp_path / "oracle" / f).read_bytes(), f
+        assert flat.losses == oracle.losses
 
     def test_poly_schedule_endpoints_in_metrics(self, tmp_path):
         cfg = tiny_cfg(iter_max=4)

@@ -26,18 +26,38 @@ TENSORS_FILE = "tensors.bin"
 _DTYPES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8"), "<u4": np.dtype("<u4"), "<u1": np.dtype("<u1")}
 
 
+def rle_encode_planes(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run-length encode each row of a (P, N) stack of binary planes.
+
+    Returns `(words, offsets)`: plane p's words, its pair count and then its
+    (value, run) pairs, are `words[offsets[p] : offsets[p + 1]]`, back to back
+    in plane order.  Run starts come from one pass over the flattened stack,
+    with each plane's first element forced to start a run.
+    """
+    planes = np.asarray(planes)
+    n_planes, size = planes.shape
+    stride = max(size, 1)  # planes of no elements have no runs
+    flat = planes.reshape(-1)
+    is_start = np.empty(flat.size, dtype=bool)
+    is_start[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=is_start[1:])
+    is_start[::stride] = True
+    starts = np.flatnonzero(is_start)
+    plane = starts // stride
+    pairs = np.bincount(plane, minlength=n_planes)
+    offsets = np.zeros(n_planes + 1, dtype=np.int64)
+    np.cumsum(1 + 2 * pairs, out=offsets[1:])
+    words = np.empty(offsets[-1], dtype="<u4")
+    words[offsets[:-1]] = pairs
+    at = plane + 1 + 2 * np.arange(starts.size)  # each pair's value word
+    words[at] = flat[starts]
+    words[at + 1] = np.diff(starts, append=flat.size)
+    return words, offsets
+
+
 def rle_encode(plane: np.ndarray) -> np.ndarray:
     """Run-length encode a flat binary array into (value, run) uint32 pairs."""
-    flat = np.asarray(plane).reshape(-1).astype(np.uint32)
-    if flat.size == 0:
-        return np.zeros(0, dtype="<u4")
-    change = np.flatnonzero(np.diff(flat)) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [flat.size]))
-    pairs = np.empty((starts.size, 2), dtype="<u4")
-    pairs[:, 0] = flat[starts]
-    pairs[:, 1] = ends - starts
-    return pairs.reshape(-1)
+    return rle_encode_planes(np.asarray(plane).reshape(1, -1))[0][1:]
 
 
 def rle_decode(runs: np.ndarray, size: int) -> np.ndarray:
@@ -61,21 +81,21 @@ def write_container(path: str | Path, meta: dict, blocks: dict[str, np.ndarray])
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     entries = []
+    arrays = []
     offset = 0
-    chunks = []
     for name, arr in blocks.items():
         arr = np.ascontiguousarray(arr)
         code = f"<{arr.dtype.kind}{arr.dtype.itemsize}"
         if code not in _DTYPES:
             raise FormatError(f"unsupported block dtype {arr.dtype} for {name!r}")
-        raw = arr.astype(_DTYPES[code], copy=False).tobytes()
-        entries.append(
-            {"name": name, "dtype": code, "shape": list(arr.shape), "offset": offset, "nbytes": len(raw)}
-        )
-        chunks.append(raw)
-        offset += len(raw)
+        arr = arr.astype(_DTYPES[code], copy=False)
+        entries.append({"name": name, "dtype": code, "shape": list(arr.shape), "offset": offset, "nbytes": arr.nbytes})
+        arrays.append(arr)
+        offset += arr.nbytes
     manifest = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "meta": meta, "blocks": entries}
-    (path / TENSORS_FILE).write_bytes(b"".join(chunks))
+    with open(path / TENSORS_FILE, "wb") as f:
+        for arr in arrays:
+            f.write(arr.data)  # the array's own bytes, through a memoryview
     (path / MANIFEST_FILE).write_text(json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8")
 
 

@@ -69,7 +69,6 @@ class OptimState:
     `adamw_step` updates.
     """
 
-    lr0: float
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     grads: dict[str, np.ndarray] = field(default_factory=dict)
@@ -78,9 +77,9 @@ class OptimState:
     step: int = 0
 
     @staticmethod
-    def create(params: dict[str, Tensor], lr0: float, groups: dict[str, ParamGroup] | None = None) -> "OptimState":
+    def create(params: dict[str, Tensor], groups: dict[str, ParamGroup] | None = None) -> "OptimState":
         """Moments at zero; rebinds each `p.data` to its view of a group's array."""
-        state = OptimState(lr0=lr0)
+        state = OptimState()
         members: dict[tuple[float, float], list[str]] = {}
         for name in params:
             grp = (groups or {}).get(name, ParamGroup())

@@ -6,6 +6,18 @@ the canvas entirely for a few frames and come back.  Each class emits a
 sine tone at 300 + 400*c Hz with amplitude 0.3 exactly while at least one
 instance of the class is visible.  Everything is a pure function of
 (seed, config).
+
+A clip is rendered whole.  A scalar loop only records every sprite's
+centre in every frame; each sprite's stencil for all frames is then one
+(T, H, W) broadcast of per-axis terms, the sprites are painted into one
+per-pixel label array in stacking order, and the masks and the colour
+channels are read off that label.  `write_clip` run-length encodes all
+mask planes of the clip in one pass.  The contract: every pixel goes
+through the float64 operations of a per-(frame, sprite) renderer and the
+RNG draws come in the same order, so the generated arrays and the written
+`tensors.bin` and `manifest.json` are byte for byte those of that renderer
+and of a per-plane encoder (`tests/test_synthav.py` pins their digests and
+keeps the per-frame renderer as its oracle).
 """
 
 from __future__ import annotations
@@ -15,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import read_container, rle_decode, rle_encode, write_container
+from .container import read_container, rle_decode, rle_encode_planes, write_container
 from .errors import ArgumentError, FormatError
 
 AUDIO_RATE = 16_000
@@ -59,6 +71,8 @@ class GeneratorConfig:
             raise ArgumentError(f"image extents must be multiples of {BACKBONE_STRIDE}")
         if not 0 < self.min_radius <= self.max_radius:
             raise ArgumentError("invalid sprite radius range")
+        if 2 * self.max_radius > min(self.height, self.width) - 1:
+            raise ArgumentError("max_radius must be at most (min(height, width) - 1) / 2: each sprite starts inside the canvas")
         if not 0 <= self.min_speed <= self.max_speed:
             raise ArgumentError("invalid speed range")
         if self.noise < 0:
@@ -101,26 +115,37 @@ class SpriteClip:
         return self.waveform[t * eta : (t + 1) * eta]
 
 
-def _sprite_stencil(shape_id: int, cx: float, cy: float, r: float, h: int, w: int) -> np.ndarray:
-    yy, xx = np.mgrid[0:h, 0:w]
-    dx = xx - cx
-    dy = yy - cy
+def _stencil(shape_id: int, x: np.ndarray, y: np.ndarray, r: float, h: int, w: int) -> np.ndarray:
+    """One sprite's (T, h, w) stencil for centres x, y (each (T,)).
+
+    Every test is built from per-axis terms, a (T, w) row of column
+    offsets and a (T, h) column of row offsets, broadcast against each
+    other; each pixel sees the float64 operations of a per-frame mgrid.
+    """
+    cols = np.arange(w)
+    rows = np.arange(h)
+    dx = cols - x[:, None]
+    dy = rows - y[:, None]
     if shape_id == 0:  # circle
-        return dx * dx + dy * dy <= r * r
+        return (dx * dx)[:, None, :] + (dy * dy)[:, :, None] <= r * r
     if shape_id == 1:  # square
         s = 0.85 * r
-        return (np.abs(dx) <= s) & (np.abs(dy) <= s)
+        return (np.abs(dy) <= s)[:, :, None] & (np.abs(dx) <= s)[:, None, :]
     if shape_id == 2:  # triangle, apex up
-        top = (cx, cy - r)
-        left = (cx - 0.866 * r, cy + 0.5 * r)
-        right = (cx + 0.866 * r, cy + 0.5 * r)
-        m = np.ones((h, w), dtype=bool)
+        top = (x, y - r)
+        left = (x - 0.866 * r, y + 0.5 * r)
+        right = (x + 0.866 * r, y + 0.5 * r)
+        m = np.ones((x.size, h, w), dtype=bool)
         for (x0, y0), (x1, y1) in ((top, left), (left, right), (right, top)):
-            m &= (xx - x0) * (y1 - y0) - (yy - y0) * (x1 - x0) >= 0
+            across = (cols - x0[:, None]) * (y1 - y0)[:, None]
+            down = (rows - y0[:, None]) * (x1 - x0)[:, None]
+            # a - b >= 0 exactly when a >= b: a float64 difference keeps its sign
+            m &= across[:, None, :] >= down[:, :, None]
         return m
     if shape_id == 3:  # cross
         arm = 0.35 * r
-        return ((np.abs(dx) <= arm) & (np.abs(dy) <= r)) | ((np.abs(dy) <= arm) & (np.abs(dx) <= r))
+        ax, ay = np.abs(dx), np.abs(dy)
+        return ((ay <= r)[:, :, None] & (ax <= arm)[:, None, :]) | ((ay <= arm)[:, :, None] & (ax <= r)[:, None, :])
     raise ArgumentError(f"unknown shape id {shape_id}")
 
 
@@ -152,32 +177,32 @@ def generate_clip(seed: int, cfg: GeneratorConfig | None = None) -> SpriteClip:
     vx = speed * np.cos(angle)
     vy = speed * np.sin(angle)
 
-    stencils = np.zeros((t_frames, n, h, w), dtype=bool)
+    # each sprite's centre in every frame; Python floats round as float64 does
+    x, y, vx, vy, r = cx.tolist(), cy.tolist(), vx.tolist(), vy.tolist(), radii.tolist()
+    xs, ys = np.empty((t_frames, n)), np.empty((t_frames, n))
     for t in range(t_frames):
-        for g in range(n):
-            stencils[t, g] = _sprite_stencil(int(classes[g]), cx[g], cy[g], radii[g], h, w)
+        xs[t], ys[t] = x, y
         for g in range(n):
             # extended bounce box: a sprite may fully exit the canvas
-            cx[g], vx[g] = _bounce(cx[g], vx[g], -2 * radii[g], w - 1 + 2 * radii[g])
-            cy[g], vy[g] = _bounce(cy[g], vy[g], -2 * radii[g], h - 1 + 2 * radii[g])
+            x[g], vx[g] = _bounce(x[g], vx[g], -2 * r[g], w - 1 + 2 * r[g])
+            y[g], vy[g] = _bounce(y[g], vy[g], -2 * r[g], h - 1 + 2 * r[g])
 
-    # occlusion: larger sprite index is on top; gt masks are pairwise disjoint
-    gt_masks = np.zeros_like(stencils)
+    # occlusion: larger sprite index is on top, so painting in index order
+    # leaves each pixel labelled with its top sprite (g + 1; 0 is background)
+    label = np.zeros((t_frames, h, w), dtype=np.intp)
     for g in range(n):
-        covered = np.zeros((t_frames, h, w), dtype=bool)
-        for above in range(g + 1, n):
-            covered |= stencils[:, above]
-        gt_masks[:, g] = stencils[:, g] & ~covered
+        np.copyto(label, g + 1, where=_stencil(int(classes[g]), xs[:, g], ys[:, g], radii[g], h, w))
+    gt_masks = label[:, None] == np.arange(1, n + 1)[:, None, None]  # pairwise disjoint
     visibility = gt_masks.any(axis=(2, 3))
 
-    frames = np.zeros((t_frames, 3, h, w), dtype=np.float64)
-    for g in range(n):
-        color = CLASS_COLORS[int(classes[g])]
-        for ch in range(3):
-            frames[:, ch][gt_masks[:, g]] = color[ch]
+    palette = np.zeros((3, n + 1))
+    palette[:, 1:] = np.asarray(CLASS_COLORS).T[:, classes]
+    frames = np.empty((t_frames, 3, h, w))
+    for ch in range(3):
+        np.take(palette[ch], label, out=frames[:, ch], mode="clip")
     if cfg.noise > 0:
         frames += rng.normal(0.0, cfg.noise, size=frames.shape)
-    frames = np.clip(frames, 0.0, 1.0)
+    np.clip(frames, 0.0, 1.0, out=frames)
 
     eta = cfg.samples_per_frame
     total = t_frames * eta
@@ -208,7 +233,7 @@ def generate_clip(seed: int, cfg: GeneratorConfig | None = None) -> SpriteClip:
 
 def write_clip(clip: SpriteClip, path: str | Path) -> None:
     """Persist a clip as manifest.json + tensors.bin (masks RLE per frame)."""
-    t_frames, g = clip.gt_masks.shape[:2]
+    t_frames, g, h, w = clip.gt_masks.shape
     blocks: dict[str, np.ndarray] = {
         "frames": clip.frames.astype("<f4"),
         "waveform": clip.waveform.astype("<f4"),
@@ -216,13 +241,9 @@ def write_clip(clip: SpriteClip, path: str | Path) -> None:
         "gt_identities": clip.gt_identities.astype("<u4"),
         "visibility": clip.visibility.astype("<u1"),
     }
+    words, offsets = rle_encode_planes(clip.gt_masks.reshape(t_frames * g, h * w))
     for t in range(t_frames):
-        per_frame = []
-        for k in range(g):
-            runs = rle_encode(clip.gt_masks[t, k])
-            per_frame.append(np.asarray([runs.size // 2], dtype="<u4"))
-            per_frame.append(runs)
-        blocks[f"gt_masks_rle/{t:03d}"] = np.concatenate(per_frame) if per_frame else np.zeros(0, "<u4")
+        blocks[f"gt_masks_rle/{t:03d}"] = words[offsets[t * g] : offsets[(t + 1) * g]]
     meta = {
         "kind": "clip",
         "clip_id": clip.clip_id,
@@ -230,7 +251,7 @@ def write_clip(clip: SpriteClip, path: str | Path) -> None:
         "fps_stream": clip.fps_stream,
         "seed": clip.seed,
         "num_instances": int(g),
-        "mask_shape": [int(clip.gt_masks.shape[2]), int(clip.gt_masks.shape[3])],
+        "mask_shape": [int(h), int(w)],
         "generator_config": asdict(clip.config),
     }
     write_container(path, meta, blocks)
@@ -290,9 +311,10 @@ def _decode_masks(blocks: dict[str, np.ndarray], t_frames: int, g: int, h: int, 
 def read_clip(path: str | Path) -> SpriteClip:
     """Read a clip written by `write_clip`.
 
-    A missing or mistyped meta field, a missing block and a block whose
-    shape disagrees with the meta each raise FormatError naming the field or
-    block.
+    A missing or mistyped meta field, a missing block, a block whose shape
+    disagrees with the meta, a class id outside `CLASS_NAMES` and a
+    visibility byte other than 0 or 1 each raise FormatError naming the
+    field or block.
     """
     meta, blocks = read_container(path)
     if meta.get("kind") != "clip":
@@ -324,6 +346,14 @@ def read_clip(path: str | Path) -> SpriteClip:
             raise FormatError(f"clip at {path} has no block {name!r}")
         if shape is not None and blocks[name].shape != shape:
             raise FormatError(f"clip at {path} block {name!r} has shape {blocks[name].shape}, expected {shape}")
+    for name, valid, what in (
+        ("gt_classes", range(len(CLASS_NAMES)), f"a class id below {len(CLASS_NAMES)}"),
+        ("visibility", (0, 1), "0 or 1"),
+    ):
+        bad = np.flatnonzero(~np.isin(blocks[name], valid))
+        if bad.size:
+            value = blocks[name].reshape(-1)[bad[0]]
+            raise FormatError(f"clip at {path} block {name!r} entry {bad[0]} is {value}, expected {what}")
     return SpriteClip(
         frames=blocks["frames"],
         gt_masks=_decode_masks(blocks, t_frames, g, h, w),

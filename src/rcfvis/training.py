@@ -121,7 +121,7 @@ def load_checkpoint(path: str | Path) -> tuple[RCFModel, OptimState, int]:
         raise FormatError(f"checkpoint at {path} has an invalid config: {e}") from e
     model = RCFModel(cfg)
     params = model.params()
-    state = OptimState.create(params, cfg.lr0, model.param_groups())
+    state = OptimState.create(params, model.param_groups())
     for key in ("optim_step", "iteration"):
         if not isinstance(meta.get(key), int):
             raise FormatError(f"checkpoint at {path} has no integer {key!r}")
@@ -174,11 +174,17 @@ def sample_window(clip: SpriteClip, t: int, delta: int) -> tuple[list[np.ndarray
 def train_loop(cfg: RunConfig, data_dir: str | Path, out_dir: str | Path) -> TrainResult:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    clips = [read_clip(p) for p in list_clip_dirs(Path(data_dir) / "train")[: cfg.train_clips]]
+    paths = list_clip_dirs(Path(data_dir) / "train")[: cfg.train_clips]
+    clips = [read_clip(p) for p in paths]
+    for path, clip in zip(paths, clips):
+        if clip.gt_classes.size and clip.gt_classes.max() >= cfg.num_classes:
+            raise ConfigError(
+                f"num_classes={cfg.num_classes} cannot score class id {clip.gt_classes.max()} of clip {path}"
+            )
 
     model = RCFModel(cfg)
     params = model.params()
-    state = OptimState.create(params, cfg.lr0, model.param_groups())
+    state = OptimState.create(params, model.param_groups())
     rng = np.random.default_rng([cfg.seed & 0xFFFFFFFF, zlib.crc32(b"train_loop")])
 
     metrics_path = out_dir / "metrics.csv"

@@ -103,6 +103,12 @@ class TestCLIBasics:
             rc = main(["gen-data", "--out", str(tmp_path), "--set", assignment])
             assert rc == EXIT_CONFIG, assignment
 
+    def test_sprites_wider_than_the_canvas_exit_2(self, capsys, tmp_path):
+        rc = main(["gen-data", "--out", str(tmp_path / "d"), "--set", "image_h=16", "--set", "image_w=16"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert "max_radius must be at most" in err and "Traceback" not in err
+
     def test_missing_checkpoint_exit_3(self, capsys, tmp_path):
         rc = main(["eval", "--ckpt", str(tmp_path / "none"), "--data", str(tmp_path)])
         assert rc == EXIT_IO
@@ -110,7 +116,7 @@ class TestCLIBasics:
     def test_empty_split_exit_3_and_writes_nothing(self, capsys, tmp_path):
         cfg = RunConfig(image_h=32, image_w=48, num_slots=4).validate()
         model = RCFModel(cfg)
-        save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params(), cfg.lr0), 0)
+        save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params()), 0)
         data = tmp_path / "data"
         for split in ("val", "probe", "train"):
             (data / split).mkdir(parents=True)
@@ -130,7 +136,7 @@ class TestCLIBasics:
     def test_bad_checkpoint_config_exit_3(self, capsys, tmp_path):
         cfg = RunConfig(image_h=32, image_w=48, num_slots=4).validate()
         model = RCFModel(cfg)
-        save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params(), cfg.lr0), 0)
+        save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params()), 0)
         clip = tmp_path / "clip"
         write_clip(generate_clip(0, GeneratorConfig(height=32, width=48, frames=2, max_sprites=2)), clip)
         assert main(["infer", "--ckpt", str(tmp_path / "ckpt"), "--clip", str(clip), "--out", str(tmp_path / "ok")]) == 0
@@ -152,7 +158,7 @@ class TestCLIBasics:
     def test_checkpoint_missing_counter_or_optimizer_block_exit_3(self, capsys, tmp_path):
         cfg = RunConfig(image_h=32, image_w=48, num_slots=4).validate()
         model = RCFModel(cfg)
-        save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params(), cfg.lr0), 0)
+        save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params()), 0)
         clip = tmp_path / "clip"
         write_clip(generate_clip(0, GeneratorConfig(height=32, width=48, frames=2, max_sprites=2)), clip)
         first = next(iter(model.params()))
@@ -187,7 +193,7 @@ class TestCLIBasics:
         cfg = RunConfig(image_h=32, image_w=48, num_slots=4).validate()
         model = RCFModel(cfg)
         ckpt = str(tmp_path / "ckpt")
-        save_checkpoint(ckpt, model, OptimState.create(model.params(), cfg.lr0), 0)
+        save_checkpoint(ckpt, model, OptimState.create(model.params()), 0)
         clip = str(tmp_path / "clip")
         write_clip(generate_clip(0, GeneratorConfig(height=32, width=48, frames=2, max_sprites=2)), clip)
         (tmp_path / "run.cfg").write_text("seed=5\n")
@@ -236,6 +242,20 @@ class TestCLIPipelines:
         values = {row.split(",")[0]: float(row.split(",")[1]) for row in rows}
         assert set(values) == {"AP", "AP50", "AP75", "AR@1", "AR@10"}
         assert all(0.0 <= v <= 1.0 for v in values.values())
+
+    def test_train_with_too_few_classes_exit_2_before_iteration_0(self, tmp_path, capsys):
+        assert main(["gen-data", "--out", str(tmp_path / "d"), "--seed", "3", *TINY]) == 0
+        classes = {c for p in sorted((tmp_path / "d" / "train").iterdir()) for c in read_clip(p).gt_classes.tolist()}
+        assert max(classes) >= 2  # the corpus holds a class that 2 classes cannot score
+        capsys.readouterr()
+        rc = main([
+            "train", "--data", str(tmp_path / "d"), "--out", str(tmp_path / "r"), "--seed", "3",
+            *TINY, "--set", "iter_max=2", "--set", "num_classes=2",
+        ])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert "num_classes=2 cannot score class id" in err and "clip_" in err and "Traceback" not in err
+        assert not (tmp_path / "r" / "metrics.csv").exists()
 
     def test_infer_dump_and_probe_and_attention(self, tmp_path, capsys):
         args = TINY + ["--set", "iter_max=2", "--set", "ckpt_every=2"]

@@ -168,7 +168,7 @@ def clip_and_checkpoint(tmp_path_factory):
     root = tmp_path_factory.mktemp("faults")
     cfg = RunConfig(image_h=32, image_w=48, num_slots=4).validate()
     model = RCFModel(cfg)
-    save_checkpoint(root / "ckpt", model, OptimState.create(model.params(), cfg.lr0), 0)
+    save_checkpoint(root / "ckpt", model, OptimState.create(model.params()), 0)
     write_clip(generate_clip(0, GeneratorConfig(height=32, width=48, frames=2, max_sprites=2)), root / "clip")
     return root / "clip", root / "ckpt"
 
@@ -234,3 +234,40 @@ def test_malformed_mask_stream_is_format_error(fault, tmp_path):
     write_container(tmp_path / "bad", meta, blocks)
     with pytest.raises(FormatError, match=text):
         read_clip(tmp_path / "bad")
+
+
+def _set_entry(value):
+    def edit(arr):
+        arr = arr.copy()
+        arr.reshape(-1)[0] = value
+        return arr
+
+    return edit
+
+
+# fault -> (block, edit, text the error must contain)
+CLIP_VALUE_FAULTS = {
+    "class-9": ("gt_classes", _set_entry(9), "block 'gt_classes' entry 0 is 9, expected a class id below 4"),
+    "class-4": ("gt_classes", _set_entry(4), "block 'gt_classes' entry 0 is 4, expected a class id below 4"),
+    "visibility-2": ("visibility", _set_entry(2), "block 'visibility' entry 0 is 2, expected 0 or 1"),
+}
+
+
+@pytest.mark.parametrize("fault", CLIP_VALUE_FAULTS)
+def test_out_of_range_clip_values_are_format_errors(fault, tmp_path, capsys):
+    name, edit, text = CLIP_VALUE_FAULTS[fault]
+    gen = GeneratorConfig(height=32, width=48, frames=2, max_sprites=2)
+    write_clip(generate_clip(0, gen), tmp_path / "clip")
+    meta, blocks = read_container(tmp_path / "clip")
+    blocks[name] = edit(blocks[name])
+    write_container(tmp_path / "data" / "train" / "clip_00000", meta, blocks)
+    with pytest.raises(FormatError, match=text):
+        read_clip(tmp_path / "data" / "train" / "clip_00000")
+    capsys.readouterr()
+    rc = main([
+        "train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run"),
+        "--set", "image_h=32", "--set", "image_w=48", "--set", "iter_max=2", "--set", "train_clips=1",
+    ])
+    err = capsys.readouterr().err
+    assert rc == EXIT_IO
+    assert text in err and "Traceback" not in err

@@ -38,11 +38,11 @@ def per_tensor_adamw_step(state, params, grads, lr):
         p.data -= lr_eff * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
-def make(value, lr0=1e-2, **group):
+def make(value, **group):
     p = Tensor(np.array(value), requires_grad=True)
     params = {"p": p}
     groups = {"p": ParamGroup(**group)} if group else None
-    state = OptimState.create(params, lr0, groups)
+    state = OptimState.create(params, groups)
     return p, params, state
 
 
@@ -59,7 +59,7 @@ def test_decoupled_decay_shrinks_before_moments():
 
 
 def test_three_step_trajectory_matches_hand_reference():
-    p, params, state = make([1.0], lr0=0.1, weight_decay=0.01, lr_mult=0.5)
+    p, params, state = make([1.0], weight_decay=0.01, lr_mult=0.5)
     grads = [0.3, -0.2, 0.05]
     # hand-stepped reference in plain floats
     ref = 1.0
@@ -87,7 +87,7 @@ def test_missing_gradient_names_the_parameter():
     p = Tensor(np.ones(2), requires_grad=True)
     q = Tensor(np.ones(3), requires_grad=True)
     params = {"p": p, "head.q": q}
-    state = OptimState.create(params, 1e-2)
+    state = OptimState.create(params)
     with pytest.raises(ArgumentError, match="head.q"):
         adamw_step(state, params, {"p": np.ones(2)}, lr=1e-3)
     with pytest.raises(ArgumentError, match="head.q"):
@@ -137,7 +137,7 @@ class TestFlatStorage:
     def test_views_share_the_group_arrays(self):
         params, groups = grouped_params(0)
         values = {name: p.data.copy() for name, p in params.items()}
-        state = OptimState.create(params, 1e-2, groups)
+        state = OptimState.create(params, groups)
         assert len(state.flat) == len(GROUPS)
         for name, p in params.items():
             (flat,) = [f for f in state.flat if np.shares_memory(p.data, f.data)]
@@ -149,7 +149,7 @@ class TestFlatStorage:
 
     def test_zero_grads_points_each_grad_at_its_slot(self):
         params, groups = grouped_params(1)
-        state = OptimState.create(params, 1e-2, groups)
+        state = OptimState.create(params, groups)
         for flat in state.flat:
             flat.grad[:] = 3.0
         state.zero_grads(params)
@@ -162,8 +162,8 @@ class TestFlatStorage:
         monkeypatch.setattr(optim, "_CHUNK", 1000)
         params, groups = grouped_params(2)
         oracle_params = {name: Tensor(p.data.copy(), requires_grad=True) for name, p in params.items()}
-        state = OptimState.create(params, 1e-2, groups)
-        oracle = OptimState.create(oracle_params, 1e-2, groups)
+        state = OptimState.create(params, groups)
+        oracle = OptimState.create(oracle_params, groups)
         assert state.scratch.shape[1] == 1000
         assert all(flat.data.size % 1000 for flat in state.flat)
         rng = np.random.default_rng(3)

@@ -1,12 +1,20 @@
 """Clip generator: determinism, disjoint masks, audio-visual synchrony, IO."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from rcfvis.audiodsp import FMAX_HZ, FMIN_HZ, N_MELS, SILENCE_FLOOR, hz_to_mel, log_mel, mel_to_hz
+from rcfvis.container import rle_encode, rle_encode_planes
 from rcfvis.errors import ArgumentError
 from rcfvis.synthav import (
+    AUDIO_RATE,
+    CLASS_COLORS,
+    CLASS_NAMES,
+    TONE_AMPLITUDE,
     GeneratorConfig,
+    _bounce,
     generate_clip,
     read_clip,
     tone_frequency,
@@ -111,8 +119,235 @@ def test_invalid_configs_rejected():
         GeneratorConfig(min_sprites=0).validate()
     with pytest.raises(ArgumentError):
         GeneratorConfig(min_sprites=5, max_sprites=2).validate()
+    with pytest.raises(ArgumentError, match="max_radius"):
+        GeneratorConfig(height=16, width=16, min_radius=7.0, max_radius=7.6).validate()
+    GeneratorConfig(height=16, width=16, min_radius=7.0, max_radius=7.5).validate()
 
 
 def test_frames_in_unit_range():
     clip = generate_clip(2, small_cfg(noise=0.2))
     assert clip.frames.min() >= 0.0 and clip.frames.max() <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# whole-clip rendering against the per-(frame, sprite) renderer it replaced
+
+CONFIGS = {
+    "default": GeneratorConfig(),
+    "crowded": GeneratorConfig(min_sprites=4, max_sprites=8),
+    "hires": GeneratorConfig(height=128, width=192, min_sprites=4, max_sprites=8),
+    "static": GeneratorConfig(min_sprites=1, max_sprites=1, min_speed=0.0, max_speed=0.0, noise=0.0),
+    "oversized": GeneratorConfig(height=16, width=16, min_radius=7.0, max_radius=7.5),
+    "two_frames": GeneratorConfig(frames=2),
+}
+
+# blake2b of tensors.bin then manifest.json as `write_clip(generate_clip(seed, cfg))`
+# writes them, computed with the per-(frame, sprite) renderer and per-plane encoder
+WRITTEN_DIGESTS = {
+    "default": {
+        0: "6593f0337a2b365133d814f008ca16f3",
+        1: "fa4745e601750e700c2bce347f0addcf",
+        7: "06ca3f3200c29ada40cde00f63572364",
+        12345: "dde54749eddc602f55f7917605f5751b",
+    },
+    "crowded": {
+        0: "d09271a605722099b76c5dfb35a0a00c",
+        1: "c6fbcfb9f7f384ea2baea5783555dc7b",
+        7: "fdb341bff29c81cd1432c160b3f32b9a",
+        12345: "6ffa76ae14ad99038581a6f38e8df5d4",
+    },
+    "hires": {
+        0: "1902c2236016a278a1e975a1f52856af",
+        1: "a4a58248b263d29dd5423d46d9941c71",
+        7: "b194f0abd52ade42ff98e13fc1067e35",
+        12345: "2b3087f4e66b5d4f16c78b2046f22055",
+    },
+    "static": {
+        0: "93f53c3dfd4ed235dd4260cd5a52c83d",
+        1: "764f686f876f319fd3b8099455d5f8b7",
+        7: "e9abb2f26d12e917af7d18b3d82219a9",
+        12345: "57487453563aa29761b0bc10d6ecc20b",
+    },
+    "oversized": {
+        0: "9a7ae52f7e6d8bc43bdd74bc0978fb75",
+        1: "ff575ba59e15f6fc0f6f9895119177f9",
+        7: "7c4018c051316404a1d1b6dbaa3b6ff5",
+        12345: "e60ce611c69d6f7923e718eaff0b81c9",
+    },
+    "two_frames": {
+        0: "d8b8f57f7216a0842589225ba0ece448",
+        1: "7d9d53ee1baa46c3a9389d953f5fbdea",
+        7: "6edb2798cdf04ea44a66913d3347f0a8",
+        12345: "0288efde2fe838963d8088902953a03e",
+    },
+}
+
+
+def _oracle_stencil(shape_id, cx, cy, r, h, w):
+    yy, xx = np.mgrid[0:h, 0:w]
+    dx = xx - cx
+    dy = yy - cy
+    if shape_id == 0:
+        return dx * dx + dy * dy <= r * r
+    if shape_id == 1:
+        s = 0.85 * r
+        return (np.abs(dx) <= s) & (np.abs(dy) <= s)
+    if shape_id == 2:
+        top = (cx, cy - r)
+        left = (cx - 0.866 * r, cy + 0.5 * r)
+        right = (cx + 0.866 * r, cy + 0.5 * r)
+        m = np.ones((h, w), dtype=bool)
+        for (x0, y0), (x1, y1) in ((top, left), (left, right), (right, top)):
+            m &= (xx - x0) * (y1 - y0) - (yy - y0) * (x1 - x0) >= 0
+        return m
+    arm = 0.35 * r
+    return ((np.abs(dx) <= arm) & (np.abs(dy) <= r)) | ((np.abs(dy) <= arm) & (np.abs(dx) <= r))
+
+
+def oracle_clip(seed, cfg):
+    """The per-(frame, sprite) renderer: (frames, gt_masks, visibility, waveform, classes)."""
+    rng = np.random.default_rng(seed)
+    h, w, t_frames = cfg.height, cfg.width, cfg.frames
+    n = int(rng.integers(cfg.min_sprites, cfg.max_sprites + 1))
+    classes = rng.integers(0, len(CLASS_NAMES), size=n)
+    radii = rng.uniform(cfg.min_radius, cfg.max_radius, size=n)
+    cx = rng.uniform(radii, w - 1 - radii)
+    cy = rng.uniform(radii, h - 1 - radii)
+    speed = rng.uniform(cfg.min_speed, cfg.max_speed, size=n)
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    vx = speed * np.cos(angle)
+    vy = speed * np.sin(angle)
+    stencils = np.zeros((t_frames, n, h, w), dtype=bool)
+    for t in range(t_frames):
+        for g in range(n):
+            stencils[t, g] = _oracle_stencil(int(classes[g]), cx[g], cy[g], radii[g], h, w)
+        for g in range(n):
+            cx[g], vx[g] = _bounce(cx[g], vx[g], -2 * radii[g], w - 1 + 2 * radii[g])
+            cy[g], vy[g] = _bounce(cy[g], vy[g], -2 * radii[g], h - 1 + 2 * radii[g])
+    gt_masks = np.zeros_like(stencils)
+    for g in range(n):
+        covered = np.zeros((t_frames, h, w), dtype=bool)
+        for above in range(g + 1, n):
+            covered |= stencils[:, above]
+        gt_masks[:, g] = stencils[:, g] & ~covered
+    visibility = gt_masks.any(axis=(2, 3))
+    frames = np.zeros((t_frames, 3, h, w), dtype=np.float64)
+    for g in range(n):
+        color = CLASS_COLORS[int(classes[g])]
+        for ch in range(3):
+            frames[:, ch][gt_masks[:, g]] = color[ch]
+    if cfg.noise > 0:
+        frames += rng.normal(0.0, cfg.noise, size=frames.shape)
+    frames = np.clip(frames, 0.0, 1.0)
+    eta = cfg.samples_per_frame
+    total = t_frames * eta
+    sample_t = np.arange(total, dtype=np.float64) / AUDIO_RATE
+    waveform = np.zeros(total, dtype=np.float64)
+    for c in range(len(CLASS_NAMES)):
+        class_visible = visibility[:, classes == c].any(axis=1)
+        if not class_visible.any():
+            continue
+        gate = np.repeat(class_visible.astype(np.float64), eta)
+        waveform += TONE_AMPLITUDE * np.sin(2.0 * np.pi * tone_frequency(c) * sample_t) * gate
+    if cfg.noise > 0:
+        waveform += rng.normal(0.0, cfg.noise, size=total)
+    return frames.astype(np.float32), gt_masks.astype(np.uint8), visibility, waveform.astype(np.float32), classes
+
+
+def written_digest(clip, path):
+    write_clip(clip, path)
+    h = hashlib.blake2b(digest_size=16)
+    for name in ("tensors.bin", "manifest.json"):
+        h.update((path / name).read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_written_clips_match_pinned_digests_and_read_back(name, tmp_path):
+    for seed, want in WRITTEN_DIGESTS[name].items():
+        clip = generate_clip(seed, CONFIGS[name])
+        assert written_digest(clip, tmp_path / f"clip_{seed}") == want, seed
+        back = read_clip(tmp_path / f"clip_{seed}")
+        for field in ("frames", "waveform", "gt_masks", "gt_classes", "gt_identities", "visibility"):
+            assert np.array_equal(getattr(back, field), getattr(clip, field)), (seed, field)
+        assert back.config == clip.config and back.clip_id == clip.clip_id
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_whole_clip_rendering_matches_per_frame_oracle(name):
+    cfg = CONFIGS[name]
+    shapes = set()
+    for seed in range(50):
+        clip = generate_clip(seed, cfg)
+        frames, gt_masks, visibility, waveform, classes = oracle_clip(seed, cfg)
+        assert np.array_equal(clip.gt_classes, classes), seed
+        for got, want in ((clip.frames, frames), (clip.gt_masks, gt_masks), (clip.visibility, visibility), (clip.waveform, waveform)):
+            assert got.dtype == want.dtype and got.shape == want.shape, seed
+            assert got.tobytes() == want.tobytes(), seed
+        shapes.update(classes.tolist())
+    assert shapes == set(range(len(CLASS_NAMES)))
+
+
+def oracle_rle(plane):
+    """The per-plane encoder: (value, run) uint32 pairs of a flat binary array."""
+    flat = np.asarray(plane).reshape(-1).astype(np.uint32)
+    if flat.size == 0:
+        return np.zeros(0, dtype="<u4")
+    change = np.flatnonzero(np.diff(flat)) + 1
+    starts = np.concatenate(([0], change))
+    ends = np.concatenate((change, [flat.size]))
+    pairs = np.empty((starts.size, 2), dtype="<u4")
+    pairs[:, 0] = flat[starts]
+    pairs[:, 1] = ends - starts
+    return pairs.reshape(-1)
+
+
+def _plane_loop(planes):
+    """Per-plane words [n_pairs, v0, r0, ...] from a loop over the per-plane encoder."""
+    out = []
+    for plane in planes:
+        runs = oracle_rle(plane)
+        assert np.array_equal(rle_encode(plane), runs)  # the one-plane case
+        out.append(np.concatenate(([runs.size // 2], runs)).astype("<u4"))
+    return out
+
+
+def _split_words(words, offsets):
+    return [words[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+
+
+def _check_stacked_encoder(planes):
+    words, offsets = rle_encode_planes(planes)
+    assert words.dtype == np.dtype("<u4") and offsets.shape == (planes.shape[0] + 1,)
+    want = _plane_loop(planes)
+    got = _split_words(words, offsets)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_stacked_encoder_matches_per_plane_loop_on_edge_planes():
+    n = 24
+    planes = np.stack([
+        np.zeros(n, np.uint8),
+        np.ones(n, np.uint8),
+        np.arange(n, dtype=np.uint8) % 2,
+        1 - np.arange(n, dtype=np.uint8) % 2,
+        np.eye(1, n, 0, dtype=np.uint8)[0],
+        np.eye(1, n, n - 1, dtype=np.uint8)[0],
+        np.eye(1, n, 7, dtype=np.uint8)[0],
+        1 - np.eye(1, n, 7, dtype=np.uint8)[0],
+    ])
+    _check_stacked_encoder(planes)
+    for k in range(len(planes)):  # each plane alone, and each neighbouring pair
+        _check_stacked_encoder(planes[k : k + 1])
+        _check_stacked_encoder(planes[k : k + 2])
+    _check_stacked_encoder(np.ones((1, 1), np.uint8))
+    _check_stacked_encoder(np.zeros((3, 0), np.uint8))
+    _check_stacked_encoder(np.zeros((0, n), np.uint8))
+
+
+def test_stacked_encoder_matches_per_plane_loop_on_generated_planes():
+    for seed, cfg in ((0, CONFIGS["crowded"]), (1, CONFIGS["oversized"]), (2, CONFIGS["static"])):
+        masks = generate_clip(seed, cfg).gt_masks
+        _check_stacked_encoder(masks.reshape(masks.shape[0] * masks.shape[1], -1))

@@ -129,7 +129,7 @@ class TestCheckpoint:
         cfg = tiny_cfg(audio_enabled=False)
         model = RCFModel(cfg)
         params = model.params()
-        state = OptimState.create(params, cfg.lr0, model.param_groups())
+        state = OptimState.create(params, model.param_groups())
         state.step = 17
         rng = np.random.default_rng(0)
         for name in params:  # in place: the moments are views of the optimizer's arrays
@@ -146,7 +146,7 @@ class TestCheckpoint:
         # a load that rebound p.data would leave the model behind the optimizer
         cfg = tiny_cfg(audio_enabled=False)
         model = RCFModel(cfg)
-        save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params(), cfg.lr0, model.param_groups()), 0)
+        save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params(), model.param_groups()), 0)
         model2, state2, _ = load_checkpoint(tmp_path / "ckpt")
         params = model2.params()
         before = {name: p.data.copy() for name, p in params.items()}
@@ -160,7 +160,7 @@ class TestCheckpoint:
         cfg = tiny_cfg(audio_enabled=False)
         model = RCFModel(cfg)
         params = model.params()
-        save_checkpoint(tmp_path / "ckpt", model, OptimState.create(params, cfg.lr0, model.param_groups()), 3)
+        save_checkpoint(tmp_path / "ckpt", model, OptimState.create(params, model.param_groups()), 3)
         meta, blocks = read_container(tmp_path / "ckpt")
         key_biases = [name.replace(".wq.b", ".wk.b") for name in params if name.endswith(".wq.b")]
         assert key_biases and not any(name in params for name in key_biases)

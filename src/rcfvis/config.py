@@ -39,7 +39,8 @@ def _kind(f) -> str:
 @dataclass
 class RunConfig:
     # model
-    backbone_channels: int = _key(32, "multiple of 4 in [8, 128]", lambda v: 8 <= v <= 128 and v % 4 == 0)
+    # block 0 has backbone_channels / 4 channels in 4 group-norm groups
+    backbone_channels: int = _key(32, "multiple of 16 in [16, 128]", lambda v: 16 <= v <= 128 and v % 16 == 0)
     token_dim: int = _key(64, "multiple of 8 in [16, 512]", lambda v: 16 <= v <= 512 and v % 8 == 0)
     code_dim: int = _key(64, "[8, 512]", _range(8, 512))
     seg_channels: int = _key(16, "[2, 128]", _range(2, 128))
@@ -156,7 +157,11 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"config file not found: {p}")
-        for ln, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            text = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"config file {p} is not UTF-8 text: {e}") from e
+        for ln, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

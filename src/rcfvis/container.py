@@ -142,7 +142,7 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         raise FormatError(f"missing {MANIFEST_FILE} under {path}")
     try:
         manifest = json.loads(mpath.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"corrupt manifest: {e}") from e
     if not isinstance(manifest, dict):
         raise FormatError(f"manifest is a JSON {type(manifest).__name__}, not an object")

@@ -125,15 +125,8 @@ class Tensor:
         return self.data.ndim
 
     @property
-    def size(self):
-        return self.data.size
-
-    @property
     def dtype(self):
         return self.data.dtype
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def _accum(self, g: np.ndarray):
         if self.grad is None:
@@ -197,20 +190,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        def bw(a=self):
-            if a.requires_grad:
-                a._accum(-out.grad)
-
-        out = Tensor._from_op(-self.data, (self,), bw)
-        return out
-
-    def __sub__(self, other):
-        return self + (-Tensor._lift(other))
-
-    def __rsub__(self, other):
-        return Tensor._lift(other) + (-self)
-
     def __mul__(self, other):
         other = Tensor._lift(other)
         out_data = self.data * other.data
@@ -226,35 +205,6 @@ class Tensor:
         return out
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = Tensor._lift(other)
-        out_data = self.data / other.data
-
-        def bw(a=self, b=other):
-            g = out.grad
-            if a.requires_grad:
-                a._accum(_unbroadcast(g / b.data, a.data.shape))
-            if b.requires_grad:
-                b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-        out = Tensor._from_op(out_data, (self, other), bw)
-        return out
-
-    def __rtruediv__(self, other):
-        return Tensor._lift(other) / self
-
-    def __pow__(self, exponent: float):
-        if not np.isscalar(exponent):
-            raise ArgumentError("pow supports scalar exponents only")
-        out_data = self.data**exponent
-
-        def bw(a=self, e=exponent):
-            if a.requires_grad:
-                a._accum(out.grad * e * a.data ** (e - 1))
-
-        out = Tensor._from_op(out_data, (self,), bw)
-        return out
 
     def __matmul__(self, other):
         return linear(self, Tensor._lift(other))
@@ -327,36 +277,6 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     # -- pointwise nonlinearities ---------------------------------------------
-
-    def exp(self):
-        out_data = np.exp(self.data)
-
-        def bw(a=self):
-            if a.requires_grad:
-                a._accum(out.grad * out.data)
-
-        out = Tensor._from_op(out_data, (self,), bw)
-        return out
-
-    def log(self):
-        out_data = np.log(self.data)
-
-        def bw(a=self):
-            if a.requires_grad:
-                a._accum(out.grad / a.data)
-
-        out = Tensor._from_op(out_data, (self,), bw)
-        return out
-
-    def tanh(self):
-        out_data = np.tanh(self.data)
-
-        def bw(a=self):
-            if a.requires_grad:
-                a._accum(out.grad * (1.0 - out.data * out.data))
-
-        out = Tensor._from_op(out_data, (self,), bw)
-        return out
 
     def sigmoid(self):
         out_data = sigmoid(self.data)
@@ -817,7 +737,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-6) -> f
         raise ArgumentError("grad_check requires float64 input")
     probe = Tensor(x.data.copy(), requires_grad=True)
     y = f(probe)
-    if y.size != 1:
+    if y.data.size != 1:
         raise ArgumentError("grad_check target must return a scalar")
     if not np.isfinite(y.data).all():
         raise NumericError("non-finite function value in grad_check")

@@ -181,6 +181,11 @@ def train_loop(cfg: RunConfig, data_dir: str | Path, out_dir: str | Path) -> Tra
             raise ConfigError(
                 f"num_classes={cfg.num_classes} cannot score class id {clip.gt_classes.max()} of clip {path}"
             )
+        visible = int(clip.visibility.sum(axis=1).max(initial=0))
+        if visible > cfg.num_slots:
+            raise ConfigError(
+                f"num_slots={cfg.num_slots} cannot match {visible} sprites visible in one frame of clip {path}"
+            )
 
     model = RCFModel(cfg)
     params = model.params()

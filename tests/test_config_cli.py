@@ -103,6 +103,29 @@ class TestCLIBasics:
             rc = main(["gen-data", "--out", str(tmp_path), "--set", assignment])
             assert rc == EXIT_CONFIG, assignment
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [(b"lr0\n", "expected key=value"), (b"lr0 = 0.001\nseed = 4\xff\n", "is not UTF-8 text")],
+        ids=["no-equals", "not-utf8"],
+    )
+    def test_bad_config_file_exit_2(self, text, message, capsys, tmp_path):
+        (tmp_path / "run.cfg").write_bytes(text)
+        rc = main(["gen-data", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "d")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize(
+        "channels, want", [(8, EXIT_CONFIG), (12, EXIT_CONFIG), (20, EXIT_CONFIG), (144, EXIT_CONFIG), (16, 0), (48, 0)]
+    )
+    def test_backbone_channels_off_the_group_norm_grid_exit_2(self, channels, want, capsys):
+        size = ["--set", "image_h=32", "--set", "image_w=48", "--p", "inf"]
+        rc = main(["analyze-lipschitz", "--set", f"backbone_channels={channels}", *size])
+        err = capsys.readouterr().err
+        assert rc == want
+        assert ("multiple of 16 in [16, 128]" in err) == (want == EXIT_CONFIG) and "Traceback" not in err
+
     def test_sprites_wider_than_the_canvas_exit_2(self, capsys, tmp_path):
         rc = main(["gen-data", "--out", str(tmp_path / "d"), "--set", "image_h=16", "--set", "image_w=16"])
         err = capsys.readouterr().err
@@ -255,6 +278,24 @@ class TestCLIPipelines:
         err = capsys.readouterr().err
         assert rc == EXIT_CONFIG
         assert "num_classes=2 cannot score class id" in err and "clip_" in err and "Traceback" not in err
+        assert not (tmp_path / "r" / "metrics.csv").exists()
+
+    def test_train_with_too_few_slots_exit_2_before_iteration_0(self, tmp_path, capsys):
+        sprites = ["--set", "gen_min_sprites=3", "--set", "gen_max_sprites=3"]
+        assert main(["gen-data", "--out", str(tmp_path / "d"), "--seed", "3", *TINY, *sprites]) == 0
+        clips = sorted((tmp_path / "d" / "train").iterdir())
+        visible = [int(read_clip(p).visibility.sum(axis=1).max()) for p in clips]
+        assert max(visible) == 3  # some frame shows more sprites than 2 slots can match
+        first = next(i for i, v in enumerate(visible) if v > 2)
+        capsys.readouterr()
+        rc = main([
+            "train", "--data", str(tmp_path / "d"), "--out", str(tmp_path / "r"), "--seed", "3",
+            *TINY, *sprites, "--set", "iter_max=2", "--set", "num_slots=2",
+        ])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert f"num_slots=2 cannot match {visible[first]} sprites visible" in err and "Traceback" not in err
+        assert str(clips[first]) in err
         assert not (tmp_path / "r" / "metrics.csv").exists()
 
     def test_infer_dump_and_probe_and_attention(self, tmp_path, capsys):

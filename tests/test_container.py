@@ -105,8 +105,10 @@ def _set(path, value):
 
     return edit
 
-# (edit, text the error must contain); block 1 of a clip is "waveform", 4000 float32
+# (edit, text the error must contain); block 1 of a clip is "waveform", 4000
+# float32.  An edit returns the new manifest, or the bytes to write instead.
 MANIFEST_FAULTS = {
+    "not-utf8": (lambda m: b"\xff" + json.dumps(m).encode(), "corrupt manifest"),
     "not-an-object": (lambda m: [m], "not an object"),
     "no-blocks": (_set(["blocks"], _DELETE), "'blocks'"),
     "blocks-not-list": (_set(["blocks"], {"frames": 0}), "'blocks'"),
@@ -180,7 +182,8 @@ def test_malformed_manifest_is_format_error(fault, clip_and_checkpoint, tmp_path
     clip = tmp_path / "clip"
     shutil.copytree(clip_dir, clip)
     mpath = clip / "manifest.json"
-    mpath.write_text(json.dumps(edit(json.loads(mpath.read_text()))))
+    edited = edit(json.loads(mpath.read_text()))
+    mpath.write_bytes(edited if isinstance(edited, bytes) else json.dumps(edited).encode())
     with pytest.raises(FormatError, match=text):
         read_clip(clip)
     capsys.readouterr()

@@ -5,7 +5,9 @@ The oracles below are the layer code that `linear`, `normalize`, `lstm`,
 forward bits as its oracle (linear: as numpy's `x @ w + b`), gradients
 within 1e-10 of the oracle's, and pass `grad_check` for every input.  A
 whole-model test swaps the oracles into the layers and compares one
-training loss and every parameter gradient.
+training loss and every parameter gradient.  The elementary ops the
+oracles need beyond the package's (negation, division, sqrt, tanh and log)
+are tape nodes defined here.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from rcfvis.nn import NORM_EPS
 from rcfvis.synthav import GeneratorConfig, generate_clip
 from rcfvis.tensor import (
     Tensor,
+    _unbroadcast,
     concat,
     cross_entropy,
     dice_loss,
@@ -27,6 +30,49 @@ from rcfvis.tensor import (
     lstm,
     normalize,
 )
+
+# ---------------------------------------------------------------------------
+# elementary ops: one tape node each, with the textbook derivative
+
+
+def _node(data, parents, partials):
+    """A tape node whose gradient to parents[k] is partials[k](out.grad),
+    summed down to that parent's shape."""
+
+    def bw():
+        for p, partial in zip(parents, partials):
+            if p.requires_grad:
+                p._accum(_unbroadcast(partial(out.grad), p.data.shape))
+
+    out = Tensor._from_op(data, parents, bw)
+    return out
+
+
+def neg(a):
+    return _node(-a.data, (a,), (lambda g: -g,))
+
+
+def sub(a, b):
+    return Tensor._lift(a) + neg(Tensor._lift(b))
+
+
+def div(a, b):
+    return _node(a.data / b.data, (a, b), (lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data)))
+
+
+def sqrt(a):
+    y = np.sqrt(a.data)
+    return _node(y, (a,), (lambda g: g * 0.5 / y,))
+
+
+def tanh(a):
+    y = np.tanh(a.data)
+    return _node(y, (a,), (lambda g: g * (1.0 - y * y),))
+
+
+def log(a):
+    return _node(np.log(a.data), (a,), (lambda g: g / a.data,))
+
 
 # ---------------------------------------------------------------------------
 # composite oracles
@@ -41,18 +87,18 @@ def composite_linear(x, w, b):
 
 def composite_layer_norm(x, gain, bias):
     mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
+    centered = sub(x, mu)
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (var + NORM_EPS) ** 0.5 * gain + bias
+    return div(centered, sqrt(var + NORM_EPS)) * gain + bias
 
 
 def composite_group_norm(x, gain, bias, groups):
     c, h, w = x.shape
     xg = x.reshape(groups, (c // groups) * h * w)
     mu = xg.mean(axis=1, keepdims=True)
-    centered = xg - mu
+    centered = sub(xg, mu)
     var = (centered * centered).mean(axis=1, keepdims=True)
-    norm = centered / (var + NORM_EPS) ** 0.5
+    norm = div(centered, sqrt(var + NORM_EPS))
     return norm.reshape(c, h, w) * gain + bias
 
 
@@ -66,10 +112,10 @@ def composite_lstm(xs, wx, wh, b, reverse=False):
         z = xs[t : t + 1, :] @ wx + h @ wh + b
         i = z[:, 0 * hd : 1 * hd].sigmoid()
         f = z[:, 1 * hd : 2 * hd].sigmoid()
-        g = z[:, 2 * hd : 3 * hd].tanh()
+        g = tanh(z[:, 2 * hd : 3 * hd])
         o = z[:, 3 * hd : 4 * hd].sigmoid()
         c = f * c + i * g
-        h = o * c.tanh()
+        h = o * tanh(c)
         outs[t] = h
     return concat(outs, axis=0)
 
@@ -77,7 +123,7 @@ def composite_lstm(xs, wx, wh, b, reverse=False):
 def composite_cross_entropy(probs, targets):
     onehot = np.zeros(probs.shape)
     onehot[np.arange(probs.shape[0]), targets] = 1.0
-    return -(probs.log() * Tensor(onehot)).sum()
+    return neg((log(probs) * Tensor(onehot)).sum())
 
 
 def composite_dice_loss(logits, rows, targets, smooth):
@@ -86,8 +132,8 @@ def composite_dice_loss(logits, rows, targets, smooth):
         gt = np.asarray(targets[k], dtype=np.float64)
         m = logits[j].sigmoid()
         inter = (m * Tensor(gt)).sum()
-        d = (inter * 2.0 + smooth) / (m.sum() + float(gt.sum()) + smooth)
-        terms.append(1.0 - d)
+        d = div(inter * 2.0 + smooth, m.sum() + float(gt.sum()) + smooth)
+        terms.append(sub(1.0, d))
     total = terms[0] if terms else Tensor(np.zeros(()))
     for t in terms[1:]:
         total = total + t

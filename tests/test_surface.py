@@ -1,14 +1,14 @@
-"""No dead surface: every top-level function and class of the package is
-named by package code other than its own definition, so is every method of
-a top-level class, every attribute that a class's `__init__` writes is read
-by package code, and every defaulted parameter of a top-level function or
-method is passed by some package call.
+"""No dead surface that a trace cannot see: every top-level class of the
+package is named by package code other than its own definition, every
+attribute that a class's `__init__` writes is read by package code, and
+every defaulted parameter of a top-level function or method is passed by
+some package call.  Functions, methods and closures are checked by
+`tests/test_reachability.py`, which fails on any that no CLI command runs.
 
-A name counts as used when another part of `src/rcfvis` loads it, reads it
+A class counts as used when another part of `src/rcfvis` loads it, reads it
 as an attribute or imports it (the package `__init__` re-exports its public
-API this way).  Code that only tests need belongs in the tests.  Methods and attributes
-are matched by name alone, like parameters below; special methods such as
-`__call__` run through syntax and are not checked.
+API this way).  Code that only tests need belongs in the tests.  Attributes
+are matched by name alone, like parameters below.
 
 A parameter counts as passed when a call in `src/rcfvis`, outside the
 function's own body, names the function (a method by its attribute name, a
@@ -22,17 +22,11 @@ default values that no caller is meant to pass.
 """
 
 import ast
-from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rcfvis"
 
-# name -> why it may stay unreferenced by package code
-ALLOWED = {
-    "set_strict_finite": "the tests' switch for raising on non-finite tape values",
-}
-
-# "module.Class.member" -> why no package code names the method or reads the attribute
+# "module.Class.attribute" -> why no package code reads the attribute
 ALLOWED_MEMBERS: dict[str, str] = {}
 
 # "module.qualname(parameter)" -> why no package call passes it
@@ -59,32 +53,25 @@ def _trees():
 
 
 def surface_report():
-    """(definitions, users): top-level (module, name) pairs, and for every
-    identifier the set of (module, top-level statement) places naming it."""
+    """(definitions, users): top-level (module, class name) pairs, and for
+    every identifier the set of (module, top-level statement) places naming it."""
     definitions = []
     users: dict[str, set] = {}
     for module, tree in _trees():
         for index, top in enumerate(tree.body):
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(top, ast.ClassDef):
                 definitions.append((module, top.name, index))
             for name in _names(top):
                 users.setdefault(name, set()).add((module, index))
     return definitions, users
 
 
-def _is_special(name: str) -> bool:
-    return name.startswith("__") and name.endswith("__")
-
-
 def member_report():
-    """(members, unused): every "module.Class.member" for the methods of
-    top-level classes and the attributes their `__init__` writes, and those
-    that no package code names (a method outside its own body) or reads (an
-    attribute)."""
+    """(members, unused): every "module.Class.attribute" that the `__init__`
+    of a top-level class writes, and those that no package code reads."""
     trees = _trees()
-    named, read = Counter(), set()
+    read = set()
     for _, tree in trees:
-        named.update(_names(tree))
         read.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
     members, unused = [], []
     for module, tree in trees:
@@ -92,25 +79,19 @@ def member_report():
             if not isinstance(top, ast.ClassDef):
                 continue
             for node in top.body:
-                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (isinstance(node, ast.FunctionDef) and node.name == "__init__"):
                     continue
-                if not _is_special(node.name):
-                    key = f"{module}.{top.name}.{node.name}"
-                    members.append(key)
-                    if named[node.name] <= Counter(_names(node))[node.name]:
-                        unused.append(key)
-                elif node.name == "__init__":
-                    for n in ast.walk(node):
-                        if (
-                            isinstance(n, ast.Attribute)
-                            and isinstance(n.ctx, ast.Store)
-                            and isinstance(n.value, ast.Name)
-                            and n.value.id == "self"
-                        ):
-                            key = f"{module}.{top.name}.{n.attr}"
-                            members.append(key)
-                            if n.attr not in read:
-                                unused.append(key)
+                for n in ast.walk(node):
+                    if (
+                        isinstance(n, ast.Attribute)
+                        and isinstance(n.ctx, ast.Store)
+                        and isinstance(n.value, ast.Name)
+                        and n.value.id == "self"
+                    ):
+                        key = f"{module}.{top.name}.{n.attr}"
+                        members.append(key)
+                        if n.attr not in read:
+                            unused.append(key)
     return members, unused
 
 
@@ -174,31 +155,20 @@ def parameter_report():
     return defaulted, unpassed
 
 
-def test_every_top_level_name_is_used_by_the_package():
+def test_every_class_is_used_by_the_package():
     definitions, users = surface_report()
-    assert len(definitions) > 50  # the scan found the package
+    assert len(definitions) > 40  # the scan found the classes
     unused = [
-        f"{module}.{name}"
-        for module, name, index in definitions
-        if not users.get(name, set()) - {(module, index)} and name not in ALLOWED
+        f"{module}.{name}" for module, name, index in definitions if not users.get(name, set()) - {(module, index)}
     ]
     assert unused == []
 
 
-def test_allowlist_entries_exist_and_are_unused():
-    definitions, users = surface_report()
-    defined = {name: (module, index) for module, name, index in definitions}
-    for name, reason in ALLOWED.items():
-        assert reason
-        assert name in defined, f"{name} is gone; drop it from the allowlist"
-        assert not users.get(name, set()) - {defined[name]}, f"{name} is used now; drop it from the allowlist"
-
-
-def test_every_method_and_init_attribute_is_used_by_the_package():
+def test_every_init_attribute_is_read_by_the_package():
     members, unused = member_report()
-    assert len(members) > 100  # the scan found the classes
+    assert len(members) > 60  # the scan found the attributes
     dead = [key for key in unused if key not in ALLOWED_MEMBERS]
-    assert not dead, f"named or read by no package code: {', '.join(dead)}"
+    assert not dead, f"read by no package code: {', '.join(dead)}"
 
 
 def test_member_allowlist_entries_exist_and_are_unused():

@@ -235,8 +235,9 @@ def cmd_dump_attention(args) -> int:
     refs, windows = sample_window(clip, t, model.cfg.ref_frames)
     with no_grad():
         feats = [model.audio_feature(w) for w in windows] if model.cfg.audio_enabled else None
-        tokens = model.build_tokens(model.extract(clip.frames[t]), [model.extract(f) for f in refs], feats)
-        diag = model.encoder.attention_maps(tokens)
+        target = model.extract(clip.frames[t])
+        tokens = model.build_tokens(target, [model.extract(f) for f in refs], feats)
+        diag = model.encoder.attention_maps(tokens, model.token_layout(*target.f.shape[1:]))
     written = export_diagnostics(diag, args.out)
     mass = diag.segment_mass()
     print(f"wrote {len(written)} files to {args.out}")

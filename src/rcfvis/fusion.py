@@ -5,8 +5,11 @@ Target frames keep their full spatial grid (H*W tokens); the stacked
 reference features are reweighted by a learned pixel map, compressed to a
 K x K grid, and projected to the shared token width; audio features pass
 through a bi-LSTM before projection.  All tokens attend to all tokens in
-the encoder.  The forward keeps no attention weights; `attention_maps`
-recomputes every head's for diagnostics.
+the encoder.  Tokens travel as one plain (L, C') tensor, target rows first;
+`TokenLayout` says which rows belong to which segment, and `split_fused`
+and `attention_maps` take it from `RCFModel.token_layout`.  The forward
+keeps no attention weights; `attention_maps` recomputes every head's for
+diagnostics.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError, StateError
+from .errors import ArgumentError
 from .nn import INIT_STD, BiLSTM, EncoderLayer, Linear, Module
 from .tensor import Tensor, adaptive_avg_pool2d, concat, stack
 
@@ -47,18 +50,6 @@ class TokenLayout:
         a = self.n_target
         b = a + self.n_reference
         return {"target": slice(0, a), "reference": slice(a, b), "audio": slice(b, b + self.audio_len)}
-
-
-@dataclass
-class TokenSet:
-    tokens: Tensor  # (L, C') one token per row
-    layout: TokenLayout
-
-    def validate(self) -> None:
-        if self.tokens.shape[0] != self.layout.total:
-            raise StateError(
-                f"token count {self.tokens.shape[0]} disagrees with layout total {self.layout.total}"
-            )
 
 
 @dataclass
@@ -199,32 +190,28 @@ class FusionEncoder(Module):
             self.child(EncoderLayer(f"layer{i}", c_tok, heads, 4 * c_tok, rng)) for i in range(depth)
         ]
 
-    def __call__(self, ts: TokenSet) -> TokenSet:
-        ts.validate()
-        x = ts.tokens
+    def __call__(self, x: Tensor) -> Tensor:
+        """Fused (L, C') tokens from the (L, C') input tokens."""
         for layer in self.layers:
             x = layer(x)
-        return TokenSet(tokens=x, layout=ts.layout)
+        return x
 
-    def attention_maps(self, ts: TokenSet) -> FusionDiagnostics:
-        """Every layer's per-head attention weights over `ts`, from a second
-        walk of the layers; bit for bit the weights a recording forward keeps."""
-        ts.validate()
-        x = ts.tokens
+    def attention_maps(self, x: Tensor, layout: TokenLayout) -> FusionDiagnostics:
+        """Every layer's per-head attention weights over the tokens `x` laid out
+        by `layout`, from a second walk of the layers; bit for bit the weights
+        a recording forward keeps."""
         attn = []
         for layer in self.layers:
             normed = layer.ln1(x)
             attn.append(layer.attn.weights(normed, normed))
             x = layer(x)
-        return FusionDiagnostics(attention=attn, layout=ts.layout)
+        return FusionDiagnostics(attention=attn, layout=layout)
 
 
-def split_fused(fused: TokenSet) -> Tensor:
-    """The target segment of a fused token set as a (C', H, W) map."""
-    fused.validate()
-    lay = fused.layout
-    tgt = fused.tokens[lay.segment_slices()["target"], :]
-    return tgt.transpose().reshape(tgt.shape[1], lay.h, lay.w)
+def split_fused(fused: Tensor, layout: TokenLayout) -> Tensor:
+    """The target rows of the fused (L, C') tokens as a (C', H, W) map."""
+    tgt = fused[layout.segment_slices()["target"], :]
+    return tgt.transpose().reshape(tgt.shape[1], layout.h, layout.w)
 
 
 def write_pgm(path: str | Path, image: np.ndarray) -> None:

@@ -17,16 +17,6 @@ import numpy as np
 from .errors import ArgumentError
 from .nn import INIT_STD, DecoderLayer, LayerNorm, Linear, Module
 from .tensor import Tensor, softmax
-from .videonet import SegmentationMap
-
-
-@dataclass
-class InstanceCode:
-    e: Tensor  # (N, C_e), one slot per row
-
-    @property
-    def num_slots(self) -> int:
-        return self.e.shape[0]
 
 
 @dataclass
@@ -66,32 +56,35 @@ class InstanceHead(Module):
         self.layers = [
             self.child(DecoderLayer(f"layer{i}", c_tok, heads, 4 * c_tok, rng)) for i in range(depth)
         ]
-        # final pre-LN norm: bounds the code scale so the mask logits cannot
-        # saturate their sigmoid when the classification term grows confident
+        # the pre-LN decoder layers leave their residual stream unnormalized;
+        # this norm takes each slot's row to zero mean and unit variance (then
+        # gain and bias) before out_proj.  It does not bound the mask logits:
+        # out_proj and the theta layers can still scale them without limit
         self.final_norm = self.child(LayerNorm("final_norm", c_tok))
         self.out_proj = self.child(Linear("out_proj", c_tok, c_code, rng))
         self.class_head = self.child(Linear("class_head", c_code, num_classes + 1, rng))
         self.theta_fc1 = self.child(Linear("theta_fc1", c_code, c_code, rng))
         self.theta_fc2 = self.child(Linear("theta_fc2", c_code, c_seg, rng))
 
-    def decode(self, memory: Tensor) -> InstanceCode:
-        """Decode fused tokens into an instance code."""
+    def decode(self, memory: Tensor) -> Tensor:
+        """Decode fused tokens into the (N, C_e) instance code, one slot per row."""
         if memory.ndim != 2:
             raise ArgumentError("decoder memory must be a (L, C') matrix")
         q = self.query
         for layer in self.layers:
             q = layer(q, memory)
-        return InstanceCode(e=self.out_proj(self.final_norm(q)))
+        return self.out_proj(self.final_norm(q))
 
-    def predict_class(self, code: InstanceCode) -> Tensor:
+    def predict_class(self, code: Tensor) -> Tensor:
         """Per-slot probabilities over classes + the no-object class."""
-        return softmax(self.class_head(code.e), axis=1)
+        return softmax(self.class_head(code), axis=1)
 
-    def dynamic_masks(self, code: InstanceCode, seg: SegmentationMap) -> Tensor:
-        """Raw mask logits (N, H_o, W_o) via M = theta^T S."""
-        theta = self.theta_fc2(self.theta_fc1(code.e).relu())  # (N, C_o)
-        c_o, h_o, w_o = seg.values.shape
+    def dynamic_masks(self, code: Tensor, seg: Tensor) -> Tensor:
+        """Raw mask logits (N, H_o, W_o) via M = theta^T S for the (N, C_e)
+        code and the (C_o, H_o, W_o) segmentation map S."""
+        theta = self.theta_fc2(self.theta_fc1(code).relu())  # (N, C_o)
+        c_o, h_o, w_o = seg.shape
         if theta.shape[1] != c_o:
             raise ArgumentError(f"filter channels {theta.shape[1]} mismatch segmentation map {c_o}")
-        flat = theta @ seg.values.reshape(c_o, h_o * w_o)
-        return flat.reshape(code.num_slots, h_o, w_o)
+        flat = theta @ seg.reshape(c_o, h_o * w_o)
+        return flat.reshape(code.shape[0], h_o, w_o)

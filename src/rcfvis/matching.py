@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, CapacityError, NumericError
-from .instance_head import FramePrediction
 from .tensor import sigmoid
 
 DICE_SMOOTH = 1.0
@@ -50,21 +49,23 @@ class Assignment:
 
 
 def similarity_matrix(
-    pred: FramePrediction,
+    class_probs: np.ndarray,
+    mask_logits: np.ndarray,
     gt_masks: np.ndarray,
     gt_classes: np.ndarray,
 ) -> np.ndarray:
-    """(G, N) similarity; entry (i, j) scores slot j for ground truth i by
-    Dice coefficient plus class probability."""
+    """(G, N) similarity of G ground truths to the N slots of (N, classes+1)
+    class probabilities and (N, H, W) mask logits; entry (i, j) scores slot j
+    for ground truth i by Dice coefficient plus class probability."""
     g = gt_masks.shape[0]
-    n = pred.num_slots
+    n = class_probs.shape[0]
     if g > n:
         raise CapacityError(f"{g} ground-truth instances exceed {n} prediction slots")
     if g == 0:
         return np.zeros((0, n))
     gt = np.asarray(gt_masks, dtype=np.float64).reshape(g, 1, -1)
-    soft = sigmoid(pred.mask_logits).reshape(1, n, -1)
-    return dice_coeff(gt, soft) + pred.class_probs[:, np.asarray(gt_classes, dtype=np.int64)].T
+    soft = sigmoid(mask_logits).reshape(1, n, -1)
+    return dice_coeff(gt, soft) + class_probs[:, np.asarray(gt_classes, dtype=np.int64)].T
 
 
 def hungarian_assign(sim: np.ndarray) -> Assignment:

@@ -1,12 +1,12 @@
 """Full pipeline assembly: backbone -> token fusion -> instance head.
 
 Each submodule draws its parameters from an rng keyed by (seed, module
-name), so e.g. toggling audio never shifts the visual parameters.
+name), so e.g. toggling audio never shifts the visual parameters.  Layers
+hand plain tensors along; `forward_features` returns the class
+probabilities and the mask logits.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,27 +19,20 @@ from .fusion import (
     ReferenceTokenizer,
     TargetTokenizer,
     TokenLayout,
-    TokenSet,
     split_fused,
 )
-from .instance_head import FramePrediction, InstanceHead
+from .instance_head import InstanceHead
 from .nn import module_rng
 from .optim import ParamGroup
 from .tensor import Tensor, concat
 from .videonet import Backbone, FrameFeature, MaskFeatureDecoder
 
 
-@dataclass
-class ModelOutput:
-    class_probs: Tensor  # (N, classes+1)
-    mask_logits: Tensor  # (N, H_o, W_o)
-
-    def to_prediction(self, frame_index: int = 0) -> FramePrediction:
-        return FramePrediction(
-            class_probs=self.class_probs.data.copy(),
-            mask_logits=self.mask_logits.data.copy(),
-            frame_index=frame_index,
-        )
+def reference_indices(t: int, delta: int) -> list[int]:
+    """The delta reference frames of frame t, oldest first: t-delta..t-1,
+    with frame 0 standing in for frames before the clip start.  Training and
+    streaming both take their references from this rule."""
+    return [max(t - k, 0) for k in range(delta, 0, -1)]
 
 
 class RCFModel:
@@ -137,42 +130,36 @@ class RCFModel:
         target: FrameFeature,
         refs: list[FrameFeature],
         audio_feats: list[Tensor] | None = None,
-    ) -> TokenSet:
-        cfg = self.cfg
+    ) -> Tensor:
+        """The (L, C') encoder input, rows laid out as `token_layout` says."""
         blocks = [self.target_tok(target.f)]
         if self.ref_tok is not None:
-            if len(refs) != cfg.ref_frames:
-                raise ArgumentError(f"expected {cfg.ref_frames} reference features, got {len(refs)}")
             blocks.append(self.ref_tok([r.f for r in refs]))
         if self.audio_tok is not None:
             if audio_feats is None:
                 raise ArgumentError("audio is enabled but no audio features were given")
             blocks.append(self.audio_tok(audio_feats))
-        layout = self.token_layout(target.f.shape[1], target.f.shape[2])
-        ts = TokenSet(tokens=concat(blocks, axis=0) if len(blocks) > 1 else blocks[0], layout=layout)
-        ts.validate()
-        return ts
+        return concat(blocks, axis=0) if len(blocks) > 1 else blocks[0]
 
     def forward_features(
         self,
         target: FrameFeature,
         refs: list[FrameFeature],
         audio_feats: list[Tensor] | None = None,
-    ) -> ModelOutput:
-        ts = self.build_tokens(target, refs, audio_feats)
-        fused = self.encoder(ts)
-        seg = self.mask_decoder(split_fused(fused), target.skips)
-        code = self.head.decode(fused.tokens)
-        probs = self.head.predict_class(code)
-        masks = self.head.dynamic_masks(code, seg)
-        return ModelOutput(class_probs=probs, mask_logits=masks)
+    ) -> tuple[Tensor, Tensor]:
+        """(class_probs (N, classes+1), mask_logits (N, H_o, W_o))."""
+        fused = self.encoder(self.build_tokens(target, refs, audio_feats))
+        layout = self.token_layout(*target.f.shape[1:])
+        seg = self.mask_decoder(split_fused(fused, layout), target.skips)
+        code = self.head.decode(fused)
+        return self.head.predict_class(code), self.head.dynamic_masks(code, seg)
 
     def forward_frames(
         self,
         target_frame: np.ndarray,
         ref_frames: list[np.ndarray],
         audio_windows: list[np.ndarray] | None = None,
-    ) -> ModelOutput:
+    ) -> tuple[Tensor, Tensor]:
         """Training-path forward: reference features recomputed with current weights."""
         target = self.extract(target_frame)
         refs = [self.extract(f) for f in ref_frames]

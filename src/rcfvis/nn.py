@@ -16,6 +16,7 @@ import zlib
 
 import numpy as np
 
+from .errors import ArgumentError
 from .tensor import Tensor, attention_weights, concat, conv2d, linear, lstm, normalize, scaled_dot_product_attention
 
 INIT_STD = 0.02
@@ -77,7 +78,7 @@ class GroupNorm(Module):
     def __init__(self, name: str, groups: int, channels: int):
         super().__init__(name)
         if channels % groups:
-            raise ValueError("channels must divide into groups")
+            raise ArgumentError(f"{channels} channels do not divide into {groups} groups")
         self.groups = groups
         self.gain = self.param("gain", np.ones((channels, 1, 1)))
         self.bias = self.param("bias", np.zeros((channels, 1, 1)))
@@ -108,7 +109,7 @@ class MultiheadAttention(Module):
     def __init__(self, name: str, dim: int, heads: int, rng: np.random.Generator):
         super().__init__(name)
         if dim % heads:
-            raise ValueError("dim must divide into heads")
+            raise ArgumentError(f"dim {dim} does not divide into {heads} heads")
         self.heads = heads
         self.wq = self.child(Linear("wq", dim, dim, rng))
         self.wk = self.child(Linear("wk", dim, dim, rng, bias=False))

@@ -1,12 +1,14 @@
 """Online streaming inference: per-frame feature cache and identity tracking.
 
-Feature extraction runs exactly once per streamed frame; reference features
-come from a ring buffer of the delta most recent frames (replicating the
-oldest available entry near the stream start).  Identities follow the slot
-order: a fired slot inherits its own slot's previous identity, except when
-another slot's previous mask overlaps it with IoU > 0.5, in which case the
-overlap wins.  The IoUs of all fired slots against all previous masks come
-from one matrix product per frame (`mask_iou`).
+Feature extraction runs exactly once per streamed frame.  Frame t takes
+the references that training samples for it, `model.reference_indices`
+(t-delta..t-1, frame 0 standing in before the stream start); `RefCache`
+keeps, by stream position, the features of just the frames that a later
+frame can still reference.  Identities follow the slot order: a fired slot
+inherits its own slot's previous identity, except when another slot's
+previous mask overlaps it with IoU > 0.5, in which case the overlap wins.
+The IoUs of all fired slots against all previous masks come from one
+matrix product per frame (`mask_iou`).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import ArgumentError, StateError
 from .instance_head import FramePrediction
-from .model import RCFModel
+from .model import RCFModel, reference_indices
 from .synthav import SpriteClip
 from .tensor import Tensor, no_grad
 from .videonet import FrameFeature
@@ -28,36 +30,13 @@ IOU_OVERRIDE_THRESHOLD = 0.5
 
 @dataclass
 class RefCache:
-    """Ring buffer of the delta most recent frame (and audio) features."""
+    """Frame (and audio) features by stream position: after frame t, those
+    of frames t-capacity+1..t, all that later frames can reference."""
 
     capacity: int
-    features: list[FrameFeature] = field(default_factory=list)
-    audio: list[Tensor] = field(default_factory=list)
+    features: dict[int, FrameFeature] = field(default_factory=dict)
+    audio: dict[int, Tensor] = field(default_factory=dict)
     frames_processed: int = 0
-
-    def push(self, feat: FrameFeature, audio_feat: Tensor | None = None) -> None:
-        if self.capacity > 0:
-            self.features.append(feat)
-            del self.features[: -self.capacity]
-            if audio_feat is not None:
-                self.audio.append(audio_feat)
-                del self.audio[: -self.capacity]
-        self.frames_processed += 1
-
-    def _padded(self, cached: list, current) -> list:
-        """The delta cached entries, oldest first, the oldest replicated near
-        the stream start (`current` stands in while the cache is empty)."""
-        if self.capacity == 0:
-            return []
-        avail = cached or [current]
-        return [avail[0]] * (self.capacity - len(avail)) + avail
-
-    def padded_features(self, current: FrameFeature) -> list[FrameFeature]:
-        return self._padded(self.features, current)
-
-    def padded_audio(self, current: Tensor) -> list[Tensor]:
-        """Cached audio features plus the current one: delta + 1 entries."""
-        return self._padded(self.audio, current) + [current]
 
 
 @dataclass
@@ -228,25 +207,27 @@ def infer_frame(
         )
     cfg = model.cfg
     idx = cache.frames_processed
+    indices = reference_indices(idx, cache.capacity)
     with no_grad():
-        feat = model.extract(frame)
-        refs = cache.padded_features(feat)
+        cache.features[idx] = model.extract(frame)
+        refs = [cache.features[i] for i in indices]
         audio_feats = None
-        current_audio = None
         if cfg.audio_enabled:
             if audio_window is None:
                 raise ArgumentError("model expects an audio window per frame")
-            current_audio = model.audio_feature(audio_window)
-            audio_feats = cache.padded_audio(current_audio)
-        output = model.forward_features(feat, refs, audio_feats)
+            cache.audio[idx] = model.audio_feature(audio_window)
+            audio_feats = [cache.audio[i] for i in indices + [idx]]
+        probs, masks = model.forward_features(cache.features[idx], refs, audio_feats)
     pred = postprocess(
-        output.to_prediction(idx),
+        FramePrediction(class_probs=probs.data, mask_logits=masks.data, frame_index=idx),
         cfg.num_classes,
         class_threshold=cfg.class_threshold,
         mask_threshold=cfg.mask_threshold,
     )
     track_update(state, pred, max_gap=cfg.track_max_gap, iou_override=cfg.iou_override)
-    cache.push(feat, current_audio)
+    cache.features.pop(idx - cache.capacity, None)
+    cache.audio.pop(idx - cache.capacity, None)
+    cache.frames_processed += 1
     return pred
 
 

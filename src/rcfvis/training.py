@@ -20,7 +20,7 @@ from .config import RunConfig
 from .container import read_container, write_container
 from .errors import ArgumentError, ConfigError, FormatError, NumericError
 from .matching import DICE_SMOOTH, Assignment, hungarian_assign, shrink_mask, similarity_matrix
-from .model import ModelOutput, RCFModel
+from .model import RCFModel, reference_indices
 from .optim import OptimState, adamw_step, poly_lr
 from .synthav import SpriteClip, read_clip
 from .tensor import Tensor, cross_entropy, dice_loss
@@ -77,12 +77,11 @@ def frame_ground_truth(clip: SpriteClip, t: int, mask_hw: tuple[int, int]) -> tu
     return idx, classes, shrink_mask(clip.gt_masks[t, idx], mask_hw)
 
 
-def match_and_loss(output: ModelOutput, clip: SpriteClip, t: int, cfg: RunConfig) -> LossReport:
+def match_and_loss(class_probs: Tensor, mask_logits: Tensor, clip: SpriteClip, t: int, cfg: RunConfig) -> LossReport:
     _, classes, masks = frame_ground_truth(clip, t, cfg.mask_hw)
-    pred = output.to_prediction(frame_index=t)
-    sim = similarity_matrix(pred, masks.astype(np.float64), classes)
+    sim = similarity_matrix(class_probs.data, mask_logits.data, masks.astype(np.float64), classes)
     assignment = hungarian_assign(sim)
-    return set_loss(output.class_probs, output.mask_logits, classes, masks, assignment, cfg.num_classes)
+    return set_loss(class_probs, mask_logits, classes, masks, assignment, cfg.num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +163,10 @@ class TrainResult:
 
 
 def sample_window(clip: SpriteClip, t: int, delta: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Reference frames t-delta..t-1 (frame 0 replicated at the clip start)
-    and audio windows t-delta..t."""
-    refs = [clip.frames[max(t - k, 0)] for k in range(delta, 0, -1)]
-    windows = [clip.audio_window(max(t - k, 0)) for k in range(delta, -1, -1)]
-    return refs, windows
+    """The reference frames of frame t (`reference_indices`) and the audio
+    windows of those frames and of t."""
+    indices = reference_indices(t, delta)
+    return [clip.frames[i] for i in indices], [clip.audio_window(i) for i in indices + [t]]
 
 
 def train_loop(cfg: RunConfig, data_dir: str | Path, out_dir: str | Path) -> TrainResult:
@@ -201,8 +199,8 @@ def train_loop(cfg: RunConfig, data_dir: str | Path, out_dir: str | Path) -> Tra
             clip = clips[int(rng.integers(len(clips)))]
             t = int(rng.integers(clip.num_frames))
             refs, windows = sample_window(clip, t, cfg.ref_frames)
-            output = model.forward_frames(clip.frames[t], refs, windows if cfg.audio_enabled else None)
-            report = match_and_loss(output, clip, t, cfg)
+            probs, masks = model.forward_frames(clip.frames[t], refs, windows if cfg.audio_enabled else None)
+            report = match_and_loss(probs, masks, clip, t, cfg)
             if not np.isfinite(report.total):
                 dump = {
                     "iteration": it,

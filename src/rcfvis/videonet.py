@@ -20,11 +20,6 @@ class FrameFeature:
     skips: tuple[Tensor, Tensor]  # from blocks 1 and 2, strides 2 and 4
 
 
-@dataclass
-class SegmentationMap:
-    values: Tensor  # (C_o, H_img/2, W_img/2)
-
-
 class Backbone(Module):
     """Four 3x3 conv blocks (group-norm, ReLU), stride-2 downsampling at 1-3.
 
@@ -33,8 +28,8 @@ class Backbone(Module):
 
     def __init__(self, name: str, out_channels: int, rng: np.random.Generator):
         super().__init__(name)
-        if out_channels % 4:
-            raise ArgumentError("backbone output channels must be divisible by 4")
+        if out_channels % (4 * NORM_GROUPS):  # block 0's out_channels / 4 split into the norm groups
+            raise ArgumentError(f"backbone output channels {out_channels} are not a multiple of {4 * NORM_GROUPS}")
         chans = [out_channels // 4, out_channels // 2, out_channels, out_channels]
         strides = [2, 2, 2, 1]
         self.blocks = []
@@ -82,7 +77,8 @@ class MaskFeatureDecoder(Module):
         self.ref2 = self.child(Conv2dLayer("ref2", c_skip1, c_skip1, 3, rng, pad=1))
         self.out = self.child(Conv2dLayer("out", c_skip1, c_out, 1, rng))
 
-    def __call__(self, fused: Tensor, skips: tuple[Tensor, Tensor]) -> SegmentationMap:
+    def __call__(self, fused: Tensor, skips: tuple[Tensor, Tensor]) -> Tensor:
+        """The (C_o, H_img/2, W_img/2) segmentation map."""
         skip1, skip2 = skips
         x = upsample2x(self.lat1(fused))
         if x.shape != skip2.shape:
@@ -92,4 +88,4 @@ class MaskFeatureDecoder(Module):
         if x.shape != skip1.shape:
             raise ArgumentError(f"stage-2 shape {x.shape} mismatches skip {skip1.shape}")
         x = self.ref2(x + skip1).relu()
-        return SegmentationMap(values=self.out(x))
+        return self.out(x)

@@ -369,15 +369,15 @@ class TestCLIPipelines:
         token_sets = []
         maps = FusionEncoder.attention_maps
 
-        def spy(self, ts):
-            token_sets.append(ts)
-            return maps(self, ts)
+        def spy(self, tokens, layout):
+            token_sets.append(tokens)
+            return maps(self, tokens, layout)
 
         monkeypatch.setattr(FusionEncoder, "attention_maps", spy)
         size = ["--set", "image_h=32", "--set", "image_w=48", "--set", "num_slots=4"]
         assert main(["dump-attention", "--clip", str(clip), "--out", str(tmp_path / "attn"), *size]) == 0
         assert len(token_sets) == 1
-        assert not token_sets[0].tokens.requires_grad
+        assert not token_sets[0].requires_grad
 
     def test_probe_no_override_runs_with_override_off(self, tmp_path, capsys, monkeypatch):
         size = ["--set", "image_h=32", "--set", "image_w=48", "--set", "num_slots=4", "--set", "class_threshold=0.0"]

@@ -297,8 +297,8 @@ def composite_set_loss(class_probs, mask_logits, gt_classes, gt_masks, assignmen
 def forward(cfg, clip, t):
     model = RCFModel(cfg)
     refs, windows = training.sample_window(clip, t, cfg.ref_frames)
-    out = model.forward_frames(clip.frames[t], refs, windows)
-    return model, out
+    probs, logits = model.forward_frames(clip.frames[t], refs, windows)
+    return model, probs, logits
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -325,14 +325,14 @@ def test_model_matches_composite_layers(seed, monkeypatch):
                     "__call__",
                     lambda self, xs, reverse=False: composite_lstm(xs, self.wx, self.wh, self.b, reverse),
                 )
-            model, out = forward(cfg, clip, t)
-            sim = similarity_matrix(out.to_prediction(t), masks.astype(np.float64), classes)
+            model, probs, logits = forward(cfg, clip, t)
+            sim = similarity_matrix(probs.data, logits.data, masks.astype(np.float64), classes)
             assignment = hungarian_assign(sim)
-            args = (out.class_probs, out.mask_logits, classes, masks, assignment, cfg.num_classes)
+            args = (probs, logits, classes, masks, assignment, cfg.num_classes)
             loss = training.set_loss(*args).loss if fused else composite_set_loss(*args)
             loss.backward()
         grads = {name: p.grad for name, p in model.params().items()}
-        return (out.class_probs.data, out.mask_logits.data, loss.data), grads
+        return (probs.data, logits.data, loss.data), grads
 
     fused_out, fused_grads = outputs_and_grads(True)
     oracle_out, oracle_grads = outputs_and_grads(False)

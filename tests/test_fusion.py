@@ -11,12 +11,11 @@ from rcfvis.fusion import (
     ReferenceTokenizer,
     TargetTokenizer,
     TokenLayout,
-    TokenSet,
     sincos_position_encoding_2d,
     split_fused,
 )
 from rcfvis.model import RCFModel
-from rcfvis.nn import BiLSTM, module_rng
+from rcfvis.nn import BiLSTM, MultiheadAttention, module_rng
 from rcfvis.tensor import Tensor, grad_check
 
 
@@ -127,22 +126,26 @@ class TestFusionEncoder:
     def make(self, dim=16, heads=4, depth=2, seed=0):
         return FusionEncoder("enc", dim, heads, depth, module_rng(seed, "enc"))
 
+    def test_heads_must_divide_dim(self):
+        with pytest.raises(ArgumentError, match="dim 16 does not divide into 3 heads"):
+            MultiheadAttention("attn", 16, 3, module_rng(0, "attn"))
+        assert MultiheadAttention("attn", 16, 4, module_rng(0, "attn")).heads == 4
+
     def test_attention_rows_sum_to_one(self, rng):
         enc = self.make()
         lay = TokenLayout(h=2, w=3, k=1, audio_len=2)
-        ts = TokenSet(tokens=Tensor(rng.standard_normal((lay.total, 16))), layout=lay)
-        diag = enc.attention_maps(ts)
+        diag = enc.attention_maps(Tensor(rng.standard_normal((lay.total, 16))), lay)
         for layer in diag.attention:
             assert np.abs(layer.sum(axis=2) - 1.0).max() < 1e-6
 
     def test_single_token_weight_is_one(self, rng):
         enc = self.make()
         lay = TokenLayout(h=1, w=1, k=0, audio_len=0)
-        ts = TokenSet(tokens=Tensor(rng.standard_normal((1, 16))), layout=lay)
-        fused, diag = enc(ts), enc.attention_maps(ts)
+        x = Tensor(rng.standard_normal((1, 16)))
+        fused, diag = enc(x), enc.attention_maps(x, lay)
         for layer in diag.attention:
             assert np.abs(layer - 1.0).max() < 1e-12
-        assert np.isfinite(fused.tokens.data).all()
+        assert np.isfinite(fused.data).all()
 
     def test_zero_output_projections_make_identity(self, rng):
         enc = self.make(seed=5)
@@ -153,15 +156,14 @@ class TestFusionEncoder:
             layer.ffn.fc2.b.data[:] = 0.0
         lay = TokenLayout(h=2, w=2, k=1, audio_len=0)
         x = rng.standard_normal((lay.total, 16))
-        fused = enc(TokenSet(tokens=Tensor(x), layout=lay))
-        assert np.array_equal(fused.tokens.data, x)
+        fused = enc(Tensor(x))
+        assert np.array_equal(fused.data, x)
 
     def test_matches_naive_per_head_reference(self, rng):
         enc = self.make(dim=8, heads=2, depth=1, seed=7)
         lay = TokenLayout(h=2, w=2, k=2, audio_len=0)
         x = rng.standard_normal((8, 8))
-        ts = TokenSet(tokens=Tensor(x), layout=lay)
-        fused, diag = enc(ts), enc.attention_maps(ts)
+        fused, diag = enc(Tensor(x)), enc.attention_maps(Tensor(x), lay)
 
         layer = enc.layers[0]
 
@@ -188,7 +190,7 @@ class TestFusionEncoder:
         normed2 = np_ln(mid, layer.ln2.gain.data, layer.ln2.bias.data)
         ffn = np.maximum(normed2 @ layer.ffn.fc1.w.data + layer.ffn.fc1.b.data, 0.0)
         ref = mid + ffn @ layer.ffn.fc2.w.data + layer.ffn.fc2.b.data
-        assert np.abs(fused.tokens.data - ref).max() < 1e-12
+        assert np.abs(fused.data - ref).max() < 1e-12
 
 
 class TestLayoutAndSplit:
@@ -199,8 +201,8 @@ class TestLayoutAndSplit:
         target = model.extract(clip_frame)
         refs = [model.extract(clip_frame)]
         feats = [Tensor(np.zeros(cfg.audio_dim)) for _ in range(2)]
-        ts = model.build_tokens(target, refs, feats)
-        assert ts.layout.total == 96 + 4 + 2 == 102
+        tokens = model.build_tokens(target, refs, feats)
+        assert tokens.shape[0] == 96 + 4 + 2 == 102
 
     @pytest.mark.parametrize(
         "overrides",
@@ -218,15 +220,14 @@ class TestLayoutAndSplit:
         frame = np.zeros((3, cfg.image_h, cfg.image_w))
         refs = [model.extract(frame) for _ in range(cfg.ref_frames)]
         feats = [Tensor(np.zeros(cfg.audio_dim)) for _ in range(cfg.ref_frames + 1)] if cfg.audio_enabled else None
-        built = model.build_tokens(model.extract(frame), refs, feats).layout
-        assert built == model.token_layout(*cfg.feature_hw)
+        built = model.build_tokens(model.extract(frame), refs, feats)
+        assert built.shape[0] == model.token_layout(*cfg.feature_hw).total
 
     def test_split_round_trip(self, rng):
         lay = layout()
         c = 16
         tokens = rng.standard_normal((lay.total, c))
-        ts = TokenSet(tokens=Tensor(tokens), layout=lay)
-        tgt_map = split_fused(ts)
+        tgt_map = split_fused(Tensor(tokens), lay)
         assert tgt_map.shape == (c, lay.h, lay.w)
         # reshape(flatten(x)) == x
         back = tgt_map.reshape(c, lay.h * lay.w).transpose().data
@@ -245,8 +246,8 @@ def test_audio_flag_keeps_visual_blocks_bit_identical(rng):
     t_on, t_off = m_on.extract(frame), m_off.extract(frame)
     r_on, r_off = [m_on.extract(frame)], [m_off.extract(frame)]
     feats = [Tensor(np.zeros(cfg_on.audio_dim)) for _ in range(2)]
-    ts_on = m_on.build_tokens(t_on, r_on, feats)
-    ts_off = m_off.build_tokens(t_off, r_off, None)
-    n_vis = ts_off.layout.total
-    assert ts_on.layout.total == n_vis + 2
-    assert np.array_equal(ts_on.tokens.data[:n_vis], ts_off.tokens.data)
+    tokens_on = m_on.build_tokens(t_on, r_on, feats)
+    tokens_off = m_off.build_tokens(t_off, r_off, None)
+    n_vis = tokens_off.shape[0]
+    assert tokens_on.shape[0] == n_vis + 2
+    assert np.array_equal(tokens_on.data[:n_vis], tokens_off.data)

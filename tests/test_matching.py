@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from rcfvis.errors import ArgumentError, CapacityError, NumericError
-from rcfvis.instance_head import FramePrediction
 from rcfvis.matching import (
     DICE_SMOOTH,
     Assignment,
@@ -150,21 +149,16 @@ class TestDice:
 
 
 class TestSimilarityMatrix:
-    def make_pred(self, probs, logits):
-        return FramePrediction(class_probs=np.asarray(probs, float), mask_logits=np.asarray(logits, float))
-
     def test_perfect_match_scores_two(self):
         gt = np.zeros((1, 2, 2))
         gt[0, 0, 0] = 1.0
         logits = np.full((1, 2, 2), -500.0)
         logits[0, 0, 0] = 500.0  # sigmoid saturates to exactly 0/1 in float64
-        pred = self.make_pred([[1.0, 0.0]], logits)
-        sim = similarity_matrix(pred, gt, np.array([0]))
+        sim = similarity_matrix(np.array([[1.0, 0.0]]), logits, gt, np.array([0]))
         assert sim[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_empty_gt_set(self):
-        pred = self.make_pred(np.full((3, 3), 1 / 3), np.zeros((3, 2, 2)))
-        sim = similarity_matrix(pred, np.zeros((0, 2, 2)), np.zeros(0, dtype=int))
+        sim = similarity_matrix(np.full((3, 3), 1 / 3), np.zeros((3, 2, 2)), np.zeros((0, 2, 2)), np.zeros(0, dtype=int))
         assert sim.shape == (0, 3)
         assert hungarian_assign(sim) == Assignment(gt_to_slot=(), total=0.0)
 
@@ -174,8 +168,7 @@ class TestSimilarityMatrix:
         logits = rng.standard_normal((3, 2, 3))
         gt_masks = (rng.random((2, 2, 3)) < 0.5).astype(float)
         gt_classes = np.array([2, 0])
-        pred = self.make_pred(probs, logits)
-        sim = similarity_matrix(pred, gt_masks, gt_classes)
+        sim = similarity_matrix(probs, logits, gt_masks, gt_classes)
         for i in range(2):
             for j in range(3):
                 soft = 1.0 / (1.0 + np.exp(-logits[j]))
@@ -192,7 +185,7 @@ class TestSimilarityMatrix:
             logits = rng.standard_normal((n, 8, 12)) * 3
             gt_masks = rng.random((g, 8, 12)) < 0.3
             gt_classes = rng.integers(0, 4, size=g)
-            sim = similarity_matrix(self.make_pred(probs, logits), gt_masks, gt_classes)
+            sim = similarity_matrix(probs, logits, gt_masks, gt_classes)
             soft = sigmoid(logits)
             for i in range(g):  # the scalar loop the broadcast replaced, whole-mask sums
                 gt = gt_masks[i].astype(np.float64)
@@ -201,9 +194,8 @@ class TestSimilarityMatrix:
                     assert sim[i, j].tobytes() == (dice + probs[j, gt_classes[i]]).tobytes()
 
     def test_over_capacity(self):
-        pred = self.make_pred(np.full((2, 3), 1 / 3), np.zeros((2, 2, 2)))
         with pytest.raises(CapacityError):
-            similarity_matrix(pred, np.zeros((3, 2, 2)), np.zeros(3, dtype=int))
+            similarity_matrix(np.full((2, 3), 1 / 3), np.zeros((2, 2, 2)), np.zeros((3, 2, 2)), np.zeros(3, dtype=int))
 
 
 class TestAssignment:

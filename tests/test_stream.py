@@ -367,6 +367,20 @@ def test_training_window_matches_streamed_references(delta):
     for t, pred in enumerate(preds):
         refs, windows = sample_window(clip, t, delta)
         with no_grad():
-            out = model.forward_frames(clip.frames[t], refs, windows)
-        assert np.array_equal(out.class_probs.data, pred.class_probs), t
-        assert np.array_equal(out.mask_logits.data, pred.mask_logits), t
+            probs, logits = model.forward_frames(clip.frames[t], refs, windows)
+        assert np.array_equal(probs.data, pred.class_probs), t
+        assert np.array_equal(logits.data, pred.mask_logits), t
+
+
+@pytest.mark.parametrize("delta", [0, 1, 2, 3])
+def test_stream_cache_stays_bounded(delta):
+    # the cache is keyed by stream position: after frame t it holds frames
+    # t-delta+1..t, the only ones a later frame can reference
+    model = small_model(ref_frames=delta)
+    clip = small_clip(seed=delta, frames=6)
+    cache = RefCache(capacity=delta)
+    state = TrackState(num_slots=model.cfg.num_slots)
+    for t in range(clip.num_frames):
+        infer_frame(model, clip.frames[t].astype(np.float64), clip.audio_window(t), cache, state, t)
+        assert len(cache.features) <= delta and len(cache.audio) <= delta, t
+        assert sorted(cache.features) == sorted(cache.audio) == list(range(max(t + 1 - delta, 0), t + 1)), t

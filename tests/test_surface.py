@@ -19,6 +19,9 @@ are matched by name alone, so a like-named numpy method can keep a parameter
 alive: the check finds dead parameters, it does not prove one is live.
 Nested functions are not checked: the tape closures bind their inputs as
 default values that no caller is meant to pass.
+
+A dataclass with a single field is a pass-through type: it wraps one value
+whose shape every caller already knows, so the value itself should travel.
 """
 
 import ast
@@ -28,6 +31,9 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rcfvis"
 
 # "module.Class.attribute" -> why no package code reads the attribute
 ALLOWED_MEMBERS: dict[str, str] = {}
+
+# "module.Class" -> why a one-field dataclass is more than a wrapper
+ALLOWED_ONE_FIELD: dict[str, str] = {}
 
 # "module.qualname(parameter)" -> why no package call passes it
 ALLOWED_PARAMETERS = {
@@ -93,6 +99,29 @@ def member_report():
                         if n.attr not in read:
                             unused.append(key)
     return members, unused
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for d in cls.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if (target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def dataclass_report():
+    """(dataclasses, one_field): every top-level "module.Class" that is a
+    dataclass, and those of them with exactly one field."""
+    dataclasses, one_field = [], []
+    for module, tree in _trees():
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef) and _is_dataclass(top):
+                key = f"{module}.{top.name}"
+                dataclasses.append(key)
+                fields = [n for n in top.body if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+                if len(fields) == 1:
+                    one_field.append(key)
+    return dataclasses, one_field
 
 
 def _functions(tree: ast.Module):
@@ -181,7 +210,7 @@ def test_member_allowlist_entries_exist_and_are_unused():
 
 def test_every_defaulted_parameter_is_passed_by_the_package():
     defaulted, unpassed = parameter_report()
-    assert len(defaulted) > 30  # the scan found the parameters
+    assert len(defaulted) > 25  # the scan found the parameters
     dead = [key for key in unpassed if key not in ALLOWED_PARAMETERS]
     assert not dead, f"passed by no package call: {', '.join(dead)}"
 
@@ -192,3 +221,17 @@ def test_parameter_allowlist_entries_exist_and_are_unpassed():
         assert reason
         assert key in defaulted, f"{key} is gone; drop it from the allowlist"
         assert key in unpassed, f"{key} is passed now; drop it from the allowlist"
+
+
+def test_no_dataclass_is_a_pass_through():
+    dataclasses, one_field = dataclass_report()
+    assert len(dataclasses) > 15  # the scan found the dataclasses
+    wrappers = [key for key in one_field if key not in ALLOWED_ONE_FIELD]
+    assert not wrappers, f"one-field dataclasses: {', '.join(wrappers)}"
+
+
+def test_one_field_allowlist_entries_exist_and_have_one_field():
+    _, one_field = dataclass_report()
+    for key, reason in ALLOWED_ONE_FIELD.items():
+        assert reason
+        assert key in one_field, f"{key} is gone or has more fields; drop it from the allowlist"

@@ -237,8 +237,8 @@ def test_training_forward_tape_size_is_pinned():
     clip = generate_clip(3, GeneratorConfig(frames=4, min_sprites=4, max_sprites=8))
     model = RCFModel(cfg)
     refs, windows = sample_window(clip, 2, cfg.ref_frames)
-    out = model.forward_frames(clip.frames[2], refs, windows)
-    loss = match_and_loss(out, clip, 2, cfg).loss
+    probs, masks = model.forward_frames(clip.frames[2], refs, windows)
+    loss = match_and_loss(probs, masks, clip, 2, cfg).loss
     seen, todo = {id(loss)}, [loss]
     while todo:
         for p in todo.pop()._parents:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rcfvis.errors import ArgumentError
-from rcfvis.nn import module_rng
+from rcfvis.nn import GroupNorm, module_rng
 from rcfvis.tensor import Tensor, grad_check, upsample2x
 from rcfvis.videonet import Backbone, MaskFeatureDecoder
 
@@ -41,6 +41,19 @@ def test_indivisible_extent_rejected(rng):
         bb(Tensor(rng.random((3, 12, 16))))
 
 
+@pytest.mark.parametrize("channels", [8, 12, 20, 36])
+def test_channels_off_the_group_norm_grid_rejected(channels):
+    # block 0 has channels / 4 channels, which must split into 4 norm groups
+    with pytest.raises(ArgumentError, match="multiple of 16"):
+        make_backbone(channels=channels)
+
+
+def test_group_norm_channels_must_divide_into_groups():
+    with pytest.raises(ArgumentError, match="6 channels do not divide into 4 groups"):
+        GroupNorm("norm", 4, 6)
+    assert GroupNorm("norm", 4, 8).gain.shape == (8, 1, 1)
+
+
 def test_backbone_gradient_to_first_conv(rng):
     bb = make_backbone(seed=1)
     img = rng.random((3, 8, 8))
@@ -64,7 +77,7 @@ def test_decoder_output_extents(rng):
     feat = bb(Tensor(rng.random((3, 16, 24))))
     fused = Tensor(rng.standard_normal((24, 2, 3)))
     out = dec(fused, feat.skips)
-    assert out.values.shape == (16, 8, 12)
+    assert out.shape == (16, 8, 12)
 
 
 def test_decoder_zero_inputs_bias_driven(rng):
@@ -72,11 +85,11 @@ def test_decoder_zero_inputs_bias_driven(rng):
     zero_skips = (Tensor(np.zeros((8, 8, 12))), Tensor(np.zeros((16, 4, 6))))
     a = dec(Tensor(np.zeros((24, 2, 3))), zero_skips)
     b = dec(Tensor(np.zeros((24, 2, 3))), zero_skips)
-    assert np.array_equal(a.values.data, b.values.data)
+    assert np.array_equal(a.data, b.data)
     for conv in (dec.lat1, dec.ref1, dec.lat2, dec.ref2, dec.out):
         conv.b.data[:] = 0.0
     c = dec(Tensor(np.zeros((24, 2, 3))), zero_skips)
-    assert np.abs(c.values.data).max() == 0.0
+    assert np.abs(c.data).max() == 0.0
 
 
 def test_decoder_skip_shape_mismatch(rng):
@@ -93,7 +106,7 @@ def test_decoder_end_to_end_gradient(rng):
     fused = Tensor(rng.standard_normal((24, 1, 1)))
 
     def f(t):
-        y = dec(t, skips).values
+        y = dec(t, skips)
         return (y * y).sum()
 
     assert grad_check(f, fused) < 1e-5
@@ -115,7 +128,7 @@ def test_laterals_before_upsample_match_former_order(rng, hw):
     fused0 = rng.standard_normal((24, hw[0] // 8, hw[1] // 8))
     seed = rng.standard_normal((16, hw[0] // 2, hw[1] // 2))
     results = []
-    for decode in (lambda f, s: dec(f, s).values, lambda f, s: old_order_decoder(dec, f, s)):
+    for decode in (lambda f, s: dec(f, s), lambda f, s: old_order_decoder(dec, f, s)):
         fused = Tensor(fused0.copy(), requires_grad=True)
         for p in dec.params().values():
             p.grad = None

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import SAMPLE_RATE
 from .errors import ArgumentError
 from .nn import Conv2dLayer, Linear, Module
 from .tensor import Tensor
 
-SAMPLE_RATE = 16_000
 WINDOW_MS = 25
 HOP_MS = 10
 WINDOW = SAMPLE_RATE * WINDOW_MS // 1000

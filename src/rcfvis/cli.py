@@ -26,7 +26,7 @@ from .errors import ArgumentError, ConfigError, FormatError, NumericError
 from .fusion import export_diagnostics
 from .model import RCFModel
 from .stream import stream_clip
-from .synthav import GeneratorConfig, generate_clip, read_clip, write_clip
+from .synthav import generate_clip, read_clip, write_clip
 from .tensor import no_grad
 from .training import list_clip_dirs, load_checkpoint, sample_window, train_loop
 from .viseval import evaluate_model_on_clips, pred_tracks_from_state
@@ -57,26 +57,18 @@ def _load_model(args) -> tuple[RCFModel, bool]:
     return model, True
 
 
-def generator_config(cfg: RunConfig, split: str) -> GeneratorConfig:
-    gen = GeneratorConfig(
-        height=cfg.image_h,
-        width=cfg.image_w,
-        frames=cfg.gen_frames,
-        min_sprites=cfg.gen_min_sprites,
-        max_sprites=cfg.gen_max_sprites,
-        min_radius=cfg.gen_min_radius,
-        max_radius=cfg.gen_max_radius,
-        min_speed=cfg.gen_min_speed,
-        max_speed=cfg.gen_max_speed,
-        noise=cfg.gen_noise,
-        fps_stream=cfg.gen_fps,
+def generator_config(cfg: RunConfig, split: str) -> RunConfig:
+    """The config that `generate_clip` renders a split's clips from: cfg
+    itself, except that probe clips move at `probe_speed_scale` times the
+    speeds and carry `probe_noise`, for the order-stability protocol."""
+    if split != "probe":
+        return cfg
+    return dataclasses.replace(
+        cfg,
+        gen_min_speed=cfg.gen_min_speed * cfg.probe_speed_scale,
+        gen_max_speed=cfg.gen_max_speed * cfg.probe_speed_scale,
+        gen_noise=cfg.probe_noise,
     )
-    if split == "probe":
-        # slow-motion, low-noise clips for the order-stability protocol
-        gen.min_speed = cfg.gen_min_speed * cfg.probe_speed_scale
-        gen.max_speed = cfg.gen_max_speed * cfg.probe_speed_scale
-        gen.noise = cfg.probe_noise
-    return gen
 
 
 def clip_seed(base_seed: int, split: str, index: int) -> int:

@@ -15,6 +15,11 @@ from pathlib import Path
 
 from .errors import ConfigError
 
+# fixed geometry, not configurable
+FEATURE_STRIDE = 8  # image pixels per backbone feature-grid pixel along each axis
+MASK_STRIDE = 2  # image pixels per mask-grid pixel along each axis
+SAMPLE_RATE = 16_000  # audio samples per second
+
 
 def _choice(*opts):
     return lambda v: v in opts
@@ -54,8 +59,8 @@ class RunConfig:
     audio_dim: int = _key(128, "[8, 4096]", _range(8, 4096))
     lstm_hidden: int = _key(32, "[4, 512]", _range(4, 512))
     num_classes: int = _key(4, "[1, 16]", _range(1, 16))
-    image_h: int = _key(64, "multiple of 8 in [16, 512]", lambda v: 16 <= v <= 512 and v % 8 == 0)
-    image_w: int = _key(96, "multiple of 8 in [16, 512]", lambda v: 16 <= v <= 512 and v % 8 == 0)
+    image_h: int = _key(64, f"multiple of {FEATURE_STRIDE} in [16, 512]", lambda v: 16 <= v <= 512 and v % FEATURE_STRIDE == 0)
+    image_w: int = _key(96, f"multiple of {FEATURE_STRIDE} in [16, 512]", lambda v: 16 <= v <= 512 and v % FEATURE_STRIDE == 0)
     # training
     lr0: float = _key(6e-4, "(0, 1]", _range(0, 1, lo_open=True))
     iter_max: int = _key(1000, "[1, 10000000]", _range(1, 10_000_000))
@@ -98,7 +103,7 @@ class RunConfig:
             raise ConfigError("gen_min_speed must not exceed gen_max_speed")
         if self.gen_min_radius > self.gen_max_radius:
             raise ConfigError("gen_min_radius must not exceed gen_max_radius")
-        fh, fw = self.image_h // 8, self.image_w // 8
+        fh, fw = self.feature_hw
         if self.ref_frames >= 1 and (fh % self.ref_token_k or fw % self.ref_token_k):
             raise ConfigError(
                 f"feature grid {fh}x{fw} must divide the reference token grid {self.ref_token_k}"
@@ -110,11 +115,11 @@ class RunConfig:
 
     @property
     def feature_hw(self) -> tuple[int, int]:
-        return self.image_h // 8, self.image_w // 8
+        return self.image_h // FEATURE_STRIDE, self.image_w // FEATURE_STRIDE
 
     @property
     def mask_hw(self) -> tuple[int, int]:
-        return self.image_h // 2, self.image_w // 2
+        return self.image_h // MASK_STRIDE, self.image_w // MASK_STRIDE
 
 
 def _parse_value(f, raw: str):

@@ -5,7 +5,7 @@ constant velocity and bounce inside an extended box, so a sprite may leave
 the canvas entirely for a few frames and come back.  Each class emits a
 sine tone at 300 + 400*c Hz with amplitude 0.3 exactly while at least one
 instance of the class is visible.  Everything is a pure function of
-(seed, config).
+(seed, RunConfig): the image size and the `gen_*` keys.
 
 A clip is rendered whole.  A scalar loop only records every sprite's
 centre in every frame; each sprite's stencil for all frames is then one
@@ -22,15 +22,15 @@ keeps the per-frame renderer as its oracle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import SAMPLE_RATE, RunConfig
 from .container import read_container, rle_decode, rle_encode_planes, write_container
 from .errors import ArgumentError, FormatError
 
-AUDIO_RATE = 16_000
 TONE_BASE_HZ = 300.0
 TONE_STEP_HZ = 400.0
 TONE_AMPLITUDE = 0.3
@@ -41,48 +41,24 @@ CLASS_COLORS = (
     (0.25, 0.35, 0.90),
     (0.90, 0.85, 0.25),
 )
-BACKBONE_STRIDE = 8
+# a clip manifest's `generator_config` key -> the RunConfig key it records
+GENERATOR_KEYS = {
+    "height": "image_h",
+    "width": "image_w",
+    "frames": "gen_frames",
+    "min_sprites": "gen_min_sprites",
+    "max_sprites": "gen_max_sprites",
+    "min_radius": "gen_min_radius",
+    "max_radius": "gen_max_radius",
+    "min_speed": "gen_min_speed",
+    "max_speed": "gen_max_speed",
+    "noise": "gen_noise",
+    "fps_stream": "gen_fps",
+}
 
 
 def tone_frequency(class_id: int) -> float:
     return TONE_BASE_HZ + TONE_STEP_HZ * class_id
-
-
-@dataclass
-class GeneratorConfig:
-    height: int = 64
-    width: int = 96
-    frames: int = 16
-    min_sprites: int = 2
-    max_sprites: int = 4
-    min_radius: float = 6.0
-    max_radius: float = 12.0
-    min_speed: float = 1.0
-    max_speed: float = 3.0
-    noise: float = 0.02
-    fps_stream: int = 8
-
-    def validate(self) -> None:
-        if not 1 <= self.min_sprites <= self.max_sprites <= 8:
-            raise ArgumentError("sprite count must satisfy 1 <= min <= max <= 8")
-        if self.frames < 2:
-            raise ArgumentError("need at least 2 frames")
-        if self.height % BACKBONE_STRIDE or self.width % BACKBONE_STRIDE:
-            raise ArgumentError(f"image extents must be multiples of {BACKBONE_STRIDE}")
-        if not 0 < self.min_radius <= self.max_radius:
-            raise ArgumentError("invalid sprite radius range")
-        if 2 * self.max_radius > min(self.height, self.width) - 1:
-            raise ArgumentError("max_radius must be at most (min(height, width) - 1) / 2: each sprite starts inside the canvas")
-        if not 0 <= self.min_speed <= self.max_speed:
-            raise ArgumentError("invalid speed range")
-        if self.noise < 0:
-            raise ArgumentError("noise must be nonnegative")
-        if self.fps_stream <= 0:
-            raise ArgumentError("fps_stream must be positive")
-
-    @property
-    def samples_per_frame(self) -> int:
-        return round(AUDIO_RATE / self.fps_stream)
 
 
 @dataclass
@@ -92,10 +68,10 @@ class SpriteClip:
     gt_classes: np.ndarray  # (G,) uint32
     gt_identities: np.ndarray  # (G,) uint32, unique within the clip
     visibility: np.ndarray  # (T,G) bool
-    waveform: np.ndarray  # (T*eta,) float32 mono at 16 kHz
+    waveform: np.ndarray  # (T*eta,) float32 mono at SAMPLE_RATE
     fps_stream: int
     seed: int
-    config: GeneratorConfig = field(default_factory=GeneratorConfig)
+    generator: dict  # the manifest's `generator_config` record (GENERATOR_KEYS)
     clip_id: str = ""
 
     @property
@@ -108,7 +84,7 @@ class SpriteClip:
 
     @property
     def samples_per_frame(self) -> int:
-        return round(AUDIO_RATE / self.fps_stream)
+        return round(SAMPLE_RATE / self.fps_stream)
 
     def audio_window(self, t: int) -> np.ndarray:
         eta = self.samples_per_frame
@@ -160,19 +136,23 @@ def _bounce(pos: float, vel: float, lo: float, hi: float) -> tuple[float, float]
     return pos, vel
 
 
-def generate_clip(seed: int, cfg: GeneratorConfig | None = None) -> SpriteClip:
-    """Synthesize one clip; bit-identical for the same (seed, cfg)."""
-    cfg = cfg or GeneratorConfig()
+def generate_clip(seed: int, cfg: RunConfig) -> SpriteClip:
+    """Synthesize one clip from cfg's image size and `gen_*` keys;
+    bit-identical for the same (seed, cfg)."""
     cfg.validate()
+    h, w, t_frames = cfg.image_h, cfg.image_w, cfg.gen_frames
+    if 2 * cfg.gen_max_radius > min(h, w) - 1:
+        raise ArgumentError(
+            "gen_max_radius must be at most (min(image_h, image_w) - 1) / 2: each sprite starts inside the canvas"
+        )
     rng = np.random.default_rng(seed)
-    h, w, t_frames = cfg.height, cfg.width, cfg.frames
-    n = int(rng.integers(cfg.min_sprites, cfg.max_sprites + 1))
+    n = int(rng.integers(cfg.gen_min_sprites, cfg.gen_max_sprites + 1))
 
     classes = rng.integers(0, len(CLASS_NAMES), size=n)
-    radii = rng.uniform(cfg.min_radius, cfg.max_radius, size=n)
+    radii = rng.uniform(cfg.gen_min_radius, cfg.gen_max_radius, size=n)
     cx = rng.uniform(radii, w - 1 - radii)
     cy = rng.uniform(radii, h - 1 - radii)
-    speed = rng.uniform(cfg.min_speed, cfg.max_speed, size=n)
+    speed = rng.uniform(cfg.gen_min_speed, cfg.gen_max_speed, size=n)
     angle = rng.uniform(0.0, 2.0 * np.pi, size=n)
     vx = speed * np.cos(angle)
     vy = speed * np.sin(angle)
@@ -200,13 +180,13 @@ def generate_clip(seed: int, cfg: GeneratorConfig | None = None) -> SpriteClip:
     frames = np.empty((t_frames, 3, h, w))
     for ch in range(3):
         np.take(palette[ch], label, out=frames[:, ch], mode="clip")
-    if cfg.noise > 0:
-        frames += rng.normal(0.0, cfg.noise, size=frames.shape)
+    if cfg.gen_noise > 0:
+        frames += rng.normal(0.0, cfg.gen_noise, size=frames.shape)
     np.clip(frames, 0.0, 1.0, out=frames)
 
-    eta = cfg.samples_per_frame
+    eta = round(SAMPLE_RATE / cfg.gen_fps)
     total = t_frames * eta
-    sample_t = np.arange(total, dtype=np.float64) / AUDIO_RATE
+    sample_t = np.arange(total, dtype=np.float64) / SAMPLE_RATE
     waveform = np.zeros(total, dtype=np.float64)
     for c in range(len(CLASS_NAMES)):
         class_visible = visibility[:, classes == c].any(axis=1)
@@ -214,8 +194,8 @@ def generate_clip(seed: int, cfg: GeneratorConfig | None = None) -> SpriteClip:
             continue
         gate = np.repeat(class_visible.astype(np.float64), eta)
         waveform += TONE_AMPLITUDE * np.sin(2.0 * np.pi * tone_frequency(c) * sample_t) * gate
-    if cfg.noise > 0:
-        waveform += rng.normal(0.0, cfg.noise, size=total)
+    if cfg.gen_noise > 0:
+        waveform += rng.normal(0.0, cfg.gen_noise, size=total)
 
     return SpriteClip(
         frames=frames.astype(np.float32),
@@ -224,9 +204,9 @@ def generate_clip(seed: int, cfg: GeneratorConfig | None = None) -> SpriteClip:
         gt_identities=np.arange(n, dtype=np.uint32),
         visibility=visibility,
         waveform=waveform.astype(np.float32),
-        fps_stream=cfg.fps_stream,
+        fps_stream=cfg.gen_fps,
         seed=seed,
-        config=cfg,
+        generator={key: getattr(cfg, name) for key, name in GENERATOR_KEYS.items()},
         clip_id=f"clip-{seed:08d}",
     )
 
@@ -252,7 +232,7 @@ def write_clip(clip: SpriteClip, path: str | Path) -> None:
         "seed": clip.seed,
         "num_instances": int(g),
         "mask_shape": [int(h), int(w)],
-        "generator_config": asdict(clip.config),
+        "generator_config": clip.generator,
     }
     write_container(path, meta, blocks)
 
@@ -311,10 +291,11 @@ def _decode_masks(blocks: dict[str, np.ndarray], t_frames: int, g: int, h: int, 
 def read_clip(path: str | Path) -> SpriteClip:
     """Read a clip written by `write_clip`.
 
-    A missing or mistyped meta field, a missing block, a block whose shape
-    disagrees with the meta, a class id outside `CLASS_NAMES` and a
-    visibility byte other than 0 or 1 each raise FormatError naming the
-    field or block.
+    A missing or mistyped meta field, a `generator_config` whose keys are
+    not those of `GENERATOR_KEYS`, a missing block, a block whose shape
+    disagrees with the meta, a class id outside `CLASS_NAMES`, a visibility
+    byte other than 0 or 1 and a non-finite pixel or audio sample each
+    raise FormatError naming the field or block.
     """
     meta, blocks = read_container(path)
     if meta.get("kind") != "clip":
@@ -326,10 +307,12 @@ def read_clip(path: str | Path) -> SpriteClip:
             raise FormatError(f"clip at {path} meta field {key!r} is not {what}: {meta[key]!r}")
     h, w = meta["mask_shape"]
     g = meta["num_instances"]
-    try:
-        cfg = GeneratorConfig(**meta["generator_config"])
-    except TypeError as e:  # an unknown or missing generator key
-        raise FormatError(f"clip at {path} meta field 'generator_config' is invalid: {e}") from e
+    generator = meta["generator_config"]
+    if generator.keys() != GENERATOR_KEYS.keys():
+        missing, unknown = GENERATOR_KEYS.keys() - generator.keys(), generator.keys() - GENERATOR_KEYS.keys()
+        raise FormatError(
+            f"clip at {path} meta field 'generator_config' is invalid: missing {sorted(missing)}, unknown {sorted(unknown)}"
+        )
     if "frames" not in blocks:
         raise FormatError(f"clip at {path} has no block 'frames'")
     t_frames = blocks["frames"].shape[0] if blocks["frames"].ndim == 4 else -1
@@ -346,14 +329,17 @@ def read_clip(path: str | Path) -> SpriteClip:
             raise FormatError(f"clip at {path} has no block {name!r}")
         if shape is not None and blocks[name].shape != shape:
             raise FormatError(f"clip at {path} block {name!r} has shape {blocks[name].shape}, expected {shape}")
-    for name, valid, what in (
-        ("gt_classes", range(len(CLASS_NAMES)), f"a class id below {len(CLASS_NAMES)}"),
-        ("visibility", (0, 1), "0 or 1"),
+    for name, ok, what in (
+        ("gt_classes", lambda v: np.isin(v, range(len(CLASS_NAMES))), f"a class id below {len(CLASS_NAMES)}"),
+        ("visibility", lambda v: np.isin(v, (0, 1)), "0 or 1"),
+        ("frames", np.isfinite, "a finite value"),
+        ("waveform", np.isfinite, "a finite value"),
     ):
-        bad = np.flatnonzero(~np.isin(blocks[name], valid))
-        if bad.size:
-            value = blocks[name].reshape(-1)[bad[0]]
-            raise FormatError(f"clip at {path} block {name!r} entry {bad[0]} is {value}, expected {what}")
+        valid = ok(blocks[name])
+        if not valid.all():
+            bad = np.flatnonzero(~valid)[0]
+            value = blocks[name].reshape(-1)[bad]
+            raise FormatError(f"clip at {path} block {name!r} entry {bad} is {value}, expected {what}")
     return SpriteClip(
         frames=blocks["frames"],
         gt_masks=_decode_masks(blocks, t_frames, g, h, w),
@@ -363,6 +349,6 @@ def read_clip(path: str | Path) -> SpriteClip:
         waveform=blocks["waveform"],
         fps_stream=meta["fps_stream"],
         seed=meta["seed"],
-        config=cfg,
+        generator=generator,
         clip_id=meta["clip_id"],
     )

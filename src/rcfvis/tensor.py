@@ -475,7 +475,10 @@ def cross_entropy(probs: Tensor, targets: np.ndarray) -> Tensor:
     as one tape node."""
     onehot = np.zeros(probs.shape)
     onehot[np.arange(probs.shape[0]), targets] = 1.0
-    out_data = -(np.log(probs.data) * onehot).sum()
+    # a probability that underflowed to 0 gives a non-finite loss, which
+    # train_loop reports as a NumericError, not as a numpy warning
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out_data = -(np.log(probs.data) * onehot).sum()
 
     def bw(a=probs):
         if a.requires_grad:

@@ -6,11 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import FEATURE_STRIDE
 from .errors import ArgumentError
 from .nn import Conv2dLayer, GroupNorm, Module
 from .tensor import Tensor, upsample2x
 
-STRIDE = 8
 NORM_GROUPS = 4
 
 
@@ -44,8 +44,8 @@ class Backbone(Module):
     def __call__(self, frame: Tensor) -> FrameFeature:
         if frame.ndim != 3 or frame.shape[0] != 3:
             raise ArgumentError("backbone expects a (3, H, W) frame")
-        if frame.shape[1] % STRIDE or frame.shape[2] % STRIDE:
-            raise ArgumentError(f"frame extents must be multiples of the stride {STRIDE}")
+        if frame.shape[1] % FEATURE_STRIDE or frame.shape[2] % FEATURE_STRIDE:
+            raise ArgumentError(f"frame extents must be multiples of the stride {FEATURE_STRIDE}")
         x = frame
         skips = []
         for i, (conv, norm) in enumerate(self.blocks):

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MASK_STRIDE
 from .errors import ArgumentError
 from .model import RCFModel
 from .stream import TrackState, stream_clip
 from .synthav import SpriteClip
 
 IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * k, 2) for k in range(10))
-MASK_UPSAMPLE = 2  # image pixels per prediction-grid pixel along each axis
 
 
 @dataclass
@@ -171,7 +171,7 @@ def pred_tracks_from_state(state: TrackState) -> list[PredTrack]:
         votes = np.bincount([r.class_id for r in records])
         class_id = int(np.argmax(votes))
         score = float(np.mean([r.score for r in records]))
-        masks = {r.frame: np.repeat(np.repeat(r.mask, MASK_UPSAMPLE, axis=0), MASK_UPSAMPLE, axis=1) for r in records}
+        masks = {r.frame: np.repeat(np.repeat(r.mask, MASK_STRIDE, axis=0), MASK_STRIDE, axis=1) for r in records}
         tracks.append(PredTrack(class_id=class_id, score=score, masks=masks, identity=ident))
     return tracks
 

@@ -16,7 +16,7 @@ from rcfvis.config import RunConfig
 from rcfvis.errors import ArgumentError
 from rcfvis.linalg import operator_norm
 from rcfvis.model import RCFModel
-from rcfvis.synthav import GeneratorConfig, SpriteClip, generate_clip
+from rcfvis.synthav import SpriteClip, generate_clip
 from rcfvis.tensor import Tensor, no_grad
 from rcfvis import _kernels
 
@@ -148,15 +148,18 @@ def hard_cut_clip(a: SpriteClip, b: SpriteClip) -> SpriteClip:
     )
 
 
+def probe_cfg(**kw):
+    return RunConfig(image_h=32, image_w=48, audio_enabled=False, num_slots=6, gen_noise=0.0, **kw).validate()
+
+
 def probe_model():
-    return RCFModel(RunConfig(image_h=32, image_w=48, audio_enabled=False, num_slots=6).validate())
+    return RCFModel(probe_cfg())
 
 
 def static_clip(seed=0, frames=4):
     return generate_clip(
         seed,
-        GeneratorConfig(height=32, width=48, frames=frames, min_sprites=1, max_sprites=1,
-                        min_speed=0.0, max_speed=0.0, noise=0.0),
+        probe_cfg(gen_frames=frames, gen_min_sprites=1, gen_max_sprites=1, gen_min_speed=0.0, gen_max_speed=0.0),
     )
 
 
@@ -173,8 +176,8 @@ class TestOrderProbe:
 
     def test_hard_cut_has_maximal_output_discrepancy(self):
         model = probe_model()
-        a = generate_clip(1, GeneratorConfig(height=32, width=48, frames=4, min_sprites=1, max_sprites=1, noise=0.0))
-        b = generate_clip(99, GeneratorConfig(height=32, width=48, frames=4, min_sprites=2, max_sprites=2, noise=0.0))
+        a = generate_clip(1, probe_cfg(gen_frames=4, gen_min_sprites=1, gen_max_sprites=1))
+        b = generate_clip(99, probe_cfg(gen_frames=4, gen_min_sprites=2, gen_max_sprites=2))
         cut = hard_cut_clip(a, b)
         assert cut.num_frames == 8
         assert cut.gt_masks.shape[1] == a.num_instances + b.num_instances

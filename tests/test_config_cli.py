@@ -1,6 +1,7 @@
 """Config parsing/validation and CLI subcommand behavior."""
 
 import csv
+import hashlib
 import json
 import shutil
 from dataclasses import fields
@@ -11,7 +12,7 @@ import pytest
 
 from rcfvis import cli
 from rcfvis.analysis import order_stability_probe
-from rcfvis.cli import EXIT_CONFIG, EXIT_IO, build_parser, main
+from rcfvis.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, build_parser, main
 from rcfvis.config import RunConfig, load_config
 from rcfvis.container import read_container, rle_decode
 from rcfvis.errors import ConfigError
@@ -19,8 +20,10 @@ from rcfvis.fusion import FusionEncoder
 from rcfvis.model import RCFModel
 from rcfvis.optim import OptimState
 from rcfvis.stream import stream_clip
-from rcfvis.synthav import GeneratorConfig, generate_clip, read_clip, write_clip
+from rcfvis.synthav import generate_clip, read_clip, write_clip
 from rcfvis.training import load_checkpoint, save_checkpoint
+
+from test_reachability import TINY as TINY_CFG  # the dead-code trace's config file
 
 
 class TestConfig:
@@ -157,11 +160,11 @@ class TestCLIBasics:
         assert "no clips under dataset split directory" in capsys.readouterr().err
 
     def test_bad_checkpoint_config_exit_3(self, capsys, tmp_path):
-        cfg = RunConfig(image_h=32, image_w=48, num_slots=4).validate()
+        cfg = RunConfig(image_h=32, image_w=48, num_slots=4, gen_frames=2, gen_max_sprites=2).validate()
         model = RCFModel(cfg)
         save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params()), 0)
         clip = tmp_path / "clip"
-        write_clip(generate_clip(0, GeneratorConfig(height=32, width=48, frames=2, max_sprites=2)), clip)
+        write_clip(generate_clip(0, cfg), clip)
         assert main(["infer", "--ckpt", str(tmp_path / "ckpt"), "--clip", str(clip), "--out", str(tmp_path / "ok")]) == 0
 
         # checkpoints written while ref_compress was a key carry it, and are rejected
@@ -179,11 +182,11 @@ class TestCLIBasics:
             assert key in capsys.readouterr().err
 
     def test_checkpoint_missing_counter_or_optimizer_block_exit_3(self, capsys, tmp_path):
-        cfg = RunConfig(image_h=32, image_w=48, num_slots=4).validate()
+        cfg = RunConfig(image_h=32, image_w=48, num_slots=4, gen_frames=2, gen_max_sprites=2).validate()
         model = RCFModel(cfg)
         save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params()), 0)
         clip = tmp_path / "clip"
-        write_clip(generate_clip(0, GeneratorConfig(height=32, width=48, frames=2, max_sprites=2)), clip)
+        write_clip(generate_clip(0, cfg), clip)
         first = next(iter(model.params()))
 
         def drop_meta(manifest):
@@ -213,12 +216,12 @@ class TestCLIBasics:
     @pytest.mark.parametrize("flag", ["--config", "--set", "--seed"])
     def test_config_flag_with_checkpoint_exit_2(self, flag, capsys, tmp_path):
         # a --ckpt model carries its own config, so a config flag beside it is an error
-        cfg = RunConfig(image_h=32, image_w=48, num_slots=4).validate()
+        cfg = RunConfig(image_h=32, image_w=48, num_slots=4, gen_frames=2, gen_max_sprites=2).validate()
         model = RCFModel(cfg)
         ckpt = str(tmp_path / "ckpt")
         save_checkpoint(ckpt, model, OptimState.create(model.params()), 0)
         clip = str(tmp_path / "clip")
-        write_clip(generate_clip(0, GeneratorConfig(height=32, width=48, frames=2, max_sprites=2)), clip)
+        write_clip(generate_clip(0, cfg), clip)
         (tmp_path / "run.cfg").write_text("seed=5\n")
         value = {"--config": str(tmp_path / "run.cfg"), "--set": "token_dim=7", "--seed": "5"}[flag]
         commands = (
@@ -245,6 +248,30 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
 
 
 class TestCLIPipelines:
+    def test_gen_data_output_is_pinned(self, tmp_path, capsys):
+        # every file of every split plus corpus.json, in sorted path order;
+        # the probe split's slowed, noise-free clips included
+        (tmp_path / "tiny.cfg").write_text(TINY_CFG)
+        assert main(["gen-data", "--config", str(tmp_path / "tiny.cfg"), "--out", str(tmp_path / "d")]) == 0
+        files = tree_bytes(tmp_path / "d")
+        assert len(files) == 11 and "corpus.json" in files
+        h = hashlib.blake2b(digest_size=16)
+        for name, data in files.items():
+            h.update(name.encode() + b"\0" + data)
+        assert h.hexdigest() == "d32021a0ec50625efffcf067c3aed21a"
+
+    def test_diverging_run_exits_4_without_numpy_warnings(self, tmp_path, capsys):
+        # at lr0=1 a class probability underflows to 0 by iteration 2; the
+        # log of it must end in the typed exit, not in a RuntimeWarning
+        (tmp_path / "tiny.cfg").write_text(TINY_CFG)
+        flags = ["--config", str(tmp_path / "tiny.cfg")]
+        assert main(["gen-data", *flags, "--out", str(tmp_path / "d")]) == 0
+        capsys.readouterr()
+        args = ["--data", str(tmp_path / "d"), "--out", str(tmp_path / "r"), "--set", "lr0=1", "--set", "iter_max=3"]
+        assert main(["train", *flags, *args]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "non-finite loss at iteration 2" in err and "Warning" not in err
+
     def test_gen_data_bit_identical(self, tmp_path, capsys):
         assert main(["gen-data", "--out", str(tmp_path / "a"), "--seed", "7", *TINY]) == 0
         assert main(["gen-data", "--out", str(tmp_path / "b"), "--seed", "7", *TINY]) == 0
@@ -364,8 +391,9 @@ class TestCLIPipelines:
 
     def test_dump_attention_records_no_tape(self, tmp_path, capsys, monkeypatch):
         # a read-only dump must not record, and hold, a training tape
+        cfg = RunConfig(image_h=32, image_w=48, num_slots=4, gen_frames=2, gen_max_sprites=2).validate()
         clip = tmp_path / "clip"
-        write_clip(generate_clip(0, GeneratorConfig(height=32, width=48, frames=2, max_sprites=2)), clip)
+        write_clip(generate_clip(0, cfg), clip)
         token_sets = []
         maps = FusionEncoder.attention_maps
 
@@ -381,8 +409,11 @@ class TestCLIPipelines:
 
     def test_probe_no_override_runs_with_override_off(self, tmp_path, capsys, monkeypatch):
         size = ["--set", "image_h=32", "--set", "image_w=48", "--set", "num_slots=4", "--set", "class_threshold=0.0"]
+        cfg = RunConfig(
+            image_h=32, image_w=48, num_slots=4, class_threshold=0.0, iou_override=False, gen_frames=4, gen_max_sprites=2
+        ).validate()
         clip_dir = tmp_path / "clip"
-        write_clip(generate_clip(2, GeneratorConfig(height=32, width=48, frames=4, max_sprites=2)), clip_dir)
+        write_clip(generate_clip(2, cfg), clip_dir)
         seen = []
 
         def spy(model, clip, **kw):
@@ -395,7 +426,6 @@ class TestCLIPipelines:
         assert main(["probe-order", "--clip", str(clip_dir), "--out", str(tmp_path / "on.csv"), *size]) == 0
         assert seen == [False, True]
 
-        cfg = RunConfig(image_h=32, image_w=48, num_slots=4, class_threshold=0.0, iou_override=False).validate()
         clip = read_clip(clip_dir)
         report = order_stability_probe(RCFModel(cfg), clip, p=cfg.probe_norm_p)
         want = [

@@ -12,7 +12,7 @@ from rcfvis.container import read_container, rle_decode, rle_encode, write_conta
 from rcfvis.errors import FormatError
 from rcfvis.model import RCFModel
 from rcfvis.optim import OptimState
-from rcfvis.synthav import GeneratorConfig, generate_clip, read_clip, write_clip
+from rcfvis.synthav import generate_clip, read_clip, write_clip
 from rcfvis.training import save_checkpoint
 
 
@@ -158,6 +158,7 @@ CLIP_FAULTS = {
     "num-instances-string": (_set(["meta", "num_instances"], "2"), "'num_instances' is not"),
     "fps-zero": (_set(["meta", "fps_stream"], 0), "'fps_stream' is not"),
     "generator-unknown-key": (_set(["meta", "generator_config", "colour"], 1), "'generator_config' is invalid"),
+    "generator-missing-key": (_set(["meta", "generator_config", "noise"], _DELETE), "'generator_config' is invalid"),
     "num-instances-disagrees": (
         lambda m: _set(["meta", "num_instances"], m["meta"]["num_instances"] + 1)(m),
         "block 'gt_classes' has shape",
@@ -168,10 +169,10 @@ CLIP_FAULTS = {
 @pytest.fixture(scope="module")
 def clip_and_checkpoint(tmp_path_factory):
     root = tmp_path_factory.mktemp("faults")
-    cfg = RunConfig(image_h=32, image_w=48, num_slots=4).validate()
+    cfg = RunConfig(image_h=32, image_w=48, num_slots=4, gen_frames=2, gen_max_sprites=2).validate()
     model = RCFModel(cfg)
     save_checkpoint(root / "ckpt", model, OptimState.create(model.params()), 0)
-    write_clip(generate_clip(0, GeneratorConfig(height=32, width=48, frames=2, max_sprites=2)), root / "clip")
+    write_clip(generate_clip(0, cfg), root / "clip")
     return root / "clip", root / "ckpt"
 
 
@@ -230,8 +231,8 @@ RLE_FAULTS = {
 @pytest.mark.parametrize("fault", RLE_FAULTS)
 def test_malformed_mask_stream_is_format_error(fault, tmp_path):
     edit, text = RLE_FAULTS[fault]
-    gen = GeneratorConfig(height=32, width=48, frames=2, min_sprites=2, max_sprites=2)
-    write_clip(generate_clip(0, gen), tmp_path / "clip")
+    cfg = RunConfig(image_h=32, image_w=48, gen_frames=2, gen_min_sprites=2, gen_max_sprites=2)
+    write_clip(generate_clip(0, cfg), tmp_path / "clip")
     meta, blocks = read_container(tmp_path / "clip")
     blocks["gt_masks_rle/001"] = edit(blocks["gt_masks_rle/001"])
     write_container(tmp_path / "bad", meta, blocks)
@@ -239,10 +240,10 @@ def test_malformed_mask_stream_is_format_error(fault, tmp_path):
         read_clip(tmp_path / "bad")
 
 
-def _set_entry(value):
+def _set_entry(value, at=0):
     def edit(arr):
         arr = arr.copy()
-        arr.reshape(-1)[0] = value
+        arr.reshape(-1)[at] = value
         return arr
 
     return edit
@@ -253,14 +254,17 @@ CLIP_VALUE_FAULTS = {
     "class-9": ("gt_classes", _set_entry(9), "block 'gt_classes' entry 0 is 9, expected a class id below 4"),
     "class-4": ("gt_classes", _set_entry(4), "block 'gt_classes' entry 0 is 4, expected a class id below 4"),
     "visibility-2": ("visibility", _set_entry(2), "block 'visibility' entry 0 is 2, expected 0 or 1"),
+    "frames-nan": ("frames", _set_entry(np.nan, 100), "block 'frames' entry 100 is nan, expected a finite value"),
+    "frames-inf": ("frames", _set_entry(np.inf, 7), "block 'frames' entry 7 is inf, expected a finite value"),
+    "waveform-nan": ("waveform", _set_entry(np.nan), "block 'waveform' entry 0 is nan, expected a finite value"),
 }
 
 
 @pytest.mark.parametrize("fault", CLIP_VALUE_FAULTS)
 def test_out_of_range_clip_values_are_format_errors(fault, tmp_path, capsys):
     name, edit, text = CLIP_VALUE_FAULTS[fault]
-    gen = GeneratorConfig(height=32, width=48, frames=2, max_sprites=2)
-    write_clip(generate_clip(0, gen), tmp_path / "clip")
+    cfg = RunConfig(image_h=32, image_w=48, gen_frames=2, gen_max_sprites=2)
+    write_clip(generate_clip(0, cfg), tmp_path / "clip")
     meta, blocks = read_container(tmp_path / "clip")
     blocks[name] = edit(blocks[name])
     write_container(tmp_path / "data" / "train" / "clip_00000", meta, blocks)
@@ -271,6 +275,21 @@ def test_out_of_range_clip_values_are_format_errors(fault, tmp_path, capsys):
         "train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run"),
         "--set", "image_h=32", "--set", "image_w=48", "--set", "iter_max=2", "--set", "train_clips=1",
     ])
+    err = capsys.readouterr().err
+    assert rc == EXIT_IO
+    assert text in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fault", ["frames-nan", "waveform-nan"])
+def test_non_finite_clip_fails_infer_with_exit_3(fault, clip_and_checkpoint, tmp_path, capsys):
+    # a NaN clip must not stream as "0 tracks" with exit 0
+    name, edit, text = CLIP_VALUE_FAULTS[fault]
+    clip_dir, ckpt = clip_and_checkpoint
+    meta, blocks = read_container(clip_dir)
+    blocks[name] = edit(blocks[name])
+    write_container(tmp_path / "clip", meta, blocks)
+    capsys.readouterr()
+    rc = main(["infer", "--ckpt", str(ckpt), "--clip", str(tmp_path / "clip"), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == EXIT_IO
     assert text in err and "Traceback" not in err

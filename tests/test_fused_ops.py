@@ -18,7 +18,7 @@ from rcfvis.config import RunConfig
 from rcfvis.matching import DICE_SMOOTH, hungarian_assign, similarity_matrix
 from rcfvis.model import RCFModel
 from rcfvis.nn import NORM_EPS
-from rcfvis.synthav import GeneratorConfig, generate_clip
+from rcfvis.synthav import generate_clip
 from rcfvis.tensor import (
     Tensor,
     _unbroadcast,
@@ -305,8 +305,8 @@ def forward(cfg, clip, t):
 def test_model_matches_composite_layers(seed, monkeypatch):
     """Forward outputs and the loss bit for bit, and every parameter gradient
     within 1e-12 of its largest entry."""
-    cfg = RunConfig(num_slots=32, seed=seed).validate()
-    clip = generate_clip(seed + 3, GeneratorConfig(frames=4, min_sprites=4, max_sprites=8))
+    cfg = RunConfig(num_slots=32, seed=seed, gen_frames=4, gen_min_sprites=4, gen_max_sprites=8).validate()
+    clip = generate_clip(seed + 3, cfg)
     t = 2
     _, classes, masks = training.frame_ground_truth(clip, t, cfg.mask_hw)
 

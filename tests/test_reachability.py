@@ -2,8 +2,8 @@
 `src/rcfvis` runs under some CLI command.
 
 `trace_commands` starts `sys.settrace` before `rcfvis` is imported, runs
-every subcommand through `cli.main` on one tiny 32x48 corpus, plus one
-failing run per documented exit code (2, 3 and 4), and restores the
+every subcommand through `cli.main` on one tiny 32x48 corpus, plus
+failing runs for each documented exit code (2, 3 and 4), and restores the
 previous tracer.  It runs in a child interpreter, since the test session
 has imported `rcfvis` long before.  With `class_threshold=0` an untrained
 model fires every slot, so the tracker's IoU and override paths run.
@@ -84,7 +84,8 @@ def trace_commands(work: Path) -> set:
     failures = [
         (2, ["gen-data", "--config", str(work / "not_utf8.cfg"), "--out", str(work / "none")]),
         (3, ["probe-order", *flags, "--clip", str(work / "corrupt")]),
-        (4, ["train", *flags, "--data", str(work / "nan"), "--out", str(work / "nan_run"), "--set", "iter_max=1"]),
+        (3, ["train", *flags, "--data", str(work / "nan"), "--out", str(work / "nan_run"), "--set", "iter_max=1"]),
+        (4, ["train", *flags, "--data", str(data), "--out", str(work / "diverged"), "--set", "lr0=1", "--set", "iter_max=3"]),
     ]
 
     entered = set()

@@ -8,26 +8,27 @@ from rcfvis.errors import StateError
 from rcfvis.instance_head import FramePrediction
 from rcfvis.model import RCFModel
 from rcfvis.stream import RefCache, TrackState, infer_frame, mask_iou, postprocess, stream_clip, track_update
-from rcfvis.synthav import GeneratorConfig, generate_clip
+from rcfvis.synthav import generate_clip
 from rcfvis.tensor import no_grad
 from rcfvis.training import sample_window
 from rcfvis.videonet import Backbone
 
 
-def small_model(**kw):
-    cfg = dict(image_h=32, image_w=48, audio_enabled=True, num_slots=6)
-    cfg.update(kw)
-    return RCFModel(RunConfig(**cfg).validate())
-
-
-def small_clip(seed=0, frames=5, noise=0.0, speed=(1.0, 2.0)):
-    return generate_clip(
-        seed,
-        GeneratorConfig(
-            height=32, width=48, frames=frames, min_sprites=1, max_sprites=2,
-            noise=noise, min_speed=speed[0], max_speed=speed[1],
-        ),
+def small_cfg(**kw):
+    cfg = dict(
+        image_h=32, image_w=48, audio_enabled=True, num_slots=6,
+        gen_min_sprites=1, gen_max_sprites=2, gen_noise=0.0, gen_min_speed=1.0, gen_max_speed=2.0,
     )
+    cfg.update(kw)
+    return RunConfig(**cfg).validate()
+
+
+def small_model(**kw):
+    return RCFModel(small_cfg(**kw))
+
+
+def small_clip(seed=0, frames=5):
+    return generate_clip(seed, small_cfg(gen_frames=frames))
 
 
 class TestPostprocess:

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from rcfvis.audiodsp import FMAX_HZ, FMIN_HZ, N_MELS, SILENCE_FLOOR, hz_to_mel, log_mel, mel_to_hz
+from rcfvis.config import SAMPLE_RATE, RunConfig
 from rcfvis.container import rle_encode, rle_encode_planes
-from rcfvis.errors import ArgumentError
+from rcfvis.errors import ArgumentError, ConfigError
 from rcfvis.synthav import (
-    AUDIO_RATE,
     CLASS_COLORS,
     CLASS_NAMES,
     TONE_AMPLITUDE,
-    GeneratorConfig,
     _bounce,
     generate_clip,
     read_clip,
@@ -23,21 +22,21 @@ from rcfvis.synthav import (
 
 
 def small_cfg(**kw):
-    base = dict(height=32, width=48, frames=8, min_sprites=2, max_sprites=3, noise=0.0)
+    base = dict(image_h=32, image_w=48, gen_frames=8, gen_min_sprites=2, gen_max_sprites=3, gen_noise=0.0)
     base.update(kw)
-    return GeneratorConfig(**base)
+    return RunConfig(**base)
 
 
 def test_same_seed_bit_identical():
-    a = generate_clip(11, small_cfg(noise=0.05))
-    b = generate_clip(11, small_cfg(noise=0.05))
+    a = generate_clip(11, small_cfg(gen_noise=0.05))
+    b = generate_clip(11, small_cfg(gen_noise=0.05))
     assert np.array_equal(a.frames, b.frames)
     assert np.array_equal(a.waveform, b.waveform)
     assert np.array_equal(a.gt_masks, b.gt_masks)
 
 
 def test_static_single_sprite_constant_masks_pure_tone():
-    cfg = small_cfg(min_sprites=1, max_sprites=1, min_speed=0.0, max_speed=0.0)
+    cfg = small_cfg(gen_min_sprites=1, gen_max_sprites=1, gen_min_speed=0.0, gen_max_speed=0.0)
     clip = generate_clip(3, cfg)
     for t in range(1, clip.num_frames):
         assert np.array_equal(clip.gt_masks[t], clip.gt_masks[0])
@@ -50,7 +49,7 @@ def test_static_single_sprite_constant_masks_pure_tone():
 
 
 def test_masks_pairwise_disjoint():
-    clip = generate_clip(5, small_cfg(min_sprites=3, max_sprites=3, min_radius=8, max_radius=10))
+    clip = generate_clip(5, small_cfg(gen_min_sprites=3, gen_max_sprites=3, gen_min_radius=8, gen_max_radius=10))
     overlap = clip.gt_masks.astype(np.int64).sum(axis=1)
     assert overlap.max() <= 1
 
@@ -62,10 +61,10 @@ def test_identities_unique_and_stable():
 
 
 def test_waveform_length_exact():
-    cfg = small_cfg(fps_stream=8)
+    cfg = small_cfg(gen_fps=8)
     clip = generate_clip(1, cfg)
     assert clip.samples_per_frame == 2000
-    assert clip.waveform.shape[0] == cfg.frames * 2000
+    assert clip.waveform.shape[0] == cfg.gen_frames * 2000
 
 
 def _exit_seed_and_class(cfg):
@@ -78,9 +77,9 @@ def _exit_seed_and_class(cfg):
 
 
 def test_offscreen_frames_silence_their_tone():
-    cfg = GeneratorConfig(
-        height=32, width=48, frames=24, min_sprites=1, max_sprites=1,
-        min_speed=6.0, max_speed=8.0, min_radius=4.0, max_radius=5.0, noise=0.0,
+    cfg = RunConfig(
+        image_h=32, image_w=48, gen_frames=24, gen_min_sprites=1, gen_max_sprites=1,
+        gen_min_speed=6.0, gen_max_speed=8.0, gen_min_radius=4.0, gen_max_radius=5.0, gen_noise=0.0,
     )
     seed = _exit_seed_and_class(cfg)
     clip = generate_clip(seed, cfg)
@@ -97,7 +96,7 @@ def test_offscreen_frames_silence_their_tone():
 
 
 def test_clip_roundtrip_bit_exact(tmp_path):
-    clip = generate_clip(21, small_cfg(noise=0.03))
+    clip = generate_clip(21, small_cfg(gen_noise=0.03))
     write_clip(clip, tmp_path / "clip")
     back = read_clip(tmp_path / "clip")
     assert np.array_equal(back.frames, clip.frames)
@@ -107,25 +106,25 @@ def test_clip_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(back.gt_identities, clip.gt_identities)
     assert np.array_equal(back.visibility, clip.visibility)
     assert back.fps_stream == clip.fps_stream and back.seed == clip.seed
-    assert back.config == clip.config
+    assert back.generator == clip.generator
 
 
 def test_invalid_configs_rejected():
-    with pytest.raises(ArgumentError):
-        generate_clip(0, GeneratorConfig(frames=1))
-    with pytest.raises(ArgumentError):
-        GeneratorConfig(height=30).validate()
-    with pytest.raises(ArgumentError):
-        GeneratorConfig(min_sprites=0).validate()
-    with pytest.raises(ArgumentError):
-        GeneratorConfig(min_sprites=5, max_sprites=2).validate()
-    with pytest.raises(ArgumentError, match="max_radius"):
-        GeneratorConfig(height=16, width=16, min_radius=7.0, max_radius=7.6).validate()
-    GeneratorConfig(height=16, width=16, min_radius=7.0, max_radius=7.5).validate()
+    with pytest.raises(ConfigError):
+        generate_clip(0, RunConfig(gen_frames=1))
+    with pytest.raises(ConfigError):
+        generate_clip(0, RunConfig(image_h=30))
+    with pytest.raises(ConfigError):
+        generate_clip(0, RunConfig(gen_min_sprites=0))
+    with pytest.raises(ConfigError):
+        generate_clip(0, RunConfig(gen_min_sprites=5, gen_max_sprites=2))
+    with pytest.raises(ArgumentError, match="max_radius must be at most"):
+        generate_clip(0, RunConfig(image_h=16, image_w=16, gen_min_radius=7.0, gen_max_radius=7.6))
+    generate_clip(0, RunConfig(image_h=16, image_w=16, gen_min_radius=7.0, gen_max_radius=7.5))
 
 
 def test_frames_in_unit_range():
-    clip = generate_clip(2, small_cfg(noise=0.2))
+    clip = generate_clip(2, small_cfg(gen_noise=0.2))
     assert clip.frames.min() >= 0.0 and clip.frames.max() <= 1.0
 
 
@@ -133,12 +132,12 @@ def test_frames_in_unit_range():
 # whole-clip rendering against the per-(frame, sprite) renderer it replaced
 
 CONFIGS = {
-    "default": GeneratorConfig(),
-    "crowded": GeneratorConfig(min_sprites=4, max_sprites=8),
-    "hires": GeneratorConfig(height=128, width=192, min_sprites=4, max_sprites=8),
-    "static": GeneratorConfig(min_sprites=1, max_sprites=1, min_speed=0.0, max_speed=0.0, noise=0.0),
-    "oversized": GeneratorConfig(height=16, width=16, min_radius=7.0, max_radius=7.5),
-    "two_frames": GeneratorConfig(frames=2),
+    "default": RunConfig(),
+    "crowded": RunConfig(gen_min_sprites=4, gen_max_sprites=8),
+    "hires": RunConfig(image_h=128, image_w=192, gen_min_sprites=4, gen_max_sprites=8),
+    "static": RunConfig(gen_min_sprites=1, gen_max_sprites=1, gen_min_speed=0.0, gen_max_speed=0.0, gen_noise=0.0),
+    "oversized": RunConfig(image_h=16, image_w=16, gen_min_radius=7.0, gen_max_radius=7.5),
+    "two_frames": RunConfig(gen_frames=2),
 }
 
 # blake2b of tensors.bin then manifest.json as `write_clip(generate_clip(seed, cfg))`
@@ -207,13 +206,13 @@ def _oracle_stencil(shape_id, cx, cy, r, h, w):
 def oracle_clip(seed, cfg):
     """The per-(frame, sprite) renderer: (frames, gt_masks, visibility, waveform, classes)."""
     rng = np.random.default_rng(seed)
-    h, w, t_frames = cfg.height, cfg.width, cfg.frames
-    n = int(rng.integers(cfg.min_sprites, cfg.max_sprites + 1))
+    h, w, t_frames = cfg.image_h, cfg.image_w, cfg.gen_frames
+    n = int(rng.integers(cfg.gen_min_sprites, cfg.gen_max_sprites + 1))
     classes = rng.integers(0, len(CLASS_NAMES), size=n)
-    radii = rng.uniform(cfg.min_radius, cfg.max_radius, size=n)
+    radii = rng.uniform(cfg.gen_min_radius, cfg.gen_max_radius, size=n)
     cx = rng.uniform(radii, w - 1 - radii)
     cy = rng.uniform(radii, h - 1 - radii)
-    speed = rng.uniform(cfg.min_speed, cfg.max_speed, size=n)
+    speed = rng.uniform(cfg.gen_min_speed, cfg.gen_max_speed, size=n)
     angle = rng.uniform(0.0, 2.0 * np.pi, size=n)
     vx = speed * np.cos(angle)
     vy = speed * np.sin(angle)
@@ -236,12 +235,12 @@ def oracle_clip(seed, cfg):
         color = CLASS_COLORS[int(classes[g])]
         for ch in range(3):
             frames[:, ch][gt_masks[:, g]] = color[ch]
-    if cfg.noise > 0:
-        frames += rng.normal(0.0, cfg.noise, size=frames.shape)
+    if cfg.gen_noise > 0:
+        frames += rng.normal(0.0, cfg.gen_noise, size=frames.shape)
     frames = np.clip(frames, 0.0, 1.0)
-    eta = cfg.samples_per_frame
+    eta = round(SAMPLE_RATE / cfg.gen_fps)
     total = t_frames * eta
-    sample_t = np.arange(total, dtype=np.float64) / AUDIO_RATE
+    sample_t = np.arange(total, dtype=np.float64) / SAMPLE_RATE
     waveform = np.zeros(total, dtype=np.float64)
     for c in range(len(CLASS_NAMES)):
         class_visible = visibility[:, classes == c].any(axis=1)
@@ -249,8 +248,8 @@ def oracle_clip(seed, cfg):
             continue
         gate = np.repeat(class_visible.astype(np.float64), eta)
         waveform += TONE_AMPLITUDE * np.sin(2.0 * np.pi * tone_frequency(c) * sample_t) * gate
-    if cfg.noise > 0:
-        waveform += rng.normal(0.0, cfg.noise, size=total)
+    if cfg.gen_noise > 0:
+        waveform += rng.normal(0.0, cfg.gen_noise, size=total)
     return frames.astype(np.float32), gt_masks.astype(np.uint8), visibility, waveform.astype(np.float32), classes
 
 
@@ -270,7 +269,7 @@ def test_written_clips_match_pinned_digests_and_read_back(name, tmp_path):
         back = read_clip(tmp_path / f"clip_{seed}")
         for field in ("frames", "waveform", "gt_masks", "gt_classes", "gt_identities", "visibility"):
             assert np.array_equal(getattr(back, field), getattr(clip, field)), (seed, field)
-        assert back.config == clip.config and back.clip_id == clip.clip_id
+        assert back.generator == clip.generator and back.clip_id == clip.clip_id
 
 
 @pytest.mark.parametrize("name", CONFIGS)

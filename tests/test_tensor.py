@@ -12,7 +12,7 @@ from rcfvis.config import RunConfig
 from rcfvis.errors import ArgumentError, NumericError
 from rcfvis.model import RCFModel
 from rcfvis.stream import stream_clip
-from rcfvis.synthav import GeneratorConfig, generate_clip
+from rcfvis.synthav import generate_clip
 from rcfvis.tensor import (
     Tensor,
     adaptive_avg_pool2d,
@@ -284,8 +284,8 @@ def test_tile_rule_on_model_configs(monkeypatch, overrides):
         return tiles
 
     monkeypatch.setattr(tensor, "_head_tiles", recording)
-    cfg = RunConfig(**overrides).validate()
-    clip = generate_clip(0, GeneratorConfig(height=cfg.image_h, width=cfg.image_w, frames=2))
+    cfg = RunConfig(**overrides, gen_frames=2).validate()
+    clip = generate_clip(0, cfg)
     stream_clip(RCFModel(cfg), clip)
     assert len(calls) == 2 * (cfg.enc_depth + 2 * cfg.dec_depth)
     for lq, lk, n_tiles, tile_bytes in calls:

@@ -12,7 +12,7 @@ from rcfvis.matching import Assignment
 from rcfvis.model import RCFModel
 from rcfvis import training
 from rcfvis.optim import OptimState, adamw_step
-from rcfvis.synthav import GeneratorConfig, generate_clip, write_clip
+from rcfvis.synthav import generate_clip, write_clip
 from rcfvis.tensor import Tensor, grad_check
 from rcfvis.training import (
     load_checkpoint,
@@ -43,13 +43,9 @@ def tiny_cfg(**kw):
 
 
 def write_corpus(cfg: RunConfig, root: Path):
-    gen = GeneratorConfig(
-        height=cfg.image_h, width=cfg.image_w, frames=cfg.gen_frames,
-        min_sprites=cfg.gen_min_sprites, max_sprites=cfg.gen_max_sprites, noise=cfg.gen_noise,
-    )
     for split, count in (("train", cfg.train_clips), ("val", cfg.val_clips), ("probe", cfg.probe_clips)):
         for i in range(count):
-            write_clip(generate_clip(1000 + i, gen), root / split / f"clip_{i:05d}")
+            write_clip(generate_clip(1000 + i, cfg), root / split / f"clip_{i:05d}")
 
 
 class TestSetLoss:
@@ -110,14 +106,14 @@ class TestSetLoss:
 
 class TestSampleWindow:
     def test_clip_start_replicates_frame_zero(self):
-        clip = generate_clip(0, GeneratorConfig(height=32, width=48, frames=4, min_sprites=1, max_sprites=1))
+        clip = generate_clip(0, tiny_cfg(gen_frames=4, gen_min_sprites=1, gen_max_sprites=1))
         refs, windows = sample_window(clip, 0, 2)
         assert len(refs) == 2 and len(windows) == 3
         assert np.array_equal(refs[0], clip.frames[0].astype(np.float64))
         assert np.array_equal(refs[1], clip.frames[0].astype(np.float64))
 
     def test_interior_window_ordering(self):
-        clip = generate_clip(1, GeneratorConfig(height=32, width=48, frames=6, min_sprites=1, max_sprites=1))
+        clip = generate_clip(1, tiny_cfg(gen_min_sprites=1, gen_max_sprites=1))
         refs, windows = sample_window(clip, 3, 2)
         assert np.array_equal(refs[0], clip.frames[1].astype(np.float64))
         assert np.array_equal(refs[1], clip.frames[2].astype(np.float64))
@@ -233,8 +229,8 @@ def test_training_forward_tape_size_is_pinned():
     versions of the layers and the set loss recorded 1145, and any extra op
     changes the count.  Each conv adds its bias inside its node: a separate
     bias reshape and add cost 34 more nodes."""
-    cfg = RunConfig(num_slots=32).validate()
-    clip = generate_clip(3, GeneratorConfig(frames=4, min_sprites=4, max_sprites=8))
+    cfg = RunConfig(num_slots=32, gen_frames=4, gen_min_sprites=4, gen_max_sprites=8).validate()
+    clip = generate_clip(3, cfg)
     model = RCFModel(cfg)
     refs, windows = sample_window(clip, 2, cfg.ref_frames)
     probs, masks = model.forward_frames(clip.frames[2], refs, windows)

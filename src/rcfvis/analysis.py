@@ -221,7 +221,7 @@ def order_stability_probe(model: RCFModel, clip: SpriteClip, p=1) -> ProbeReport
         visible = np.flatnonzero(clip.visibility[t])
         slots = np.flatnonzero(pred.fired)
         if visible.size and slots.size:
-            gt_small = shrink_mask(clip.gt_masks[t, visible], cfg.mask_hw)
+            gt_small = shrink_mask(clip.masks(t)[visible], cfg.mask_hw)
             iou = mask_iou(gt_small, pred.binary_masks[slots])
             for g, row in zip(visible, iou):
                 best = int(np.argmax(row))  # first maximum: lowest fired slot wins a tie

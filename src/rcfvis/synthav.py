@@ -11,13 +11,16 @@ A clip is rendered whole.  A scalar loop only records every sprite's
 centre in every frame; each sprite's stencil for all frames is then one
 (T, H, W) broadcast of per-axis terms, the sprites are painted into one
 per-pixel label array in stacking order, and the masks and the colour
-channels are read off that label.  `write_clip` run-length encodes all
-mask planes of the clip in one pass.  The contract: every pixel goes
-through the float64 operations of a per-(frame, sprite) renderer and the
-RNG draws come in the same order, so the generated arrays and the written
-`tensors.bin` and `manifest.json` are byte for byte those of that renderer
-and of a per-plane encoder (`tests/test_synthav.py` pins their digests and
-keeps the per-frame renderer as its oracle).
+channels are read off that label.  All mask planes of the clip are then
+run-length encoded in one pass and the dense masks dropped: a clip holds
+its masks only as the words `write_clip` stores, and `SpriteClip.masks(t)`
+decodes one frame's planes.  `read_clip` validates every stream without
+expanding it.  The contract: every pixel goes through the float64
+operations of a per-(frame, sprite) renderer and the RNG draws come in the
+same order, so the generated arrays and the written `tensors.bin` and
+`manifest.json` are byte for byte those of that renderer and of a
+per-plane encoder (`tests/test_synthav.py` pins their digests and keeps
+the per-frame renderer as its oracle).
 """
 
 from __future__ import annotations
@@ -64,7 +67,12 @@ def tone_frequency(class_id: int) -> float:
 @dataclass
 class SpriteClip:
     frames: np.ndarray  # (T,3,H,W) float32 in [0,1]
-    gt_masks: np.ndarray  # (T,G,H,W) uint8, pairwise disjoint per frame
+    # the T*G mask planes, frame-major, run-length encoded as `rle_encode_planes`
+    # returns them: plane p (frame p // G, sprite p % G) is its pair count and
+    # then its (value, run) pairs, mask_words[mask_offsets[p] : mask_offsets[p + 1]];
+    # each frame's planes are pairwise disjoint
+    mask_words: np.ndarray  # uint32
+    mask_offsets: np.ndarray  # (T*G+1,) int64
     gt_classes: np.ndarray  # (G,) uint32
     gt_identities: np.ndarray  # (G,) uint32, unique within the clip
     visibility: np.ndarray  # (T,G) bool
@@ -80,7 +88,7 @@ class SpriteClip:
 
     @property
     def num_instances(self) -> int:
-        return self.gt_masks.shape[1]
+        return self.gt_classes.shape[0]
 
     @property
     def samples_per_frame(self) -> int:
@@ -89,6 +97,14 @@ class SpriteClip:
     def audio_window(self, t: int) -> np.ndarray:
         eta = self.samples_per_frame
         return self.waveform[t * eta : (t + 1) * eta]
+
+    def masks(self, t: int) -> np.ndarray:
+        """Frame t's (G, H, W) uint8 masks, decoded from their run-length words."""
+        g, (h, w) = self.num_instances, self.frames.shape[2:]
+        bounds = self.mask_offsets[t * g : (t + 1) * g + 1]
+        stream = self.mask_words[bounds[0] : bounds[-1]]
+        runs = np.delete(stream, bounds[:-1] - bounds[0])  # drop each plane's pair count
+        return rle_decode(runs, g * h * w).reshape(g, h, w)
 
 
 def _stencil(shape_id: int, x: np.ndarray, y: np.ndarray, r: float, h: int, w: int) -> np.ndarray:
@@ -174,6 +190,8 @@ def generate_clip(seed: int, cfg: RunConfig) -> SpriteClip:
         np.copyto(label, g + 1, where=_stencil(int(classes[g]), xs[:, g], ys[:, g], radii[g], h, w))
     gt_masks = label[:, None] == np.arange(1, n + 1)[:, None, None]  # pairwise disjoint
     visibility = gt_masks.any(axis=(2, 3))
+    mask_words, mask_offsets = rle_encode_planes(gt_masks.reshape(t_frames * n, h * w))
+    del gt_masks
 
     palette = np.zeros((3, n + 1))
     palette[:, 1:] = np.asarray(CLASS_COLORS).T[:, classes]
@@ -199,7 +217,8 @@ def generate_clip(seed: int, cfg: RunConfig) -> SpriteClip:
 
     return SpriteClip(
         frames=frames.astype(np.float32),
-        gt_masks=gt_masks.astype(np.uint8),
+        mask_words=mask_words,
+        mask_offsets=mask_offsets,
         gt_classes=classes.astype(np.uint32),
         gt_identities=np.arange(n, dtype=np.uint32),
         visibility=visibility,
@@ -213,7 +232,8 @@ def generate_clip(seed: int, cfg: RunConfig) -> SpriteClip:
 
 def write_clip(clip: SpriteClip, path: str | Path) -> None:
     """Persist a clip as manifest.json + tensors.bin (masks RLE per frame)."""
-    t_frames, g, h, w = clip.gt_masks.shape
+    t_frames, _, h, w = clip.frames.shape
+    g = clip.num_instances
     blocks: dict[str, np.ndarray] = {
         "frames": clip.frames.astype("<f4"),
         "waveform": clip.waveform.astype("<f4"),
@@ -221,7 +241,7 @@ def write_clip(clip: SpriteClip, path: str | Path) -> None:
         "gt_identities": clip.gt_identities.astype("<u4"),
         "visibility": clip.visibility.astype("<u1"),
     }
-    words, offsets = rle_encode_planes(clip.gt_masks.reshape(t_frames * g, h * w))
+    words, offsets = clip.mask_words, clip.mask_offsets
     for t in range(t_frames):
         blocks[f"gt_masks_rle/{t:03d}"] = words[offsets[t * g] : offsets[(t + 1) * g]]
     meta = {
@@ -255,16 +275,15 @@ _CLIP_META = {
 }
 
 
-def _decode_masks(blocks: dict[str, np.ndarray], t_frames: int, g: int, h: int, w: int) -> np.ndarray:
-    """All (t_frames, g, h, w) mask planes from the per-frame RLE streams.
+def _mask_words(blocks: dict[str, np.ndarray], t_frames: int, g: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """The clip's `(mask_words, mask_offsets)` from its per-frame RLE streams.
 
     Each frame's stream holds, per plane, its pair count and then its
-    (value, run) pairs.  The runs of every plane are gathered and decoded
-    in one `rle_decode` call, after one check that each plane's runs sum
-    to h·w; a stream that ends early or a plane of another size raises
-    FormatError.
+    (value, run) pairs.  The streams are checked, not decoded: a stream
+    that ends before or inside a plane, a plane whose runs do not sum to
+    h·w and a value word other than 0 or 1 each raise FormatError.
     """
-    runs, pairs = [], []  # per plane: its words, and how many pairs it has
+    streams, offsets = [], [0]
     for t in range(t_frames):
         stream = blocks[f"gt_masks_rle/{t:03d}"]
         pos = 0
@@ -272,20 +291,25 @@ def _decode_masks(blocks: dict[str, np.ndarray], t_frames: int, g: int, h: int, 
             if pos >= stream.size:
                 raise FormatError(f"mask RLE stream for frame {t} ends before plane {k}")
             n_pairs = int(stream[pos])
-            words = stream[pos + 1 : pos + 1 + 2 * n_pairs]
-            if words.size != 2 * n_pairs:
+            if stream.size - pos - 1 < 2 * n_pairs:
                 raise FormatError(f"mask RLE stream for frame {t} ends inside plane {k}")
-            runs.append(words)
-            pairs.append(n_pairs)
             pos += 1 + 2 * n_pairs
-    runs = np.concatenate([np.zeros(0, "<u4"), *runs])  # also when there are no planes
+            offsets.append(offsets[-1] + 1 + 2 * n_pairs)
+        streams.append(stream[:pos])
+    words = np.concatenate([np.zeros(0, "<u4"), *streams])  # also when there are no planes
+    offsets = np.asarray(offsets, dtype=np.int64)
+    runs = np.delete(words, offsets[:-1])  # every plane's (value, run) pairs, back to back
     covered = np.concatenate(([0], np.cumsum(runs[1::2], dtype=np.int64)))  # by the first i pairs
-    sizes = np.diff(covered[np.cumsum([0] + pairs)])
+    sizes = np.diff(covered[(offsets - np.arange(offsets.size)) // 2])
     bad = np.flatnonzero(sizes != h * w)
     if bad.size:
         t, k = divmod(int(bad[0]), g)
         raise FormatError(f"mask RLE plane {k} of frame {t} decodes to {sizes[bad[0]]} elements, expected {h * w}")
-    return rle_decode(runs, t_frames * g * h * w).reshape(t_frames, g, h, w)
+    values = runs[0::2]
+    bad = np.flatnonzero(values > 1)
+    if bad.size:
+        raise FormatError(f"RLE run {bad[0]} has value {values[bad[0]]}, expected 0 or 1")
+    return words, offsets
 
 
 def read_clip(path: str | Path) -> SpriteClip:
@@ -293,9 +317,13 @@ def read_clip(path: str | Path) -> SpriteClip:
 
     A missing or mistyped meta field, a `generator_config` whose keys are
     not those of `GENERATOR_KEYS`, a missing block, a block whose shape
-    disagrees with the meta, a class id outside `CLASS_NAMES`, a visibility
-    byte other than 0 or 1 and a non-finite pixel or audio sample each
-    raise FormatError naming the field or block.
+    or dtype disagrees with the meta or with `write_clip` (the waveform
+    must hold frames × round(SAMPLE_RATE / fps_stream) samples, and at
+    least one per frame, and a mask stream must be 1-D),
+    a class id outside `CLASS_NAMES`, a visibility byte other than 0 or 1,
+    a non-finite pixel or audio sample and a malformed mask stream each
+    raise FormatError naming the field or block.  The masks stay
+    run-length encoded.
     """
     meta, blocks = read_container(path)
     if meta.get("kind") != "clip":
@@ -316,19 +344,28 @@ def read_clip(path: str | Path) -> SpriteClip:
     if "frames" not in blocks:
         raise FormatError(f"clip at {path} has no block 'frames'")
     t_frames = blocks["frames"].shape[0] if blocks["frames"].ndim == 4 else -1
-    expected = {
-        "frames": (t_frames, 3, h, w),
-        "waveform": None,
-        "gt_classes": (g,),
-        "gt_identities": (g,),
-        "visibility": (t_frames, g),
-        **{f"gt_masks_rle/{t:03d}": None for t in range(t_frames)},
+    eta = round(SAMPLE_RATE / meta["fps_stream"])
+    if eta == 0:
+        raise FormatError(
+            f"clip at {path} block 'waveform' cannot hold fps_stream {meta['fps_stream']}: 0 samples per frame"
+        )
+    expected = {  # block -> (shape, dtype); a mask stream may have any length
+        "frames": ((t_frames, 3, h, w), "<f4"),
+        "waveform": ((t_frames * eta,), "<f4"),
+        "gt_classes": ((g,), "<u4"),
+        "gt_identities": ((g,), "<u4"),
+        "visibility": ((t_frames, g), "<u1"),
+        **{f"gt_masks_rle/{t:03d}": (None, "<u4") for t in range(t_frames)},
     }
-    for name, shape in expected.items():
+    for name, (shape, dtype) in expected.items():
         if name not in blocks:
             raise FormatError(f"clip at {path} has no block {name!r}")
-        if shape is not None and blocks[name].shape != shape:
-            raise FormatError(f"clip at {path} block {name!r} has shape {blocks[name].shape}, expected {shape}")
+        block = blocks[name]
+        if block.dtype != dtype:
+            raise FormatError(f"clip at {path} block {name!r} has dtype {block.dtype}, expected {np.dtype(dtype)}")
+        shape = shape or (block.size,)
+        if block.shape != shape:
+            raise FormatError(f"clip at {path} block {name!r} has shape {block.shape}, expected {shape}")
     for name, ok, what in (
         ("gt_classes", lambda v: np.isin(v, range(len(CLASS_NAMES))), f"a class id below {len(CLASS_NAMES)}"),
         ("visibility", lambda v: np.isin(v, (0, 1)), "0 or 1"),
@@ -340,9 +377,11 @@ def read_clip(path: str | Path) -> SpriteClip:
             bad = np.flatnonzero(~valid)[0]
             value = blocks[name].reshape(-1)[bad]
             raise FormatError(f"clip at {path} block {name!r} entry {bad} is {value}, expected {what}")
+    mask_words, mask_offsets = _mask_words(blocks, t_frames, g, h, w)
     return SpriteClip(
         frames=blocks["frames"],
-        gt_masks=_decode_masks(blocks, t_frames, g, h, w),
+        mask_words=mask_words,
+        mask_offsets=mask_offsets,
         gt_classes=blocks["gt_classes"],
         gt_identities=blocks["gt_identities"],
         visibility=blocks["visibility"].astype(bool),

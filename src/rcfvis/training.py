@@ -74,7 +74,7 @@ def frame_ground_truth(clip: SpriteClip, t: int, mask_hw: tuple[int, int]) -> tu
     """Visible instances at frame t: (indices, classes, masks on mask_hw grid)."""
     idx = np.flatnonzero(clip.visibility[t])
     classes = clip.gt_classes[idx]
-    return idx, classes, shrink_mask(clip.gt_masks[t, idx], mask_hw)
+    return idx, classes, shrink_mask(clip.masks(t)[idx], mask_hw)
 
 
 def match_and_loss(class_probs: Tensor, mask_logits: Tensor, clip: SpriteClip, t: int, cfg: RunConfig) -> LossReport:

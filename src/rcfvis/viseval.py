@@ -150,14 +150,11 @@ def evaluate_vis(pred_tracks: dict[str, list[PredTrack]], gt_tracks: dict[str, l
 
 
 def gt_tracks_from_clip(clip: SpriteClip) -> list[GtTrack]:
-    tracks = []
-    for g in range(clip.num_instances):
-        masks = {
-            t: clip.gt_masks[t, g].astype(bool)
-            for t in range(clip.num_frames)
-            if clip.visibility[t, g]
-        }
-        tracks.append(GtTrack(class_id=int(clip.gt_classes[g]), masks=masks))
+    tracks = [GtTrack(class_id=int(c), masks={}) for c in clip.gt_classes]
+    for t in range(clip.num_frames):
+        masks = clip.masks(t)
+        for g in np.flatnonzero(clip.visibility[t]):
+            tracks[g].masks[t] = masks[g].astype(bool)
     return tracks
 
 

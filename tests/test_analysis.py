@@ -13,6 +13,7 @@ from rcfvis.analysis import (
     order_stability_probe,
 )
 from rcfvis.config import RunConfig
+from rcfvis.container import rle_encode_planes
 from rcfvis.errors import ArgumentError
 from rcfvis.linalg import operator_norm
 from rcfvis.model import RCFModel
@@ -130,16 +131,18 @@ def hard_cut_clip(a: SpriteClip, b: SpriteClip) -> SpriteClip:
     """Concatenate two clips into one with a hard cut at the seam."""
     ga, gb = a.num_instances, b.num_instances
     t_a = a.num_frames
-    masks = np.zeros((t_a + b.num_frames, ga + gb, *a.gt_masks.shape[2:]), dtype=np.uint8)
-    masks[:t_a, :ga] = a.gt_masks
-    masks[t_a:, ga:] = b.gt_masks
+    masks = np.zeros((t_a + b.num_frames, ga + gb, *a.frames.shape[2:]), dtype=np.uint8)
+    masks[:t_a, :ga] = [a.masks(t) for t in range(t_a)]
+    masks[t_a:, ga:] = [b.masks(t) for t in range(b.num_frames)]
+    mask_words, mask_offsets = rle_encode_planes(masks.reshape(masks.shape[0] * (ga + gb), -1))
     vis = np.zeros((t_a + b.num_frames, ga + gb), dtype=bool)
     vis[:t_a, :ga] = a.visibility
     vis[t_a:, ga:] = b.visibility
     return replace(
         a,
         frames=np.concatenate([a.frames, b.frames]),
-        gt_masks=masks,
+        mask_words=mask_words,
+        mask_offsets=mask_offsets,
         gt_classes=np.concatenate([a.gt_classes, b.gt_classes]),
         gt_identities=np.concatenate([a.gt_identities, b.gt_identities + ga]).astype(np.uint32),
         visibility=vis,
@@ -180,7 +183,7 @@ class TestOrderProbe:
         b = generate_clip(99, probe_cfg(gen_frames=4, gen_min_sprites=2, gen_max_sprites=2))
         cut = hard_cut_clip(a, b)
         assert cut.num_frames == 8
-        assert cut.gt_masks.shape[1] == a.num_instances + b.num_instances
+        assert cut.masks(0).shape[0] == a.num_instances + b.num_instances
         report = order_stability_probe(model, cut)
         deltas = [r.delta for r in report.rows]
         cut_row = report.rows[a.num_frames - 1]
@@ -190,7 +193,12 @@ class TestOrderProbe:
     def test_probe_rejects_single_frame(self):
         model = probe_model()
         clip = static_clip(frames=2)
-        one = replace(clip, frames=clip.frames[:1], gt_masks=clip.gt_masks[:1], visibility=clip.visibility[:1])
+        one = replace(
+            clip,
+            frames=clip.frames[:1],
+            mask_offsets=clip.mask_offsets[: clip.num_instances + 1],
+            visibility=clip.visibility[:1],
+        )
         with pytest.raises(ArgumentError):
             order_stability_probe(model, one)
 

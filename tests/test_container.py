@@ -1,6 +1,7 @@
 """Container format: round-trips, RLE, corruption reporting."""
 
 import json
+import re
 import shutil
 
 import numpy as np
@@ -163,6 +164,13 @@ CLIP_FAULTS = {
         lambda m: _set(["meta", "num_instances"], m["meta"]["num_instances"] + 1)(m),
         "block 'gt_classes' has shape",
     ),
+    "fps-disagrees-with-waveform": (_set(["meta", "fps_stream"], 16), r"'waveform' has shape \(4000,\), expected \(2000,\)"),
+    "fps-without-samples": (_set(["meta", "fps_stream"], 40000), "'waveform' cannot hold fps_stream 40000"),
+    "frames-dtype": (_set(["blocks", 0, "dtype"], "<u4"), "'frames' has dtype uint32, expected float32"),
+    "mask-stream-2d": (
+        lambda m: _set(["blocks", 6, "shape"], [1, *m["blocks"][6]["shape"]])(m),
+        r"'gt_masks_rle/001' has shape \(1, ",
+    ),
 }
 
 
@@ -240,6 +248,57 @@ def test_malformed_mask_stream_is_format_error(fault, tmp_path):
         read_clip(tmp_path / "bad")
 
 
+def _mutations(manifest: bytes, tensors: bytes, mask_span: tuple[int, int], count: int, seed: int):
+    """`count` seeded (manifest, tensors) pairs, each one truncation or one byte edit.
+
+    The six kinds take turns: a truncation of either file, any byte of the
+    manifest set to any value, a digit of the manifest set to another digit
+    (still JSON, other numbers), any byte of tensors.bin set to any value,
+    and a byte inside the mask streams set to 0, 1 or 2 (small words keep
+    more of the edited streams well formed).
+    """
+    rng = np.random.default_rng(seed)
+    digits = [i for i, c in enumerate(manifest) if chr(c).isdigit()]
+    for i in range(count):
+        files = [bytearray(manifest), bytearray(tensors)]
+        kind = i % 6
+        if kind < 2:
+            del files[kind][int(rng.integers(len(files[kind]))) :]
+        elif kind == 2:
+            files[0][int(rng.integers(len(manifest)))] = int(rng.integers(256))
+        elif kind == 3:
+            files[0][digits[int(rng.integers(len(digits)))]] = ord("0") + int(rng.integers(10))
+        elif kind == 4:
+            files[1][int(rng.integers(len(tensors)))] = int(rng.integers(256))
+        else:
+            files[1][int(rng.integers(*mask_span))] = int(rng.integers(3))
+        yield bytes(files[0]), bytes(files[1])
+
+
+def test_mutated_clips_read_whole_or_raise_format_error(tmp_path):
+    cfg = RunConfig(image_h=32, image_w=48, gen_frames=3, gen_min_sprites=2, gen_max_sprites=3, gen_noise=0.0)
+    write_clip(generate_clip(0, cfg), tmp_path / "clip")
+    manifest = (tmp_path / "clip" / "manifest.json").read_bytes()
+    tensors = (tmp_path / "clip" / "tensors.bin").read_bytes()
+    streams = [b for b in json.loads(manifest)["blocks"] if b["name"].startswith("gt_masks_rle/")]
+    mask_span = (streams[0]["offset"], streams[-1]["offset"] + streams[-1]["nbytes"])
+    accepted = rejected = 0
+    for edited_manifest, edited_tensors in _mutations(manifest, tensors, mask_span, 300, seed=7):
+        (tmp_path / "clip" / "manifest.json").write_bytes(edited_manifest)
+        (tmp_path / "clip" / "tensors.bin").write_bytes(edited_tensors)
+        try:
+            clip = read_clip(tmp_path / "clip")
+        except FormatError:
+            rejected += 1
+            continue
+        accepted += 1
+        g, (h, w) = clip.num_instances, clip.frames.shape[2:]
+        for t in range(clip.num_frames):
+            masks = clip.masks(t)
+            assert masks.shape == (g, h, w) and masks.max(initial=0) <= 1
+    assert accepted + rejected == 300 and accepted > 0 and rejected > 0
+
+
 def _set_entry(value, at=0):
     def edit(arr):
         arr = arr.copy()
@@ -257,6 +316,7 @@ CLIP_VALUE_FAULTS = {
     "frames-nan": ("frames", _set_entry(np.nan, 100), "block 'frames' entry 100 is nan, expected a finite value"),
     "frames-inf": ("frames", _set_entry(np.inf, 7), "block 'frames' entry 7 is inf, expected a finite value"),
     "waveform-nan": ("waveform", _set_entry(np.nan), "block 'waveform' entry 0 is nan, expected a finite value"),
+    "waveform-short": ("waveform", lambda a: a[:1000], "block 'waveform' has shape (1000,), expected (4000,)"),
 }
 
 
@@ -268,7 +328,7 @@ def test_out_of_range_clip_values_are_format_errors(fault, tmp_path, capsys):
     meta, blocks = read_container(tmp_path / "clip")
     blocks[name] = edit(blocks[name])
     write_container(tmp_path / "data" / "train" / "clip_00000", meta, blocks)
-    with pytest.raises(FormatError, match=text):
+    with pytest.raises(FormatError, match=re.escape(text)):
         read_clip(tmp_path / "data" / "train" / "clip_00000")
     capsys.readouterr()
     rc = main([
@@ -293,3 +353,17 @@ def test_non_finite_clip_fails_infer_with_exit_3(fault, clip_and_checkpoint, tmp
     err = capsys.readouterr().err
     assert rc == EXIT_IO
     assert text in err and "Traceback" not in err
+
+
+def test_short_waveform_fails_infer_with_exit_3(clip_and_checkpoint, tmp_path, capsys):
+    # a cut waveform must not reach the audio front end, which exits 2
+    name, edit, text = CLIP_VALUE_FAULTS["waveform-short"]
+    clip_dir, ckpt = clip_and_checkpoint
+    meta, blocks = read_container(clip_dir)
+    blocks[name] = edit(blocks[name])
+    write_container(tmp_path / "clip", meta, blocks)
+    capsys.readouterr()
+    rc = main(["infer", "--ckpt", str(ckpt), "--clip", str(tmp_path / "clip"), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_IO
+    assert "kind=io" in err and text in err and "Traceback" not in err

@@ -1,6 +1,8 @@
 """Clip generator: determinism, disjoint masks, audio-visual synchrony, IO."""
 
 import hashlib
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +23,11 @@ from rcfvis.synthav import (
 )
 
 
+def all_masks(clip):
+    """The clip's (T, G, H, W) masks, decoded one frame at a time."""
+    return np.stack([clip.masks(t) for t in range(clip.num_frames)])
+
+
 def small_cfg(**kw):
     base = dict(image_h=32, image_w=48, gen_frames=8, gen_min_sprites=2, gen_max_sprites=3, gen_noise=0.0)
     base.update(kw)
@@ -32,14 +39,14 @@ def test_same_seed_bit_identical():
     b = generate_clip(11, small_cfg(gen_noise=0.05))
     assert np.array_equal(a.frames, b.frames)
     assert np.array_equal(a.waveform, b.waveform)
-    assert np.array_equal(a.gt_masks, b.gt_masks)
+    assert np.array_equal(all_masks(a), all_masks(b))
 
 
 def test_static_single_sprite_constant_masks_pure_tone():
     cfg = small_cfg(gen_min_sprites=1, gen_max_sprites=1, gen_min_speed=0.0, gen_max_speed=0.0)
     clip = generate_clip(3, cfg)
     for t in range(1, clip.num_frames):
-        assert np.array_equal(clip.gt_masks[t], clip.gt_masks[0])
+        assert np.array_equal(clip.masks(t), clip.masks(0))
     assert clip.visibility.all()
     # pure tone at the class frequency: dominant rfft bin matches
     c = int(clip.gt_classes[0])
@@ -50,7 +57,7 @@ def test_static_single_sprite_constant_masks_pure_tone():
 
 def test_masks_pairwise_disjoint():
     clip = generate_clip(5, small_cfg(gen_min_sprites=3, gen_max_sprites=3, gen_min_radius=8, gen_max_radius=10))
-    overlap = clip.gt_masks.astype(np.int64).sum(axis=1)
+    overlap = all_masks(clip).astype(np.int64).sum(axis=1)
     assert overlap.max() <= 1
 
 
@@ -101,12 +108,27 @@ def test_clip_roundtrip_bit_exact(tmp_path):
     back = read_clip(tmp_path / "clip")
     assert np.array_equal(back.frames, clip.frames)
     assert np.array_equal(back.waveform, clip.waveform)
-    assert np.array_equal(back.gt_masks, clip.gt_masks)
+    assert np.array_equal(all_masks(back), all_masks(clip))
     assert np.array_equal(back.gt_classes, clip.gt_classes)
     assert np.array_equal(back.gt_identities, clip.gt_identities)
     assert np.array_equal(back.visibility, clip.visibility)
     assert back.fps_stream == clip.fps_stream and back.seed == clip.seed
     assert back.generator == clip.generator
+
+
+def test_read_clip_retains_only_the_stored_blocks(tmp_path):
+    # dense masks would add T*G*H*W bytes, here 768 KiB: the bound allows 16 KiB
+    cfg = RunConfig(gen_frames=16, gen_min_sprites=8, gen_max_sprites=8)
+    write_clip(generate_clip(0, cfg), tmp_path / "clip")
+    read_clip(tmp_path / "clip")  # the first call settles one-time allocations
+    tracemalloc.start()
+    try:
+        clip = read_clip(tmp_path / "clip")
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert clip.num_instances == 8 and clip.frames.shape == (16, 3, 64, 96)
+    assert retained <= (tmp_path / "clip" / "tensors.bin").stat().st_size + 16 * 1024
 
 
 def test_invalid_configs_rejected():
@@ -267,7 +289,7 @@ def test_written_clips_match_pinned_digests_and_read_back(name, tmp_path):
         clip = generate_clip(seed, CONFIGS[name])
         assert written_digest(clip, tmp_path / f"clip_{seed}") == want, seed
         back = read_clip(tmp_path / f"clip_{seed}")
-        for field in ("frames", "waveform", "gt_masks", "gt_classes", "gt_identities", "visibility"):
+        for field in ("frames", "waveform", "mask_words", "mask_offsets", "gt_classes", "gt_identities", "visibility"):
             assert np.array_equal(getattr(back, field), getattr(clip, field)), (seed, field)
         assert back.generator == clip.generator and back.clip_id == clip.clip_id
 
@@ -280,11 +302,44 @@ def test_whole_clip_rendering_matches_per_frame_oracle(name):
         clip = generate_clip(seed, cfg)
         frames, gt_masks, visibility, waveform, classes = oracle_clip(seed, cfg)
         assert np.array_equal(clip.gt_classes, classes), seed
-        for got, want in ((clip.frames, frames), (clip.gt_masks, gt_masks), (clip.visibility, visibility), (clip.waveform, waveform)):
+        for got, want in ((clip.frames, frames), (all_masks(clip), gt_masks), (clip.visibility, visibility), (clip.waveform, waveform)):
             assert got.dtype == want.dtype and got.shape == want.shape, seed
             assert got.tobytes() == want.tobytes(), seed
         shapes.update(classes.tolist())
     assert shapes == set(range(len(CLASS_NAMES)))
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_masks_decode_one_frame_like_the_oracle(name, tmp_path):
+    cfg = CONFIGS[name]
+    for seed in (0, 1):
+        clip = generate_clip(seed, cfg)
+        write_clip(clip, tmp_path / f"clip_{seed}")
+        back = read_clip(tmp_path / f"clip_{seed}")
+        want = oracle_clip(seed, cfg)[1]
+        for t in range(cfg.gen_frames):
+            for got in (clip.masks(t), back.masks(t)):
+                assert got.dtype == want.dtype and got.shape == want[t].shape, (seed, t)
+                assert got.tobytes() == want[t].tobytes(), (seed, t)
+
+
+def test_a_clip_without_instances_decodes_empty_frames(tmp_path):
+    clip = generate_clip(0, small_cfg(gen_frames=3))
+    empty = replace(
+        clip,
+        mask_words=np.zeros(0, "<u4"),
+        mask_offsets=np.zeros(1, np.int64),
+        gt_classes=np.zeros(0, np.uint32),
+        gt_identities=np.zeros(0, np.uint32),
+        visibility=np.zeros((3, 0), bool),
+    )
+    write_clip(empty, tmp_path / "clip")
+    back = read_clip(tmp_path / "clip")
+    assert back.num_instances == 0
+    for got in (empty, back):
+        for t in range(3):
+            masks = got.masks(t)
+            assert masks.shape == (0, 32, 48) and masks.dtype == np.uint8
 
 
 def oracle_rle(plane):
@@ -348,5 +403,5 @@ def test_stacked_encoder_matches_per_plane_loop_on_edge_planes():
 
 def test_stacked_encoder_matches_per_plane_loop_on_generated_planes():
     for seed, cfg in ((0, CONFIGS["crowded"]), (1, CONFIGS["oversized"]), (2, CONFIGS["static"])):
-        masks = generate_clip(seed, cfg).gt_masks
+        masks = all_masks(generate_clip(seed, cfg))
         _check_stacked_encoder(masks.reshape(masks.shape[0] * masks.shape[1], -1))

@@ -126,8 +126,8 @@ def _check_block(index: int, entry) -> None:
         raise FormatError(f"{label} field 'nbytes' is {entry['nbytes']}, but shape {shape} holds {expected} bytes")
 
 
-def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a container directory; returns (meta, {name: array}).
+def read_manifest(path: str | Path) -> tuple[dict, list[dict]]:
+    """Read and check a container's manifest; returns (meta, block entries).
 
     Every manifest field is checked before any block is read.  A manifest
     that is not an object, a missing or mistyped `meta` or `blocks`, a block
@@ -137,7 +137,6 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """
     path = Path(path)
     mpath = path / MANIFEST_FILE
-    tpath = path / TENSORS_FILE
     if not mpath.is_file():
         raise FormatError(f"missing {MANIFEST_FILE} under {path}")
     try:
@@ -160,12 +159,23 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         if entry["name"] in first_index:
             raise FormatError(f"block {index} {entry['name']!r} field 'name' repeats block {first_index[entry['name']]}")
         first_index[entry["name"]] = index
+    return manifest["meta"], manifest["blocks"]
+
+
+def read_blocks(path: str | Path, entries: list[dict]) -> dict[str, np.ndarray]:
+    """Read the blocks that `read_manifest` listed; returns {name: array}.
+
+    Each array is a copy, so no array keeps the file's bytes alive.  A
+    missing tensors.bin, a block that overlaps the one before it and a block
+    that ends past the end of the file raise FormatError.
+    """
+    tpath = Path(path) / TENSORS_FILE
     if not tpath.is_file():
         raise FormatError(f"missing {TENSORS_FILE} under {path}")
     raw = tpath.read_bytes()
     blocks: dict[str, np.ndarray] = {}
     prev_end = 0
-    for entry in manifest["blocks"]:
+    for entry in entries:
         name, offset, nbytes = entry["name"], entry["offset"], entry["nbytes"]
         if offset < prev_end:
             raise FormatError(f"block {name!r} overlaps the previous block", offset=offset)
@@ -175,4 +185,35 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         arr = np.frombuffer(raw, dtype=dtype, count=nbytes // dtype.itemsize, offset=offset)
         blocks[name] = arr.reshape(entry["shape"]).copy()
         prev_end = offset + nbytes
-    return manifest["meta"], blocks
+    return blocks
+
+
+def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a container directory; returns (meta, {name: array}), with the
+    checks of `read_manifest` and `read_blocks`."""
+    meta, entries = read_manifest(path)
+    return meta, read_blocks(path, entries)
+
+
+def read_rows(path: str | Path, entry: dict, start: int, stop: int) -> np.ndarray:
+    """Rows [start, stop) of a block, along its first axis, read from the
+    container at `path`; `entry` is the block's manifest entry as
+    `read_manifest` returned it.
+
+    Only those rows' bytes are read.  A missing or unreadable tensors.bin and
+    a file that ends before the rows do each raise FormatError naming the
+    block and the rows.
+    """
+    shape, dtype = entry["shape"], _DTYPES[entry["dtype"]]
+    rows = np.empty((stop - start, *shape[1:]), dtype=dtype)
+    row_bytes = math.prod(shape[1:]) * dtype.itemsize
+    label = f"block {entry['name']!r} rows [{start}, {stop})"
+    try:
+        with open(Path(path) / TENSORS_FILE, "rb") as f:
+            f.seek(entry["offset"] + start * row_bytes)
+            got = f.readinto(memoryview(rows).cast("B"))
+    except OSError as e:
+        raise FormatError(f"cannot read {TENSORS_FILE} for {label}: {e}") from e
+    if got != rows.nbytes:
+        raise FormatError(f"truncated {TENSORS_FILE}: {label} end past end of file")
+    return rows

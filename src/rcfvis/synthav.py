@@ -15,12 +15,15 @@ channels are read off that label.  All mask planes of the clip are then
 run-length encoded in one pass and the dense masks dropped: a clip holds
 its masks only as the words `write_clip` stores, and `SpriteClip.masks(t)`
 decodes one frame's planes.  `read_clip` validates every stream without
-expanding it.  The contract: every pixel goes through the float64
-operations of a per-(frame, sprite) renderer and the RNG draws come in the
-same order, so the generated arrays and the written `tensors.bin` and
-`manifest.json` are byte for byte those of that renderer and of a
-per-plane encoder (`tests/test_synthav.py` pins their digests and keeps
-the per-frame renderer as its oracle).
+expanding it, and every pixel, but keeps no frame: a read clip's `frames`
+is a `StoredFrames` that reads frame t from its tensors.bin, and checks it
+again, when a caller indexes `frames[t]`.  A generated clip, which has no
+file, keeps its frames as one array.  The contract: every pixel goes
+through the float64 operations of a per-(frame, sprite) renderer and the
+RNG draws come in the same order, so the generated arrays and the written
+`tensors.bin` and `manifest.json` are byte for byte those of that renderer
+and of a per-plane encoder (`tests/test_synthav.py` pins their digests and
+keeps the per-frame renderer as its oracle).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SAMPLE_RATE, RunConfig
-from .container import read_container, rle_decode, rle_encode_planes, write_container
+from .container import read_blocks, read_manifest, read_rows, rle_decode, rle_encode_planes, write_container
 from .errors import ArgumentError, FormatError
 
 TONE_BASE_HZ = 300.0
@@ -64,9 +67,47 @@ def tone_frequency(class_id: int) -> float:
     return TONE_BASE_HZ + TONE_STEP_HZ * class_id
 
 
+@dataclass(frozen=True)
+class StoredFrames:
+    """A read clip's (T, 3, H, W) float32 frames, left in its tensors.bin.
+
+    `[t]` reads frame t's bytes and nothing else, and checks them: a missing
+    or short file and a non-finite value each raise FormatError naming the
+    clip and the frame.
+    """
+
+    path: Path  # the clip's directory
+    entry: dict  # the 'frames' block's manifest entry
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(self.entry["shape"])
+
+    def __len__(self) -> int:
+        return self.entry["shape"][0]
+
+    def __getitem__(self, t: int) -> np.ndarray:
+        if not 0 <= t < len(self):
+            raise IndexError(f"frame {t} outside clip of {len(self)} frames")
+        try:
+            frame = read_rows(self.path, self.entry, t, t + 1)[0]
+        except FormatError as e:
+            raise FormatError(f"clip at {self.path} frame {t}: {e}") from e
+        finite = np.isfinite(frame)
+        if not finite.all():
+            bad = np.flatnonzero(~finite)[0]
+            raise FormatError(
+                f"clip at {self.path} frame {t}: block 'frames' entry {bad} is {frame.reshape(-1)[bad]}, "
+                "expected a finite value"
+            )
+        return frame
+
+
 @dataclass
 class SpriteClip:
-    frames: np.ndarray  # (T,3,H,W) float32 in [0,1]
+    # (T,3,H,W) float32 in [0,1]: an array for a generated clip; for a read
+    # clip a StoredFrames that reads one frame from disk per index
+    frames: np.ndarray | StoredFrames
     # the T*G mask planes, frame-major, run-length encoded as `rle_encode_planes`
     # returns them: plane p (frame p // G, sprite p % G) is its pair count and
     # then its (value, run) pairs, mask_words[mask_offsets[p] : mask_offsets[p + 1]];
@@ -84,7 +125,7 @@ class SpriteClip:
 
     @property
     def num_frames(self) -> int:
-        return self.frames.shape[0]
+        return len(self.frames)
 
     @property
     def num_instances(self) -> int:
@@ -234,8 +275,11 @@ def write_clip(clip: SpriteClip, path: str | Path) -> None:
     """Persist a clip as manifest.json + tensors.bin (masks RLE per frame)."""
     t_frames, _, h, w = clip.frames.shape
     g = clip.num_instances
+    frames = np.empty((t_frames, 3, h, w), "<f4")
+    for t in range(t_frames):  # by index: a read clip's frames are on disk
+        frames[t] = clip.frames[t]
     blocks: dict[str, np.ndarray] = {
-        "frames": clip.frames.astype("<f4"),
+        "frames": frames,
         "waveform": clip.waveform.astype("<f4"),
         "gt_classes": clip.gt_classes.astype("<u4"),
         "gt_identities": clip.gt_identities.astype("<u4"),
@@ -280,8 +324,10 @@ def _mask_words(blocks: dict[str, np.ndarray], t_frames: int, g: int, h: int, w:
 
     Each frame's stream holds, per plane, its pair count and then its
     (value, run) pairs.  The streams are checked, not decoded: a stream
-    that ends before or inside a plane, a plane whose runs do not sum to
-    h·w and a value word other than 0 or 1 each raise FormatError.
+    that ends before or inside a plane or holds words after its last plane,
+    a plane whose runs do not sum to h·w, a value word other than 0 or 1,
+    and a `visibility` entry other than "the plane has a run of 1s of
+    positive length" each raise FormatError.
     """
     streams, offsets = [], [0]
     for t in range(t_frames):
@@ -295,12 +341,15 @@ def _mask_words(blocks: dict[str, np.ndarray], t_frames: int, g: int, h: int, w:
                 raise FormatError(f"mask RLE stream for frame {t} ends inside plane {k}")
             pos += 1 + 2 * n_pairs
             offsets.append(offsets[-1] + 1 + 2 * n_pairs)
-        streams.append(stream[:pos])
+        if pos != stream.size:
+            raise FormatError(f"mask RLE stream for frame {t} has {stream.size - pos} words after its last plane")
+        streams.append(stream)
     words = np.concatenate([np.zeros(0, "<u4"), *streams])  # also when there are no planes
     offsets = np.asarray(offsets, dtype=np.int64)
     runs = np.delete(words, offsets[:-1])  # every plane's (value, run) pairs, back to back
+    first_pair = (offsets - np.arange(offsets.size)) // 2  # of each plane, then the end
     covered = np.concatenate(([0], np.cumsum(runs[1::2], dtype=np.int64)))  # by the first i pairs
-    sizes = np.diff(covered[(offsets - np.arange(offsets.size)) // 2])
+    sizes = np.diff(covered[first_pair])
     bad = np.flatnonzero(sizes != h * w)
     if bad.size:
         t, k = divmod(int(bad[0]), g)
@@ -309,6 +358,15 @@ def _mask_words(blocks: dict[str, np.ndarray], t_frames: int, g: int, h: int, w:
     bad = np.flatnonzero(values > 1)
     if bad.size:
         raise FormatError(f"RLE run {bad[0]} has value {values[bad[0]]}, expected 0 or 1")
+    shown = np.concatenate(([0], np.cumsum((values == 1) & (runs[1::2] > 0))))  # 1-runs among the first i pairs
+    visible = np.diff(shown[first_pair]).reshape(t_frames, g) > 0
+    bad = np.flatnonzero(visible != blocks["visibility"])
+    if bad.size:
+        t, k = divmod(int(bad[0]), g)
+        raise FormatError(
+            f"block 'visibility' entry {bad[0]} is {int(not visible[t, k])}, "
+            f"but mask plane {k} of frame {t} is {'non-empty' if visible[t, k] else 'empty'}"
+        )
     return words, offsets
 
 
@@ -321,11 +379,14 @@ def read_clip(path: str | Path) -> SpriteClip:
     must hold frames × round(SAMPLE_RATE / fps_stream) samples, and at
     least one per frame, and a mask stream must be 1-D),
     a class id outside `CLASS_NAMES`, a visibility byte other than 0 or 1,
-    a non-finite pixel or audio sample and a malformed mask stream each
-    raise FormatError naming the field or block.  The masks stay
-    run-length encoded.
+    a non-finite pixel or audio sample, a malformed mask stream and a
+    visibility entry that disagrees with its mask plane each raise
+    FormatError naming the field or block.  The masks stay run-length
+    encoded, and the frames stay in tensors.bin: the clip holds a
+    `StoredFrames` that reads and checks one frame per index.
     """
-    meta, blocks = read_container(path)
+    meta, entries = read_manifest(path)
+    blocks = read_blocks(path, entries)
     if meta.get("kind") != "clip":
         raise FormatError(f"container at {path} is not a clip (kind={meta.get('kind')!r})")
     for key, (ok, what) in _CLIP_META.items():
@@ -379,7 +440,7 @@ def read_clip(path: str | Path) -> SpriteClip:
             raise FormatError(f"clip at {path} block {name!r} entry {bad} is {value}, expected {what}")
     mask_words, mask_offsets = _mask_words(blocks, t_frames, g, h, w)
     return SpriteClip(
-        frames=blocks["frames"],
+        frames=StoredFrames(Path(path), next(e for e in entries if e["name"] == "frames")),
         mask_words=mask_words,
         mask_offsets=mask_offsets,
         gt_classes=blocks["gt_classes"],

@@ -5,6 +5,12 @@ then minimize cross-entropy over all slots (unmatched slots are pushed to
 the no-object class) plus Dice loss on the matched masks.  AdamW with the
 poly LR schedule; reference features are recomputed with current weights
 each iteration (no cache during training).
+
+`train_loop` reads every training clip once, but a read clip keeps its
+frames in its tensors.bin: an iteration reads from disk only its target
+frame and its reference frames, and decodes only the target's masks.  A
+non-finite loss or gradient stops the run before the optimizer step, with
+`abort_dump.json` beside the metrics.
 """
 
 from __future__ import annotations
@@ -201,7 +207,13 @@ def train_loop(cfg: RunConfig, data_dir: str | Path, out_dir: str | Path) -> Tra
             refs, windows = sample_window(clip, t, cfg.ref_frames)
             probs, masks = model.forward_frames(clip.frames[t], refs, windows if cfg.audio_enabled else None)
             report = match_and_loss(probs, masks, clip, t, cfg)
-            if not np.isfinite(report.total):
+            failed = None if np.isfinite(report.total) else "loss"
+            if failed is None:
+                state.zero_grads(params)
+                report.loss.backward()
+                # checked before the step, which would spread one NaN to every parameter
+                failed = None if all(np.isfinite(flat.grad).all() for flat in state.flat) else "gradient"
+            if failed is not None:
                 dump = {
                     "iteration": it,
                     "lr": lr,
@@ -212,9 +224,7 @@ def train_loop(cfg: RunConfig, data_dir: str | Path, out_dir: str | Path) -> Tra
                     "frame": t,
                 }
                 (out_dir / "abort_dump.json").write_text(json.dumps(dump, indent=1))
-                raise NumericError(f"non-finite loss at iteration {it}; diagnostics in abort_dump.json")
-            state.zero_grads(params)
-            report.loss.backward()
+                raise NumericError(f"non-finite {failed} at iteration {it}; diagnostics in abort_dump.json")
             adamw_step(state, params, {name: p.grad for name, p in params.items()}, lr)
             losses.append(report.total)
             mf.write(f"{it},{lr!r},{report.total!r},{report.ce!r},{report.dice!r}\n")

@@ -3,10 +3,12 @@
 import json
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rcfvis import cli
 from rcfvis.cli import EXIT_IO, main
 from rcfvis.config import RunConfig
 from rcfvis.container import read_container, rle_decode, rle_encode, write_container
@@ -233,6 +235,7 @@ RLE_FAULTS = {
     "odd-word-count": (lambda s: s[:-1], "ends inside plane 1"),
     "plane-size": (_shift_one_pixel, "plane 0 of frame 1 decodes to 1537 elements, expected 1536"),
     "value-not-binary": (_first_value_2, "has value 2, expected 0 or 1"),
+    "words-after-last-plane": (lambda s: np.concatenate([s, s[:3]]), "frame 1 has 3 words after its last plane"),
 }
 
 
@@ -313,6 +316,11 @@ CLIP_VALUE_FAULTS = {
     "class-9": ("gt_classes", _set_entry(9), "block 'gt_classes' entry 0 is 9, expected a class id below 4"),
     "class-4": ("gt_classes", _set_entry(4), "block 'gt_classes' entry 0 is 4, expected a class id below 4"),
     "visibility-2": ("visibility", _set_entry(2), "block 'visibility' entry 0 is 2, expected 0 or 1"),
+    "visibility-disagrees": (
+        "visibility",
+        _set_entry(0, 1),
+        "block 'visibility' entry 1 is 0, but mask plane 1 of frame 0 is non-empty",
+    ),
     "frames-nan": ("frames", _set_entry(np.nan, 100), "block 'frames' entry 100 is nan, expected a finite value"),
     "frames-inf": ("frames", _set_entry(np.inf, 7), "block 'frames' entry 7 is inf, expected a finite value"),
     "waveform-nan": ("waveform", _set_entry(np.nan), "block 'waveform' entry 0 is nan, expected a finite value"),
@@ -364,6 +372,59 @@ def test_short_waveform_fails_infer_with_exit_3(clip_and_checkpoint, tmp_path, c
     write_container(tmp_path / "clip", meta, blocks)
     capsys.readouterr()
     rc = main(["infer", "--ckpt", str(ckpt), "--clip", str(tmp_path / "clip"), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_IO
+    assert "kind=io" in err and text in err and "Traceback" not in err
+
+
+def _frame_bytes(entry):
+    return entry["nbytes"] // entry["shape"][0]
+
+
+def _truncate_in_frame_1(clip_dir, entry):
+    with open(clip_dir / "tensors.bin", "r+b") as fh:
+        fh.truncate(entry["offset"] + _frame_bytes(entry) * 3 // 2)
+
+
+def _nan_in_frame_1(clip_dir, entry):
+    with open(clip_dir / "tensors.bin", "r+b") as fh:
+        fh.seek(entry["offset"] + _frame_bytes(entry) + 5 * 4)
+        fh.write(np.array(np.nan, "<f4").tobytes())
+
+
+# damage done to a clip's tensors.bin after read_clip -> text the error on
+# reading frame 1 must contain
+STORED_FRAME_FAULTS = {
+    "truncated": (_truncate_in_frame_1, "truncated tensors.bin: block 'frames' rows [1, 2) end past end of file"),
+    "nan": (_nan_in_frame_1, "block 'frames' entry 5 is nan, expected a finite value"),
+    "deleted": (lambda clip_dir, entry: (clip_dir / "tensors.bin").unlink(), "cannot read tensors.bin for block 'frames'"),
+}
+
+
+@pytest.mark.parametrize("fault", STORED_FRAME_FAULTS)
+def test_a_frame_damaged_after_read_clip_is_format_error(fault, clip_and_checkpoint, tmp_path, monkeypatch, capsys):
+    damage, text = STORED_FRAME_FAULTS[fault]
+    clip_dir, ckpt = clip_and_checkpoint
+    entry = next(b for b in json.loads((clip_dir / "manifest.json").read_text())["blocks"] if b["name"] == "frames")
+    shutil.copytree(clip_dir, tmp_path / "clip")
+    clip = read_clip(tmp_path / "clip")
+    frame = clip.frames[1]
+    damage(tmp_path / "clip", entry)
+    with pytest.raises(FormatError, match=re.escape(text)) as info:
+        clip.frames[1]
+    assert str(info.value).startswith(f"clip at {tmp_path / 'clip'} frame 1: ")
+    assert frame.dtype == np.float32 and np.isfinite(frame).all()
+
+    # the same damage between infer's read of the clip and its frames: exit 3
+    def read_then_damage(path):
+        read = read_clip(path)
+        damage(Path(path), entry)
+        return read
+
+    shutil.copytree(clip_dir, tmp_path / "cli_clip")
+    monkeypatch.setattr(cli, "read_clip", read_then_damage)
+    capsys.readouterr()
+    rc = main(["infer", "--ckpt", str(ckpt), "--clip", str(tmp_path / "cli_clip"), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == EXIT_IO
     assert "kind=io" in err and text in err and "Traceback" not in err

@@ -8,7 +8,7 @@ from rcfvis.errors import StateError
 from rcfvis.instance_head import FramePrediction
 from rcfvis.model import RCFModel
 from rcfvis.stream import RefCache, TrackState, infer_frame, mask_iou, postprocess, stream_clip, track_update
-from rcfvis.synthav import generate_clip
+from rcfvis.synthav import generate_clip, read_clip, write_clip
 from rcfvis.tensor import no_grad
 from rcfvis.training import sample_window
 from rcfvis.videonet import Backbone
@@ -385,3 +385,18 @@ def test_stream_cache_stays_bounded(delta):
         infer_frame(model, clip.frames[t].astype(np.float64), clip.audio_window(t), cache, state, t)
         assert len(cache.features) <= delta and len(cache.audio) <= delta, t
         assert sorted(cache.features) == sorted(cache.audio) == list(range(max(t + 1 - delta, 0), t + 1)), t
+
+
+def test_a_read_clip_streams_like_the_generated_clip(tmp_path):
+    # a read clip's frames come from disk one at a time, bit for bit the written ones
+    model = small_model()
+    clip = small_clip(seed=4, frames=5)
+    write_clip(clip, tmp_path / "clip")
+    want, want_state = stream_clip(model, clip)
+    got, got_state = stream_clip(model, read_clip(tmp_path / "clip"))
+    assert len(got) == len(want) == clip.num_frames
+    for t, (a, b) in enumerate(zip(got, want)):
+        assert a.class_probs.tobytes() == b.class_probs.tobytes(), t
+        assert a.mask_logits.tobytes() == b.mask_logits.tobytes(), t
+        assert np.array_equal(a.fired, b.fired) and np.array_equal(a.identities, b.identities), t
+    assert got_state.slot_ids == want_state.slot_ids and got_state.next_id == want_state.next_id

@@ -117,7 +117,9 @@ def test_clip_roundtrip_bit_exact(tmp_path):
 
 
 def test_read_clip_retains_only_the_stored_blocks(tmp_path):
-    # dense masks would add T*G*H*W bytes, here 768 KiB: the bound allows 16 KiB
+    # the frames stay on disk: keeping them would add their 1,152 KiB, and
+    # dense masks T*G*H*W bytes, here 768 KiB; the bound allows 16 KiB over
+    # the stored blocks other than the frames
     cfg = RunConfig(gen_frames=16, gen_min_sprites=8, gen_max_sprites=8)
     write_clip(generate_clip(0, cfg), tmp_path / "clip")
     read_clip(tmp_path / "clip")  # the first call settles one-time allocations
@@ -128,7 +130,8 @@ def test_read_clip_retains_only_the_stored_blocks(tmp_path):
     finally:
         tracemalloc.stop()
     assert clip.num_instances == 8 and clip.frames.shape == (16, 3, 64, 96)
-    assert retained <= (tmp_path / "clip" / "tensors.bin").stat().st_size + 16 * 1024
+    frames_bytes = 16 * 3 * 64 * 96 * 4
+    assert retained <= (tmp_path / "clip" / "tensors.bin").stat().st_size - frames_bytes + 16 * 1024
 
 
 def test_invalid_configs_rejected():
@@ -321,6 +324,23 @@ def test_masks_decode_one_frame_like_the_oracle(name, tmp_path):
             for got in (clip.masks(t), back.masks(t)):
                 assert got.dtype == want.dtype and got.shape == want[t].shape, (seed, t)
                 assert got.tobytes() == want[t].tobytes(), (seed, t)
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_read_frames_are_the_written_frames(name, tmp_path):
+    clip = generate_clip(0, CONFIGS[name])
+    write_clip(clip, tmp_path / "clip")
+    back = read_clip(tmp_path / "clip")
+    assert back.frames.shape == clip.frames.shape and len(back.frames) == back.num_frames == clip.num_frames
+    for t in range(clip.num_frames):
+        got = back.frames[t]
+        assert got.dtype == np.float32 and got.shape == clip.frames[t].shape, t
+        assert got.tobytes() == clip.frames[t].tobytes(), t
+    with pytest.raises(IndexError):
+        back.frames[clip.num_frames]
+    write_clip(back, tmp_path / "again")  # a read clip writes back the same files
+    for file in ("tensors.bin", "manifest.json"):
+        assert (tmp_path / "again" / file).read_bytes() == (tmp_path / "clip" / file).read_bytes(), file
 
 
 def test_a_clip_without_instances_decodes_empty_frames(tmp_path):

@@ -1,5 +1,6 @@
 """Set loss semantics, checkpoint round-trips, short training runs."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from rcfvis.config import RunConfig
 from rcfvis.container import read_container, write_container
-from rcfvis.errors import ArgumentError
+from rcfvis.errors import ArgumentError, NumericError
 from rcfvis.matching import Assignment
 from rcfvis.model import RCFModel
 from rcfvis import training
@@ -207,6 +208,37 @@ class TestTrainLoop:
         for f in ("metrics.csv", "ckpt_final/tensors.bin", "ckpt_final/manifest.json"):
             assert (tmp_path / "flat" / f).read_bytes() == (tmp_path / "oracle" / f).read_bytes(), f
         assert flat.losses == oracle.losses
+
+    def test_non_finite_gradient_stops_before_the_step(self, tmp_path, monkeypatch):
+        # a NaN in one gradient at iteration 1, with a finite loss
+        cfg = tiny_cfg(iter_max=3)
+        write_corpus(cfg, tmp_path / "data")
+        zero_grads, backward = OptimState.zero_grads, Tensor.backward
+        seen, steps = {}, []
+
+        def recording_zero_grads(state, params):
+            seen["params"] = params
+            zero_grads(state, params)
+
+        def poisoned_backward(loss, *args, **kwargs):
+            backward(loss, *args, **kwargs)
+            seen["calls"] = seen.get("calls", 0) + 1
+            if seen["calls"] == 2:
+                next(iter(seen["params"].values())).grad.flat[3] = np.nan
+
+        def counting_adamw_step(*args):
+            steps.append(1)
+            adamw_step(*args)
+
+        monkeypatch.setattr(OptimState, "zero_grads", recording_zero_grads)
+        monkeypatch.setattr(Tensor, "backward", poisoned_backward)
+        monkeypatch.setattr(training, "adamw_step", counting_adamw_step)
+        with pytest.raises(NumericError, match="non-finite gradient at iteration 1"):
+            train_loop(cfg, tmp_path / "data", tmp_path / "run")
+        assert len(steps) == 1
+        dump = json.loads((tmp_path / "run" / "abort_dump.json").read_text())
+        assert dump["iteration"] == 1 and np.isfinite(dump["total"])
+        assert len((tmp_path / "run" / "metrics.csv").read_text().splitlines()) == 2
 
     def test_poly_schedule_endpoints_in_metrics(self, tmp_path):
         cfg = tiny_cfg(iter_max=4)

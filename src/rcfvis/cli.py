@@ -82,13 +82,9 @@ def cmd_gen_data(args) -> int:
     listing = {}
     for split, count in counts.items():
         gen = generator_config(cfg, split)
-        names = []
-        for i in range(count):
-            clip = generate_clip(clip_seed(cfg.seed, split, i), gen)
-            name = f"clip_{i:05d}"
-            write_clip(clip, out / split / name)
-            names.append(name)
-        listing[split] = names
+        listing[split] = [f"clip_{i:05d}" for i in range(count)]
+        for i, name in enumerate(listing[split]):
+            write_clip(generate_clip(clip_seed(cfg.seed, split, i), gen), out / split / name)
         print(f"wrote {count} clips to {out / split}")
     (out / "corpus.json").write_text(
         json.dumps({"config": cfg.to_dict(), "splits": listing}, indent=1, sort_keys=True)
@@ -111,9 +107,8 @@ def cmd_eval(args) -> int:
     clips = [read_clip(p) for p in clip_dirs]
     score = evaluate_model_on_clips(model, clips)
     rows = score.as_dict()
-    out = Path(args.out) if args.out else None
-    if out:
-        with open(out, "w", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["metric", "value"])
             for k, v in rows.items():
@@ -193,13 +188,13 @@ def cmd_analyze_lipschitz(args) -> int:
 
 
 def cmd_probe_order(args) -> int:
+    if (args.clip is None) == (args.data is None):
+        raise ConfigError("probe-order takes exactly one of --clip and --data")
     model, trained = _load_model(args)
     if args.no_override:
         model.cfg = dataclasses.replace(model.cfg, iou_override=False)
-    if args.clip:
-        clips = [read_clip(args.clip)]
-    else:
-        clips = [read_clip(p) for p in list_clip_dirs(Path(args.data) / args.split)]
+    paths = [args.clip] if args.clip is not None else list_clip_dirs(Path(args.data) / args.split)
+    clips = [read_clip(p) for p in paths]
     all_rows = []
     switch_rates = []
     for clip in clips:
@@ -312,9 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "probe-order" and not args.clip and not args.data:
-        print('rcfvis: error code=2 kind=config msg="probe-order needs --clip or --data"', file=sys.stderr)
-        return EXIT_CONFIG
     try:
         return args.fn(args)
     except (ConfigError, ArgumentError) as e:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -131,9 +132,9 @@ def read_manifest(path: str | Path) -> tuple[dict, list[dict]]:
 
     Every manifest field is checked before any block is read.  A manifest
     that is not an object, a missing or mistyped `meta` or `blocks`, a block
-    entry with a missing or mistyped field, a block name used twice and an
-    `nbytes` other than prod(shape) x itemsize each raise FormatError naming
-    the block and field.
+    entry with a missing or mistyped field, a block name used twice, an
+    `nbytes` other than prod(shape) x itemsize and a block that overlaps the
+    one before it each raise FormatError naming the block and field.
     """
     path = Path(path)
     mpath = path / MANIFEST_FILE
@@ -154,38 +155,53 @@ def read_manifest(path: str | Path) -> tuple[dict, list[dict]]:
     if not isinstance(manifest.get("blocks"), list):
         raise FormatError("manifest field 'blocks' is missing or not a list")
     first_index: dict[str, int] = {}
+    prev_end = 0
     for index, entry in enumerate(manifest["blocks"]):
         _check_block(index, entry)
         if entry["name"] in first_index:
             raise FormatError(f"block {index} {entry['name']!r} field 'name' repeats block {first_index[entry['name']]}")
         first_index[entry["name"]] = index
+        if entry["offset"] < prev_end:
+            raise FormatError(f"block {entry['name']!r} overlaps the previous block", offset=entry["offset"])
+        prev_end = entry["offset"] + entry["nbytes"]
     return manifest["meta"], manifest["blocks"]
+
+
+def _read_arrays(path: str | Path, reads: list[tuple[str, int, tuple, np.dtype]]) -> list[np.ndarray]:
+    """Each (label, offset, shape, dtype) of `reads` as an array filled straight
+    from one open tensors.bin; a missing, unreadable or short file raises
+    FormatError naming the label of the read it stopped."""
+    arrays = []
+    label = reads[0][0] if reads else "an empty block list"  # until the first read starts
+    try:
+        with open(Path(path) / TENSORS_FILE, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            for label, offset, shape, dtype in reads:
+                short = f"truncated {TENSORS_FILE}: {label} end past end of file"
+                if offset + math.prod(shape) * dtype.itemsize > size:  # checked before the array is allocated
+                    raise FormatError(short, offset=offset)
+                out = np.empty(shape, dtype)
+                f.seek(offset)
+                if f.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:  # the file shrank since
+                    raise FormatError(short, offset=offset)
+                arrays.append(out)
+    except OSError as e:
+        raise FormatError(f"cannot read {TENSORS_FILE} for {label}: {e}") from e
+    return arrays
 
 
 def read_blocks(path: str | Path, entries: list[dict]) -> dict[str, np.ndarray]:
     """Read the blocks that `read_manifest` listed; returns {name: array}.
 
-    Each array is a copy, so no array keeps the file's bytes alive.  A
-    missing tensors.bin, a block that overlaps the one before it and a block
-    that ends past the end of the file raise FormatError.
+    One open tensors.bin fills every block's array, and no array shares
+    memory with another.  A missing or unreadable tensors.bin and a block
+    that ends past the end of the file raise FormatError naming the block.
     """
-    tpath = Path(path) / TENSORS_FILE
-    if not tpath.is_file():
-        raise FormatError(f"missing {TENSORS_FILE} under {path}")
-    raw = tpath.read_bytes()
-    blocks: dict[str, np.ndarray] = {}
-    prev_end = 0
-    for entry in entries:
-        name, offset, nbytes = entry["name"], entry["offset"], entry["nbytes"]
-        if offset < prev_end:
-            raise FormatError(f"block {name!r} overlaps the previous block", offset=offset)
-        if offset + nbytes > len(raw):
-            raise FormatError(f"truncated tensors.bin: block {name!r} extends past end of file", offset=offset)
-        dtype = _DTYPES[entry["dtype"]]
-        arr = np.frombuffer(raw, dtype=dtype, count=nbytes // dtype.itemsize, offset=offset)
-        blocks[name] = arr.reshape(entry["shape"]).copy()
-        prev_end = offset + nbytes
-    return blocks
+    reads = []
+    for e in entries:
+        label = f"block {e['name']!r} bytes [{e['offset']}, {e['offset'] + e['nbytes']})"
+        reads.append((label, e["offset"], e["shape"], _DTYPES[e["dtype"]]))
+    return dict(zip((e["name"] for e in entries), _read_arrays(path, reads)))
 
 
 def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -200,20 +216,11 @@ def read_rows(path: str | Path, entry: dict, start: int, stop: int) -> np.ndarra
     container at `path`; `entry` is the block's manifest entry as
     `read_manifest` returned it.
 
-    Only those rows' bytes are read.  A missing or unreadable tensors.bin and
-    a file that ends before the rows do each raise FormatError naming the
-    block and the rows.
+    Only those rows' bytes are read, by the same read as `read_blocks`.  A
+    missing or unreadable tensors.bin and a file that ends before the rows
+    do each raise FormatError naming the block and the rows.
     """
     shape, dtype = entry["shape"], _DTYPES[entry["dtype"]]
-    rows = np.empty((stop - start, *shape[1:]), dtype=dtype)
-    row_bytes = math.prod(shape[1:]) * dtype.itemsize
+    offset = entry["offset"] + start * math.prod(shape[1:]) * dtype.itemsize
     label = f"block {entry['name']!r} rows [{start}, {stop})"
-    try:
-        with open(Path(path) / TENSORS_FILE, "rb") as f:
-            f.seek(entry["offset"] + start * row_bytes)
-            got = f.readinto(memoryview(rows).cast("B"))
-    except OSError as e:
-        raise FormatError(f"cannot read {TENSORS_FILE} for {label}: {e}") from e
-    if got != rows.nbytes:
-        raise FormatError(f"truncated {TENSORS_FILE}: {label} end past end of file")
-    return rows
+    return _read_arrays(path, [(label, offset, (stop - start, *shape[1:]), dtype)])[0]

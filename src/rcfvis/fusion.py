@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .nn import INIT_STD, BiLSTM, EncoderLayer, Linear, Module
-from .tensor import Tensor, adaptive_avg_pool2d, concat, stack
+from .tensor import Tensor, avg_pool2d, concat, stack
 
 SEGMENT_NAMES = ("target", "reference", "audio")
 
@@ -153,7 +153,7 @@ class ReferenceTokenizer(Module):
             raise ArgumentError(f"feature extents {h}x{w} must divide the token grid {self.k}")
         wmap = self.weight_proj(stacked.reshape(c, h * w).transpose()).sigmoid()
         stacked = stacked * wmap.reshape(1, h, w)
-        return adaptive_avg_pool2d(stacked, (self.k, self.k))
+        return avg_pool2d(stacked, (self.k, self.k))
 
     def __call__(self, f_refs: list[Tensor]) -> Tensor:
         comp = self.compressed(f_refs)

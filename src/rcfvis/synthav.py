@@ -15,15 +15,16 @@ channels are read off that label.  All mask planes of the clip are then
 run-length encoded in one pass and the dense masks dropped: a clip holds
 its masks only as the words `write_clip` stores, and `SpriteClip.masks(t)`
 decodes one frame's planes.  `read_clip` validates every stream without
-expanding it, and every pixel, but keeps no frame: a read clip's `frames`
-is a `StoredFrames` that reads frame t from its tensors.bin, and checks it
-again, when a caller indexes `frames[t]`.  A generated clip, which has no
-file, keeps its frames as one array.  The contract: every pixel goes
-through the float64 operations of a per-(frame, sprite) renderer and the
-RNG draws come in the same order, so the generated arrays and the written
-`tensors.bin` and `manifest.json` are byte for byte those of that renderer
-and of a per-plane encoder (`tests/test_synthav.py` pins their digests and
-keeps the per-frame renderer as its oracle).
+expanding it, and every frame as `StoredFrames[t]` checks it, but keeps no
+frame: a read clip's `frames` is a `StoredFrames` that reads frame t from
+its tensors.bin, and checks it again, when a caller indexes `frames[t]`.
+A generated clip, which has no file, keeps its frames as one array.  The
+contract: every pixel goes through the float64 operations of a
+per-(frame, sprite) renderer and the RNG draws come in the same order, so
+the generated arrays and the written `tensors.bin` and `manifest.json` are
+byte for byte those of that renderer and of a per-plane encoder
+(`tests/test_synthav.py` pins their digests and keeps the per-frame
+renderer as its oracle).
 """
 
 from __future__ import annotations
@@ -93,14 +94,17 @@ class StoredFrames:
             frame = read_rows(self.path, self.entry, t, t + 1)[0]
         except FormatError as e:
             raise FormatError(f"clip at {self.path} frame {t}: {e}") from e
-        finite = np.isfinite(frame)
-        if not finite.all():
-            bad = np.flatnonzero(~finite)[0]
-            raise FormatError(
-                f"clip at {self.path} frame {t}: block 'frames' entry {bad} is {frame.reshape(-1)[bad]}, "
-                "expected a finite value"
-            )
-        return frame
+        return _finite_frame(self.path, t, frame)
+
+
+def _finite_frame(path: str | Path, t: int, frame: np.ndarray) -> np.ndarray:
+    """`frame`, frame t of the clip at `path`, if all its values are finite; else FormatError."""
+    finite = np.isfinite(frame)
+    if not finite.all():  # the common case costs no index search
+        bad = np.flatnonzero(~finite)[0]
+        value = frame.reshape(-1)[bad]
+        raise FormatError(f"clip at {path} frame {t}: block 'frames' entry {bad} is {value}, expected a finite value")
+    return frame
 
 
 @dataclass
@@ -379,11 +383,11 @@ def read_clip(path: str | Path) -> SpriteClip:
     must hold frames × round(SAMPLE_RATE / fps_stream) samples, and at
     least one per frame, and a mask stream must be 1-D),
     a class id outside `CLASS_NAMES`, a visibility byte other than 0 or 1,
-    a non-finite pixel or audio sample, a malformed mask stream and a
-    visibility entry that disagrees with its mask plane each raise
-    FormatError naming the field or block.  The masks stay run-length
-    encoded, and the frames stay in tensors.bin: the clip holds a
-    `StoredFrames` that reads and checks one frame per index.
+    a non-finite audio sample, a malformed mask stream and a visibility
+    entry that disagrees with its mask plane each raise FormatError naming
+    the field or block.  The masks stay run-length encoded, and the frames
+    stay in tensors.bin: the clip holds a `StoredFrames` that reads one
+    frame per index and checks it as read_clip checked every frame.
     """
     meta, entries = read_manifest(path)
     blocks = read_blocks(path, entries)
@@ -402,9 +406,8 @@ def read_clip(path: str | Path) -> SpriteClip:
         raise FormatError(
             f"clip at {path} meta field 'generator_config' is invalid: missing {sorted(missing)}, unknown {sorted(unknown)}"
         )
-    if "frames" not in blocks:
-        raise FormatError(f"clip at {path} has no block 'frames'")
-    t_frames = blocks["frames"].shape[0] if blocks["frames"].ndim == 4 else -1
+    frames = blocks.get("frames")  # its absence is reported with the other blocks'
+    t_frames = frames.shape[0] if frames is not None and frames.ndim == 4 else -1
     eta = round(SAMPLE_RATE / meta["fps_stream"])
     if eta == 0:
         raise FormatError(
@@ -430,7 +433,6 @@ def read_clip(path: str | Path) -> SpriteClip:
     for name, ok, what in (
         ("gt_classes", lambda v: np.isin(v, range(len(CLASS_NAMES))), f"a class id below {len(CLASS_NAMES)}"),
         ("visibility", lambda v: np.isin(v, (0, 1)), "0 or 1"),
-        ("frames", np.isfinite, "a finite value"),
         ("waveform", np.isfinite, "a finite value"),
     ):
         valid = ok(blocks[name])
@@ -438,6 +440,8 @@ def read_clip(path: str | Path) -> SpriteClip:
             bad = np.flatnonzero(~valid)[0]
             value = blocks[name].reshape(-1)[bad]
             raise FormatError(f"clip at {path} block {name!r} entry {bad} is {value}, expected {what}")
+    for t in range(t_frames):
+        _finite_frame(path, t, frames[t])
     mask_words, mask_offsets = _mask_words(blocks, t_frames, g, h, w)
     return SpriteClip(
         frames=StoredFrames(Path(path), next(e for e in entries if e["name"] == "frames")),

@@ -124,10 +124,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def _accum(self, g: np.ndarray):
         if self.grad is None:
             # a copy: callers may pass a view of another node's gradient, or
@@ -557,29 +553,25 @@ def upsample2x(x: Tensor) -> Tensor:
     return out
 
 
-def adaptive_avg_pool2d(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
-    """Mean-pool (C,H,W) down to (C,kh,kw) with adaptive block boundaries."""
+def avg_pool2d(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
+    """Mean-pool (C,H,W) down to (C,kh,kw) over equal blocks; kh must divide H
+    and kw must divide W."""
     if x.ndim != 3:
-        raise ArgumentError("adaptive_avg_pool2d expects (C,H,W)")
+        raise ArgumentError("avg_pool2d expects (C,H,W)")
     c, h, w = x.shape
     kh, kw = out_hw
-    if not (1 <= kh <= h and 1 <= kw <= w):
-        raise ArgumentError(f"pool target {out_hw} invalid for input {h}x{w}")
-    hb = [(math.floor(i * h / kh), math.ceil((i + 1) * h / kh)) for i in range(kh)]
-    wb = [(math.floor(j * w / kw), math.ceil((j + 1) * w / kw)) for j in range(kw)]
-    out_data = np.empty((c, kh, kw), dtype=x.dtype)
-    for i, (h0, h1) in enumerate(hb):
-        for j, (w0, w1) in enumerate(wb):
-            out_data[:, i, j] = x.data[:, h0:h1, w0:w1].mean(axis=(1, 2))
+    if kh < 1 or kw < 1 or h % kh or w % kw:
+        raise ArgumentError(f"pool target {out_hw} does not divide input {h}x{w}")
+    rows, cols = h // kh, w // kw
+    # each block's values back to back on the last axis, in the order in which
+    # the mean of the block's (C, rows, cols) slice sums them
+    blocks = np.ascontiguousarray(x.data.reshape(c, kh, rows, kw, cols).transpose(0, 1, 3, 2, 4))
+    out_data = blocks.reshape(c, kh, kw, rows * cols).mean(axis=-1)
 
-    def bw(a=x, hb=tuple(hb), wb=tuple(wb)):
-        if not a.requires_grad:
-            return
-        g = np.zeros_like(a.data)
-        for i, (h0, h1) in enumerate(hb):
-            for j, (w0, w1) in enumerate(wb):
-                g[:, h0:h1, w0:w1] += out.grad[:, i : i + 1, j : j + 1] / ((h1 - h0) * (w1 - w0))
-        a._accum(g)
+    def bw(a=x):
+        if a.requires_grad:
+            g = out.grad[:, :, None, :, None] / (rows * cols)
+            a._accum(np.broadcast_to(g, (c, kh, rows, kw, cols)).reshape(c, h, w))
 
     out = Tensor._from_op(out_data, (x,), bw)
     return out

@@ -128,21 +128,25 @@ def load_checkpoint(path: str | Path) -> tuple[RCFModel, OptimState, int]:
     params = model.params()
     state = OptimState.create(params, model.param_groups())
     for key in ("optim_step", "iteration"):
-        if not isinstance(meta.get(key), int):
-            raise FormatError(f"checkpoint at {path} has no integer {key!r}")
+        if type(meta.get(key)) is not int or meta[key] < 0:  # a bool is an int, but no count
+            raise FormatError(f"checkpoint at {path} has no non-negative integer {key!r}: {meta.get(key)!r}")
     state.step = meta["optim_step"]
     for name, p in params.items():
-        for prefix in ("param", "optim_m", "optim_v"):
+        # in place: the model's parameters and the moments are views of the
+        # arrays that adamw_step updates
+        for prefix, dest in (("param", p.data), ("optim_m", state.m[name]), ("optim_v", state.v[name])):
             key = f"{prefix}/{name}"
             if key not in blocks:
                 raise FormatError(f"checkpoint missing block {key!r}")
-            if blocks[key].shape != p.data.shape:
-                raise FormatError(f"checkpoint block {key!r} has shape {blocks[key].shape}, expected {p.data.shape}")
-        # in place: the model's parameters and the moments are views of the
-        # arrays that adamw_step updates
-        p.data[...] = blocks[f"param/{name}"]
-        state.m[name][...] = blocks[f"optim_m/{name}"]
-        state.v[name][...] = blocks[f"optim_v/{name}"]
+            block = blocks[key]
+            if block.shape != dest.shape or block.dtype != dest.dtype:
+                raise FormatError(f"checkpoint block {key!r} is {block.dtype} {block.shape}, not {dest.dtype} {dest.shape}")
+            finite = np.isfinite(block)
+            if not finite.all():
+                bad = np.flatnonzero(~finite)[0]
+                value = block.reshape(-1)[bad]
+                raise FormatError(f"checkpoint block {key!r} entry {bad} is {value}, expected a finite value")
+            dest[...] = block
     return model, state, meta["iteration"]
 
 

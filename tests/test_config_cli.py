@@ -189,24 +189,47 @@ class TestCLIBasics:
         write_clip(generate_clip(0, cfg), clip)
         first = next(iter(model.params()))
 
-        def drop_meta(manifest):
+        weights = "param/head.class_head.w"
+
+        def drop_meta(manifest, ckpt):
             del manifest["meta"]["optim_step"]
             return "optim_step"
 
-        def drop_block(manifest):
+        def drop_block(manifest, ckpt):
             manifest["blocks"] = [b for b in manifest["blocks"] if b["name"] != f"optim_m/{first}"]
             return f"optim_m/{first}"
 
-        def reshape_block(manifest):
+        def reshape_block(manifest, ckpt):
             entry = next(b for b in manifest["blocks"] if b["name"] == f"optim_v/{first}")
             entry["shape"] = [entry["nbytes"] // 8]
             return f"optim_v/{first}"
 
-        for edit in (drop_meta, drop_block, reshape_block):
+        def retype_block(manifest, ckpt):
+            # float64 bytes read as float32 would load as weights up to 1e38
+            entry = next(b for b in manifest["blocks"] if b["name"] == weights)
+            entry["dtype"], entry["nbytes"] = "<f4", entry["nbytes"] // 2
+            return weights
+
+        def nan_in_block(manifest, ckpt):
+            entry = next(b for b in manifest["blocks"] if b["name"] == weights)
+            with open(ckpt / "tensors.bin", "r+b") as fh:
+                fh.seek(entry["offset"] + 3 * 8)
+                fh.write(np.array(np.nan, "<f8").tobytes())
+            return f"{weights!r} entry 3 is nan"
+
+        def bool_iteration(manifest, ckpt):
+            manifest["meta"]["iteration"] = True
+            return "iteration"
+
+        def negative_step(manifest, ckpt):
+            manifest["meta"]["optim_step"] = -1
+            return "optim_step"
+
+        for edit in (drop_meta, drop_block, reshape_block, retype_block, nan_in_block, bool_iteration, negative_step):
             ckpt = tmp_path / edit.__name__
             shutil.copytree(tmp_path / "ckpt", ckpt)
             manifest = json.loads((ckpt / "manifest.json").read_text())
-            named = edit(manifest)
+            named = edit(manifest, ckpt)
             (ckpt / "manifest.json").write_text(json.dumps(manifest))
             capsys.readouterr()
             rc = main(["infer", "--ckpt", str(ckpt), "--clip", str(clip), "--out", str(tmp_path / "out")])
@@ -388,6 +411,19 @@ class TestCLIPipelines:
 
     def test_probe_needs_clip_or_data(self, capsys):
         assert main(["probe-order"]) == EXIT_CONFIG
+
+    def test_probe_rejects_both_clip_and_data(self, tmp_path, capsys):
+        # with both, the probe must not run on the clip alone and ignore --data
+        cfg = RunConfig(image_h=32, image_w=48, num_slots=4, gen_frames=2, gen_max_sprites=2).validate()
+        clip_dir = tmp_path / "data" / "probe" / "clip_00000"
+        write_clip(generate_clip(0, cfg), clip_dir)
+        out = tmp_path / "probe.csv"
+        size = ["--set", "image_h=32", "--set", "image_w=48", "--set", "num_slots=4"]
+        args = ["probe-order", "--clip", str(clip_dir), "--data", str(tmp_path / "data"), "--out", str(out), *size]
+        capsys.readouterr()
+        assert main(args) == EXIT_CONFIG
+        assert "exactly one of --clip and --data" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dump_attention_records_no_tape(self, tmp_path, capsys, monkeypatch):
         # a read-only dump must not record, and hold, a training tape

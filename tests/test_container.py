@@ -16,7 +16,7 @@ from rcfvis.errors import FormatError
 from rcfvis.model import RCFModel
 from rcfvis.optim import OptimState
 from rcfvis.synthav import generate_clip, read_clip, write_clip
-from rcfvis.training import save_checkpoint
+from rcfvis.training import load_checkpoint, save_checkpoint
 
 
 def test_roundtrip_bit_exact(tmp_path, rng):
@@ -61,6 +61,21 @@ def test_truncated_tensor_file_names_block(tmp_path, rng):
     raw = (tmp_path / "c" / "tensors.bin").read_bytes()
     (tmp_path / "c" / "tensors.bin").write_bytes(raw[:40])
     with pytest.raises(FormatError, match="beta"):
+        read_container(tmp_path / "c")
+
+
+def test_a_0d_block_reads_and_a_block_past_the_file_is_rejected_before_allocation(tmp_path):
+    write_container(tmp_path / "c", {}, {"a": np.zeros(4), "s": np.array([2.5])})
+    mpath = tmp_path / "c" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest["blocks"][1]["shape"] = []
+    mpath.write_text(json.dumps(manifest))
+    s = read_container(tmp_path / "c")[1]["s"]
+    assert s.shape == () and s == 2.5
+    # 8 TB: allocated before the read, the block would raise MemoryError
+    manifest["blocks"][1]["shape"], manifest["blocks"][1]["nbytes"] = [10**12], 8 * 10**12
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=re.escape("truncated tensors.bin: block 's' bytes [32, 8000000000032)")):
         read_container(tmp_path / "c")
 
 
@@ -299,6 +314,30 @@ def test_mutated_clips_read_whole_or_raise_format_error(tmp_path):
         for t in range(clip.num_frames):
             masks = clip.masks(t)
             assert masks.shape == (g, h, w) and masks.max(initial=0) <= 1
+    assert accepted + rejected == 300 and accepted > 0 and rejected > 0
+
+
+def test_mutated_checkpoints_load_whole_or_raise_format_error(tmp_path):
+    cfg = RunConfig(
+        image_h=16, image_w=16, backbone_channels=16, token_dim=16, code_dim=8, seg_channels=2, num_slots=2,
+        enc_depth=1, dec_depth=1, heads=1, audio_dim=8, lstm_hidden=4,
+    )
+    model = RCFModel(cfg.validate())
+    save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params(), model.param_groups()), 0)
+    manifest = (tmp_path / "ckpt" / "manifest.json").read_bytes()
+    tensors = (tmp_path / "ckpt" / "tensors.bin").read_bytes()
+    accepted = rejected = 0
+    for edited_manifest, edited_tensors in _mutations(manifest, tensors, (0, len(tensors)), 300, seed=11):
+        (tmp_path / "ckpt" / "manifest.json").write_bytes(edited_manifest)
+        (tmp_path / "ckpt" / "tensors.bin").write_bytes(edited_tensors)
+        try:
+            loaded, state, _ = load_checkpoint(tmp_path / "ckpt")
+        except FormatError:
+            rejected += 1
+            continue
+        accepted += 1
+        for name, p in loaded.params().items():
+            assert np.isfinite(p.data).all() and np.isfinite(state.m[name]).all() and np.isfinite(state.v[name]).all()
     assert accepted + rejected == 300 and accepted > 0 and rejected > 0
 
 

@@ -15,8 +15,8 @@ from rcfvis.stream import stream_clip
 from rcfvis.synthav import generate_clip
 from rcfvis.tensor import (
     Tensor,
-    adaptive_avg_pool2d,
     attention_weights,
+    avg_pool2d,
     concat,
     conv2d,
     grad_check,
@@ -476,7 +476,20 @@ class TestShapeOps:
     def test_upsample_pool_grads(self, rng):
         x = Tensor(rng.standard_normal((2, 4, 6)))
         assert grad_check(lambda t: sum_of_squares(upsample2x(t)), x) < 1e-5
-        assert grad_check(lambda t: sum_of_squares(adaptive_avg_pool2d(t, (2, 3))), x) < 1e-6
+        assert grad_check(lambda t: sum_of_squares(avg_pool2d(t, (2, 3))), x) < 1e-6
+
+    @pytest.mark.parametrize("shape, k", [((48, 2, 2), 2), ((32, 4, 12), 4), ((64, 16, 8), 8), ((40, 6, 9), 1)])
+    def test_pool_is_each_block_slice_mean(self, shape, k, rng):
+        # bit for bit the mean of each (C, H/k, W/k) slice, one-column blocks included
+        x = rng.standard_normal(shape)
+        bh, bw = shape[1] // k, shape[2] // k
+        want = np.empty((shape[0], k, k))
+        for i in range(k):
+            for j in range(k):
+                want[:, i, j] = x[:, i * bh : (i + 1) * bh, j * bw : (j + 1) * bw].mean(axis=(1, 2))
+        assert np.array_equal(avg_pool2d(Tensor(x), (k, k)).data, want)
+        with pytest.raises(ArgumentError, match="does not divide"):
+            avg_pool2d(Tensor(x), (k, k + 3))
 
     def test_matmul_requires_2d(self, rng):
         with pytest.raises(ArgumentError):

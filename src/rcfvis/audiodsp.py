@@ -96,7 +96,7 @@ class AudioEncoder(Module):
         if x.ndim != 2 or x.shape[0] < 1:
             raise ArgumentError("audio encoder expects a (frames, mels) window")
         h = x.reshape(1, x.shape[0], x.shape[1])
-        h = self.conv1(h).relu()
-        h = self.conv2(h).relu()
+        h = self.conv1(h, relu=True)
+        h = self.conv2(h, relu=True)
         pooled = h.mean(axis=(1, 2)).reshape(1, -1)
         return self.proj(pooled).reshape(-1)

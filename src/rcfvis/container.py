@@ -85,7 +85,7 @@ def write_container(path: str | Path, meta: dict, blocks: dict[str, np.ndarray])
     arrays = []
     offset = 0
     for name, arr in blocks.items():
-        arr = np.ascontiguousarray(arr)
+        arr = np.asarray(arr, order="C")  # contiguous, and a 0-d array stays 0-d
         code = f"<{arr.dtype.kind}{arr.dtype.itemsize}"
         if code not in _DTYPES:
             raise FormatError(f"unsupported block dtype {arr.dtype} for {name!r}")

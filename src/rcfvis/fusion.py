@@ -178,7 +178,7 @@ class AudioTokenizer(Module):
             raise ArgumentError(f"expected {self.steps} audio features, got {len(features)}")
         xs = stack([f.reshape(-1) for f in features], axis=0)
         h = self.lstm(xs)
-        return self.fc2(self.fc1(h).relu()) + self.pos
+        return self.fc2(self.fc1(h, relu=True)) + self.pos
 
 
 class FusionEncoder(Module):

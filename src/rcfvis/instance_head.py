@@ -82,7 +82,7 @@ class InstanceHead(Module):
     def dynamic_masks(self, code: Tensor, seg: Tensor) -> Tensor:
         """Raw mask logits (N, H_o, W_o) via M = theta^T S for the (N, C_e)
         code and the (C_o, H_o, W_o) segmentation map S."""
-        theta = self.theta_fc2(self.theta_fc1(code).relu())  # (N, C_o)
+        theta = self.theta_fc2(self.theta_fc1(code, relu=True))  # (N, C_o)
         c_o, h_o, w_o = seg.shape
         if theta.shape[1] != c_o:
             raise ArgumentError(f"filter channels {theta.shape[1]} mismatch segmentation map {c_o}")

@@ -5,9 +5,12 @@ Every module owns an rng so parameter values depend only on (seed, module
 name), not on what else the model instantiates.
 
 Each layer calls one fused op of `tensor`, one tape node per call: `Linear`
-calls `linear`, `Conv2dLayer` calls `conv2d`, `LayerNorm` and `GroupNorm`
+calls `linear`, `Conv2dLayer` calls `conv2d`, `LayerNorm` and `GroupNormReLU`
 call `normalize`, `LSTMLayer` calls `lstm` and `MultiheadAttention` calls
 `scaled_dot_product_attention` (after its four `Linear` projections).
+`Linear` and `Conv2dLayer` take ``relu=True`` to fold a ReLU into that node
+(`FeedForward`'s hidden layer is one), and `GroupNormReLU` always folds
+one, rather than add a node and an array for it.
 """
 
 from __future__ import annotations
@@ -59,8 +62,8 @@ class Linear(Module):
         self.w = self.param("w", rng.normal(0.0, INIT_STD, size=(d_in, d_out)))
         self.b = self.param("b", np.zeros(d_out)) if bias else None
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return linear(x, self.w, self.b)
+    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
+        return linear(x, self.w, self.b, relu)
 
 
 class Conv2dLayer(Module):
@@ -70,11 +73,14 @@ class Conv2dLayer(Module):
         self.w = self.param("w", rng.normal(0.0, INIT_STD, size=(c_out, c_in, k, k)))
         self.b = self.param("b", np.zeros(c_out))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.w, self.b, self.stride, self.pad)
+    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
+        return conv2d(x, self.w, self.b, self.stride, self.pad, relu)
 
 
-class GroupNorm(Module):
+class GroupNormReLU(Module):
+    """Group norm followed by a ReLU, as one `normalize` node: the backbone's
+    norm-activation pair."""
+
     def __init__(self, name: str, groups: int, channels: int):
         super().__init__(name)
         if channels % groups:
@@ -84,7 +90,7 @@ class GroupNorm(Module):
         self.bias = self.param("bias", np.zeros((channels, 1, 1)))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return normalize(x, self.gain, self.bias, (self.groups, -1), NORM_EPS)
+        return normalize(x, self.gain, self.bias, (self.groups, -1), NORM_EPS, relu=True)
 
 
 class LayerNorm(Module):
@@ -132,7 +138,7 @@ class FeedForward(Module):
         self.fc2 = self.child(Linear("fc2", hidden, dim, rng))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.fc2(self.fc1(x).relu())
+        return self.fc2(self.fc1(x, relu=True))
 
 
 class EncoderLayer(Module):

@@ -15,10 +15,12 @@ channels are read off that label.  All mask planes of the clip are then
 run-length encoded in one pass and the dense masks dropped: a clip holds
 its masks only as the words `write_clip` stores, and `SpriteClip.masks(t)`
 decodes one frame's planes.  `read_clip` validates every stream without
-expanding it, and every frame as `StoredFrames[t]` checks it, but keeps no
-frame: a read clip's `frames` is a `StoredFrames` that reads frame t from
-its tensors.bin, and checks it again, when a caller indexes `frames[t]`.
-A generated clip, which has no file, keeps its frames as one array.  The
+expanding it, and checks every frame and every audio sample, but keeps
+neither frames nor waveform: a read clip's `frames` and `waveform` are
+`StoredBlock`s that read frame t, or frame t's audio window, from its
+tensors.bin, and check it again, when a caller indexes `frames[t]` or
+calls `audio_window(t)`.  A generated clip, which has no file, keeps its
+frames and its waveform as arrays.  The
 contract: every pixel goes through the float64 operations of a
 per-(frame, sprite) renderer and the RNG draws come in the same order, so
 the generated arrays and the written `tensors.bin` and `manifest.json` are
@@ -69,16 +71,18 @@ def tone_frequency(class_id: int) -> float:
 
 
 @dataclass(frozen=True)
-class StoredFrames:
-    """A read clip's (T, 3, H, W) float32 frames, left in its tensors.bin.
+class StoredBlock:
+    """A read clip's float32 block, left in its tensors.bin, one row per
+    frame: the (T, 3, H, W) frames, or the waveform read as (T, eta), one
+    frame's audio window per row.
 
-    `[t]` reads frame t's bytes and nothing else, and checks them: a missing
+    `[t]` reads row t's bytes and nothing else, and checks them: a missing
     or short file and a non-finite value each raise FormatError naming the
-    clip and the frame.
+    clip, the frame and the entry.
     """
 
     path: Path  # the clip's directory
-    entry: dict  # the 'frames' block's manifest entry
+    entry: dict  # the block's manifest entry, its shape frame-major
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -91,27 +95,28 @@ class StoredFrames:
         if not 0 <= t < len(self):
             raise IndexError(f"frame {t} outside clip of {len(self)} frames")
         try:
-            frame = read_rows(self.path, self.entry, t, t + 1)[0]
+            row = read_rows(self.path, self.entry, t, t + 1)[0]
         except FormatError as e:
             raise FormatError(f"clip at {self.path} frame {t}: {e}") from e
-        return _finite_frame(self.path, t, frame)
+        return _finite_row(self.path, t, self.entry["name"], row)
 
 
-def _finite_frame(path: str | Path, t: int, frame: np.ndarray) -> np.ndarray:
-    """`frame`, frame t of the clip at `path`, if all its values are finite; else FormatError."""
-    finite = np.isfinite(frame)
+def _finite_row(path: str | Path, t: int, name: str, row: np.ndarray) -> np.ndarray:
+    """`row`, frame t's row of block `name` of the clip at `path`, if all its
+    values are finite; else FormatError."""
+    finite = np.isfinite(row)
     if not finite.all():  # the common case costs no index search
         bad = np.flatnonzero(~finite)[0]
-        value = frame.reshape(-1)[bad]
-        raise FormatError(f"clip at {path} frame {t}: block 'frames' entry {bad} is {value}, expected a finite value")
-    return frame
+        value = row.reshape(-1)[bad]
+        raise FormatError(f"clip at {path} frame {t}: block {name!r} entry {bad} is {value}, expected a finite value")
+    return row
 
 
 @dataclass
 class SpriteClip:
     # (T,3,H,W) float32 in [0,1]: an array for a generated clip; for a read
-    # clip a StoredFrames that reads one frame from disk per index
-    frames: np.ndarray | StoredFrames
+    # clip a StoredBlock that reads one frame from disk per index
+    frames: np.ndarray | StoredBlock
     # the T*G mask planes, frame-major, run-length encoded as `rle_encode_planes`
     # returns them: plane p (frame p // G, sprite p % G) is its pair count and
     # then its (value, run) pairs, mask_words[mask_offsets[p] : mask_offsets[p + 1]];
@@ -121,7 +126,10 @@ class SpriteClip:
     gt_classes: np.ndarray  # (G,) uint32
     gt_identities: np.ndarray  # (G,) uint32, unique within the clip
     visibility: np.ndarray  # (T,G) bool
-    waveform: np.ndarray  # (T*eta,) float32 mono at SAMPLE_RATE
+    # (T, eta) float32 mono at SAMPLE_RATE, row t frame t's eta =
+    # samples_per_frame samples: an array for a generated clip; for a read
+    # clip a StoredBlock that reads one row from disk per index
+    waveform: np.ndarray | StoredBlock
     fps_stream: int
     seed: int
     generator: dict  # the manifest's `generator_config` record (GENERATOR_KEYS)
@@ -140,8 +148,8 @@ class SpriteClip:
         return round(SAMPLE_RATE / self.fps_stream)
 
     def audio_window(self, t: int) -> np.ndarray:
-        eta = self.samples_per_frame
-        return self.waveform[t * eta : (t + 1) * eta]
+        """Frame t's eta samples of the waveform."""
+        return self.waveform[t]
 
     def masks(self, t: int) -> np.ndarray:
         """Frame t's (G, H, W) uint8 masks, decoded from their run-length words."""
@@ -267,7 +275,7 @@ def generate_clip(seed: int, cfg: RunConfig) -> SpriteClip:
         gt_classes=classes.astype(np.uint32),
         gt_identities=np.arange(n, dtype=np.uint32),
         visibility=visibility,
-        waveform=waveform.astype(np.float32),
+        waveform=waveform.astype(np.float32).reshape(t_frames, eta),
         fps_stream=cfg.gen_fps,
         seed=seed,
         generator={key: getattr(cfg, name) for key, name in GENERATOR_KEYS.items()},
@@ -278,13 +286,15 @@ def generate_clip(seed: int, cfg: RunConfig) -> SpriteClip:
 def write_clip(clip: SpriteClip, path: str | Path) -> None:
     """Persist a clip as manifest.json + tensors.bin (masks RLE per frame)."""
     t_frames, _, h, w = clip.frames.shape
-    g = clip.num_instances
+    g, eta = clip.num_instances, clip.samples_per_frame
     frames = np.empty((t_frames, 3, h, w), "<f4")
-    for t in range(t_frames):  # by index: a read clip's frames are on disk
+    waveform = np.empty((t_frames, eta), "<f4")
+    for t in range(t_frames):  # by index: a read clip's frames and waveform are on disk
         frames[t] = clip.frames[t]
+        waveform[t] = clip.waveform[t]
     blocks: dict[str, np.ndarray] = {
         "frames": frames,
-        "waveform": clip.waveform.astype("<f4"),
+        "waveform": waveform.reshape(-1),
         "gt_classes": clip.gt_classes.astype("<u4"),
         "gt_identities": clip.gt_identities.astype("<u4"),
         "visibility": clip.visibility.astype("<u1"),
@@ -386,8 +396,9 @@ def read_clip(path: str | Path) -> SpriteClip:
     a non-finite audio sample, a malformed mask stream and a visibility
     entry that disagrees with its mask plane each raise FormatError naming
     the field or block.  The masks stay run-length encoded, and the frames
-    stay in tensors.bin: the clip holds a `StoredFrames` that reads one
-    frame per index and checks it as read_clip checked every frame.
+    and the waveform stay in tensors.bin: the clip holds a `StoredBlock` for
+    each, which reads one frame, or one frame's audio window, per index and
+    checks it as read_clip checked every value.
     """
     meta, entries = read_manifest(path)
     blocks = read_blocks(path, entries)
@@ -433,24 +444,26 @@ def read_clip(path: str | Path) -> SpriteClip:
     for name, ok, what in (
         ("gt_classes", lambda v: np.isin(v, range(len(CLASS_NAMES))), f"a class id below {len(CLASS_NAMES)}"),
         ("visibility", lambda v: np.isin(v, (0, 1)), "0 or 1"),
-        ("waveform", np.isfinite, "a finite value"),
     ):
         valid = ok(blocks[name])
         if not valid.all():
             bad = np.flatnonzero(~valid)[0]
             value = blocks[name].reshape(-1)[bad]
             raise FormatError(f"clip at {path} block {name!r} entry {bad} is {value}, expected {what}")
+    waveform = blocks["waveform"].reshape(t_frames, eta)
     for t in range(t_frames):
-        _finite_frame(path, t, frames[t])
+        _finite_row(path, t, "frames", frames[t])
+        _finite_row(path, t, "waveform", waveform[t])
     mask_words, mask_offsets = _mask_words(blocks, t_frames, g, h, w)
+    stored = {e["name"]: e for e in entries if e["name"] in ("frames", "waveform")}
     return SpriteClip(
-        frames=StoredFrames(Path(path), next(e for e in entries if e["name"] == "frames")),
+        frames=StoredBlock(Path(path), stored["frames"]),
         mask_words=mask_words,
         mask_offsets=mask_offsets,
         gt_classes=blocks["gt_classes"],
         gt_identities=blocks["gt_identities"],
         visibility=blocks["visibility"].astype(bool),
-        waveform=blocks["waveform"],
+        waveform=StoredBlock(Path(path), {**stored["waveform"], "shape": [t_frames, eta]}),
         fps_stream=meta["fps_stream"],
         seed=meta["seed"],
         generator=generator,

@@ -2,7 +2,11 @@
 
 Every array in the pipeline lives in a ``Tensor``: float64 by default so
 finite-difference checks are decisive, float32 available for speed.  The
-tape is a per-result closure graph, freed after each ``backward()``.
+tape is a per-result closure graph.  ``backward()`` frees it as the sweep
+walks it: once a node's backward has run, the node drops its closure, its
+parents and its gradient, so what the closure saved is freed before the
+sweep reaches the nodes below it, as PyTorch's autograd frees its saved
+buffers.
 
 Each layer kind of the model is one tape node with an analytic backward:
 
@@ -23,6 +27,13 @@ which scales Q rather than the scores, shifts the scores by their row max
 only when a bound on |Q·K| says exp could overflow (see `_exp_scores`),
 takes each row's softmax sum as a product with a ones vector, and divides
 each output row by that sum rather than the weights.
+
+`linear`, `conv2d` and `normalize` take ``relu=True`` to apply a ReLU to
+their own new output in place, and their backward masks the incoming
+gradient to where that output is positive.  max(x, 0) > 0 exactly where
+x > 0, and none of the three backwards reads the values the ReLU
+overwrites, so the fused node gives the bits of the op followed by a
+separate ReLU node, with one array and one node fewer.
 """
 
 from __future__ import annotations
@@ -75,6 +86,20 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g
+
+
+def _relu_in_place(data: np.ndarray) -> None:
+    """data = max(data, 0).  Strict mode checks data first, as it would have
+    checked the op's output before a separate ReLU: the ReLU turns -inf into 0."""
+    if _STRICT_FINITE and not np.isfinite(data).all():
+        raise NumericError("non-finite value produced by tensor operation")
+    np.maximum(data, 0.0, out=data)
+
+
+def _relu_grad(out: Tensor, relu: bool) -> np.ndarray:
+    """out.grad, masked to where out is positive when out's op applied a ReLU
+    to it: max(x, 0) > 0 exactly where x > 0."""
+    return out.grad * (out.data > 0) if relu else out.grad
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -135,7 +160,14 @@ class Tensor:
     # -- autodiff ------------------------------------------------------------
 
     def backward(self, seed: np.ndarray | None = None):
-        """Reverse sweep from this tensor; frees the tape afterwards."""
+        """Reverse sweep from this tensor, freeing the tape as it goes.
+
+        Each node leaves the sweep with no closure and no parents, so an
+        array its closure saved is freed as soon as its backward has run.
+        Leaves (parameters, probes) and this tensor keep their `grad`; every
+        other op result ends with `grad` None, as a non-leaf tensor of
+        PyTorch does.
+        """
         if seed is None:
             if self.data.size != 1:
                 raise ArgumentError("backward() without seed requires a scalar output")
@@ -156,11 +188,15 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.asarray(seed, dtype=self.data.dtype).reshape(self.data.shape).copy()
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:  # popped, so that the list holds no node the sweep is done with
+            node = topo.pop()
+            if node._backward is None:
+                continue  # a leaf
+            if node.grad is not None:
                 node._backward()
-        # free the tape: intermediate nodes drop their closures and parents
-        for node in topo:
+                if node is not self:
+                    node.grad = None
+            # every consumer of this node ran before it: nothing reads its tape again
             node._parents = ()
             node._backward = None
 
@@ -284,16 +320,6 @@ class Tensor:
         out = Tensor._from_op(out_data, (self,), bw)
         return out
 
-    def relu(self):
-        out_data = np.maximum(self.data, 0.0)
-
-        def bw(a=self):
-            if a.requires_grad:
-                a._accum(out.grad * (a.data > 0))
-
-        out = Tensor._from_op(out_data, (self,), bw)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # free functions
@@ -345,8 +371,9 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return concat(expanded, axis=axis)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x (L, d_in) @ w (d_in, d_out) + b (d_out,) as one tape node."""
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) -> Tensor:
+    """x (L, d_in) @ w (d_in, d_out) + b (d_out,) as one tape node; with
+    `relu`, max(that, 0)."""
     if x.ndim != 2 or w.ndim != 2:
         raise ArgumentError("matmul expects 2-D operands")
     if x.shape[1] != w.shape[0]:
@@ -354,9 +381,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     out_data = x.data @ w.data
     if b is not None:
         out_data += b.data
+    if relu:
+        _relu_in_place(out_data)
 
     def bw(a=x, w=w, b=b):
-        g = out.grad
+        g = _relu_grad(out, relu)
         if a.requires_grad:
             a._accum(g @ w.data.T)
         if w.requires_grad:
@@ -368,8 +397,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return out
 
 
-def normalize(x: Tensor, gain: Tensor, bias: Tensor, stat_shape: tuple[int, int], eps: float) -> Tensor:
-    """(x - mean) / sqrt(var + eps) * gain + bias as one tape node.
+def normalize(x: Tensor, gain: Tensor, bias: Tensor, stat_shape: tuple[int, int], eps: float, relu: bool = False) -> Tensor:
+    """(x - mean) / sqrt(var + eps) * gain + bias as one tape node; with
+    `relu`, max(that, 0).
 
     Mean and (biased) variance are taken over the last axis of x viewed as
     `stat_shape`: (-1, D) normalizes each row of D features (layer norm),
@@ -385,9 +415,11 @@ def normalize(x: Tensor, gain: Tensor, bias: Tensor, stat_shape: tuple[int, int]
     std = (var + eps) ** 0.5
     norm = centered / std
     out_data = norm.reshape(x.shape) * gain.data + bias.data
+    if relu:
+        _relu_in_place(out_data)
 
     def bw(a=x, gain=gain, bias=bias):
-        g = out.grad
+        g = _relu_grad(out, relu)
         if a.requires_grad:
             dn = (g * gain.data).reshape(norm.shape)
             dn -= dn.sum(axis=-1, keepdims=True) * inv_n
@@ -512,9 +544,9 @@ def dice_loss(logits: Tensor, rows: Sequence[int], targets: np.ndarray, smooth: 
     return out
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int, relu: bool = False) -> Tensor:
     """2-D convolution of x (C,H,W) with w (CO,CI,KH,KW) plus bias b (CO,),
-    as one tape node."""
+    as one tape node; with `relu`, max(that, 0)."""
     if x.ndim != 3 or w.ndim != 4:
         raise ArgumentError("conv2d expects x (C,H,W) and w (CO,CI,KH,KW)")
     if x.shape[0] != w.shape[1]:
@@ -523,10 +555,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
         raise ArgumentError(f"conv2d bias {b.shape} does not match {w.shape[0]} output channels")
     out_data, cols = _kernels.conv2d_forward(x.data, w.data, stride, pad)
     out_data += b.data[:, None, None]
+    if relu:
+        _relu_in_place(out_data)
 
     # Only a recorded node keeps `bw`, and with it the forward's columns.
     def bw(a=x, w=w, b=b):
-        g = out.grad
+        g = _relu_grad(out, relu)
         if a.requires_grad:
             a._accum(_kernels.conv2d_grad_input(g, w.data, a.data.shape, stride, pad))
         if w.requires_grad:

@@ -6,9 +6,10 @@ the no-object class) plus Dice loss on the matched masks.  AdamW with the
 poly LR schedule; reference features are recomputed with current weights
 each iteration (no cache during training).
 
-`train_loop` reads every training clip once, but a read clip keeps its
-frames in its tensors.bin: an iteration reads from disk only its target
-frame and its reference frames, and decodes only the target's masks.  A
+`train_loop` reads every training clip once, but a read clip keeps neither
+its frames nor its waveform in memory, only in its tensors.bin: an
+iteration reads from disk its target frame, its reference frames and
+their audio windows, and decodes only the target's masks.  A
 non-finite loss or gradient stops the run before the optimizer step, with
 `abort_dump.json` beside the metrics.
 """

@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import FEATURE_STRIDE
 from .errors import ArgumentError
-from .nn import Conv2dLayer, GroupNorm, Module
+from .nn import Conv2dLayer, GroupNormReLU, Module
 from .tensor import Tensor, upsample2x
 
 NORM_GROUPS = 4
@@ -36,7 +36,7 @@ class Backbone(Module):
         c_prev = 3
         for i, (c, s) in enumerate(zip(chans, strides)):
             conv = self.child(Conv2dLayer(f"b{i}_conv", c_prev, c, 3, rng, stride=s, pad=1))
-            norm = self.child(GroupNorm(f"b{i}_norm", NORM_GROUPS, c))
+            norm = self.child(GroupNormReLU(f"b{i}_norm", NORM_GROUPS, c))
             self.blocks.append((conv, norm))
             c_prev = c
         self.skip_channels = (chans[0], chans[1])
@@ -49,7 +49,7 @@ class Backbone(Module):
         x = frame
         skips = []
         for i, (conv, norm) in enumerate(self.blocks):
-            x = norm(conv(x)).relu()
+            x = norm(conv(x))
             if i < 2:
                 skips.append(x)
         return FrameFeature(f=x, skips=(skips[0], skips[1]))
@@ -83,9 +83,9 @@ class MaskFeatureDecoder(Module):
         x = upsample2x(self.lat1(fused))
         if x.shape != skip2.shape:
             raise ArgumentError(f"stage-1 shape {x.shape} mismatches skip {skip2.shape}")
-        x = self.ref1(x + skip2).relu()
+        x = self.ref1(x + skip2, relu=True)
         x = upsample2x(self.lat2(x))
         if x.shape != skip1.shape:
             raise ArgumentError(f"stage-2 shape {x.shape} mismatches skip {skip1.shape}")
-        x = self.ref2(x + skip1).relu()
+        x = self.ref2(x + skip1, relu=True)
         return self.out(x)

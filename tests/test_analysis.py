@@ -21,6 +21,8 @@ from rcfvis.synthav import SpriteClip, generate_clip
 from rcfvis.tensor import Tensor, no_grad
 from rcfvis import _kernels
 
+from test_fused_ops import relu  # the ReLU as its own tape node
+
 
 class TestLatency:
     def test_offline_six_point_four_seconds(self):
@@ -102,7 +104,7 @@ class TestLipschitz:
         def convs_only(x):
             h = Tensor(x)
             for conv, _ in model.backbone.blocks:
-                h = conv(h).relu()
+                h = relu(conv(h))
             return h.data
 
         for p in (2, np.inf):

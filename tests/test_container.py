@@ -72,6 +72,10 @@ def test_a_0d_block_reads_and_a_block_past_the_file_is_rejected_before_allocatio
     mpath.write_text(json.dumps(manifest))
     s = read_container(tmp_path / "c")[1]["s"]
     assert s.shape == () and s == 2.5
+    write_container(tmp_path / "d", {}, {"s": np.array(2.5), "t": np.arange(6.0).reshape(2, 3).T})
+    blocks = read_container(tmp_path / "d")[1]
+    assert blocks["s"].shape == () and blocks["s"] == 2.5
+    assert np.array_equal(blocks["t"], np.arange(6.0).reshape(2, 3).T)
     # 8 TB: allocated before the read, the block would raise MemoryError
     manifest["blocks"][1]["shape"], manifest["blocks"][1]["nbytes"] = [10**12], 8 * 10**12
     mpath.write_text(json.dumps(manifest))
@@ -431,18 +435,32 @@ def _nan_in_frame_1(clip_dir, entry):
         fh.write(np.array(np.nan, "<f4").tobytes())
 
 
-# damage done to a clip's tensors.bin after read_clip -> text the error on
-# reading frame 1 must contain
+# damage done to a clip's tensors.bin after read_clip -> (text the error on
+# reading frame 1 must contain, text infer's error must contain).  Infer
+# reads frame 0's audio window first, and the waveform block follows the
+# frames, so a cut in frame 1 or a deleted file stops it there
 STORED_FRAME_FAULTS = {
-    "truncated": (_truncate_in_frame_1, "truncated tensors.bin: block 'frames' rows [1, 2) end past end of file"),
-    "nan": (_nan_in_frame_1, "block 'frames' entry 5 is nan, expected a finite value"),
-    "deleted": (lambda clip_dir, entry: (clip_dir / "tensors.bin").unlink(), "cannot read tensors.bin for block 'frames'"),
+    "truncated": (
+        _truncate_in_frame_1,
+        "truncated tensors.bin: block 'frames' rows [1, 2) end past end of file",
+        "frame 0: truncated tensors.bin: block 'waveform' rows [0, 1) end past end of file",
+    ),
+    "nan": (
+        _nan_in_frame_1,
+        "block 'frames' entry 5 is nan, expected a finite value",
+        "frame 1: block 'frames' entry 5 is nan, expected a finite value",
+    ),
+    "deleted": (
+        lambda clip_dir, entry: (clip_dir / "tensors.bin").unlink(),
+        "cannot read tensors.bin for block 'frames'",
+        "frame 0: cannot read tensors.bin for block 'waveform'",
+    ),
 }
 
 
 @pytest.mark.parametrize("fault", STORED_FRAME_FAULTS)
 def test_a_frame_damaged_after_read_clip_is_format_error(fault, clip_and_checkpoint, tmp_path, monkeypatch, capsys):
-    damage, text = STORED_FRAME_FAULTS[fault]
+    damage, text, infer_text = STORED_FRAME_FAULTS[fault]
     clip_dir, ckpt = clip_and_checkpoint
     entry = next(b for b in json.loads((clip_dir / "manifest.json").read_text())["blocks"] if b["name"] == "frames")
     shutil.copytree(clip_dir, tmp_path / "clip")
@@ -466,4 +484,27 @@ def test_a_frame_damaged_after_read_clip_is_format_error(fault, clip_and_checkpo
     rc = main(["infer", "--ckpt", str(ckpt), "--clip", str(tmp_path / "cli_clip"), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == EXIT_IO
-    assert "kind=io" in err and text in err and "Traceback" not in err
+    assert "kind=io" in err and f"clip at {tmp_path / 'cli_clip'} {infer_text}" in err and "Traceback" not in err
+
+
+def test_a_window_damaged_after_read_clip_is_format_error(clip_and_checkpoint, tmp_path):
+    # the waveform stays in tensors.bin too: each audio window is read and checked
+    clip_dir, _ = clip_and_checkpoint
+    entry = next(b for b in json.loads((clip_dir / "manifest.json").read_text())["blocks"] if b["name"] == "waveform")
+    shutil.copytree(clip_dir, tmp_path / "clip")
+    clip = read_clip(tmp_path / "clip")
+    before = [clip.audio_window(t) for t in range(clip.num_frames)]
+    eta = clip.samples_per_frame
+    assert [w.shape for w in before] == [(eta,)] * 2 and all(w.dtype == np.float32 for w in before)
+    with open(tmp_path / "clip" / "tensors.bin", "r+b") as fh:
+        fh.seek(entry["offset"] + (eta + 7) * 4)
+        fh.write(np.array(np.nan, "<f4").tobytes())
+    assert np.array_equal(clip.audio_window(0), before[0])
+    prefix = f"clip at {tmp_path / 'clip'} frame 1: "
+    with pytest.raises(FormatError, match=re.escape(prefix + "block 'waveform' entry 7 is nan, expected a finite value")):
+        clip.audio_window(1)
+    with open(tmp_path / "clip" / "tensors.bin", "r+b") as fh:
+        fh.truncate(entry["offset"] + eta * 4 * 3 // 2)
+    text = prefix + "truncated tensors.bin: block 'waveform' rows [1, 2) end past end of file"
+    with pytest.raises(FormatError, match=re.escape(text)):
+        clip.audio_window(1)

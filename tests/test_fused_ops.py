@@ -3,11 +3,13 @@
 The oracles below are the layer code that `linear`, `normalize`, `lstm`,
 `cross_entropy` and `dice_loss` replaced.  Each fused op must give the same
 forward bits as its oracle (linear: as numpy's `x @ w + b`), gradients
-within 1e-10 of the oracle's, and pass `grad_check` for every input.  A
+within 1e-10 of the oracle's, and pass `grad_check` for every input.  The
+ReLU that `linear`, `conv2d` and `normalize` fold in must give the bits,
+gradients included, of the op followed by a separate ReLU node.  A
 whole-model test swaps the oracles into the layers and compares one
 training loss and every parameter gradient.  The elementary ops the
-oracles need beyond the package's (negation, division, sqrt, tanh and log)
-are tape nodes defined here.
+oracles need beyond the package's (negation, division, sqrt, tanh, log and
+ReLU) are tape nodes defined here.
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ from rcfvis.tensor import (
     Tensor,
     _unbroadcast,
     concat,
+    conv2d,
     cross_entropy,
     dice_loss,
     grad_check,
@@ -72,6 +75,15 @@ def tanh(a):
 
 def log(a):
     return _node(np.log(a.data), (a,), (lambda g: g / a.data,))
+
+
+def relu(a):
+    return _node(np.maximum(a.data, 0.0), (a,), (lambda g: g * (a.data > 0),))
+
+
+def then_relu(y, on):
+    """y, followed by a ReLU node when `on`."""
+    return relu(y) if on else y
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +274,50 @@ def test_linear_without_bias_has_two_parents(rng):
     assert out.data.tobytes() == (x.data @ w.data).tobytes()
 
 
+# op -> (the op with its ReLU flag last, inputs); every pre-ReLU output is
+# at least 0.01 from 0, where the kink breaks central differences
+RELU_CASES = {
+    "linear": (
+        lambda x, w, b, on: linear(x, w, b, on),
+        [
+            np.linspace(-1.0, 1.3, 15).reshape(5, 3),
+            np.array([[1.0, -0.5], [0.25, 2.0], [-1.5, 0.5]]),
+            np.array([0.13, -0.21]),
+        ],
+    ),
+    "conv2d": (
+        lambda x, w, b, on: conv2d(x, w, b, 1, 1, on),
+        [
+            np.random.default_rng(3).standard_normal((2, 4, 5)),
+            np.random.default_rng(0).standard_normal((3, 2, 3, 3)) * 0.5,
+            np.array([0.1, -0.2, 0.05]),
+        ],
+    ),
+    "group_norm": (
+        lambda x, g, b, on: normalize(x, g, b, (2, -1), NORM_EPS, on),
+        [
+            np.random.default_rng(5).standard_normal((4, 3, 3)) * 2,
+            np.random.default_rng(6).standard_normal((4, 1, 1)) + 1,
+            np.random.default_rng(7).standard_normal((4, 1, 1)) * 0.5,
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RELU_CASES))
+def test_folded_relu_matches_the_op_then_a_relu_node(name):
+    op, arrays = RELU_CASES[name]
+    pre = op(*[Tensor(a) for a in arrays], False).data
+    assert np.abs(pre).min() >= 0.01 and (pre < 0).any() and (pre > 0).any()
+    seed = np.random.default_rng(8).standard_normal(pre.shape)
+    got, got_grads = run(lambda *t: op(*t, True), arrays, seed)
+    want, want_grads = run(lambda *t: relu(op(*t, False)), arrays, seed)
+    assert got.tobytes() == want.tobytes()
+    for g, w in zip(got_grads, want_grads):
+        assert g.tobytes() == w.tobytes()
+    assert_grad_check_each_input(lambda *t: op(*t, True), arrays, seed)
+
+
 def test_dice_loss_adds_its_terms_in_order():
     # numpy's pairwise sum adds eight or more terms in another order, which
     # changes the last bit of some of these sums
@@ -313,12 +369,21 @@ def test_model_matches_composite_layers(seed, monkeypatch):
     def outputs_and_grads(fused):
         with monkeypatch.context() as m:
             if not fused:
-                m.setattr(nn.Linear, "__call__", lambda self, x: x @ self.w if self.b is None else x @ self.w + self.b)
+                m.setattr(
+                    nn.Linear,
+                    "__call__",
+                    lambda self, x, relu=False: then_relu(x @ self.w if self.b is None else x @ self.w + self.b, relu),
+                )
+                m.setattr(
+                    nn.Conv2dLayer,
+                    "__call__",
+                    lambda self, x, relu=False: then_relu(conv2d(x, self.w, self.b, self.stride, self.pad), relu),
+                )
                 m.setattr(nn.LayerNorm, "__call__", lambda self, x: composite_layer_norm(x, self.gain, self.bias))
                 m.setattr(
-                    nn.GroupNorm,
+                    nn.GroupNormReLU,
                     "__call__",
-                    lambda self, x: composite_group_norm(x, self.gain, self.bias, self.groups),
+                    lambda self, x: relu(composite_group_norm(x, self.gain, self.bias, self.groups)),
                 )
                 m.setattr(
                     nn.LSTMLayer,

@@ -6,7 +6,7 @@ import pytest
 from rcfvis.config import RunConfig
 from rcfvis.errors import StateError
 from rcfvis.instance_head import FramePrediction
-from rcfvis.model import RCFModel
+from rcfvis.model import RCFModel, reference_indices
 from rcfvis.stream import RefCache, TrackState, infer_frame, mask_iou, postprocess, stream_clip, track_update
 from rcfvis.synthav import generate_clip, read_clip, write_clip
 from rcfvis.tensor import no_grad
@@ -363,7 +363,7 @@ def test_training_window_matches_streamed_references(delta):
     model = small_model(ref_frames=delta)
     clip = small_clip(seed=delta, frames=6)
     # a distinct gain per frame, so that audio windows in the wrong order show
-    clip.waveform = clip.waveform * np.repeat(np.arange(1.0, 7.0), clip.samples_per_frame).astype(np.float32)
+    clip.waveform = clip.waveform * np.arange(1.0, 7.0, dtype=np.float32)[:, None]
     preds, _ = stream_clip(model, clip)
     for t, pred in enumerate(preds):
         refs, windows = sample_window(clip, t, delta)
@@ -371,6 +371,32 @@ def test_training_window_matches_streamed_references(delta):
             probs, logits = model.forward_frames(clip.frames[t], refs, windows)
         assert np.array_equal(probs.data, pred.class_probs), t
         assert np.array_equal(logits.data, pred.mask_logits), t
+
+
+def test_each_frame_fuses_the_audio_of_its_references_then_its_own():
+    # a generated waveform is a stationary tone, which cannot show one window
+    # in place of another: seeded noise makes every window differ
+    delta = 2
+    model = small_model(ref_frames=delta)
+    clip = small_clip(seed=5, frames=5)
+    clip.waveform = (np.random.default_rng(0).standard_normal(clip.waveform.shape) * 0.3).astype(np.float32)
+    cache = RefCache(capacity=delta)
+    state = TrackState(num_slots=model.cfg.num_slots)
+    with no_grad():
+        feats = [model.audio_feature(clip.audio_window(t)) for t in range(clip.num_frames)]
+        for t in range(clip.num_frames):
+            pred = infer_frame(model, clip.frames[t], clip.audio_window(t), cache, state, t)
+            order = reference_indices(t, delta) + [t]
+            target, refs = model.extract(clip.frames[t]), [model.extract(clip.frames[i]) for i in order[:-1]]
+            probs, logits = model.forward_features(target, refs, [feats[i] for i in order])
+            assert probs.data.tobytes() == pred.class_probs.tobytes(), t
+            assert logits.data.tobytes() == pred.mask_logits.tobytes(), t
+            if t == 0:
+                continue  # frame 0 is its own reference
+            swapped = order[:-2] + [order[-1], order[-2]]  # frame t's window and its last reference's
+            probs, logits = model.forward_features(target, refs, [feats[i] for i in swapped])
+            assert not np.array_equal(probs.data, pred.class_probs), t
+            assert not np.array_equal(logits.data, pred.mask_logits), t
 
 
 @pytest.mark.parametrize("delta", [0, 1, 2, 3])

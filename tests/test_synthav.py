@@ -50,8 +50,9 @@ def test_static_single_sprite_constant_masks_pure_tone():
     assert clip.visibility.all()
     # pure tone at the class frequency: dominant rfft bin matches
     c = int(clip.gt_classes[0])
-    spec = np.abs(np.fft.rfft(clip.waveform.astype(np.float64)))
-    peak_hz = np.argmax(spec) * 16000 / len(clip.waveform)
+    samples = clip.waveform.reshape(-1).astype(np.float64)
+    spec = np.abs(np.fft.rfft(samples))
+    peak_hz = np.argmax(spec) * 16000 / len(samples)
     assert abs(peak_hz - tone_frequency(c)) < 4.0
 
 
@@ -71,7 +72,7 @@ def test_waveform_length_exact():
     cfg = small_cfg(gen_fps=8)
     clip = generate_clip(1, cfg)
     assert clip.samples_per_frame == 2000
-    assert clip.waveform.shape[0] == cfg.gen_frames * 2000
+    assert clip.waveform.shape == (cfg.gen_frames, 2000)
 
 
 def _exit_seed_and_class(cfg):
@@ -117,11 +118,12 @@ def test_clip_roundtrip_bit_exact(tmp_path):
 
 
 def test_read_clip_retains_only_the_stored_blocks(tmp_path):
-    # the frames stay on disk: keeping them would add their 1,152 KiB, and
-    # dense masks T*G*H*W bytes, here 768 KiB; the bound allows 16 KiB over
-    # the stored blocks other than the frames.  The blocks go from the file
-    # straight into their arrays, so the peak stays below a second copy of
-    # the file: the bound allows 512 KiB over tensors.bin
+    # the frames and the waveform stay on disk: keeping them would add their
+    # 1,152 KiB and 125 KiB, and dense masks T*G*H*W bytes, here 768 KiB; the
+    # bound allows 16 KiB over the stored blocks other than those two.  The
+    # blocks go from the file straight into their arrays, so the peak stays
+    # below a second copy of the file: the bound allows 512 KiB over
+    # tensors.bin
     cfg = RunConfig(gen_frames=16, gen_min_sprites=8, gen_max_sprites=8)
     write_clip(generate_clip(0, cfg), tmp_path / "clip")
     read_clip(tmp_path / "clip")  # the first call settles one-time allocations
@@ -132,9 +134,9 @@ def test_read_clip_retains_only_the_stored_blocks(tmp_path):
     finally:
         tracemalloc.stop()
     assert clip.num_instances == 8 and clip.frames.shape == (16, 3, 64, 96)
-    frames_bytes = 16 * 3 * 64 * 96 * 4
+    frames_bytes, waveform_bytes = 16 * 3 * 64 * 96 * 4, 16 * 2000 * 4
     file_bytes = (tmp_path / "clip" / "tensors.bin").stat().st_size
-    assert retained <= file_bytes - frames_bytes + 16 * 1024
+    assert retained <= file_bytes - frames_bytes - waveform_bytes + 16 * 1024
     assert peak <= file_bytes + 512 * 1024
 
 
@@ -279,7 +281,8 @@ def oracle_clip(seed, cfg):
         waveform += TONE_AMPLITUDE * np.sin(2.0 * np.pi * tone_frequency(c) * sample_t) * gate
     if cfg.gen_noise > 0:
         waveform += rng.normal(0.0, cfg.gen_noise, size=total)
-    return frames.astype(np.float32), gt_masks.astype(np.uint8), visibility, waveform.astype(np.float32), classes
+    waveform = waveform.astype(np.float32).reshape(t_frames, eta)
+    return frames.astype(np.float32), gt_masks.astype(np.uint8), visibility, waveform, classes
 
 
 def written_digest(clip, path):

@@ -20,6 +20,7 @@ from rcfvis.tensor import (
     concat,
     conv2d,
     grad_check,
+    linear,
     no_grad,
     scaled_dot_product_attention,
     set_strict_finite,
@@ -28,6 +29,8 @@ from rcfvis.tensor import (
     stack,
     upsample2x,
 )
+
+from test_fused_ops import relu  # the ReLU as its own tape node
 
 # frozen with a 40-digit evaluation of exp(k)/sum(exp([1,2,3]))
 SOFTMAX_123 = np.array([0.0900305731703804579980221, 0.2447284710547976524729596, 0.6652409557748218895290183])
@@ -413,7 +416,7 @@ def test_grad_check_core_ops_ten_seeds(seed):
     assert grad_check(lambda t: ((t * c).sigmoid() * t).sum(), x) < 1e-5
     assert grad_check(lambda t: (softmax(t, 1) * c).sum(), x) < 1e-5
     m = Tensor(rng.standard_normal((4, 2)))
-    assert grad_check(lambda t: sum_of_squares((t @ m).relu()), x) < 1e-5
+    assert grad_check(lambda t: sum_of_squares(relu(t @ m)), x) < 1e-5
 
 
 def masked_divide_sigmoid(x):
@@ -557,6 +560,38 @@ class TestTapeMechanics:
         assert y._parents == () and y._backward is None
         assert np.allclose(x.grad, 2.0)
 
+    def test_backward_leaves_gradients_only_on_leaves_and_the_root(self, rng):
+        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        h = x @ w
+        s = h.sigmoid()
+        p = s * s
+        y = p.sum()
+        y.backward()
+        for node in (h, s, p):
+            assert node.grad is None and node._backward is None and node._parents == ()
+        assert y.grad == 1.0 and y._backward is None and y._parents == ()
+        sd = sigmoid(x.data @ w.data)
+        assert np.allclose(x.grad, (2.0 * sd * sd * (1.0 - sd)) @ w.data.T)
+        assert np.allclose(w.grad, x.data.T @ (2.0 * sd * sd * (1.0 - sd)))
+
+    def test_a_node_is_freed_before_the_sweep_reaches_its_parents(self, rng):
+        x = Tensor(rng.standard_normal(4), requires_grad=True)
+        h = x * 2.0
+        p = h * h
+        y = p.sum()
+        states = []
+        backward_of_h = h._backward
+
+        def spy():
+            states.append((p.grad, p._backward, p._parents))
+            backward_of_h()
+
+        h._backward = spy
+        y.backward()
+        assert states == [(None, None, ())]
+        assert np.array_equal(x.grad, 8.0 * x.data)
+
     def test_no_grad_blocks_recording(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with no_grad():
@@ -588,6 +623,8 @@ class TestTapeMechanics:
         try:
             with pytest.raises(NumericError):
                 Tensor(np.array([1.0, 0.0])) + np.inf
+            with pytest.raises(NumericError):  # -inf before the folded ReLU, which would make it 0
+                linear(Tensor(np.array([[-np.inf]])), Tensor(np.array([[1.0]])), relu=True)
             out = (Tensor(np.ones(4)) * 2.0).sigmoid()
             assert np.isfinite(out.data).all()
         finally:

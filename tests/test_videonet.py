@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from rcfvis.errors import ArgumentError
-from rcfvis.nn import GroupNorm, module_rng
+from rcfvis.nn import GroupNormReLU, module_rng
 from rcfvis.tensor import Tensor, grad_check, upsample2x
 from rcfvis.videonet import Backbone, MaskFeatureDecoder
+
+from test_fused_ops import relu  # the ReLU as its own tape node
 
 
 def make_backbone(seed=0, channels=32):
@@ -50,8 +52,8 @@ def test_channels_off_the_group_norm_grid_rejected(channels):
 
 def test_group_norm_channels_must_divide_into_groups():
     with pytest.raises(ArgumentError, match="6 channels do not divide into 4 groups"):
-        GroupNorm("norm", 4, 6)
-    assert GroupNorm("norm", 4, 8).gain.shape == (8, 1, 1)
+        GroupNormReLU("norm", 4, 6)
+    assert GroupNormReLU("norm", 4, 8).gain.shape == (8, 1, 1)
 
 
 def test_backbone_gradient_to_first_conv(rng):
@@ -113,10 +115,11 @@ def test_decoder_end_to_end_gradient(rng):
 
 
 def old_order_decoder(dec, fused, skips):
-    """Reference: each 1x1 lateral after its upsample, the decoder's former order."""
+    """Reference: each 1x1 lateral after its upsample, the decoder's former
+    order, and each ReLU its own node."""
     skip1, skip2 = skips
-    x = dec.ref1(dec.lat1(upsample2x(fused)) + skip2).relu()
-    x = dec.ref2(dec.lat2(upsample2x(x)) + skip1).relu()
+    x = relu(dec.ref1(dec.lat1(upsample2x(fused)) + skip2))
+    x = relu(dec.ref2(dec.lat2(upsample2x(x)) + skip1))
     return dec.out(x)
 
 

@@ -65,10 +65,10 @@ def conv_operator_norm(w: np.ndarray, in_shape: tuple, stride: int, pad: int, p)
     w = np.asarray(getattr(w, "data", w), dtype=np.float64)
     if norm_order(p, OPERATOR_ORDERS) == 2:
         return spectral_norm(
-            lambda v: _kernels.conv2d_grad_input(_kernels.conv2d_forward(v, w, stride, pad)[0], w, in_shape, stride, pad),
+            lambda v: _kernels.conv2d_grad_input(_kernels.conv2d_forward(v, w, stride, pad), w, in_shape, stride, pad),
             in_shape,
         )
-    sums = _kernels.conv2d_forward(np.ones(in_shape), np.abs(w), stride, pad)[0]
+    sums = _kernels.conv2d_forward(np.ones(in_shape), np.abs(w), stride, pad)
     return float(sums.max())
 
 

@@ -20,10 +20,23 @@ DICE_SMOOTH = 1.0
 
 def dice_coeff(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Smoothed Dice coefficient (2*sum(ab)+1) / (sum(a)+sum(b)+1) over the
-    last axis; leading axes broadcast, and 1-D inputs give a float."""
+    last axis; leading axes broadcast, and 1-D inputs give a float.
+
+    sum(ab) is taken one index of the first broadcast axis at a time, so (G,
+    1, P) against (1, N, P) holds one (N, P) product, not all (G, N, P).
+    Each row's sum runs over the same P products in the same order as a
+    whole-array sum, so the result has the same bits.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    out = (2.0 * (a * b).sum(axis=-1) + DICE_SMOOTH) / (a.sum(axis=-1) + b.sum(axis=-1) + DICE_SMOOTH)
+    x, y = np.broadcast_arrays(a, b)  # views: nothing is copied
+    if x.ndim < 2:
+        inter = (x * y).sum(axis=-1)
+    else:
+        inter = np.empty(x.shape[:-1])
+        for i in range(len(inter)):
+            inter[i] = (x[i] * y[i]).sum(axis=-1)
+    out = (2.0 * inter + DICE_SMOOTH) / (a.sum(axis=-1) + b.sum(axis=-1) + DICE_SMOOTH)
     return float(out) if out.ndim == 0 else out
 
 
@@ -56,7 +69,11 @@ def similarity_matrix(
 ) -> np.ndarray:
     """(G, N) similarity of G ground truths to the N slots of (N, classes+1)
     class probabilities and (N, H, W) mask logits; entry (i, j) scores slot j
-    for ground truth i by Dice coefficient plus class probability."""
+    for ground truth i by Dice coefficient plus class probability.
+
+    One `dice_coeff` call scores every pair, one ground truth's row at a
+    time: matching holds one (N, H·W) product, not a (G, N, H·W) one.
+    """
     g = gt_masks.shape[0]
     n = class_probs.shape[0]
     if g > n:

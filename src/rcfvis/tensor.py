@@ -12,13 +12,14 @@ Each layer kind of the model is one tape node with an analytic backward:
 
 - `linear`: x @ W + b
 - `conv2d`: convolution plus bias, one matrix product per pass in
-  ``_kernels``; a recorded node keeps its forward's im2col columns for
-  the grad-weight product
+  ``_kernels``; a recorded node keeps its input, not the forward's im2col
+  columns, and the grad-weight pass rebuilds them
 - `normalize`: layer norm and group norm, with the closed-form backward
 - `lstm`: one LSTM direction over a whole sequence, backward through time
 - `scaled_dot_product_attention`: every head at once; the forward walks
-  the heads in groups whose scores fit in L2 (see `_ATTN_TILE_BYTES`) and
-  keeps the weights only when the node records
+  the heads in groups whose scores fit in L2 (see `_ATTN_TILE_BYTES`)
+  through one scratch tile, and the backward rebuilds the weights from Q
+  and K (`attention_weights`) instead of keeping them
 - `cross_entropy` and `dice_loss`: the two terms of the set loss
 
 Their forwards run the same floating-point operations, in the same order,
@@ -276,7 +277,7 @@ class Tensor:
         def bw(a=self, idx=idx):
             if a.requires_grad:
                 g = np.zeros_like(a.data)
-                g[idx] += out.grad
+                np.add.at(g, idx, out.grad)  # once per occurrence of a repeated index
                 a._accum(g)
 
         out = Tensor._from_op(np.ascontiguousarray(out_data), (self,), bw)
@@ -410,11 +411,15 @@ def normalize(x: Tensor, gain: Tensor, bias: Tensor, stat_shape: tuple[int, int]
     """
     xs = x.data.reshape(stat_shape)
     inv_n = 1.0 / xs.shape[-1]
-    centered = xs - xs.sum(axis=-1, keepdims=True) * inv_n
-    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+    norm = xs - xs.sum(axis=-1, keepdims=True) * inv_n  # centred here, normalized below
+    out_data = np.empty(x.shape, dtype=np.result_type(xs, gain.data, bias.data))
+    # the output buffer holds the squares first, when they share its dtype
+    squares = np.multiply(norm, norm, out=out_data.reshape(norm.shape) if out_data.dtype == norm.dtype else None)
+    var = squares.sum(axis=-1, keepdims=True) * inv_n
     std = (var + eps) ** 0.5
-    norm = centered / std
-    out_data = norm.reshape(x.shape) * gain.data + bias.data
+    norm /= std
+    np.multiply(norm.reshape(x.shape), gain.data, out=out_data)
+    out_data += bias.data
     if relu:
         _relu_in_place(out_data)
 
@@ -553,18 +558,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int, relu: bool = 
         raise ArgumentError(f"conv2d channel mismatch: x has {x.shape[0]}, w expects {w.shape[1]}")
     if b.shape != (w.shape[0],):
         raise ArgumentError(f"conv2d bias {b.shape} does not match {w.shape[0]} output channels")
-    out_data, cols = _kernels.conv2d_forward(x.data, w.data, stride, pad)
+    out_data = _kernels.conv2d_forward(x.data, w.data, stride, pad)
     out_data += b.data[:, None, None]
     if relu:
         _relu_in_place(out_data)
 
-    # Only a recorded node keeps `bw`, and with it the forward's columns.
     def bw(a=x, w=w, b=b):
         g = _relu_grad(out, relu)
         if a.requires_grad:
             a._accum(_kernels.conv2d_grad_input(g, w.data, a.data.shape, stride, pad))
         if w.requires_grad:
-            w._accum(_kernels.conv2d_grad_weight(g, cols, w.data.shape))
+            w._accum(_kernels.conv2d_grad_weight(g, a.data, w.data.shape, stride, pad))
         if b.requires_grad:
             b._accum(g.sum(axis=(1, 2)))
 
@@ -667,7 +671,7 @@ def _exp_scores(qs: np.ndarray, kh: np.ndarray, e: np.ndarray, shift: bool) -> n
 def attention_weights(q: np.ndarray, k: np.ndarray, heads: int) -> np.ndarray:
     """Per-head softmax(QK^T/sqrt(d_k)), (heads, L_q, L_k), each row summing
     to 1: bit for bit the weights a recording `scaled_dot_product_attention`
-    with these Q and K keeps for its backward."""
+    with these Q and K rebuilds in its backward."""
     scale = 1.0 / math.sqrt(q.shape[1] // heads)
     qs, kh = _split_heads(q * scale, heads), _split_heads(k, heads)
     w = np.empty((heads, q.shape[0], k.shape[0]), dtype=np.result_type(q, k))
@@ -696,13 +700,15 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) ->
     when shifted) instead of going through memory once per pass:
     390 tokens need 1.2 MB per head and run one head per group, while
     102 tokens (666 KB for 8 heads) and 32 x 390 cross-attention (799 KB)
-    fit in one group.  Unless the node records, every group reuses one
-    scratch buffer of a group's size.  A recording node also divides each
-    group's scores by their row sums and keeps all of them, (heads, L_q,
-    L_k), for the backward, which runs batched over the full weights.  The
-    output comes from the same operations either way, so recording changes
-    no bit of it.  Each head is its own GEMM and its softmax is row-wise,
-    so the grouping changes no bit of the output or the gradients either.
+    fit in one group.  Every group reuses one scratch buffer of a group's
+    size, whether or not the node records.  A recording node keeps no
+    weights: its backward rebuilds all of them, (heads, L_q, L_k), with
+    `attention_weights` from the Q and K it keeps anyway (as FlashAttention
+    recomputes them, Dao et al., 2022), and runs batched over them.  Those
+    are the forward's operations on the same values, so the rebuilt weights
+    are the forward's bit for bit.  Each head is its own GEMM and its
+    softmax is row-wise, so the grouping changes no bit of the output or
+    the gradients either.
     """
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
         raise ArgumentError("attention expects 2-D Q, K, V")
@@ -724,20 +730,18 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) ->
     dtype = np.result_type(q.data, k.data)
     tiles = _head_tiles(heads, lq, lk, dtype.itemsize)
     shift = _needs_shift(qs, kh, dtype)
-    records = _records((q, k, v))
-    weights = np.empty((heads if records else tiles[0].stop, lq, lk), dtype=dtype)
+    scratch = np.empty((tiles[0].stop, lq, lk), dtype=dtype)
     out_data = np.empty((lq, heads * dv), dtype=np.result_type(dtype, v.data))
     out_h = _split_heads(out_data, heads)
     for t in tiles:
-        e = weights[t] if records else weights[: t.stop - t.start]
+        e = scratch[: t.stop - t.start]
         sums = _exp_scores(qs[t], kh[t], e, shift)
         np.matmul(e, vh[t], out=out_h[t])
         out_h[t] /= sums
-        if records:
-            e /= sums
 
     def bw(a=q, b=k, c=v):
         g = _split_heads(out.grad, heads)
+        weights = attention_weights(a.data, b.data, heads)
         if c.requires_grad:
             c._accum(np.matmul(weights.transpose(0, 2, 1), g).transpose(1, 0, 2).reshape(lk, heads * dv))
         if not (a.requires_grad or b.requires_grad):

@@ -58,7 +58,7 @@ def unrolled_conv_matrix(w, in_shape, stride, pad):
     for idx in range(c * h * wd):
         e = np.zeros(c * h * wd)
         e[idx] = 1.0
-        y = _kernels.conv2d_forward(e.reshape(in_shape), w, stride, pad)[0]
+        y = _kernels.conv2d_forward(e.reshape(in_shape), w, stride, pad)
         cols.append(y.ravel())
     return np.stack(cols, axis=1)
 

@@ -182,13 +182,13 @@ class TestAttention:
         recorded = scaled_dot_product_attention(q, k, v, heads)
         with no_grad():
             streamed = scaled_dot_product_attention(q, k, v, heads)
-        w, kept = attention_weights(q0, k0, heads), kept_weights(recorded)
+        w, rebuilt = attention_weights(q0, k0, heads), spy_on_rebuilt_weights(monkeypatch)
         recorded.backward(seed)
         want = batched_attention(q0, k0, v0, heads, seed)
         for got, oracle in zip((recorded.data, w, q.grad, k.grad, v.grad), want):
             assert np.isfinite(got).all() and np.array_equal(got, oracle)
         assert np.array_equal(streamed.data, recorded.data)
-        assert np.array_equal(w, kept)
+        assert len(rebuilt) == 1 and np.array_equal(w, rebuilt[0])
         # a score's rounding error, and with it each weight's, grows with |score|
         tol = 1e-15 * max(10.0, scores.max())
         want_out, want_w = max_shifted_attention(q0, k0, v0, heads)
@@ -241,6 +241,15 @@ class TestAttention:
         monkeypatch.setattr(tensor, "_ATTN_TILE_BYTES", 3 * 3 * 5 * 8)
         assert [t.stop - t.start for t in tensor._head_tiles(8, 3, 5, 8)] == [3, 3, 2]
         assert attention_grad_error(rng, arg, heads=8) < 1e-6
+
+    def test_a_recorded_node_keeps_no_weights(self, rng):
+        # the (8, 390, 390) weights are 9.7 MB; the (390, 64) output 200 KB
+        heads, lq = 8, 390
+        q, k, v = (Tensor(rng.standard_normal((lq, heads * 8)), requires_grad=True) for _ in range(3))
+        out = scaled_dot_product_attention(q, k, v, heads)
+        assert out.requires_grad
+        assert all(a.size < heads * lq * lq for a in saved_arrays(out))
+        assert held_after(lambda: scaled_dot_product_attention(q, k, v, heads)) < out.data.nbytes + 4096
 
     def test_no_grad_records_no_parents(self, rng):
         q, k, v = (Tensor(rng.standard_normal((3, 4)), requires_grad=True) for _ in range(3))
@@ -357,11 +366,39 @@ def max_shifted_attention(q, k, v, heads):
     return out.data, w
 
 
-def kept_weights(out):
-    """The (heads, L_q, L_k) weights a recording attention node keeps for
-    its backward."""
+def spy_on_rebuilt_weights(monkeypatch):
+    """A list that receives the (heads, L_q, L_k) weights each attention
+    backward rebuilds from then on."""
+    rebuilt = []
+
+    def spy(q, k, heads, _rebuild=tensor.attention_weights):
+        rebuilt.append(_rebuild(q, k, heads))
+        return rebuilt[-1]
+
+    monkeypatch.setattr(tensor, "attention_weights", spy)
+    return rebuilt
+
+
+def saved_arrays(out):
+    """The arrays a recorded node's backward closure holds, other than
+    through its parents."""
     bw = out._backward
-    return bw.__closure__[bw.__code__.co_freevars.index("weights")].cell_contents
+    return [c.cell_contents for c in bw.__closure__ or () if isinstance(c.cell_contents, np.ndarray)]
+
+
+def held_after(call):
+    """Bytes that stay allocated once `call` has returned, with its result
+    and everything that result keeps alive."""
+    call()  # warm up numpy's own caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    del result
+    return held
 
 
 def per_head_attention(q, k, v, heads):
@@ -465,6 +502,13 @@ class TestShapeOps:
         err = grad_check(lambda a: sum_of_squares(a.reshape(12, 5).transpose()), Tensor(x))
         assert err < 1e-6
 
+    def test_getitem_with_repeated_indices_adds_once_per_occurrence(self, rng):
+        x = Tensor(np.zeros(3), requires_grad=True)
+        x[[0, 0, 2]].sum().backward()
+        assert np.array_equal(x.grad, [2.0, 0.0, 1.0])
+        assert grad_check(lambda t: sum_of_squares(t[[0, 0, 2]]), Tensor(rng.standard_normal(3))) < 1e-6
+        assert grad_check(lambda t: sum_of_squares(t[[3, 1, 3], ::2]), Tensor(rng.standard_normal((4, 6)))) < 1e-6
+
     def test_getitem_and_concat_grads(self, rng):
         x = Tensor(rng.standard_normal((4, 6)))
         assert grad_check(lambda t: sum_of_squares(t[1:3, ::2]), x) < 1e-6
@@ -535,14 +579,26 @@ class TestConv:
         assert grad_check(lambda t: sum_of_squares(conv2d(x, t, b, stride, pad)), w) < 1e-5
 
     @pytest.mark.parametrize("k, stride, pad", [(3, 2, 1), (3, 1, 1), (1, 1, 0)])
-    def test_grad_weight_from_kept_columns_equals_fresh_columns(self, rng, k, stride, pad):
+    def test_grad_weight_from_rebuilt_columns_equals_fresh_columns(self, rng, k, stride, pad):
         x = Tensor(rng.standard_normal((3, 7, 9)))
         w = Tensor(rng.standard_normal((4, 3, k, k)), requires_grad=True)
         y = conv2d(x, w, Tensor(np.zeros(4)), stride, pad)
         gy = rng.standard_normal(y.shape)
         y.backward(gy)
-        fresh = _kernels.conv2d_forward(x.data.copy(), w.data, stride, pad)[1]
-        assert np.array_equal(w.grad, _kernels.conv2d_grad_weight(gy, fresh, w.shape))
+        fresh = _kernels._im2col(x.data.copy(), k, k, stride, pad)
+        assert np.array_equal(y.data, (w.data.reshape(4, -1) @ fresh).reshape(y.shape))
+        assert np.array_equal(w.grad, (gy.reshape(4, -1) @ fresh.T).reshape(w.shape))
+
+    @pytest.mark.parametrize("k, stride, pad", [(3, 2, 1), (3, 1, 1), (1, 1, 0)])
+    def test_a_recorded_conv_keeps_no_columns(self, rng, k, stride, pad):
+        # the 3x3 stride-1 columns of a (16, 48, 64) input are 3.5 MB, nine
+        # times the input; the (16, HO, WO) output is at most 393 KB
+        x = Tensor(rng.standard_normal((16, 48, 64)), requires_grad=True)
+        w = Tensor(rng.standard_normal((16, 16, k, k)), requires_grad=True)
+        b = Tensor(np.zeros(16), requires_grad=True)
+        y = conv2d(x, w, b, stride, pad)
+        assert y.requires_grad and saved_arrays(y) == []
+        assert held_after(lambda: conv2d(x, w, b, stride, pad)) < y.data.nbytes + 4096
 
     def test_channel_mismatch(self, rng):
         w = Tensor(rng.standard_normal((3, 5, 3, 3)))

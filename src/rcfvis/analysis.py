@@ -62,7 +62,7 @@ def conv_operator_norm(w: np.ndarray, in_shape: tuple, stride: int, pad: int, p)
     is materialized); p=inf evaluates exact row sums by convolving |w| with
     an all-ones input.
     """
-    w = np.asarray(getattr(w, "data", w), dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
     if norm_order(p, OPERATOR_ORDERS) == 2:
         return spectral_norm(
             lambda v: _kernels.conv2d_grad_input(_kernels.conv2d_forward(v, w, stride, pad), w, in_shape, stride, pad),

@@ -33,7 +33,7 @@ def operator_norm(w, p) -> float:
     (tolerance 1e-10, at most 10000 iterations).  p=inf: max absolute
     row sum.
     """
-    w = np.asarray(getattr(w, "data", w), dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise ArgumentError(f"operator_norm expects a 2-D matrix, got ndim={w.ndim}")
     if norm_order(p, OPERATOR_ORDERS) == 2:

@@ -2,11 +2,12 @@
 
 Storage.  Parameters that share one (lr_mult, weight_decay) pair form a
 group, and each group keeps four contiguous float64 arrays: parameters,
-gradients, first moments and second moments, laid out in `params` order.
-Every parameter's `Tensor.data`, its gradient slot and its moments are
-views into those arrays, so the tape's in-place `Tensor._accum` adds
-straight into the gradient array once `OptimState.zero_grads` has pointed
-each `Tensor.grad` at its slot.
+gradients, first moments and second moments, laid out in the order of the
+group's `names`.  These arrays are the optimizer's only store: every
+parameter's `Tensor.data` and its gradient slot are views into them, so the
+tape's in-place `Tensor._accum` adds straight into the gradient array once
+`OptimState.zero_grads` has pointed each `Tensor.grad` at its slot, and a
+checkpoint writes each group's arrays as they are.
 
 Update.  `adamw_step` walks each group's arrays in chunks of `_CHUNK`
 elements (fixed when the state is created) through two preallocated
@@ -49,10 +50,12 @@ class ParamGroup:
 
 @dataclass
 class FlatGroup:
-    """One group's contiguous parameter, gradient and moment arrays."""
+    """One group's contiguous parameter, gradient and moment arrays; `names`
+    are its parameters in array order."""
 
     lr_mult: float
     weight_decay: float
+    names: list[str]
     data: np.ndarray
     grad: np.ndarray
     m: np.ndarray
@@ -61,32 +64,31 @@ class FlatGroup:
 
 @dataclass
 class OptimState:
-    """Per-parameter first/second moments plus schedule bookkeeping.
+    """The groups' flat arrays plus schedule bookkeeping.
 
-    Parameters (`Tensor.data`), gradient slots (`grads`) and moments (`m`,
-    `v`) are views into the arrays of `flat`.  Write them in place
-    (`p.data[...] = x`); a rebound name no longer reaches the arrays that
-    `adamw_step` updates.
+    Parameters (`Tensor.data`) and gradient slots (`grads`) are views into
+    the arrays of `flat`.  Write them in place (`p.data[...] = x`); a
+    rebound name no longer reaches the arrays that `adamw_step` updates.
     """
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
     grads: dict[str, np.ndarray] = field(default_factory=dict)
     flat: list[FlatGroup] = field(default_factory=list)
     scratch: np.ndarray = field(default_factory=lambda: np.empty((2, 0)))
     step: int = 0
 
     @staticmethod
-    def create(params: dict[str, Tensor], groups: dict[str, ParamGroup] | None = None) -> "OptimState":
-        """Moments at zero; rebinds each `p.data` to its view of a group's array."""
+    def create(params: dict[str, Tensor], groups: dict[str, ParamGroup]) -> "OptimState":
+        """Moments at zero; rebinds each `p.data` to its view of a group's array.
+        `groups` names the group of every parameter."""
         state = OptimState()
         members: dict[tuple[float, float], list[str]] = {}
         for name in params:
-            grp = (groups or {}).get(name, ParamGroup())
+            grp = groups[name]
             members.setdefault((grp.lr_mult, grp.weight_decay), []).append(name)
         for (lr_mult, weight_decay), names in members.items():
             total = sum(params[name].data.size for name in names)
-            flat = FlatGroup(lr_mult, weight_decay, np.empty(total), np.zeros(total), np.zeros(total), np.zeros(total))
+            arrays = np.empty(total), np.zeros(total), np.zeros(total), np.zeros(total)
+            flat = FlatGroup(lr_mult, weight_decay, names, *arrays)
             start = 0
             for name in names:
                 p = params[name]
@@ -95,8 +97,6 @@ class OptimState:
                 flat.data[view] = p.data.ravel()
                 p.data = flat.data[view].reshape(shape)
                 state.grads[name] = flat.grad[view].reshape(shape)
-                state.m[name] = flat.m[view].reshape(shape)
-                state.v[name] = flat.v[view].reshape(shape)
                 start = view.stop
             state.flat.append(flat)
         largest = max((flat.data.size for flat in state.flat), default=0)
@@ -112,30 +112,15 @@ class OptimState:
             p.grad = self.grads[name]
 
 
-def adamw_step(
-    state: OptimState,
-    params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
-    lr: float,
-) -> None:
-    """One decoupled-weight-decay adaptive-moment update, in place.
+def adamw_step(state: OptimState, lr: float) -> None:
+    """One decoupled-weight-decay adaptive-moment update, in place, from the
+    gradients in each group's `grad` array.
 
     Decay shrinks each parameter by (1 - lr_eff * wd) before the moment
-    update; lr_eff folds in the parameter group's LR multiplier.  Every
-    parameter of `params` needs a gradient of its shape; one that is not
-    already its slot in `state.grads` is copied there.
+    update; lr_eff folds in the parameter group's LR multiplier.
     """
     if lr < 0:
         raise ArgumentError("learning rate must be nonnegative")
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            raise ArgumentError(f"parameter {name} has no gradient")
-        if g.shape != p.data.shape:
-            raise ArgumentError(f"gradient shape {g.shape} mismatches parameter {name} {p.data.shape}")
-        slot = state.grads[name]
-        if g is not slot:
-            slot[...] = g
     state.step += 1
     t = state.step
     bc1 = 1.0 - BETA1**t

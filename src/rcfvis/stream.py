@@ -42,7 +42,6 @@ class RefCache:
 @dataclass
 class TrackRecord:
     frame: int
-    slot: int
     class_id: int
     score: float
     mask: np.ndarray  # bool, prediction grid
@@ -172,7 +171,7 @@ def track_update(
             mask = pred.binary_masks[i].copy()  # shared by last_masks and the history; neither is written
             state.last_masks[i] = mask
             state.gaps[i] = 0
-            state.history.setdefault(ident, []).append(TrackRecord(pred.frame_index, i, class_ids[i], scores[i], mask))
+            state.history.setdefault(ident, []).append(TrackRecord(pred.frame_index, class_ids[i], scores[i], mask))
         else:
             own = prev_ids[i]
             if own is not None and own not in claimed and state.gaps[i] + 1 <= max_gap:

@@ -95,22 +95,30 @@ def match_and_loss(class_probs: Tensor, mask_logits: Tensor, clip: SpriteClip, t
 # checkpoints
 
 
+def _layout(state: OptimState) -> list[dict]:
+    """The meta's `groups`: each flat group's settings and parameter names, in block order."""
+    return [{"lr_mult": f.lr_mult, "weight_decay": f.weight_decay, "params": f.names} for f in state.flat]
+
+
 def save_checkpoint(path: str | Path, model: RCFModel, state: OptimState, iteration: int) -> None:
-    blocks: dict[str, np.ndarray] = {}
-    for name, p in model.params().items():
-        blocks[f"param/{name}"] = p.data
-        blocks[f"optim_m/{name}"] = state.m[name]
-        blocks[f"optim_v/{name}"] = state.v[name]
+    """Write the config, the counters and each group `i` of `state.flat` as
+    blocks `group<i>/data`, `group<i>/m` and `group<i>/v`, its arrays as they are."""
+    blocks = {f"group{i}/{k}": getattr(flat, k) for i, flat in enumerate(state.flat) for k in ("data", "m", "v")}
     meta = {
         "kind": "checkpoint",
         "iteration": iteration,
         "optim_step": state.step,
         "config": model.cfg.to_dict(),
+        "groups": _layout(state),
     }
     write_container(path, meta, blocks)
 
 
 def load_checkpoint(path: str | Path) -> tuple[RCFModel, OptimState, int]:
+    """Build the model of the stored config and fill its optimizer's arrays.  A
+    bad config or counter, a `groups` layout other than that model's (as in a
+    checkpoint of per-parameter blocks) and a missing, misshapen or non-finite
+    block each raise FormatError."""
     meta, blocks = read_container(path)
     if meta.get("kind") != "checkpoint":
         raise FormatError(f"container at {path} is not a checkpoint (kind={meta.get('kind')!r})")
@@ -126,17 +134,16 @@ def load_checkpoint(path: str | Path) -> tuple[RCFModel, OptimState, int]:
     except (ConfigError, TypeError) as e:  # TypeError: e.g. a string where a range check wants a number
         raise FormatError(f"checkpoint at {path} has an invalid config: {e}") from e
     model = RCFModel(cfg)
-    params = model.params()
-    state = OptimState.create(params, model.param_groups())
+    state = OptimState.create(model.params(), model.param_groups())
     for key in ("optim_step", "iteration"):
         if type(meta.get(key)) is not int or meta[key] < 0:  # a bool is an int, but no count
             raise FormatError(f"checkpoint at {path} has no non-negative integer {key!r}: {meta.get(key)!r}")
     state.step = meta["optim_step"]
-    for name, p in params.items():
-        # in place: the model's parameters and the moments are views of the
-        # arrays that adamw_step updates
-        for prefix, dest in (("param", p.data), ("optim_m", state.m[name]), ("optim_v", state.v[name])):
-            key = f"{prefix}/{name}"
+    if meta.get("groups") != _layout(state):
+        raise FormatError(f"checkpoint at {path} lacks the parameter group layout of its config's model")
+    for i, flat in enumerate(state.flat):
+        for kind in ("data", "m", "v"):  # in place: the model's parameters are views of `data`
+            key, dest = f"group{i}/{kind}", getattr(flat, kind)
             if key not in blocks:
                 raise FormatError(f"checkpoint missing block {key!r}")
             block = blocks[key]
@@ -145,8 +152,7 @@ def load_checkpoint(path: str | Path) -> tuple[RCFModel, OptimState, int]:
             finite = np.isfinite(block)
             if not finite.all():
                 bad = np.flatnonzero(~finite)[0]
-                value = block.reshape(-1)[bad]
-                raise FormatError(f"checkpoint block {key!r} entry {bad} is {value}, expected a finite value")
+                raise FormatError(f"checkpoint block {key!r} entry {bad} is {block[bad]}, expected a finite value")
             dest[...] = block
     return model, state, meta["iteration"]
 
@@ -230,7 +236,7 @@ def train_loop(cfg: RunConfig, data_dir: str | Path, out_dir: str | Path) -> Tra
                 }
                 (out_dir / "abort_dump.json").write_text(json.dumps(dump, indent=1))
                 raise NumericError(f"non-finite {failed} at iteration {it}; diagnostics in abort_dump.json")
-            adamw_step(state, params, {name: p.grad for name, p in params.items()}, lr)
+            adamw_step(state, lr)
             losses.append(report.total)
             mf.write(f"{it},{lr!r},{report.total!r},{report.ce!r},{report.dice!r}\n")
             if (it + 1) % cfg.ckpt_every == 0:

@@ -142,7 +142,7 @@ class TestCLIBasics:
     def test_empty_split_exit_3_and_writes_nothing(self, capsys, tmp_path):
         cfg = RunConfig(image_h=32, image_w=48, num_slots=4).validate()
         model = RCFModel(cfg)
-        save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params()), 0)
+        save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params(), model.param_groups()), 0)
         data = tmp_path / "data"
         for split in ("val", "probe", "train"):
             (data / split).mkdir(parents=True)
@@ -162,7 +162,7 @@ class TestCLIBasics:
     def test_bad_checkpoint_config_exit_3(self, capsys, tmp_path):
         cfg = RunConfig(image_h=32, image_w=48, num_slots=4, gen_frames=2, gen_max_sprites=2).validate()
         model = RCFModel(cfg)
-        save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params()), 0)
+        save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params(), model.param_groups()), 0)
         clip = tmp_path / "clip"
         write_clip(generate_clip(0, cfg), clip)
         assert main(["infer", "--ckpt", str(tmp_path / "ckpt"), "--clip", str(clip), "--out", str(tmp_path / "ok")]) == 0
@@ -184,25 +184,23 @@ class TestCLIBasics:
     def test_checkpoint_missing_counter_or_optimizer_block_exit_3(self, capsys, tmp_path):
         cfg = RunConfig(image_h=32, image_w=48, num_slots=4, gen_frames=2, gen_max_sprites=2).validate()
         model = RCFModel(cfg)
-        save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params()), 0)
+        save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params(), model.param_groups()), 0)
         clip = tmp_path / "clip"
         write_clip(generate_clip(0, cfg), clip)
-        first = next(iter(model.params()))
-
-        weights = "param/head.class_head.w"
+        weights = "group0/data"
 
         def drop_meta(manifest, ckpt):
             del manifest["meta"]["optim_step"]
             return "optim_step"
 
         def drop_block(manifest, ckpt):
-            manifest["blocks"] = [b for b in manifest["blocks"] if b["name"] != f"optim_m/{first}"]
-            return f"optim_m/{first}"
+            manifest["blocks"] = [b for b in manifest["blocks"] if b["name"] != "group0/m"]
+            return "group0/m"
 
         def reshape_block(manifest, ckpt):
-            entry = next(b for b in manifest["blocks"] if b["name"] == f"optim_v/{first}")
-            entry["shape"] = [entry["nbytes"] // 8]
-            return f"optim_v/{first}"
+            entry = next(b for b in manifest["blocks"] if b["name"] == "group1/v")
+            entry["shape"] = [entry["nbytes"] // 16, 2]
+            return "group1/v"
 
         def retype_block(manifest, ckpt):
             # float64 bytes read as float32 would load as weights up to 1e38
@@ -242,7 +240,7 @@ class TestCLIBasics:
         cfg = RunConfig(image_h=32, image_w=48, num_slots=4, gen_frames=2, gen_max_sprites=2).validate()
         model = RCFModel(cfg)
         ckpt = str(tmp_path / "ckpt")
-        save_checkpoint(ckpt, model, OptimState.create(model.params()), 0)
+        save_checkpoint(ckpt, model, OptimState.create(model.params(), model.param_groups()), 0)
         clip = str(tmp_path / "clip")
         write_clip(generate_clip(0, cfg), clip)
         (tmp_path / "run.cfg").write_text("seed=5\n")

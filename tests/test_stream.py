@@ -266,7 +266,7 @@ def pairwise_track_update(state, pred, max_gap=5, iou_override=True):
             state.gaps[i] = 0
             class_id = int(np.argmax(pred.class_probs[i, :-1]))
             state.history.setdefault(assigned[i], []).append(
-                (pred.frame_index, i, class_id, float(pred.scores[i]), pred.binary_masks[i].copy())
+                (pred.frame_index, class_id, float(pred.scores[i]), pred.binary_masks[i].copy())
             )
         else:
             own = prev_ids[i]
@@ -351,8 +351,8 @@ def test_tracker_matches_pairwise_reference(seed):
     assert fast.history.keys() == slow.history.keys()
     for ident, records in fast.history.items():
         want = slow.history[ident]
-        assert [(r.frame, r.slot, r.class_id, r.score) for r in records] == [w[:4] for w in want]
-        assert all(np.array_equal(r.mask, w[4]) for r, w in zip(records, want))
+        assert [(r.frame, r.class_id, r.score) for r in records] == [w[:3] for w in want]
+        assert all(np.array_equal(r.mask, w[3]) for r, w in zip(records, want))
     assert cross_ties > 0
 
 

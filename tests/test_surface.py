@@ -1,6 +1,7 @@
 """No dead surface that a trace cannot see: every top-level class of the
 package is named by package code other than its own definition, every
-attribute that a class's `__init__` writes is read by package code, and
+attribute that a class's `__init__` writes and every field of a dataclass
+is read by package code, and
 every defaulted parameter of a top-level function or method is passed by
 some package call.  Functions, methods and closures are checked by
 `tests/test_reachability.py`, which fails on any that no CLI command runs.
@@ -72,9 +73,29 @@ def surface_report():
     return definitions, users
 
 
+def _fields(cls: ast.ClassDef) -> list[str]:
+    """The annotated fields of a class body, as a dataclass takes them."""
+    return [n.target.id for n in cls.body if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+
+
+def _init_attributes(cls: ast.ClassDef):
+    """The attributes that the `__init__` of a class writes on `self`."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            for n in ast.walk(node):
+                if (
+                    isinstance(n, ast.Attribute)
+                    and isinstance(n.ctx, ast.Store)
+                    and isinstance(n.value, ast.Name)
+                    and n.value.id == "self"
+                ):
+                    yield n.attr
+
+
 def member_report():
     """(members, unused): every "module.Class.attribute" that the `__init__`
-    of a top-level class writes, and those that no package code reads."""
+    of a top-level class writes or that a top-level dataclass declares as a
+    field, and those that no package code reads."""
     trees = _trees()
     read = set()
     for _, tree in trees:
@@ -84,20 +105,11 @@ def member_report():
         for top in tree.body:
             if not isinstance(top, ast.ClassDef):
                 continue
-            for node in top.body:
-                if not (isinstance(node, ast.FunctionDef) and node.name == "__init__"):
-                    continue
-                for n in ast.walk(node):
-                    if (
-                        isinstance(n, ast.Attribute)
-                        and isinstance(n.ctx, ast.Store)
-                        and isinstance(n.value, ast.Name)
-                        and n.value.id == "self"
-                    ):
-                        key = f"{module}.{top.name}.{n.attr}"
-                        members.append(key)
-                        if n.attr not in read:
-                            unused.append(key)
+            for attr in [*(_fields(top) if _is_dataclass(top) else ()), *_init_attributes(top)]:
+                key = f"{module}.{top.name}.{attr}"
+                members.append(key)
+                if attr not in read:
+                    unused.append(key)
     return members, unused
 
 
@@ -118,8 +130,7 @@ def dataclass_report():
             if isinstance(top, ast.ClassDef) and _is_dataclass(top):
                 key = f"{module}.{top.name}"
                 dataclasses.append(key)
-                fields = [n for n in top.body if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
-                if len(fields) == 1:
+                if len(_fields(top)) == 1:
                     one_field.append(key)
     return dataclasses, one_field
 

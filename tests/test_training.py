@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rcfvis.cli import EXIT_IO, main
 from rcfvis.config import RunConfig
 from rcfvis.container import read_container, write_container
 from rcfvis.errors import ArgumentError, NumericError
@@ -130,14 +131,25 @@ class TestCheckpoint:
         state = OptimState.create(params, model.param_groups())
         state.step = 17
         rng = np.random.default_rng(0)
-        for name in params:  # in place: the moments are views of the optimizer's arrays
-            state.m[name][...] = rng.standard_normal(params[name].shape)
+        for flat in state.flat:  # in place: the moments are the optimizer's arrays
+            flat.m[...] = rng.standard_normal(flat.m.shape)
+            flat.v[...] = rng.random(flat.v.shape)
         save_checkpoint(tmp_path / "ckpt", model, state, iteration=42)
+        meta, blocks = read_container(tmp_path / "ckpt")  # each group's arrays as they are
+        assert len(state.flat) > 1
+        assert list(blocks) == [f"group{i}/{kind}" for i in range(len(state.flat)) for kind in ("data", "m", "v")]
+        assert meta["groups"] == [
+            {"lr_mult": f.lr_mult, "weight_decay": f.weight_decay, "params": f.names} for f in state.flat
+        ]
+        for i, flat in enumerate(state.flat):
+            assert blocks[f"group{i}/data"].tobytes() == flat.data.tobytes()
         model2, state2, it = load_checkpoint(tmp_path / "ckpt")
         assert it == 42 and state2.step == 17
         for name, p in model2.params().items():
             assert np.array_equal(p.data, params[name].data)
-            assert np.array_equal(state2.m[name], state.m[name])
+        for flat, want in zip(state2.flat, state.flat, strict=True):
+            assert flat.names == want.names
+            assert np.array_equal(flat.m, want.m) and np.array_equal(flat.v, want.v)
         assert model2.cfg == cfg
 
     def test_loaded_parameters_are_the_arrays_adamw_updates(self, tmp_path):
@@ -148,28 +160,41 @@ class TestCheckpoint:
         model2, state2, _ = load_checkpoint(tmp_path / "ckpt")
         params = model2.params()
         before = {name: p.data.copy() for name, p in params.items()}
-        adamw_step(state2, params, {name: np.ones(p.data.shape) for name, p in params.items()}, cfg.lr0)
+        for flat in state2.flat:
+            flat.grad.fill(1.0)
+        adamw_step(state2, cfg.lr0)
         for name, p in model2.params().items():
             assert not np.array_equal(p.data, before[name]), name
 
-    def test_key_bias_blocks_of_older_checkpoints_are_ignored(self, tmp_path):
-        # checkpoints written before attention keys lost their bias carry
-        # one `*.wk.b` block per prefix and attention layer
+    def test_per_parameter_or_edited_group_layout_exit_3(self, tmp_path, capsys):
+        # checkpoints written before the flat layout carry three blocks per
+        # parameter and no `groups` list
         cfg = tiny_cfg(audio_enabled=False)
         model = RCFModel(cfg)
         params = model.params()
         save_checkpoint(tmp_path / "ckpt", model, OptimState.create(params, model.param_groups()), 3)
         meta, blocks = read_container(tmp_path / "ckpt")
-        key_biases = [name.replace(".wq.b", ".wk.b") for name in params if name.endswith(".wq.b")]
-        assert key_biases and not any(name in params for name in key_biases)
-        for name in key_biases:
-            for prefix in ("param", "optim_m", "optim_v"):
-                blocks[f"{prefix}/{name}"] = np.full(cfg.token_dim, 0.5)
-        write_container(tmp_path / "old", meta, blocks)
-        model2, _, it = load_checkpoint(tmp_path / "old")
-        assert it == 3 and model2.params().keys() == params.keys()
-        for name, p in model2.params().items():
-            assert np.array_equal(p.data, params[name].data)
+        old = {k: v for k, v in meta.items() if k != "groups"}
+        per_parameter = {}
+        for name, p in params.items():
+            per_parameter[f"param/{name}"] = p.data
+            per_parameter[f"optim_m/{name}"] = np.zeros(p.data.shape)
+            per_parameter[f"optim_v/{name}"] = np.zeros(p.data.shape)
+        write_container(tmp_path / "per_parameter", old, per_parameter)
+        edits = {
+            "lr_mult": lambda groups: groups[0].update(lr_mult=0.5),
+            "order": lambda groups: groups[0]["params"].reverse(),
+            "moved": lambda groups: groups[1]["params"].append(groups[0]["params"].pop()),
+            "dropped": lambda groups: groups.pop(),
+        }
+        for edit_name, edit in edits.items():
+            edited = json.loads(json.dumps(meta))
+            edit(edited["groups"])
+            write_container(tmp_path / edit_name, edited, blocks)
+        for ckpt in ("per_parameter", *edits):
+            capsys.readouterr()
+            assert main(["analyze-lipschitz", "--ckpt", str(tmp_path / ckpt)]) == EXIT_IO, ckpt
+            assert "parameter group layout" in capsys.readouterr().err, ckpt
 
 
 class TestTrainLoop:

@@ -7,30 +7,36 @@ sine tone at 300 + 400*c Hz with amplitude 0.3 exactly while at least one
 instance of the class is visible.  Everything is a pure function of
 (seed, RunConfig): the image size and the `gen_*` keys.
 
-A clip is rendered whole.  A scalar loop only records every sprite's
-centre in every frame; each sprite's stencil for all frames is then one
-(T, H, W) broadcast of per-axis terms, the sprites are painted into one
-per-pixel label array in stacking order, and the masks and the colour
-channels are read off that label.  All mask planes of the clip are then
-run-length encoded in one pass and the dense masks dropped: a clip holds
-its masks only as the words `write_clip` stores, and `SpriteClip.masks(t)`
-decodes one frame's planes.  `read_clip` validates every stream without
-expanding it, and checks every frame and every audio sample, but keeps
-neither frames nor waveform: a read clip's `frames` and `waveform` are
-`StoredBlock`s that read frame t, or frame t's audio window, from its
-tensors.bin, and check it again, when a caller indexes `frames[t]` or
-calls `audio_window(t)`.  A generated clip, which has no file, keeps its
-frames and its waveform as arrays.  The
-contract: every pixel goes through the float64 operations of a
-per-(frame, sprite) renderer and the RNG draws come in the same order, so
-the generated arrays and the written `tensors.bin` and `manifest.json` are
-byte for byte those of that renderer and of a per-plane encoder
+A clip is rendered a chunk of whole frames at a time, `_CHUNK_PIXELS`
+pixels and at least one frame.  A scalar loop first records every
+sprite's centre in every frame.  In each chunk, each sprite's stencil is
+one (frames, H, W) broadcast of per-axis terms, and the sprites are
+painted in stacking order into one reused uint8 label map.  The chunk's
+masks are read off that label and run-length encoded, its noise is
+drawn, and each channel's colours are looked up into one reused float64
+buffer, get their noise, and are clipped and cast into the clip's
+float32 frames.  Generation so holds the clip's frames plus one chunk,
+and no dense mask of the whole clip: a clip holds its masks only as the
+words `write_clip` stores, and `SpriteClip.masks(t)` decodes one frame's
+planes.  `write_clip` writes a
+generated clip's own arrays as they are.  `read_clip` validates every
+stream without expanding it, and checks every frame and every audio
+sample, `_CHECK_BYTES` of them at a time, but keeps neither frames nor
+waveform: a read clip's `frames` and `waveform` are `StoredBlock`s that
+read frame t, or frame t's audio window, from its tensors.bin, and check
+it again, when a caller indexes `frames[t]` or calls `audio_window(t)`.
+A generated clip, which has no file, keeps its frames and its waveform as
+arrays.  The contract: every pixel goes through the float64 operations of
+a per-(frame, sprite) renderer and the RNG draws come in the same order,
+so the generated arrays and the written `tensors.bin` and `manifest.json`
+are byte for byte those of that renderer and of a per-plane encoder
 (`tests/test_synthav.py` pins their digests and keeps the per-frame
 renderer as its oracle).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,6 +56,12 @@ CLASS_COLORS = (
     (0.25, 0.35, 0.90),
     (0.90, 0.85, 0.25),
 )
+# pixels that `generate_clip` renders at once, in whole frames and at least
+# one frame; 32 Ki pixels fill a 768 KiB float64 noise buffer
+_CHUNK_PIXELS = 1 << 15
+# bytes of frames and audio windows that `read_clip` reads at once to check
+# them, whole frames and at least one
+_CHECK_BYTES = 1 << 20
 # a clip manifest's `generator_config` key -> the RunConfig key it records
 GENERATOR_KEYS = {
     "height": "image_h",
@@ -110,6 +122,17 @@ def _finite_row(path: str | Path, t: int, name: str, row: np.ndarray) -> np.ndar
         value = row.reshape(-1)[bad]
         raise FormatError(f"clip at {path} frame {t}: block {name!r} entry {bad} is {value}, expected a finite value")
     return row
+
+
+def _check_rows(path: str | Path, frames: StoredBlock, waveform: StoredBlock, start: int, stop: int) -> None:
+    """Read frames [start, stop) of both blocks and check each frame's row
+    with `_finite_row`, its frame before its audio window.  The rows die on
+    return, so a caller looping over chunks holds one chunk at a time."""
+    frame_rows = read_rows(path, frames.entry, start, stop)
+    window_rows = read_rows(path, waveform.entry, start, stop)
+    for t, frame, window in zip(range(start, stop), frame_rows, window_rows):
+        _finite_row(path, t, "frames", frame)
+        _finite_row(path, t, "waveform", window)
 
 
 @dataclass
@@ -205,9 +228,72 @@ def _bounce(pos: float, vel: float, lo: float, hi: float) -> tuple[float, float]
     return pos, vel
 
 
+def _render(
+    classes: np.ndarray,
+    radii: np.ndarray,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    h: int,
+    w: int,
+    noise_std: float,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The clip's (T, 3, h, w) float32 frames, (T, G) visibility and mask
+    words and offsets, for sprite centres xs, ys (each (T, G)), drawing the
+    pixel noise from `rng`.
+
+    A chunk of whole frames at a time, `_CHUNK_PIXELS` pixels and at least
+    one frame: occlusion paints the sprites in index order, so each pixel
+    of the uint8 label keeps its top sprite's label (g + 1; 0 is
+    background), and the masks, their run-length words and the colours are
+    read off it.  The chunk's noise is drawn for all three channels at once;
+    each channel's colours then get their noise in float64 and are clipped
+    and cast into their frames.  The chunk's buffers are freed on return.
+    """
+    t_frames, n = xs.shape
+    palette = np.zeros((3, n + 1))
+    palette[:, 1:] = np.asarray(CLASS_COLORS).T[:, classes]
+    sprite_labels = np.arange(1, n + 1, dtype=np.uint8)[:, None, None]
+    chunk = min(t_frames, max(1, _CHUNK_PIXELS // (h * w)))
+    frames = np.empty((t_frames, 3, h, w), dtype=np.float32)
+    visibility = np.empty((t_frames, n), dtype=bool)
+    labels = np.empty((chunk, h, w), dtype=np.uint8)
+    colours = np.empty((chunk, h, w))  # one channel at a time
+    noises = np.zeros((chunk, 3, h, w))  # stays zero without noise
+    words, plane_words = [], []
+    for t0 in range(0, t_frames, chunk):
+        t1 = min(t0 + chunk, t_frames)
+        label, rgb, noise = labels[: t1 - t0], colours[: t1 - t0], noises[: t1 - t0]
+        label.fill(0)
+        for g in range(n):
+            np.copyto(label, g + 1, where=_stencil(int(classes[g]), xs[t0:t1, g], ys[t0:t1, g], radii[g], h, w))
+        masks = label[:, None] == sprite_labels  # pairwise disjoint
+        visibility[t0:t1] = masks.any(axis=(2, 3))
+        chunk_words, offsets = rle_encode_planes(masks.reshape(-1, h * w))
+        words.append(chunk_words)
+        plane_words.append(np.diff(offsets))
+        if noise_std > 0:  # chunk by chunk, the draws of one whole-clip normal()
+            rng.standard_normal(out=noise)
+            noise *= noise_std
+        for ch in range(3):
+            np.take(palette[ch], label, out=rgb, mode="clip")
+            rgb += noise[:, ch]
+            np.clip(rgb, 0.0, 1.0, out=rgb)
+            frames[t0:t1, ch] = rgb
+    mask_offsets = np.zeros(t_frames * n + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(plane_words), out=mask_offsets[1:])
+    return frames, visibility, np.concatenate(words), mask_offsets
+
+
 def generate_clip(seed: int, cfg: RunConfig) -> SpriteClip:
     """Synthesize one clip from cfg's image size and `gen_*` keys;
-    bit-identical for the same (seed, cfg)."""
+    bit-identical for the same (seed, cfg).
+
+    The frames are rendered a chunk at a time straight into the clip's
+    float32 array; beyond it, generation holds one chunk's label map,
+    masks, colours and noise (1.14x the frames at its peak for a 256x256,
+    32-frame, 8-sprite clip).
+    """
     cfg.validate()
     h, w, t_frames = cfg.image_h, cfg.image_w, cfg.gen_frames
     if 2 * cfg.gen_max_radius > min(h, w) - 1:
@@ -236,40 +322,20 @@ def generate_clip(seed: int, cfg: RunConfig) -> SpriteClip:
             x[g], vx[g] = _bounce(x[g], vx[g], -2 * r[g], w - 1 + 2 * r[g])
             y[g], vy[g] = _bounce(y[g], vy[g], -2 * r[g], h - 1 + 2 * r[g])
 
-    # occlusion: larger sprite index is on top, so painting in index order
-    # leaves each pixel labelled with its top sprite (g + 1; 0 is background)
-    label = np.zeros((t_frames, h, w), dtype=np.intp)
-    for g in range(n):
-        np.copyto(label, g + 1, where=_stencil(int(classes[g]), xs[:, g], ys[:, g], radii[g], h, w))
-    gt_masks = label[:, None] == np.arange(1, n + 1)[:, None, None]  # pairwise disjoint
-    visibility = gt_masks.any(axis=(2, 3))
-    mask_words, mask_offsets = rle_encode_planes(gt_masks.reshape(t_frames * n, h * w))
-    del gt_masks
-
-    palette = np.zeros((3, n + 1))
-    palette[:, 1:] = np.asarray(CLASS_COLORS).T[:, classes]
-    frames = np.empty((t_frames, 3, h, w))
-    for ch in range(3):
-        np.take(palette[ch], label, out=frames[:, ch], mode="clip")
-    if cfg.gen_noise > 0:
-        frames += rng.normal(0.0, cfg.gen_noise, size=frames.shape)
-    np.clip(frames, 0.0, 1.0, out=frames)
+    frames, visibility, mask_words, mask_offsets = _render(classes, radii, xs, ys, h, w, cfg.gen_noise, rng)
 
     eta = round(SAMPLE_RATE / cfg.gen_fps)
     total = t_frames * eta
     sample_t = np.arange(total, dtype=np.float64) / SAMPLE_RATE
     waveform = np.zeros(total, dtype=np.float64)
     for c in range(len(CLASS_NAMES)):
-        class_visible = visibility[:, classes == c].any(axis=1)
-        if not class_visible.any():
-            continue
-        gate = np.repeat(class_visible.astype(np.float64), eta)
-        waveform += TONE_AMPLITUDE * np.sin(2.0 * np.pi * tone_frequency(c) * sample_t) * gate
+        audible = np.repeat(visibility[:, classes == c].any(axis=1), eta)
+        waveform[audible] += TONE_AMPLITUDE * np.sin(2.0 * np.pi * tone_frequency(c) * sample_t[audible])
     if cfg.gen_noise > 0:
         waveform += rng.normal(0.0, cfg.gen_noise, size=total)
 
     return SpriteClip(
-        frames=frames.astype(np.float32),
+        frames=frames,
         mask_words=mask_words,
         mask_offsets=mask_offsets,
         gt_classes=classes.astype(np.uint32),
@@ -284,14 +350,22 @@ def generate_clip(seed: int, cfg: RunConfig) -> SpriteClip:
 
 
 def write_clip(clip: SpriteClip, path: str | Path) -> None:
-    """Persist a clip as manifest.json + tensors.bin (masks RLE per frame)."""
+    """Persist a clip as manifest.json + tensors.bin (masks RLE per frame).
+
+    A generated clip's float32 frames and waveform are written as they are,
+    without a copy; a read clip's are read from its tensors.bin one frame
+    at a time into the arrays written.
+    """
     t_frames, _, h, w = clip.frames.shape
     g, eta = clip.num_instances, clip.samples_per_frame
-    frames = np.empty((t_frames, 3, h, w), "<f4")
-    waveform = np.empty((t_frames, eta), "<f4")
-    for t in range(t_frames):  # by index: a read clip's frames and waveform are on disk
-        frames[t] = clip.frames[t]
-        waveform[t] = clip.waveform[t]
+    if isinstance(clip.frames, StoredBlock):  # a read clip: frame by frame from its tensors.bin
+        frames = np.empty((t_frames, 3, h, w), "<f4")
+        waveform = np.empty((t_frames, eta), "<f4")
+        for t in range(t_frames):
+            frames[t] = clip.frames[t]
+            waveform[t] = clip.waveform[t]
+    else:  # a generated clip's own arrays, not copied when float32
+        frames, waveform = np.asarray(clip.frames, "<f4"), np.asarray(clip.waveform, "<f4")
     blocks: dict[str, np.ndarray] = {
         "frames": frames,
         "waveform": waveform.reshape(-1),
@@ -395,13 +469,20 @@ def read_clip(path: str | Path) -> SpriteClip:
     a class id outside `CLASS_NAMES`, a visibility byte other than 0 or 1,
     a non-finite audio sample, a malformed mask stream and a visibility
     entry that disagrees with its mask plane each raise FormatError naming
-    the field or block.  The masks stay run-length encoded, and the frames
-    and the waveform stay in tensors.bin: the clip holds a `StoredBlock` for
-    each, which reads one frame, or one frame's audio window, per index and
-    checks it as read_clip checked every value.
+    the field or block.  The frames' and the waveform's dtype and shape are
+    checked from their manifest entries, and their values are read and
+    checked a chunk of frames at a time, `_CHECK_BYTES` bytes of both blocks
+    and at least one frame, so the call holds one chunk beyond what the clip
+    keeps.  The masks stay run-length encoded, and the frames and the
+    waveform stay in tensors.bin: the clip holds a `StoredBlock` for each,
+    which reads one frame, or one frame's audio window, per index and checks
+    it as read_clip checked every value.
     """
     meta, entries = read_manifest(path)
-    blocks = read_blocks(path, entries)
+    stored = {e["name"]: e for e in entries if e["name"] in ("frames", "waveform")}  # checked, not kept
+    blocks = read_blocks(path, [e for e in entries if e["name"] not in stored])
+    layout = {name: (a.shape, a.dtype) for name, a in blocks.items()}
+    layout.update((name, (tuple(e["shape"]), np.dtype(e["dtype"]))) for name, e in stored.items())
     if meta.get("kind") != "clip":
         raise FormatError(f"container at {path} is not a clip (kind={meta.get('kind')!r})")
     for key, (ok, what) in _CLIP_META.items():
@@ -417,8 +498,8 @@ def read_clip(path: str | Path) -> SpriteClip:
         raise FormatError(
             f"clip at {path} meta field 'generator_config' is invalid: missing {sorted(missing)}, unknown {sorted(unknown)}"
         )
-    frames = blocks.get("frames")  # its absence is reported with the other blocks'
-    t_frames = frames.shape[0] if frames is not None and frames.ndim == 4 else -1
+    frames_shape = layout["frames"][0] if "frames" in layout else ()  # a missing block is reported below
+    t_frames = frames_shape[0] if len(frames_shape) == 4 else -1
     eta = round(SAMPLE_RATE / meta["fps_stream"])
     if eta == 0:
         raise FormatError(
@@ -433,14 +514,14 @@ def read_clip(path: str | Path) -> SpriteClip:
         **{f"gt_masks_rle/{t:03d}": (None, "<u4") for t in range(t_frames)},
     }
     for name, (shape, dtype) in expected.items():
-        if name not in blocks:
+        if name not in layout:
             raise FormatError(f"clip at {path} has no block {name!r}")
-        block = blocks[name]
-        if block.dtype != dtype:
-            raise FormatError(f"clip at {path} block {name!r} has dtype {block.dtype}, expected {np.dtype(dtype)}")
-        shape = shape or (block.size,)
-        if block.shape != shape:
-            raise FormatError(f"clip at {path} block {name!r} has shape {block.shape}, expected {shape}")
+        got_shape, got_dtype = layout[name]
+        if got_dtype != dtype:
+            raise FormatError(f"clip at {path} block {name!r} has dtype {got_dtype}, expected {np.dtype(dtype)}")
+        shape = shape or (math.prod(got_shape),)
+        if got_shape != shape:
+            raise FormatError(f"clip at {path} block {name!r} has shape {got_shape}, expected {shape}")
     for name, ok, what in (
         ("gt_classes", lambda v: np.isin(v, range(len(CLASS_NAMES))), f"a class id below {len(CLASS_NAMES)}"),
         ("visibility", lambda v: np.isin(v, (0, 1)), "0 or 1"),
@@ -450,20 +531,20 @@ def read_clip(path: str | Path) -> SpriteClip:
             bad = np.flatnonzero(~valid)[0]
             value = blocks[name].reshape(-1)[bad]
             raise FormatError(f"clip at {path} block {name!r} entry {bad} is {value}, expected {what}")
-    waveform = blocks["waveform"].reshape(t_frames, eta)
-    for t in range(t_frames):
-        _finite_row(path, t, "frames", frames[t])
-        _finite_row(path, t, "waveform", waveform[t])
+    frames = StoredBlock(Path(path), stored["frames"])
+    waveform = StoredBlock(Path(path), {**stored["waveform"], "shape": [t_frames, eta]})
+    rows = max(1, _CHECK_BYTES // (4 * (3 * h * w + eta)))  # frames per read, both blocks
+    for start in range(0, t_frames, rows):
+        _check_rows(path, frames, waveform, start, min(start + rows, t_frames))
     mask_words, mask_offsets = _mask_words(blocks, t_frames, g, h, w)
-    stored = {e["name"]: e for e in entries if e["name"] in ("frames", "waveform")}
     return SpriteClip(
-        frames=StoredBlock(Path(path), stored["frames"]),
+        frames=frames,
         mask_words=mask_words,
         mask_offsets=mask_offsets,
         gt_classes=blocks["gt_classes"],
         gt_identities=blocks["gt_identities"],
         visibility=blocks["visibility"].astype(bool),
-        waveform=StoredBlock(Path(path), {**stored["waveform"], "shape": [t_frames, eta]}),
+        waveform=waveform,
         fps_stream=meta["fps_stream"],
         seed=meta["seed"],
         generator=generator,

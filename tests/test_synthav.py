@@ -1,16 +1,17 @@
 """Clip generator: determinism, disjoint masks, audio-visual synchrony, IO."""
 
 import hashlib
-import tracemalloc
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rcfvis import synthav
 from rcfvis.audiodsp import FMAX_HZ, FMIN_HZ, N_MELS, SILENCE_FLOOR, hz_to_mel, log_mel, mel_to_hz
 from rcfvis.config import SAMPLE_RATE, RunConfig
-from rcfvis.container import rle_encode, rle_encode_planes
-from rcfvis.errors import ArgumentError, ConfigError
+from rcfvis.container import read_container, rle_encode, rle_encode_planes, write_container
+from rcfvis.errors import ArgumentError, ConfigError, FormatError
 from rcfvis.synthav import (
     CLASS_COLORS,
     CLASS_NAMES,
@@ -117,7 +118,7 @@ def test_clip_roundtrip_bit_exact(tmp_path):
     assert back.generator == clip.generator
 
 
-def test_read_clip_retains_only_the_stored_blocks(tmp_path):
+def test_read_clip_retains_only_the_stored_blocks(tmp_path, traced):
     # the frames and the waveform stay on disk: keeping them would add their
     # 1,152 KiB and 125 KiB, and dense masks T*G*H*W bytes, here 768 KiB; the
     # bound allows 16 KiB over the stored blocks other than those two.  The
@@ -127,17 +128,73 @@ def test_read_clip_retains_only_the_stored_blocks(tmp_path):
     cfg = RunConfig(gen_frames=16, gen_min_sprites=8, gen_max_sprites=8)
     write_clip(generate_clip(0, cfg), tmp_path / "clip")
     read_clip(tmp_path / "clip")  # the first call settles one-time allocations
-    tracemalloc.start()
-    try:
-        clip = read_clip(tmp_path / "clip")
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    clip, retained, peak = traced(lambda: read_clip(tmp_path / "clip"))
     assert clip.num_instances == 8 and clip.frames.shape == (16, 3, 64, 96)
     frames_bytes, waveform_bytes = 16 * 3 * 64 * 96 * 4, 16 * 2000 * 4
     file_bytes = (tmp_path / "clip" / "tensors.bin").stat().st_size
     assert retained <= file_bytes - frames_bytes - waveform_bytes + 16 * 1024
     assert peak <= file_bytes + 512 * 1024
+
+
+# 256x256, 32 frames, 8 sprites: 24 MiB of float32 frames
+BIG = RunConfig(image_h=256, image_w=256, gen_frames=32, gen_min_sprites=8, gen_max_sprites=8)
+
+
+def test_generate_clip_peaks_at_1_5x_its_frames(traced):
+    # rendered a chunk of frames at a time (here one frame) into the float32
+    # frames: 1.14x here; the whole-clip float64 frames, their noise and an
+    # intp label map peaked at 4.67x
+    clip, _, peak = traced(lambda: generate_clip(0, BIG))
+    assert clip.frames.dtype == np.float32 and clip.frames.nbytes == 32 * 3 * 256 * 256 * 4
+    assert peak <= 1.5 * clip.frames.nbytes, peak / clip.frames.nbytes
+
+
+def test_write_clip_of_a_generated_clip_copies_no_frames(tmp_path, traced):
+    # the clip's own arrays go to tensors.bin: 63 KiB above the manifest
+    # here, and a copy of the frames (1x) before
+    clip = generate_clip(0, BIG)
+    _, _, peak = traced(lambda: write_clip(clip, tmp_path / "clip"))
+    manifest_bytes = (tmp_path / "clip" / "manifest.json").stat().st_size
+    assert peak <= manifest_bytes + 1024 * 1024, peak
+
+
+def test_read_clip_checks_frames_in_chunks(tmp_path, traced):
+    # read_clip holds the blocks it keeps plus one chunk of frames and audio
+    # windows under check, within its 1 MiB budget: here one 768 KiB frame,
+    # 0.96 MiB above what it keeps; reading the whole frames block to check
+    # it peaked 24.6 MiB above
+    write_clip(generate_clip(0, BIG), tmp_path / "clip")
+    read_clip(tmp_path / "clip")  # the first call settles one-time allocations
+    clip, retained, peak = traced(lambda: read_clip(tmp_path / "clip"))
+    assert clip.frames.shape == (32, 3, 256, 256)
+    assert retained < 256 * 1024
+    assert peak <= retained + 1024 * 1024 + 256 * 1024, peak - retained
+
+
+# (frame, block) cells set to NaN -> the first one read_clip must name: frames
+# are checked in order, each frame's row before its audio window
+NAN_CELLS = {
+    "later-chunk": ([(5, "frames")], (5, "frames")),
+    "window-first": ([(4, "frames"), (3, "waveform")], (3, "waveform")),
+    "same-frame": ([(4, "waveform"), (4, "frames")], (4, "frames")),
+    "last-frame": ([(7, "waveform")], (7, "waveform")),
+}
+
+
+@pytest.mark.parametrize("cells", NAN_CELLS)
+def test_read_clip_names_the_first_non_finite_frame_across_chunks(cells, tmp_path, monkeypatch):
+    cfg = small_cfg(gen_frames=8)
+    write_clip(generate_clip(0, cfg), tmp_path / "clip")
+    meta, blocks = read_container(tmp_path / "clip")
+    eta = blocks["waveform"].size // 8
+    rows = {"frames": blocks["frames"].reshape(8, -1), "waveform": blocks["waveform"].reshape(8, eta)}
+    edits, (t, name) = NAN_CELLS[cells]
+    for frame, block in edits:
+        rows[block][frame, 2] = np.nan
+    write_container(tmp_path / "bad", meta, blocks)
+    monkeypatch.setattr(synthav, "_CHECK_BYTES", 3 * 4 * (3 * 32 * 48 + eta))  # chunks of 3, 3 and 2 frames
+    with pytest.raises(FormatError, match=re.escape(f"frame {t}: block {name!r} entry 2 is nan, expected a finite value")):
+        read_clip(tmp_path / "bad")
 
 
 def test_invalid_configs_rejected():

@@ -2,8 +2,8 @@
 
 Token-compressed context fusion, instance-query decoding with dynamic
 convolution masks, Hungarian set supervision, order-preserving identity
-tracking, and the supporting numeric stack (tape autodiff, AdamW, operator
-norms, log-mel audio front end).
+tracking, and the supporting numeric stack (tape autodiff, AdamW, log-mel
+audio front end).
 """
 
 import os
@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 
 from .tensor import Tensor, grad_check  # noqa: E402
 from .optim import OptimState, adamw_step, poly_lr  # noqa: E402
-from .linalg import operator_norm  # noqa: E402
 
 __all__ = [
     "Tensor",
@@ -26,6 +25,5 @@ __all__ = [
     "OptimState",
     "adamw_step",
     "poly_lr",
-    "operator_norm",
     "__version__",
 ]

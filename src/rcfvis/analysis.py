@@ -1,22 +1,20 @@
-"""Offline analyzers: streaming latency arithmetic, Lipschitz bounds, and the
-order-stability probe relating input change to output change across frames.
+"""Offline analyzers: streaming latency arithmetic, and the order-stability
+probe relating input change to output change across frames.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import ArgumentError
-from .linalg import OPERATOR_ORDERS, norm_order, operator_norm, spectral_norm
 from .matching import shrink_mask
 from .model import RCFModel
 from .stream import mask_iou, stream_clip
 from .synthav import SpriteClip
-from .tensor import Tensor, no_grad, sigmoid
+from .tensor import sigmoid
 
 
 # ---------------------------------------------------------------------------
@@ -36,40 +34,17 @@ def latency_model(fps_stream: float, fps_model: float, n_f: int = 1) -> tuple[fl
 
 
 # ---------------------------------------------------------------------------
-# Lipschitz bounds
+# order-stability probe
+
+NORM_ORDERS = {"1": 1.0, "2": 2.0, "inf": math.inf}  # the `probe_norm_p` choices
 
 
-@dataclass
-class NormEntry:
-    name: str
-    kind: str  # conv | linear | attention
-    norm: float | None
-    note: str = ""
-
-
-@dataclass
-class LipschitzReport:
-    p: object
-    entries: list[NormEntry] = field(default_factory=list)
-    products: dict[str, float] = field(default_factory=dict)
-    attention_ratios: dict[str, float] = field(default_factory=dict)
-
-
-def conv_operator_norm(w: np.ndarray, in_shape: tuple, stride: int, pad: int, p) -> float:
-    """Operator norm of the convolution unrolled at the given input extent.
-
-    p=2 runs power iteration with the convolution and its adjoint (no matrix
-    is materialized); p=inf evaluates exact row sums by convolving |w| with
-    an all-ones input.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if norm_order(p, OPERATOR_ORDERS) == 2:
-        return spectral_norm(
-            lambda v: _kernels.conv2d_grad_input(_kernels.conv2d_forward(v, w, stride, pad), w, in_shape, stride, pad),
-            in_shape,
-        )
-    sums = _kernels.conv2d_forward(np.ones(in_shape), np.abs(w), stride, pad)
-    return float(sums.max())
+def norm_order(p) -> float:
+    """The norm order a `probe_norm_p` value names, given as it or as a number."""
+    try:
+        return NORM_ORDERS[str(p)]
+    except KeyError:
+        raise ArgumentError(f"unsupported norm order {p!r} (use 1, 2 or inf)") from None
 
 
 def _flat_norm(x: np.ndarray, p: float) -> float:
@@ -78,105 +53,8 @@ def _flat_norm(x: np.ndarray, p: float) -> float:
     if p == 1:
         return float(flat.sum())
     if p == 2:
-        return float(np.linalg.norm(flat))
+        return math.sqrt(flat.dot(flat))
     return float(flat.max())
-
-
-def backbone_norms(model: RCFModel, p) -> list[NormEntry]:
-    """Per-conv operator norms at the configured input extents."""
-    cfg = model.cfg
-    entries = []
-    h, w = cfg.image_h, cfg.image_w
-    c_in = 3
-    for name, weight, stride, pad in model.backbone.conv_weights():
-        entries.append(NormEntry(name, "conv", conv_operator_norm(weight.data, (c_in, h, w), stride, pad, p)))
-        c_in = weight.shape[0]
-        h, w = h // stride, w // stride
-    return entries
-
-
-LOCAL_RATIO_TRIALS = 20  # random points per attention local ratio
-LOCAL_RATIO_STEP = 1e-3  # scale of the random perturbation at each point
-
-
-def _attention_local_ratio(fn, shape: tuple, p) -> float:
-    rng = np.random.default_rng(1234)
-    worst = 0.0
-    with no_grad():
-        for _ in range(LOCAL_RATIO_TRIALS):
-            x = rng.standard_normal(shape)
-            dx = rng.standard_normal(shape) * LOCAL_RATIO_STEP
-            fx = fn(Tensor(x))
-            fy = fn(Tensor(x + dx))
-            worst = max(worst, _flat_norm(fy.data - fx.data, p) / _flat_norm(dx, p))
-    return worst
-
-
-def lipschitz_bound(model: RCFModel, p) -> LipschitzReport:
-    """Per-layer norms, products for the feed-forward subnetworks, and
-    empirical local ratios for the attention stacks (globally unbounded)."""
-    p = norm_order(p, OPERATOR_ORDERS)
-    report = LipschitzReport(p=p)
-    cfg = model.cfg
-
-    bb = backbone_norms(model, p)
-    report.entries.extend(bb)
-    report.products["backbone"] = float(np.prod([e.norm for e in bb]))
-
-    fh, fw = cfg.feature_hw
-    dec = model.mask_decoder
-    c_skip1, c_skip2 = model.backbone.skip_channels
-    dec_plan = [
-        (dec.lat1, (cfg.token_dim, fh * 2, fw * 2)),
-        (dec.ref1, (c_skip2, fh * 2, fw * 2)),
-        (dec.lat2, (c_skip2, fh * 4, fw * 4)),
-        (dec.ref2, (c_skip1, fh * 4, fw * 4)),
-        (dec.out, (c_skip1, fh * 4, fw * 4)),
-    ]
-    dec_entries = []
-    for conv, in_shape in dec_plan:
-        norm = conv_operator_norm(conv.w.data, in_shape, conv.stride, conv.pad, p)
-        dec_entries.append(NormEntry(f"mask_decoder.{conv.name}", "conv", norm))
-    report.entries.extend(dec_entries)
-    report.products["mask_decoder"] = float(np.prod([e.norm for e in dec_entries]))
-
-    # linear chains in the instance head (operator norms act on x @ W, i.e. W^T)
-    fc_entries = [
-        NormEntry("head.theta_fc1", "linear", operator_norm(model.head.theta_fc1.w.data.T, p)),
-        NormEntry("head.theta_fc2", "linear", operator_norm(model.head.theta_fc2.w.data.T, p)),
-    ]
-    report.entries.extend(fc_entries)
-    report.products["mask_filter_mlp"] = float(np.prod([e.norm for e in fc_entries]))
-    class_entry = NormEntry("head.class_head", "linear", operator_norm(model.head.class_head.w.data.T, p))
-    report.entries.append(class_entry)
-    report.products["class_head"] = class_entry.norm
-
-    layout_len = model.token_layout(fh, fw).total
-    report.entries.append(NormEntry("encoder", "attention", None, "unbounded globally; local ratio reported"))
-
-    def run_encoder(x: Tensor) -> Tensor:
-        for layer in model.encoder.layers:
-            x = layer(x)
-        return x
-
-    report.attention_ratios["encoder"] = _attention_local_ratio(run_encoder, (layout_len, cfg.token_dim), p)
-
-    report.entries.append(NormEntry("head.decoder", "attention", None, "unbounded globally; local ratio reported"))
-
-    def run_decoder(mem: Tensor) -> Tensor:
-        q = model.head.query
-        for layer in model.head.layers:
-            q = layer(q, mem)
-        return q
-
-    report.attention_ratios["head.decoder"] = _attention_local_ratio(
-        run_decoder, (layout_len, cfg.token_dim), p
-    )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# order-stability probe
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Subcommands: gen-data, train, eval, infer, bench-latency, analyze-lipschitz,
-probe-order, dump-attention.  Configuration comes from an optional key=value
-file (--config) overridden by repeated --set key=value flags; --seed sets the
+Subcommands: gen-data, train, eval, infer, bench-latency, probe-order,
+dump-attention.  Configuration comes from an optional key=value file
+(--config) overridden by repeated --set key=value flags; --seed sets the
 seed last.  A command given --ckpt takes the checkpoint's config instead.
 Exit codes: 0 success, 2 bad config/usage, 3 IO or format failure, 4
 numeric failure.
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import latency_model, lipschitz_bound, order_stability_probe
+from .analysis import latency_model, order_stability_probe
 from .config import RunConfig, config_help_lines, load_config
 from .container import rle_encode, write_container
 from .errors import ArgumentError, ConfigError, FormatError, NumericError
@@ -163,30 +163,6 @@ def cmd_bench_latency(args) -> int:
     return EXIT_OK
 
 
-def cmd_analyze_lipschitz(args) -> int:
-    model, trained = _load_model(args)
-    orders = [2, np.inf] if args.p == "both" else [2 if args.p == "2" else np.inf]
-    rows = []
-    for p in orders:
-        report = lipschitz_bound(model, p)
-        p_label = "2" if p == 2 else "inf"
-        for e in report.entries:
-            rows.append([p_label, e.name, e.kind, "" if e.norm is None else f"{e.norm:.8g}", e.note])
-        for name, value in report.products.items():
-            rows.append([p_label, f"product/{name}", "product", f"{value:.8g}", ""])
-        for name, value in report.attention_ratios.items():
-            rows.append([p_label, f"local_ratio/{name}", "attention", f"{value:.8g}", "empirical"])
-        print(f"p={p_label}: backbone product bound {report.products['backbone']:.6g}")
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["p", "name", "kind", "value", "note"])
-            writer.writerow(["#", f"model={'trained' if trained else 'random'}", "", "", ""])
-            writer.writerows(rows)
-        print(f"report: {args.out}")
-    return EXIT_OK
-
-
 def cmd_probe_order(args) -> int:
     if (args.clip is None) == (args.data is None):
         raise ConfigError("probe-order takes exactly one of --clip and --data")
@@ -223,7 +199,7 @@ def cmd_dump_attention(args) -> int:
     with no_grad():
         feats = [model.audio_feature(w) for w in windows] if model.cfg.audio_enabled else None
         target = model.extract(clip.frames[t])
-        tokens = model.build_tokens(target, [model.extract(f) for f in refs], feats)
+        tokens = model.build_tokens(target, [model.extract(f).f for f in refs], feats)
         diag = model.encoder.attention_maps(tokens, model.token_layout(*target.f.shape[1:]))
     written = export_diagnostics(diag, args.out)
     mass = diag.segment_mass()
@@ -276,13 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fps-model", type=float, required=True)
     p.add_argument("--clip", type=int, default=36, help="clip length for the offline case")
     p.set_defaults(fn=cmd_bench_latency)
-
-    p = sub.add_parser("analyze-lipschitz", help="per-layer operator norms and product bounds")
-    common(p)
-    p.add_argument("--ckpt", default=None)
-    p.add_argument("--p", choices=["2", "inf", "both"], default="both")
-    p.add_argument("--out", default=None, help="CSV output path")
-    p.set_defaults(fn=cmd_analyze_lipschitz)
 
     p = sub.add_parser("probe-order", help="order-stability probe over clips")
     common(p)

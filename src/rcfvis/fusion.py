@@ -42,10 +42,6 @@ class TokenLayout:
     def n_reference(self) -> int:
         return self.k * self.k
 
-    @property
-    def total(self) -> int:
-        return self.n_target + self.n_reference + self.audio_len
-
     def segment_slices(self) -> dict[str, slice]:
         a = self.n_target
         b = a + self.n_reference

@@ -128,13 +128,14 @@ class RCFModel:
     def build_tokens(
         self,
         target: FrameFeature,
-        refs: list[FrameFeature],
+        refs: list[Tensor],
         audio_feats: list[Tensor] | None = None,
     ) -> Tensor:
-        """The (L, C') encoder input, rows laid out as `token_layout` says."""
+        """The (L, C') encoder input, rows laid out as `token_layout` says.
+        `refs` are the reference frames' backbone outputs `FrameFeature.f`."""
         blocks = [self.target_tok(target.f)]
         if self.ref_tok is not None:
-            blocks.append(self.ref_tok([r.f for r in refs]))
+            blocks.append(self.ref_tok(refs))
         if self.audio_tok is not None:
             if audio_feats is None:
                 raise ArgumentError("audio is enabled but no audio features were given")
@@ -144,7 +145,7 @@ class RCFModel:
     def forward_features(
         self,
         target: FrameFeature,
-        refs: list[FrameFeature],
+        refs: list[Tensor],
         audio_feats: list[Tensor] | None = None,
     ) -> tuple[Tensor, Tensor]:
         """(class_probs (N, classes+1), mask_logits (N, H_o, W_o))."""
@@ -162,7 +163,7 @@ class RCFModel:
     ) -> tuple[Tensor, Tensor]:
         """Training-path forward: reference features recomputed with current weights."""
         target = self.extract(target_frame)
-        refs = [self.extract(f) for f in ref_frames]
+        refs = [self.extract(f).f for f in ref_frames]
         feats = None
         if self.audio_tok is not None:
             if audio_windows is None:

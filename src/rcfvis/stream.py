@@ -23,7 +23,6 @@ from .instance_head import FramePrediction
 from .model import RCFModel, reference_indices
 from .synthav import SpriteClip
 from .tensor import Tensor, no_grad
-from .videonet import FrameFeature
 
 IOU_OVERRIDE_THRESHOLD = 0.5
 
@@ -31,10 +30,12 @@ IOU_OVERRIDE_THRESHOLD = 0.5
 @dataclass
 class RefCache:
     """Frame (and audio) features by stream position: after frame t, those
-    of frames t-capacity+1..t, all that later frames can reference."""
+    of frames t-capacity+1..t, all that later frames can reference.  A
+    frame's entry is its backbone output `FrameFeature.f`, without the skip
+    maps that only its own mask decoder reads."""
 
     capacity: int
-    features: dict[int, FrameFeature] = field(default_factory=dict)
+    features: dict[int, Tensor] = field(default_factory=dict)
     audio: dict[int, Tensor] = field(default_factory=dict)
     frames_processed: int = 0
 
@@ -208,7 +209,8 @@ def infer_frame(
     idx = cache.frames_processed
     indices = reference_indices(idx, cache.capacity)
     with no_grad():
-        cache.features[idx] = model.extract(frame)
+        target = model.extract(frame)
+        cache.features[idx] = target.f
         refs = [cache.features[i] for i in indices]
         audio_feats = None
         if cfg.audio_enabled:
@@ -216,7 +218,7 @@ def infer_frame(
                 raise ArgumentError("model expects an audio window per frame")
             cache.audio[idx] = model.audio_feature(audio_window)
             audio_feats = [cache.audio[i] for i in indices + [idx]]
-        probs, masks = model.forward_features(cache.features[idx], refs, audio_feats)
+        probs, masks = model.forward_features(target, refs, audio_feats)
     pred = postprocess(
         FramePrediction(class_probs=probs.data, mask_logits=masks.data, frame_index=idx),
         cfg.num_classes,

@@ -18,8 +18,8 @@ buffer, get their noise, and are clipped and cast into the clip's
 float32 frames.  Generation so holds the clip's frames plus one chunk,
 and no dense mask of the whole clip: a clip holds its masks only as the
 words `write_clip` stores, and `SpriteClip.masks(t)` decodes one frame's
-planes.  `write_clip` writes a
-generated clip's own arrays as they are.  `read_clip` validates every
+planes.  `write_clip` writes a generated clip's own arrays as they are,
+and takes no read clip.  `read_clip` validates every
 stream without expanding it, and checks every frame and every audio
 sample, `_CHECK_BYTES` of them at a time, but keeps neither frames nor
 waveform: a read clip's `frames` and `waveform` are `StoredBlock`s that
@@ -150,8 +150,8 @@ class SpriteClip:
     gt_identities: np.ndarray  # (G,) uint32, unique within the clip
     visibility: np.ndarray  # (T,G) bool
     # (T, eta) float32 mono at SAMPLE_RATE, row t frame t's eta =
-    # samples_per_frame samples: an array for a generated clip; for a read
-    # clip a StoredBlock that reads one row from disk per index
+    # round(SAMPLE_RATE / fps_stream) samples: an array for a generated clip;
+    # for a read clip a StoredBlock that reads one row from disk per index
     waveform: np.ndarray | StoredBlock
     fps_stream: int
     seed: int
@@ -165,10 +165,6 @@ class SpriteClip:
     @property
     def num_instances(self) -> int:
         return self.gt_classes.shape[0]
-
-    @property
-    def samples_per_frame(self) -> int:
-        return round(SAMPLE_RATE / self.fps_stream)
 
     def audio_window(self, t: int) -> np.ndarray:
         """Frame t's eta samples of the waveform."""
@@ -350,25 +346,18 @@ def generate_clip(seed: int, cfg: RunConfig) -> SpriteClip:
 
 
 def write_clip(clip: SpriteClip, path: str | Path) -> None:
-    """Persist a clip as manifest.json + tensors.bin (masks RLE per frame).
-
-    A generated clip's float32 frames and waveform are written as they are,
-    without a copy; a read clip's are read from its tensors.bin one frame
-    at a time into the arrays written.
+    """Persist a generated clip as manifest.json + tensors.bin (masks RLE
+    per frame).  Its float32 frames and waveform are written as they are,
+    without a copy.  A read clip, whose blocks stay in its own tensors.bin,
+    raises ArgumentError.
     """
+    if isinstance(clip.frames, StoredBlock) or isinstance(clip.waveform, StoredBlock):
+        raise ArgumentError(f"write_clip takes a generated clip; {clip.clip_id!r} was read from disk")
     t_frames, _, h, w = clip.frames.shape
-    g, eta = clip.num_instances, clip.samples_per_frame
-    if isinstance(clip.frames, StoredBlock):  # a read clip: frame by frame from its tensors.bin
-        frames = np.empty((t_frames, 3, h, w), "<f4")
-        waveform = np.empty((t_frames, eta), "<f4")
-        for t in range(t_frames):
-            frames[t] = clip.frames[t]
-            waveform[t] = clip.waveform[t]
-    else:  # a generated clip's own arrays, not copied when float32
-        frames, waveform = np.asarray(clip.frames, "<f4"), np.asarray(clip.waveform, "<f4")
+    g = clip.num_instances
     blocks: dict[str, np.ndarray] = {
-        "frames": frames,
-        "waveform": waveform.reshape(-1),
+        "frames": np.asarray(clip.frames, "<f4"),
+        "waveform": np.asarray(clip.waveform, "<f4").reshape(-1),
         "gt_classes": clip.gt_classes.astype("<u4"),
         "gt_identities": clip.gt_identities.astype("<u4"),
         "visibility": clip.visibility.astype("<u1"),

@@ -54,10 +54,6 @@ class Backbone(Module):
                 skips.append(x)
         return FrameFeature(f=x, skips=(skips[0], skips[1]))
 
-    def conv_weights(self) -> list[tuple[str, Tensor, int, int]]:
-        """(name, weight, stride, pad) per conv, for the Lipschitz analyzer."""
-        return [(f"{self.name}.b{i}_conv", conv.w, conv.stride, conv.pad) for i, (conv, _) in enumerate(self.blocks)]
-
 
 class MaskFeatureDecoder(Module):
     """Two lateral-conv + upsample + add-skip + 3x3-conv stages, then 1x1 out.

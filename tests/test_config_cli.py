@@ -76,6 +76,14 @@ class TestCLIBasics:
             assert field.name in help_text, field.name
             assert field.metadata["valid"] in help_text
 
+    def test_analyze_lipschitz_is_gone_exit_2(self, capsys):
+        # its "product bound" left out the GroupNorms, so it bounded nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze-lipschitz"])
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_CONFIG
+        assert "invalid choice: 'analyze-lipschitz'" in err and "Traceback" not in err
+
     def test_bench_latency_paper_row(self, capsys):
         rc = main(["bench-latency", "--fps-stream", "6", "--fps-model", "89.4", "--clip", "36"])
         out = capsys.readouterr().out
@@ -122,11 +130,14 @@ class TestCLIBasics:
     @pytest.mark.parametrize(
         "channels, want", [(8, EXIT_CONFIG), (12, EXIT_CONFIG), (20, EXIT_CONFIG), (144, EXIT_CONFIG), (16, 0), (48, 0)]
     )
-    def test_backbone_channels_off_the_group_norm_grid_exit_2(self, channels, want, capsys):
-        size = ["--set", "image_h=32", "--set", "image_w=48", "--p", "inf"]
-        rc = main(["analyze-lipschitz", "--set", f"backbone_channels={channels}", *size])
+    def test_backbone_channels_off_the_group_norm_grid_exit_2(self, channels, want, capsys, tmp_path):
+        clip, out = tmp_path / "clip", tmp_path / "attn"
+        write_clip(generate_clip(0, RunConfig(image_h=32, image_w=48, gen_frames=2).validate()), clip)
+        size = ["--set", "image_h=32", "--set", "image_w=48", "--clip", str(clip)]
+        rc = main(["dump-attention", "--set", f"backbone_channels={channels}", *size, "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == want
+        assert out.exists() == (want == 0)
         assert ("multiple of 16 in [16, 128]" in err) == (want == EXIT_CONFIG) and "Traceback" not in err
 
     def test_sprites_wider_than_the_canvas_exit_2(self, capsys, tmp_path):
@@ -248,7 +259,6 @@ class TestCLIBasics:
         commands = (
             ["probe-order", "--clip", clip],
             ["dump-attention", "--clip", clip, "--out", str(tmp_path / "attn")],
-            ["analyze-lipschitz"],
         )
         for command in commands:
             capsys.readouterr()
@@ -369,9 +379,11 @@ class TestCLIPipelines:
         header = pgms[0].read_bytes()[:2]
         assert header == b"P5"
 
-        assert main(["analyze-lipschitz", "--ckpt", ckpt, "--p", "2", "--out", str(tmp_path / "lip.csv")]) == 0
-        text = (tmp_path / "lip.csv").read_text()
-        assert "product/backbone" in text and "local_ratio/encoder" in text
+        probe = ["probe-order", "--ckpt", ckpt, "--data", str(tmp_path / "d"), "--no-override"]
+        assert main([*probe, "--out", str(tmp_path / "all.csv")]) == 0
+        lines = (tmp_path / "all.csv").read_text().splitlines()
+        assert "model=trained" in lines[0] and lines[1].startswith("clip,t,eps")
+        assert len(lines) == 2 + 3  # the probe split's one 4-frame clip
 
     def test_infer_dump_matches_tracker_history(self, tmp_path, capsys):
         # class_threshold=0 fires every slot, so a 2-iteration model has tracks to dump

@@ -10,7 +10,7 @@ import pytest
 
 from rcfvis import cli
 from rcfvis.cli import EXIT_IO, main
-from rcfvis.config import RunConfig
+from rcfvis.config import SAMPLE_RATE, RunConfig
 from rcfvis.container import read_container, rle_decode, rle_encode, write_container
 from rcfvis.errors import FormatError
 from rcfvis.model import RCFModel
@@ -496,7 +496,7 @@ def test_a_window_damaged_after_read_clip_is_format_error(clip_and_checkpoint, t
     shutil.copytree(clip_dir, tmp_path / "clip")
     clip = read_clip(tmp_path / "clip")
     before = [clip.audio_window(t) for t in range(clip.num_frames)]
-    eta = clip.samples_per_frame
+    eta = round(SAMPLE_RATE / clip.fps_stream)
     assert [w.shape for w in before] == [(eta,)] * 2 and all(w.dtype == np.float32 for w in before)
     with open(tmp_path / "clip" / "tensors.bin", "r+b") as fh:
         fh.seek(entry["offset"] + (eta + 7) * 4)

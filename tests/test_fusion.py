@@ -122,6 +122,11 @@ def layout(h=8, w=12, k=2, audio=2):
     return TokenLayout(h=h, w=w, k=k, audio_len=audio)
 
 
+def n_tokens(lay: TokenLayout) -> int:
+    """The token count of a layout: the end of its last segment."""
+    return lay.segment_slices()["audio"].stop
+
+
 class TestFusionEncoder:
     def make(self, dim=16, heads=4, depth=2, seed=0):
         return FusionEncoder("enc", dim, heads, depth, module_rng(seed, "enc"))
@@ -134,7 +139,7 @@ class TestFusionEncoder:
     def test_attention_rows_sum_to_one(self, rng):
         enc = self.make()
         lay = TokenLayout(h=2, w=3, k=1, audio_len=2)
-        diag = enc.attention_maps(Tensor(rng.standard_normal((lay.total, 16))), lay)
+        diag = enc.attention_maps(Tensor(rng.standard_normal((n_tokens(lay), 16))), lay)
         for layer in diag.attention:
             assert np.abs(layer.sum(axis=2) - 1.0).max() < 1e-6
 
@@ -155,7 +160,7 @@ class TestFusionEncoder:
             layer.ffn.fc2.w.data[:] = 0.0
             layer.ffn.fc2.b.data[:] = 0.0
         lay = TokenLayout(h=2, w=2, k=1, audio_len=0)
-        x = rng.standard_normal((lay.total, 16))
+        x = rng.standard_normal((n_tokens(lay), 16))
         fused = enc(Tensor(x))
         assert np.array_equal(fused.data, x)
 
@@ -199,7 +204,7 @@ class TestLayoutAndSplit:
         model = RCFModel(cfg)
         clip_frame = np.zeros((3, 64, 96))
         target = model.extract(clip_frame)
-        refs = [model.extract(clip_frame)]
+        refs = [model.extract(clip_frame).f]
         feats = [Tensor(np.zeros(cfg.audio_dim)) for _ in range(2)]
         tokens = model.build_tokens(target, refs, feats)
         assert tokens.shape[0] == 96 + 4 + 2 == 102
@@ -218,15 +223,15 @@ class TestLayoutAndSplit:
         cfg = RunConfig(**overrides).validate()
         model = RCFModel(cfg)
         frame = np.zeros((3, cfg.image_h, cfg.image_w))
-        refs = [model.extract(frame) for _ in range(cfg.ref_frames)]
+        refs = [model.extract(frame).f for _ in range(cfg.ref_frames)]
         feats = [Tensor(np.zeros(cfg.audio_dim)) for _ in range(cfg.ref_frames + 1)] if cfg.audio_enabled else None
         built = model.build_tokens(model.extract(frame), refs, feats)
-        assert built.shape[0] == model.token_layout(*cfg.feature_hw).total
+        assert built.shape[0] == n_tokens(model.token_layout(*cfg.feature_hw))
 
     def test_split_round_trip(self, rng):
         lay = layout()
         c = 16
-        tokens = rng.standard_normal((lay.total, c))
+        tokens = rng.standard_normal((n_tokens(lay), c))
         tgt_map = split_fused(Tensor(tokens), lay)
         assert tgt_map.shape == (c, lay.h, lay.w)
         # reshape(flatten(x)) == x
@@ -235,7 +240,10 @@ class TestLayoutAndSplit:
 
     def test_layout_arithmetic(self):
         lay = layout()
-        assert lay.total - lay.n_target - lay.audio_len == lay.k * lay.k
+        slices = lay.segment_slices()
+        assert [slices[name] for name in ("target", "reference", "audio")] == [
+            slice(0, 96), slice(96, 100), slice(100, 102)
+        ]
 
 
 def test_audio_flag_keeps_visual_blocks_bit_identical(rng):
@@ -244,7 +252,7 @@ def test_audio_flag_keeps_visual_blocks_bit_identical(rng):
     m_on, m_off = RCFModel(cfg_on), RCFModel(cfg_off)
     frame = rng.random((3, 64, 96))
     t_on, t_off = m_on.extract(frame), m_off.extract(frame)
-    r_on, r_off = [m_on.extract(frame)], [m_off.extract(frame)]
+    r_on, r_off = [m_on.extract(frame).f], [m_off.extract(frame).f]
     feats = [Tensor(np.zeros(cfg_on.audio_dim)) for _ in range(2)]
     tokens_on = m_on.build_tokens(t_on, r_on, feats)
     tokens_off = m_off.build_tokens(t_off, r_off, None)

@@ -123,7 +123,7 @@ def test_a_recorded_conv_calls_each_entry_point_once(rng, monkeypatch):
     assert calls == dict.fromkeys(ENTRY_POINTS, 1)
 
 
-@pytest.mark.parametrize("module", ["tensor", "analysis"])
+@pytest.mark.parametrize("module", ["tensor"])
 def test_kernel_callers_name_only_the_entry_points(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     used = {

@@ -28,9 +28,6 @@ PACKAGE = SRC / "rcfvis"
 ALLOWED = {
     "tensor.py grad_check": "the tests' finite-difference gradient oracle",
     "tensor.py set_strict_finite": "the tests' switch for raising on non-finite tape values",
-    "linalg.py norm_order.<locals>.<genexpr>": (
-        "message of an unsupported norm order, which only the Python API can pass: the CLI's choices are valid"
-    ),
 }
 
 TINY = """\
@@ -77,8 +74,6 @@ def trace_commands(work: Path) -> set:
         ["dump-attention", *flags, "--clip", clip, "--frame", "1", "--out", str(work / "attn_flags")],
         ["probe-order", *flags, "--data", str(data), "--out", str(work / "probe.csv")],
         ["probe-order", "--ckpt", ckpt, "--clip", clip, "--no-override", "--out", str(work / "probe_clip.csv")],
-        ["analyze-lipschitz", "--ckpt", ckpt, "--out", str(work / "lip.csv")],
-        ["analyze-lipschitz", *flags, "--p", "inf"],
         ["bench-latency", "--fps-stream", "6", "--fps-model", "89.4"],
     ]
     failures = [

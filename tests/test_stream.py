@@ -9,7 +9,7 @@ from rcfvis.instance_head import FramePrediction
 from rcfvis.model import RCFModel, reference_indices
 from rcfvis.stream import RefCache, TrackState, infer_frame, mask_iou, postprocess, stream_clip, track_update
 from rcfvis.synthav import generate_clip, read_clip, write_clip
-from rcfvis.tensor import no_grad
+from rcfvis.tensor import Tensor, no_grad
 from rcfvis.training import sample_window
 from rcfvis.videonet import Backbone
 
@@ -387,7 +387,7 @@ def test_each_frame_fuses_the_audio_of_its_references_then_its_own():
         for t in range(clip.num_frames):
             pred = infer_frame(model, clip.frames[t], clip.audio_window(t), cache, state, t)
             order = reference_indices(t, delta) + [t]
-            target, refs = model.extract(clip.frames[t]), [model.extract(clip.frames[i]) for i in order[:-1]]
+            target, refs = model.extract(clip.frames[t]), [model.extract(clip.frames[i]).f for i in order[:-1]]
             probs, logits = model.forward_features(target, refs, [feats[i] for i in order])
             assert probs.data.tobytes() == pred.class_probs.tobytes(), t
             assert logits.data.tobytes() == pred.mask_logits.tobytes(), t
@@ -402,8 +402,10 @@ def test_each_frame_fuses_the_audio_of_its_references_then_its_own():
 @pytest.mark.parametrize("delta", [0, 1, 2, 3])
 def test_stream_cache_stays_bounded(delta):
     # the cache is keyed by stream position: after frame t it holds frames
-    # t-delta+1..t, the only ones a later frame can reference
+    # t-delta+1..t, the only ones a later frame can reference, and of each
+    # only its backbone output, not the skip maps its own mask decoder read
     model = small_model(ref_frames=delta)
+    f_shape = (model.cfg.backbone_channels, *model.cfg.feature_hw)
     clip = small_clip(seed=delta, frames=6)
     cache = RefCache(capacity=delta)
     state = TrackState(num_slots=model.cfg.num_slots)
@@ -411,6 +413,7 @@ def test_stream_cache_stays_bounded(delta):
         infer_frame(model, clip.frames[t].astype(np.float64), clip.audio_window(t), cache, state, t)
         assert len(cache.features) <= delta and len(cache.audio) <= delta, t
         assert sorted(cache.features) == sorted(cache.audio) == list(range(max(t + 1 - delta, 0), t + 1)), t
+        assert all(type(f) is Tensor and f.shape == f_shape for f in cache.features.values()), t
 
 
 def test_a_read_clip_streams_like_the_generated_clip(tmp_path):

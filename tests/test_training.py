@@ -191,9 +191,11 @@ class TestCheckpoint:
             edited = json.loads(json.dumps(meta))
             edit(edited["groups"])
             write_container(tmp_path / edit_name, edited, blocks)
+        write_clip(generate_clip(0, cfg), tmp_path / "clip")
         for ckpt in ("per_parameter", *edits):
             capsys.readouterr()
-            assert main(["analyze-lipschitz", "--ckpt", str(tmp_path / ckpt)]) == EXIT_IO, ckpt
+            rc = main(["probe-order", "--ckpt", str(tmp_path / ckpt), "--clip", str(tmp_path / "clip")])
+            assert rc == EXIT_IO, ckpt
             assert "parameter group layout" in capsys.readouterr().err, ckpt
 
 

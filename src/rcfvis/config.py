@@ -2,9 +2,10 @@
 
 The `RunConfig` dataclass is the registry: each field declares a key once,
 with its default, and its metadata carries the valid-range text and the
-check.  The kind (int, float, bool or str) is the type of the default.
-Unknown keys are rejected.  The CLI builds its --help from these fields and
-accepts the same keys as overrides.
+check.  The kind (int, float or bool) is the type of the default, and a
+value of another kind is rejected before the check runs.  Unknown keys are
+rejected.  The CLI builds its --help from these fields and accepts the same
+keys as overrides.
 """
 
 from __future__ import annotations
@@ -39,6 +40,14 @@ def _key(default, valid: str, check):
 
 def _kind(f) -> str:
     return type(f.default).__name__
+
+
+def _is_kind(f, value) -> bool:
+    """Whether value is of f's kind: a float key also takes an int, and a bool
+    is neither an int nor a float."""
+    if isinstance(f.default, float) and not isinstance(value, bool):
+        return isinstance(value, (int, float))
+    return type(value) is type(f.default)
 
 
 @dataclass
@@ -88,11 +97,12 @@ class RunConfig:
     class_threshold: float = _key(0.4, "[0, 1]", _range(0, 1))
     track_max_gap: int = _key(5, "[0, 1000]", _range(0, 1000))
     iou_override: bool = _key(True, "true or false", lambda v: isinstance(v, bool))
-    probe_norm_p: str = _key("1", "1, 2 or inf", _choice("1", "2", "inf"))
 
     def validate(self) -> "RunConfig":
         for f in fields(self):
             value = getattr(self, f.name)
+            if not _is_kind(f, value):
+                raise ConfigError(f"config key {f.name}={value!r} is not of kind {_kind(f)}")
             if not f.metadata["check"](value):
                 raise ConfigError(f"config key {f.name}={value!r} outside valid range ({f.metadata['valid']})")
         if self.token_dim % self.heads:

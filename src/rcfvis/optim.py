@@ -4,10 +4,10 @@ Storage.  Parameters that share one (lr_mult, weight_decay) pair form a
 group, and each group keeps four contiguous float64 arrays: parameters,
 gradients, first moments and second moments, laid out in the order of the
 group's `names`.  These arrays are the optimizer's only store: every
-parameter's `Tensor.data` and its gradient slot are views into them, so the
-tape's in-place `Tensor._accum` adds straight into the gradient array once
-`OptimState.zero_grads` has pointed each `Tensor.grad` at its slot, and a
-checkpoint writes each group's arrays as they are.
+parameter's `Tensor.data` and `Tensor.grad` are views into them, pointed
+there once by `OptimState.create`, so the tape's in-place `Tensor._accum`
+adds straight into the gradient array (a backward leaves a leaf's `grad` in
+place), and a checkpoint writes each group's arrays as they are.
 
 Update.  `adamw_step` walks each group's arrays in chunks of `_CHUNK`
 elements (fixed when the state is created) through two preallocated
@@ -66,20 +66,20 @@ class FlatGroup:
 class OptimState:
     """The groups' flat arrays plus schedule bookkeeping.
 
-    Parameters (`Tensor.data`) and gradient slots (`grads`) are views into
-    the arrays of `flat`.  Write them in place (`p.data[...] = x`); a
+    Parameters (`Tensor.data`) and their gradients (`Tensor.grad`) are views
+    into the arrays of `flat`.  Write them in place (`p.data[...] = x`); a
     rebound name no longer reaches the arrays that `adamw_step` updates.
     """
 
-    grads: dict[str, np.ndarray] = field(default_factory=dict)
     flat: list[FlatGroup] = field(default_factory=list)
     scratch: np.ndarray = field(default_factory=lambda: np.empty((2, 0)))
     step: int = 0
 
     @staticmethod
     def create(params: dict[str, Tensor], groups: dict[str, ParamGroup]) -> "OptimState":
-        """Moments at zero; rebinds each `p.data` to its view of a group's array.
-        `groups` names the group of every parameter."""
+        """Gradients and moments at zero; rebinds each `p.data` and `p.grad` to
+        its views of a group's arrays.  `groups` names the group of every
+        parameter."""
         state = OptimState()
         members: dict[tuple[float, float], list[str]] = {}
         for name in params:
@@ -96,20 +96,18 @@ class OptimState:
                 view = slice(start, start + p.data.size)
                 flat.data[view] = p.data.ravel()
                 p.data = flat.data[view].reshape(shape)
-                state.grads[name] = flat.grad[view].reshape(shape)
+                p.grad = flat.grad[view].reshape(shape)
                 start = view.stop
             state.flat.append(flat)
         largest = max((flat.data.size for flat in state.flat), default=0)
         state.scratch = np.empty((2, max(1, min(_CHUNK, largest))))
         return state
 
-    def zero_grads(self, params: dict[str, Tensor]) -> None:
-        """Zero the gradient arrays and point each `p.grad` at its slot, so
-        that backward accumulates in place (0.0 + g == g exactly)."""
+    def zero_grads(self) -> None:
+        """Zero the gradient arrays, which backward then accumulates into in
+        place (0.0 + g == g exactly)."""
         for flat in self.flat:
             flat.grad.fill(0.0)
-        for name, p in params.items():
-            p.grad = self.grads[name]
 
 
 def adamw_step(state: OptimState, lr: float) -> None:

@@ -35,6 +35,9 @@ gradient to where that output is positive.  max(x, 0) > 0 exactly where
 x > 0, and none of the three backwards reads the values the ReLU
 overwrites, so the fused node gives the bits of the op followed by a
 separate ReLU node, with one array and one node fewer.
+
+No op checks its output for finiteness: `train_loop` checks the loss and
+the gradients before each optimizer step.
 """
 
 from __future__ import annotations
@@ -48,15 +51,6 @@ from . import _kernels
 from .errors import ArgumentError, NumericError
 
 _GRAD_ENABLED = True
-_STRICT_FINITE = False
-
-
-def set_strict_finite(enabled: bool) -> bool:
-    """Toggle per-operation finiteness checks; returns the previous setting."""
-    global _STRICT_FINITE
-    prev = _STRICT_FINITE
-    _STRICT_FINITE = bool(enabled)
-    return prev
 
 
 class no_grad:
@@ -87,14 +81,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g
-
-
-def _relu_in_place(data: np.ndarray) -> None:
-    """data = max(data, 0).  Strict mode checks data first, as it would have
-    checked the op's output before a separate ReLU: the ReLU turns -inf into 0."""
-    if _STRICT_FINITE and not np.isfinite(data).all():
-        raise NumericError("non-finite value produced by tensor operation")
-    np.maximum(data, 0.0, out=data)
 
 
 def _relu_grad(out: Tensor, relu: bool) -> np.ndarray:
@@ -136,8 +122,6 @@ class Tensor:
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
-        if _STRICT_FINITE and not np.isfinite(out.data).all():
-            raise NumericError("non-finite value produced by tensor operation")
         return out
 
     # -- basic protocol ------------------------------------------------------
@@ -383,7 +367,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) ->
     if b is not None:
         out_data += b.data
     if relu:
-        _relu_in_place(out_data)
+        np.maximum(out_data, 0.0, out=out_data)
 
     def bw(a=x, w=w, b=b):
         g = _relu_grad(out, relu)
@@ -421,7 +405,7 @@ def normalize(x: Tensor, gain: Tensor, bias: Tensor, stat_shape: tuple[int, int]
     np.multiply(norm.reshape(x.shape), gain.data, out=out_data)
     out_data += bias.data
     if relu:
-        _relu_in_place(out_data)
+        np.maximum(out_data, 0.0, out=out_data)
 
     def bw(a=x, gain=gain, bias=bias):
         g = _relu_grad(out, relu)
@@ -561,7 +545,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int, relu: bool = 
     out_data = _kernels.conv2d_forward(x.data, w.data, stride, pad)
     out_data += b.data[:, None, None]
     if relu:
-        _relu_in_place(out_data)
+        np.maximum(out_data, 0.0, out=out_data)
 
     def bw(a=x, w=w, b=b):
         g = _relu_grad(out, relu)

@@ -85,7 +85,7 @@ def frame_ground_truth(clip: SpriteClip, t: int, mask_hw: tuple[int, int]) -> tu
 
 
 def match_and_loss(class_probs: Tensor, mask_logits: Tensor, clip: SpriteClip, t: int, cfg: RunConfig) -> LossReport:
-    _, classes, masks = frame_ground_truth(clip, t, cfg.mask_hw)
+    _, classes, masks = frame_ground_truth(clip, t, mask_logits.shape[1:])
     sim = similarity_matrix(class_probs.data, mask_logits.data, masks.astype(np.float64), classes)
     assignment = hungarian_assign(sim)
     return set_loss(class_probs, mask_logits, classes, masks, assignment, cfg.num_classes)
@@ -131,7 +131,7 @@ def load_checkpoint(path: str | Path) -> tuple[RCFModel, OptimState, int]:
             raise FormatError(f"checkpoint at {path} has unknown config key {key!r}")
     try:
         cfg = RunConfig(**config).validate()
-    except (ConfigError, TypeError) as e:  # TypeError: e.g. a string where a range check wants a number
+    except ConfigError as e:
         raise FormatError(f"checkpoint at {path} has an invalid config: {e}") from e
     model = RCFModel(cfg)
     state = OptimState.create(model.params(), model.param_groups())
@@ -203,8 +203,7 @@ def train_loop(cfg: RunConfig, data_dir: str | Path, out_dir: str | Path) -> Tra
             )
 
     model = RCFModel(cfg)
-    params = model.params()
-    state = OptimState.create(params, model.param_groups())
+    state = OptimState.create(model.params(), model.param_groups())
     rng = np.random.default_rng([cfg.seed & 0xFFFFFFFF, zlib.crc32(b"train_loop")])
 
     metrics_path = out_dir / "metrics.csv"
@@ -220,7 +219,7 @@ def train_loop(cfg: RunConfig, data_dir: str | Path, out_dir: str | Path) -> Tra
             report = match_and_loss(probs, masks, clip, t, cfg)
             failed = None if np.isfinite(report.total) else "loss"
             if failed is None:
-                state.zero_grads(params)
+                state.zero_grads()
                 report.loss.backward()
                 # checked before the step, which would spread one NaN to every parameter
                 failed = None if all(np.isfinite(flat.grad).all() for flat in state.flat) else "gradient"

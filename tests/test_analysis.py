@@ -68,8 +68,8 @@ def probe_cfg(**kw):
     return RunConfig(image_h=32, image_w=48, audio_enabled=False, num_slots=6, gen_noise=0.0, **kw).validate()
 
 
-def probe_model():
-    return RCFModel(probe_cfg())
+def probe_model(**kw):
+    return RCFModel(probe_cfg(**kw))
 
 
 def static_clip(seed=0, frames=4):
@@ -81,27 +81,26 @@ def static_clip(seed=0, frames=4):
 
 class TestOrderProbe:
     def test_duplicated_frames_zero_discrepancy(self):
-        model = probe_model()
+        # class_threshold=0 fires every slot, so the one sprite is followed on every frame
+        model = probe_model(class_threshold=0.0)
         report = order_stability_probe(model, static_clip())
-        assert len(report.rows) == 3
-        for row in report.rows:
-            assert row.eps == 0.0
-            assert row.delta == pytest.approx(0.0, abs=1e-12)
-            assert row.ratio == 0.0
-            assert not row.changed
+        assert [(r.t, r.tracked, r.switched) for r in report.rows] == [(1, 1, 0), (2, 1, 0), (3, 1, 0)]
+        assert report.switch_rate == 0.0
 
     def test_hard_cut_has_maximal_output_discrepancy(self):
-        model = probe_model()
+        model = probe_model(class_threshold=0.0)
         a = generate_clip(1, probe_cfg(gen_frames=4, gen_min_sprites=1, gen_max_sprites=1))
         b = generate_clip(99, probe_cfg(gen_frames=4, gen_min_sprites=2, gen_max_sprites=2))
         cut = hard_cut_clip(a, b)
         assert cut.num_frames == 8
         assert cut.masks(0).shape[0] == a.num_instances + b.num_instances
         report = order_stability_probe(model, cut)
-        deltas = [r.delta for r in report.rows]
         cut_row = report.rows[a.num_frames - 1]
         assert cut_row.t == a.num_frames
-        assert cut_row.delta == max(deltas)
+        # no ground truth is visible on both sides of the cut, so none is followed across it
+        assert cut_row.tracked == cut_row.switched == 0
+        assert all(r.tracked > 0 for r in report.rows if r is not cut_row)
+        assert report.switch_rate == 0.0
 
     def test_probe_rejects_single_frame(self):
         model = probe_model()
@@ -114,12 +113,3 @@ class TestOrderProbe:
         )
         with pytest.raises(ArgumentError):
             order_stability_probe(model, one)
-
-    def test_probe_p_variants(self):
-        model = probe_model()
-        clip = static_clip()
-        for p in (1, 2, "inf"):
-            report = order_stability_probe(model, clip, p=p)
-            assert len(report.rows) == clip.num_frames - 1
-        with pytest.raises(ArgumentError, match="unsupported norm order"):
-            order_stability_probe(model, clip, p=3)

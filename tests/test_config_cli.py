@@ -178,11 +178,13 @@ class TestCLIBasics:
         write_clip(generate_clip(0, cfg), clip)
         assert main(["infer", "--ckpt", str(tmp_path / "ckpt"), "--clip", str(clip), "--out", str(tmp_path / "ok")]) == 0
 
-        # checkpoints written while ref_compress was a key carry it, and are rejected
-        for key, value in (
-            ("bogus", 1), ("fps_stream", 6.0), ("sim_dice", "coeff"), ("ref_compress", "pool"), ("num_slots", 1000)
-        ):
-            ckpt = tmp_path / f"ckpt_{key}"
+        # checkpoints written while ref_compress or probe_norm_p was a key carry
+        # it, and are rejected; so is a value of another kind than its key's
+        for i, (key, value) in enumerate((
+            ("bogus", 1), ("fps_stream", 6.0), ("sim_dice", "coeff"), ("ref_compress", "pool"), ("num_slots", 1000),
+            ("probe_norm_p", "1"), ("num_slots", 4.0), ("heads", True), ("seed", 1.5), ("image_h", 32.0), ("lr0", True),
+        )):
+            ckpt = tmp_path / f"ckpt_{i}"
             shutil.copytree(tmp_path / "ckpt", ckpt)
             manifest = json.loads((ckpt / "manifest.json").read_text())
             manifest["meta"]["config"][key] = value
@@ -289,7 +291,7 @@ class TestCLIPipelines:
         h = hashlib.blake2b(digest_size=16)
         for name, data in files.items():
             h.update(name.encode() + b"\0" + data)
-        assert h.hexdigest() == "d32021a0ec50625efffcf067c3aed21a"
+        assert h.hexdigest() == "3327a40185fd79d32903ef8ee72e530a"
 
     def test_diverging_run_exits_4_without_numpy_warnings(self, tmp_path, capsys):
         # at lr0=1 a class probability underflows to 0 by iteration 2; the
@@ -356,6 +358,34 @@ class TestCLIPipelines:
         assert str(clips[first]) in err
         assert not (tmp_path / "r" / "metrics.csv").exists()
 
+    def test_train_takes_the_mask_grid_from_the_prediction(self, tmp_path, capsys):
+        # a 64x96 corpus trains under a 32x48 config as under its own size:
+        # the model's grid follows the frames, and so does the ground truth's
+        corpus = ["--set", "train_clips=1", "--set", "val_clips=1", "--set", "probe_clips=1", "--set", "gen_frames=2"]
+        assert main(["gen-data", "--out", str(tmp_path / "d"), *corpus]) == 0
+        run = ["train", "--data", str(tmp_path / "d"), "--set", "iter_max=2", "--set", "num_slots=4"]
+        assert main([*run, "--out", str(tmp_path / "own")]) == 0
+        assert main([*run, "--out", str(tmp_path / "small"), "--set", "image_h=32", "--set", "image_w=48"]) == 0
+        metrics = [(tmp_path / name / "metrics.csv").read_bytes() for name in ("own", "small")]
+        assert metrics[0] == metrics[1] and len(metrics[0].splitlines()) == 3
+
+    def test_probe_takes_the_mask_grid_from_the_prediction(self, tmp_path, capsys):
+        cfg = RunConfig(image_h=32, image_w=48, num_slots=4, class_threshold=0.0).validate()
+        model = RCFModel(cfg)
+        save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params(), model.param_groups()), 0)
+        clip_dir = tmp_path / "clip"
+        big = RunConfig(gen_frames=3, gen_max_sprites=2, gen_min_radius=16.0, gen_max_radius=20.0)
+        write_clip(generate_clip(1, big), clip_dir)  # 64x96, with a sprite that a slot follows
+        out = tmp_path / "probe.csv"
+        assert main(["probe-order", "--ckpt", str(tmp_path / "ckpt"), "--clip", str(clip_dir), "--out", str(out)]) == 0
+        model.cfg = RunConfig(num_slots=4, class_threshold=0.0).validate()  # the clip's own size
+        clip = read_clip(clip_dir)
+        report = order_stability_probe(model, clip)
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[2:]
+        assert rows == [[clip.clip_id, str(r.t), str(r.tracked), str(r.switched)] for r in report.rows]
+        assert len(rows) == 2 and sum(r.tracked for r in report.rows) > 0
+
     def test_infer_dump_and_probe_and_attention(self, tmp_path, capsys):
         args = TINY + ["--set", "iter_max=2", "--set", "ckpt_every=2"]
         main(["gen-data", "--out", str(tmp_path / "d"), "--seed", "4", *TINY])
@@ -370,8 +400,8 @@ class TestCLIPipelines:
 
         assert main(["probe-order", "--ckpt", ckpt, "--clip", clip, "--out", str(tmp_path / "probe.csv")]) == 0
         lines = (tmp_path / "probe.csv").read_text().splitlines()
-        assert "model=trained" in lines[0]
-        assert lines[1].startswith("clip,t,eps")
+        assert lines[0] == "# model=trained"
+        assert lines[1] == "clip,t,tracked,switched"
 
         assert main(["dump-attention", "--ckpt", ckpt, "--clip", clip, "--out", str(tmp_path / "attn")]) == 0
         pgms = list((tmp_path / "attn").glob("*.pgm"))
@@ -382,7 +412,7 @@ class TestCLIPipelines:
         probe = ["probe-order", "--ckpt", ckpt, "--data", str(tmp_path / "d"), "--no-override"]
         assert main([*probe, "--out", str(tmp_path / "all.csv")]) == 0
         lines = (tmp_path / "all.csv").read_text().splitlines()
-        assert "model=trained" in lines[0] and lines[1].startswith("clip,t,eps")
+        assert lines[:2] == ["# model=trained", "clip,t,tracked,switched"]
         assert len(lines) == 2 + 3  # the probe split's one 4-frame clip
 
     def test_infer_dump_matches_tracker_history(self, tmp_path, capsys):
@@ -473,14 +503,11 @@ class TestCLIPipelines:
         assert seen == [False, True]
 
         clip = read_clip(clip_dir)
-        report = order_stability_probe(RCFModel(cfg), clip, p=cfg.probe_norm_p)
-        want = [
-            [clip.clip_id, str(r.t), repr(r.eps), repr(r.delta), repr(r.ratio), str(r.tracked), str(r.switched), str(int(r.changed))]
-            for r in report.rows
-        ]
+        report = order_stability_probe(RCFModel(cfg), clip)
+        want = [[clip.clip_id, str(r.t), str(r.tracked), str(r.switched)] for r in report.rows]
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["# model=random p=1"]
+        assert rows[0] == ["# model=random"]
         assert rows[2:] == want
 
     def test_infer_deterministic(self, tmp_path, capsys):

@@ -10,10 +10,11 @@ from rcfvis.optim import ADAM_EPS, BETA1, BETA2, OptimState, ParamGroup, adamw_s
 from rcfvis.tensor import Tensor
 
 
-def per_tensor_adamw_step(state, lr):
+def per_tensor_adamw_step(state, lr, sizes):
     """Oracle: the update as one loop over single tensors, the body AdamW
     had before its storage went flat.  It walks each group's `names` over
-    slices of the group's arrays and writes them in place."""
+    slices of the group's arrays, `sizes[name]` elements each, and writes
+    them in place."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - BETA1**t
@@ -22,7 +23,7 @@ def per_tensor_adamw_step(state, lr):
         lr_eff = lr * flat.lr_mult
         start = 0
         for name in flat.names:
-            view = slice(start, start + state.grads[name].size)
+            view = slice(start, start + sizes[name])
             start = view.stop
             p, g, m, v = flat.data[view], flat.grad[view], flat.m[view], flat.v[view]
             if flat.weight_decay:
@@ -42,7 +43,7 @@ def make(value, **group):
     state = OptimState.create(params, {"p": ParamGroup(**group)})
 
     def step(g, lr):
-        state.grads["p"][...] = g
+        p.grad[...] = g
         adamw_step(state, lr)
 
     return p, state, step
@@ -133,19 +134,20 @@ class TestFlatStorage:
                 view = slice(start, start + p.data.size)
                 start = view.stop
                 assert np.shares_memory(p.data, flat.data[view])
-                assert np.shares_memory(state.grads[name], flat.grad[view])
+                assert p.grad.shape == p.data.shape and np.shares_memory(p.grad, flat.grad[view])
                 assert p.data.shape == values[name].shape and np.array_equal(p.data, values[name])
             assert start == flat.data.size
-            assert not flat.m.any() and not flat.v.any()
+            assert not flat.grad.any() and not flat.m.any() and not flat.v.any()
 
     def test_zero_grads_points_each_grad_at_its_slot(self):
         params, groups = grouped_params(1)
         state = OptimState.create(params, groups)
+        grads = {name: p.grad for name, p in params.items()}
         for flat in state.flat:
             flat.grad[:] = 3.0
-        state.zero_grads(params)
+        state.zero_grads()
         for name, p in params.items():
-            assert p.grad is state.grads[name] and not p.grad.any()
+            assert p.grad is grads[name] and not p.grad.any()
 
     def test_chunked_update_equals_per_tensor_oracle_bit_for_bit(self, monkeypatch):
         # 1,000-element chunks cut through tensors, and every group's last chunk is ragged
@@ -160,11 +162,11 @@ class TestFlatStorage:
         for step in range(5):
             for name, p in params.items():
                 g = rng.standard_normal(p.data.shape)
-                state.grads[name][...] = g
-                oracle.grads[name][...] = g
+                p.grad[...] = g
+                oracle_params[name].grad[...] = g
             lr = 1e-2 * (1 - step / 5)
             adamw_step(state, lr)
-            per_tensor_adamw_step(oracle, lr)
+            per_tensor_adamw_step(oracle, lr, {name: p.data.size for name, p in params.items()})
         assert state.step == oracle.step == 5
         for name, p in params.items():
             assert p.data.tobytes() == oracle_params[name].data.tobytes(), name

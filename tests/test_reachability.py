@@ -27,7 +27,7 @@ PACKAGE = SRC / "rcfvis"
 # "file qualname" -> why no command enters it
 ALLOWED = {
     "tensor.py grad_check": "the tests' finite-difference gradient oracle",
-    "tensor.py set_strict_finite": "the tests' switch for raising on non-finite tape values",
+    "config.py RunConfig.mask_hw": "the grid that benchmarks/workloads.py checks the model's mask logits against",
 }
 
 TINY = """\

@@ -231,7 +231,8 @@ class TestTrainLoop:
         cfg = tiny_cfg(iter_max=3, seed=seed)
         write_corpus(cfg, tmp_path / "data")
         flat = train_loop(cfg, tmp_path / "data", tmp_path / "flat")
-        monkeypatch.setattr(training, "adamw_step", per_tensor_adamw_step)
+        sizes = {name: p.data.size for name, p in RCFModel(cfg).params().items()}
+        monkeypatch.setattr(training, "adamw_step", lambda state, lr: per_tensor_adamw_step(state, lr, sizes))
         oracle = train_loop(cfg, tmp_path / "data", tmp_path / "oracle")
         for f in ("metrics.csv", "ckpt_final/tensors.bin", "ckpt_final/manifest.json"):
             assert (tmp_path / "flat" / f).read_bytes() == (tmp_path / "oracle" / f).read_bytes(), f
@@ -244,15 +245,15 @@ class TestTrainLoop:
         zero_grads, backward = OptimState.zero_grads, Tensor.backward
         seen, steps = {}, []
 
-        def recording_zero_grads(state, params):
-            seen["params"] = params
-            zero_grads(state, params)
+        def recording_zero_grads(state):
+            seen["state"] = state
+            zero_grads(state)
 
         def poisoned_backward(loss, *args, **kwargs):
             backward(loss, *args, **kwargs)
             seen["calls"] = seen.get("calls", 0) + 1
             if seen["calls"] == 2:
-                next(iter(seen["params"].values())).grad.flat[3] = np.nan
+                seen["state"].flat[0].grad[3] = np.nan
 
         def counting_adamw_step(*args):
             steps.append(1)

@@ -55,7 +55,7 @@ def _load_model(args) -> tuple[RCFModel, bool]:
     for flag, value in (("--config", args.config), ("--set", args.set), ("--seed", args.seed)):
         if value is not None:
             raise ConfigError(f"{flag} cannot be combined with --ckpt, which carries its own config")
-    model, _, _ = load_checkpoint(args.ckpt)
+    model = load_checkpoint(args.ckpt)
     return model, True
 
 
@@ -104,7 +104,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, _, _ = load_checkpoint(args.ckpt)
+    model = load_checkpoint(args.ckpt)
     clip_dirs = list_clip_dirs(Path(args.data) / args.split)
     clips = [read_clip(p) for p in clip_dirs]
     score = evaluate_model_on_clips(model, clips)
@@ -121,7 +121,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    model, _, _ = load_checkpoint(args.ckpt)
+    model = load_checkpoint(args.ckpt)
     clip = read_clip(args.clip)
     preds, state = stream_clip(model, clip)
     out = Path(args.out)

@@ -115,9 +115,7 @@ class RunConfig:
             raise ConfigError("gen_min_radius must not exceed gen_max_radius")
         fh, fw = self.feature_hw
         if self.ref_frames >= 1 and (fh % self.ref_token_k or fw % self.ref_token_k):
-            raise ConfigError(
-                f"feature grid {fh}x{fw} must divide the reference token grid {self.ref_token_k}"
-            )
+            raise ConfigError(f"ref_token_k {self.ref_token_k} must divide the feature grid {fh}x{fw}")
         return self
 
     def to_dict(self) -> dict:

@@ -2,8 +2,9 @@
 
 The manifest is UTF-8 JSON describing named blocks; `tensors.bin` holds the
 raw block bytes back to back, all multi-byte values little-endian.  Clips,
-checkpoints and prediction dumps all reuse this layer.  Binary masks are
-stored run-length encoded: a sequence of (value, run-length) pairs of
+checkpoints and prediction dumps all reuse this layer; a reader checks the
+whole manifest, then reads only the blocks or rows it needs.  Binary masks
+are stored run-length encoded: a sequence of (value, run-length) pairs of
 unsigned 32-bit integers.
 """
 
@@ -202,13 +203,6 @@ def read_blocks(path: str | Path, entries: list[dict]) -> dict[str, np.ndarray]:
         label = f"block {e['name']!r} bytes [{e['offset']}, {e['offset'] + e['nbytes']})"
         reads.append((label, e["offset"], e["shape"], _DTYPES[e["dtype"]]))
     return dict(zip((e["name"] for e in entries), _read_arrays(path, reads)))
-
-
-def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a container directory; returns (meta, {name: array}), with the
-    checks of `read_manifest` and `read_blocks`."""
-    meta, entries = read_manifest(path)
-    return meta, read_blocks(path, entries)
 
 
 def read_rows(path: str | Path, entry: dict, start: int, stop: int) -> np.ndarray:

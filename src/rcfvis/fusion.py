@@ -145,8 +145,6 @@ class ReferenceTokenizer(Module):
             raise ArgumentError(f"reference feature extents differ: {sorted(shapes)}")
         stacked = concat(f_refs, axis=0)
         c, h, w = stacked.shape
-        if h % self.k or w % self.k:
-            raise ArgumentError(f"feature extents {h}x{w} must divide the token grid {self.k}")
         wmap = self.weight_proj(stacked.reshape(c, h * w).transpose()).sigmoid()
         stacked = stacked * wmap.reshape(1, h, w)
         return avg_pool2d(stacked, (self.k, self.k))

@@ -90,16 +90,17 @@ class RCFModel:
             out.update(m.params())
         return out
 
-    def param_groups(self) -> dict[str, ParamGroup]:
-        """Backbone gets the reduced LR; weight matrices get weight decay."""
-        groups = {}
+    def param_groups(self) -> list[ParamGroup]:
+        """The optimizer's groups in array order, each listing its parameters in
+        `params` order: the backbone gets the reduced LR, weight matrices decay."""
+        groups: dict[tuple[float, float], ParamGroup] = {}
         for name in self.params():
             lr_mult = self.cfg.backbone_lr_mult if name.startswith("backbone.") else 1.0
             leaf = name.rsplit(".", 1)[-1]
             decayed = leaf in ("w", "wx", "wh")
             wd = self.cfg.weight_decay if decayed else 0.0
-            groups[name] = ParamGroup(lr_mult=lr_mult, weight_decay=wd)
-        return groups
+            groups.setdefault((lr_mult, wd), ParamGroup(lr_mult, wd, [])).names.append(name)
+        return list(groups.values())
 
     # -- feature extraction ----------------------------------------------------
 

@@ -1,13 +1,14 @@
 """AdamW with decoupled weight decay, per-group LR multipliers, poly schedule.
 
 Storage.  Parameters that share one (lr_mult, weight_decay) pair form a
-group, and each group keeps four contiguous float64 arrays: parameters,
-gradients, first moments and second moments, laid out in the order of the
-group's `names`.  These arrays are the optimizer's only store: every
-parameter's `Tensor.data` and `Tensor.grad` are views into them, pointed
-there once by `OptimState.create`, so the tape's in-place `Tensor._accum`
-adds straight into the gradient array (a backward leaves a leaf's `grad` in
-place), and a checkpoint writes each group's arrays as they are.
+`ParamGroup` (`RCFModel.param_groups` is the rule), and each group keeps
+four contiguous float64 arrays: parameters, gradients, first moments and
+second moments, laid out in the order of the group's `names`.  These arrays
+are the optimizer's only store: every parameter's `Tensor.data` and
+`Tensor.grad` are views into them, pointed there once by
+`OptimState.create`, so the tape's in-place `Tensor._accum` adds straight
+into the gradient array (a backward leaves a leaf's `grad` in place), and a
+checkpoint writes each group's arrays as they are.
 
 Update.  `adamw_step` walks each group's arrays in chunks of `_CHUNK`
 elements (fixed when the state is created) through two preallocated
@@ -44,18 +45,28 @@ _CHUNK = 1 << 15  # elements per walked chunk: 256 KiB of float64 per array
 
 @dataclass
 class ParamGroup:
-    lr_mult: float = 1.0
-    weight_decay: float = 0.0
-
-
-@dataclass
-class FlatGroup:
-    """One group's contiguous parameter, gradient and moment arrays; `names`
-    are its parameters in array order."""
+    """Parameters that share one LR multiplier and weight decay; `names` are
+    in the order of their slots in the group's flat arrays."""
 
     lr_mult: float
     weight_decay: float
     names: list[str]
+
+    def slots(self, params: dict[str, Tensor]):
+        """Each parameter of the group with its slice of the group's flat arrays."""
+        start = 0
+        for name in self.names:
+            p = params[name]
+            yield p, slice(start, start + p.data.size)
+            start += p.data.size
+
+
+@dataclass
+class FlatGroup:
+    """One group's contiguous parameter, gradient and moment arrays."""
+
+    lr_mult: float
+    weight_decay: float
     data: np.ndarray
     grad: np.ndarray
     m: np.ndarray
@@ -76,28 +87,16 @@ class OptimState:
     step: int = 0
 
     @staticmethod
-    def create(params: dict[str, Tensor], groups: dict[str, ParamGroup]) -> "OptimState":
-        """Gradients and moments at zero; rebinds each `p.data` and `p.grad` to
-        its views of a group's arrays.  `groups` names the group of every
-        parameter."""
+    def create(params: dict[str, Tensor], groups: list[ParamGroup]) -> "OptimState":
+        """One flat group per entry of `groups`, in order, holding its
+        parameters' current values; gradients and moments at zero.  Rebinds
+        each `p.data` and `p.grad` to its views of the group's arrays."""
         state = OptimState()
-        members: dict[tuple[float, float], list[str]] = {}
-        for name in params:
-            grp = groups[name]
-            members.setdefault((grp.lr_mult, grp.weight_decay), []).append(name)
-        for (lr_mult, weight_decay), names in members.items():
-            total = sum(params[name].data.size for name in names)
-            arrays = np.empty(total), np.zeros(total), np.zeros(total), np.zeros(total)
-            flat = FlatGroup(lr_mult, weight_decay, names, *arrays)
-            start = 0
-            for name in names:
-                p = params[name]
-                shape = p.data.shape
-                view = slice(start, start + p.data.size)
-                flat.data[view] = p.data.ravel()
-                p.data = flat.data[view].reshape(shape)
-                p.grad = flat.grad[view].reshape(shape)
-                start = view.stop
+        for grp in groups:
+            data = np.concatenate([params[name].data.ravel() for name in grp.names], dtype=np.float64)
+            flat = FlatGroup(grp.lr_mult, grp.weight_decay, data, *(np.zeros(data.size) for _ in range(3)))
+            for p, view in grp.slots(params):
+                p.data, p.grad = data[view].reshape(p.data.shape), flat.grad[view].reshape(p.data.shape)
             state.flat.append(flat)
         largest = max((flat.data.size for flat in state.flat), default=0)
         state.scratch = np.empty((2, max(1, min(_CHUNK, largest))))

@@ -12,6 +12,10 @@ iteration reads from disk its target frame, its reference frames and
 their audio windows, and decodes only the target's masks.  A
 non-finite loss or gradient stops the run before the optimizer step, with
 `abort_dump.json` beside the metrics.
+
+A checkpoint holds the config, two counters and each optimizer group's
+`data`, `m` and `v` arrays; `load_checkpoint` builds the model from the
+`data` blocks alone.
 """
 
 from __future__ import annotations
@@ -24,11 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .container import read_container, write_container
+from .container import read_blocks, read_manifest, write_container
 from .errors import ArgumentError, ConfigError, FormatError, NumericError
 from .matching import DICE_SMOOTH, Assignment, hungarian_assign, shrink_mask, similarity_matrix
 from .model import RCFModel, reference_indices
-from .optim import OptimState, adamw_step, poly_lr
+from .optim import OptimState, ParamGroup, adamw_step, poly_lr
 from .synthav import SpriteClip, read_clip
 from .tensor import Tensor, cross_entropy, dice_loss
 
@@ -95,66 +99,68 @@ def match_and_loss(class_probs: Tensor, mask_logits: Tensor, clip: SpriteClip, t
 # checkpoints
 
 
-def _layout(state: OptimState) -> list[dict]:
-    """The meta's `groups`: each flat group's settings and parameter names, in block order."""
-    return [{"lr_mult": f.lr_mult, "weight_decay": f.weight_decay, "params": f.names} for f in state.flat]
+def _layout(groups: list[ParamGroup]) -> list[dict]:
+    """The meta's `groups`: each group's settings and parameter names, in block order."""
+    return [{"lr_mult": g.lr_mult, "weight_decay": g.weight_decay, "params": g.names} for g in groups]
 
 
 def save_checkpoint(path: str | Path, model: RCFModel, state: OptimState, iteration: int) -> None:
-    """Write the config, the counters and each group `i` of `state.flat` as
-    blocks `group<i>/data`, `group<i>/m` and `group<i>/v`, its arrays as they are."""
+    """Write the config, the counters and each group `i` of `state.flat`, made
+    from `model.param_groups()`, as blocks `group<i>/data`, `group<i>/m` and
+    `group<i>/v`, its arrays as they are."""
     blocks = {f"group{i}/{k}": getattr(flat, k) for i, flat in enumerate(state.flat) for k in ("data", "m", "v")}
     meta = {
         "kind": "checkpoint",
         "iteration": iteration,
         "optim_step": state.step,
         "config": model.cfg.to_dict(),
-        "groups": _layout(state),
+        "groups": _layout(model.param_groups()),
     }
     write_container(path, meta, blocks)
 
 
-def load_checkpoint(path: str | Path) -> tuple[RCFModel, OptimState, int]:
-    """Build the model of the stored config and fill its optimizer's arrays.  A
-    bad config or counter, a `groups` layout other than that model's (as in a
-    checkpoint of per-parameter blocks) and a missing, misshapen or non-finite
-    block each raise FormatError."""
-    meta, blocks = read_container(path)
+def load_checkpoint(path: str | Path) -> RCFModel:
+    """The model of the stored config, its parameters views of the `group<i>/data`
+    blocks; the moments and counters stay unread, for a resume.  An unknown,
+    missing or bad config key, a `groups` layout other than the model's (as in
+    a checkpoint of per-parameter blocks) and a missing, misshapen or
+    non-finite data block each raise FormatError."""
+    meta, entries = read_manifest(path)
     if meta.get("kind") != "checkpoint":
         raise FormatError(f"container at {path} is not a checkpoint (kind={meta.get('kind')!r})")
     config = meta.get("config")
     if not isinstance(config, dict):
         raise FormatError(f"checkpoint at {path} has no config object")
-    known = {f.name for f in fields(RunConfig)}
-    for key in config:
-        if key not in known:
-            raise FormatError(f"checkpoint at {path} has unknown config key {key!r}")
+    odd = sorted(config.keys() ^ {f.name for f in fields(RunConfig)})  # a missing key's default would pass unseen
+    if odd:
+        kind = "unknown" if odd[0] in config else "missing"
+        raise FormatError(f"checkpoint at {path} has {kind} config key {odd[0]!r}")
     try:
         cfg = RunConfig(**config).validate()
     except ConfigError as e:
         raise FormatError(f"checkpoint at {path} has an invalid config: {e}") from e
     model = RCFModel(cfg)
-    state = OptimState.create(model.params(), model.param_groups())
-    for key in ("optim_step", "iteration"):
-        if type(meta.get(key)) is not int or meta[key] < 0:  # a bool is an int, but no count
-            raise FormatError(f"checkpoint at {path} has no non-negative integer {key!r}: {meta.get(key)!r}")
-    state.step = meta["optim_step"]
-    if meta.get("groups") != _layout(state):
+    groups = model.param_groups()
+    if meta.get("groups") != _layout(groups):
         raise FormatError(f"checkpoint at {path} lacks the parameter group layout of its config's model")
-    for i, flat in enumerate(state.flat):
-        for kind in ("data", "m", "v"):  # in place: the model's parameters are views of `data`
-            key, dest = f"group{i}/{kind}", getattr(flat, kind)
-            if key not in blocks:
-                raise FormatError(f"checkpoint missing block {key!r}")
-            block = blocks[key]
-            if block.shape != dest.shape or block.dtype != dest.dtype:
-                raise FormatError(f"checkpoint block {key!r} is {block.dtype} {block.shape}, not {dest.dtype} {dest.shape}")
-            finite = np.isfinite(block)
-            if not finite.all():
-                bad = np.flatnonzero(~finite)[0]
-                raise FormatError(f"checkpoint block {key!r} entry {bad} is {block[bad]}, expected a finite value")
-            dest[...] = block
-    return model, state, meta["iteration"]
+    keys = [f"group{i}/data" for i in range(len(groups))]
+    by_name = {e["name"]: e for e in entries}
+    for key in keys:
+        if key not in by_name:
+            raise FormatError(f"checkpoint missing block {key!r}")
+    blocks = read_blocks(path, [by_name[key] for key in keys])
+    params = model.params()
+    for key, grp in zip(keys, groups):
+        block, size = blocks[key], sum(params[name].data.size for name in grp.names)
+        if block.shape != (size,) or block.dtype != np.float64:
+            raise FormatError(f"checkpoint block {key!r} is {block.dtype} {block.shape}, not float64 ({size},)")
+        finite = np.isfinite(block)
+        if not finite.all():
+            bad = np.flatnonzero(~finite)[0]
+            raise FormatError(f"checkpoint block {key!r} entry {bad} is {block[bad]}, expected a finite value")
+        for p, view in grp.slots(params):
+            p.data = block[view].reshape(p.data.shape)
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,15 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from rcfvis.container import read_blocks, read_manifest  # noqa: E402
+
+
+def read_container(path):
+    """A whole container: (meta, {name: array}), with the checks of
+    `read_manifest` and `read_blocks`."""
+    meta, entries = read_manifest(path)
+    return meta, read_blocks(path, entries)
+
 
 @pytest.fixture
 def rng():

@@ -14,7 +14,7 @@ from rcfvis import cli
 from rcfvis.analysis import order_stability_probe
 from rcfvis.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, build_parser, main
 from rcfvis.config import RunConfig, load_config
-from rcfvis.container import read_container, rle_decode
+from rcfvis.container import rle_decode
 from rcfvis.errors import ConfigError
 from rcfvis.fusion import FusionEncoder
 from rcfvis.model import RCFModel
@@ -23,7 +23,10 @@ from rcfvis.stream import stream_clip
 from rcfvis.synthav import generate_clip, read_clip, write_clip
 from rcfvis.training import load_checkpoint, save_checkpoint
 
+from conftest import read_container  # a test helper: no command reads a whole container
 from test_reachability import TINY as TINY_CFG  # the dead-code trace's config file
+
+DELETE = object()  # a config edit that removes the key
 
 
 class TestConfig:
@@ -146,6 +149,14 @@ class TestCLIBasics:
         assert rc == EXIT_CONFIG
         assert "max_radius must be at most" in err and "Traceback" not in err
 
+    def test_ref_token_k_that_does_not_divide_the_feature_grid_exit_2(self, capsys, tmp_path):
+        # a 32x48 image has a 4x6 feature grid, which 4 x 4 reference tokens cannot tile
+        size = ["--set", "image_h=32", "--set", "image_w=48"]
+        rc = main(["gen-data", "--out", str(tmp_path / "d"), *size, "--set", "ref_token_k=4"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG and not (tmp_path / "d").exists()
+        assert "ref_token_k 4 must divide the feature grid 4x6" in err and "Traceback" not in err
+
     def test_missing_checkpoint_exit_3(self, capsys, tmp_path):
         rc = main(["eval", "--ckpt", str(tmp_path / "none"), "--data", str(tmp_path)])
         assert rc == EXIT_IO
@@ -171,7 +182,7 @@ class TestCLIBasics:
         assert "no clips under dataset split directory" in capsys.readouterr().err
 
     def test_bad_checkpoint_config_exit_3(self, capsys, tmp_path):
-        cfg = RunConfig(image_h=32, image_w=48, num_slots=4, gen_frames=2, gen_max_sprites=2).validate()
+        cfg = RunConfig(image_h=32, image_w=48, num_slots=4, heads=4, gen_frames=2, gen_max_sprites=2).validate()
         model = RCFModel(cfg)
         save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params(), model.param_groups()), 0)
         clip = tmp_path / "clip"
@@ -179,41 +190,59 @@ class TestCLIBasics:
         assert main(["infer", "--ckpt", str(tmp_path / "ckpt"), "--clip", str(clip), "--out", str(tmp_path / "ok")]) == 0
 
         # checkpoints written while ref_compress or probe_norm_p was a key carry
-        # it, and are rejected; so is a value of another kind than its key's
+        # it, and are rejected; so is a value of another kind than its key's,
+        # and a missing key (DELETE), which would load with its default: heads
+        # shapes no parameter, so this 4-head model would load with 8
         for i, (key, value) in enumerate((
             ("bogus", 1), ("fps_stream", 6.0), ("sim_dice", "coeff"), ("ref_compress", "pool"), ("num_slots", 1000),
             ("probe_norm_p", "1"), ("num_slots", 4.0), ("heads", True), ("seed", 1.5), ("image_h", 32.0), ("lr0", True),
+            ("heads", DELETE),
         )):
             ckpt = tmp_path / f"ckpt_{i}"
             shutil.copytree(tmp_path / "ckpt", ckpt)
             manifest = json.loads((ckpt / "manifest.json").read_text())
-            manifest["meta"]["config"][key] = value
+            config = manifest["meta"]["config"]
+            if value is DELETE:
+                del config[key]
+            else:
+                config[key] = value
             (ckpt / "manifest.json").write_text(json.dumps(manifest))
             capsys.readouterr()
             rc = main(["infer", "--ckpt", str(ckpt), "--clip", str(clip), "--out", str(tmp_path / "out")])
             assert rc == EXIT_IO, key
             assert key in capsys.readouterr().err
 
-    def test_checkpoint_missing_counter_or_optimizer_block_exit_3(self, capsys, tmp_path):
-        cfg = RunConfig(image_h=32, image_w=48, num_slots=4, gen_frames=2, gen_max_sprites=2).validate()
+    @pytest.fixture
+    def ckpt_and_clip(self, tmp_path):
+        """A saved 32x48 checkpoint that fires every slot, a clip, and the
+        files that `infer` writes for them."""
+        cfg = RunConfig(
+            image_h=32, image_w=48, num_slots=4, gen_frames=2, gen_max_sprites=2, class_threshold=0.0
+        ).validate()
         model = RCFModel(cfg)
         save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params(), model.param_groups()), 0)
         clip = tmp_path / "clip"
         write_clip(generate_clip(0, cfg), clip)
+        assert main(["infer", "--ckpt", str(tmp_path / "ckpt"), "--clip", str(clip), "--out", str(tmp_path / "ok")]) == 0
+        return tmp_path / "ckpt", clip, tree_bytes(tmp_path / "ok")
+
+    @staticmethod
+    def _infer_edited(ckpt, clip, edit, capsys):
+        """`infer` on a copy of `ckpt` whose manifest `edit(manifest, copy)`
+        changed in place: (exit code, what `edit` returned, stderr, written files)."""
+        edited = ckpt.parent / edit.__name__
+        shutil.copytree(ckpt, edited)
+        manifest = json.loads((edited / "manifest.json").read_text())
+        named = edit(manifest, edited)
+        (edited / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        out = ckpt.parent / f"out_{edit.__name__}"
+        rc = main(["infer", "--ckpt", str(edited), "--clip", str(clip), "--out", str(out)])
+        return rc, named, capsys.readouterr().err, tree_bytes(out)
+
+    def test_checkpoint_bad_parameter_block_exit_3(self, ckpt_and_clip, capsys):
+        ckpt, clip, _ = ckpt_and_clip
         weights = "group0/data"
-
-        def drop_meta(manifest, ckpt):
-            del manifest["meta"]["optim_step"]
-            return "optim_step"
-
-        def drop_block(manifest, ckpt):
-            manifest["blocks"] = [b for b in manifest["blocks"] if b["name"] != "group0/m"]
-            return "group0/m"
-
-        def reshape_block(manifest, ckpt):
-            entry = next(b for b in manifest["blocks"] if b["name"] == "group1/v")
-            entry["shape"] = [entry["nbytes"] // 16, 2]
-            return "group1/v"
 
         def retype_block(manifest, ckpt):
             # float64 bytes read as float32 would load as weights up to 1e38
@@ -228,24 +257,46 @@ class TestCLIBasics:
                 fh.write(np.array(np.nan, "<f8").tobytes())
             return f"{weights!r} entry 3 is nan"
 
+        def drop_data_block(manifest, ckpt):
+            manifest["blocks"] = [b for b in manifest["blocks"] if b["name"] != weights]
+            return f"missing block {weights!r}"
+
+        for edit in (retype_block, nan_in_block, drop_data_block):
+            rc, named, err, written = self._infer_edited(ckpt, clip, edit, capsys)
+            assert rc == EXIT_IO, edit.__name__
+            assert named in err and not written, edit.__name__
+
+    def test_infer_reads_no_optimizer_block_or_counter(self, ckpt_and_clip, capsys):
+        # the moments and counters stay in the file for a resume; a model-only
+        # load neither reads nor checks them
+        ckpt, clip, intact = ckpt_and_clip
+
+        def drop_meta(manifest, ckpt):
+            del manifest["meta"]["optim_step"]
+
+        def drop_block(manifest, ckpt):
+            manifest["blocks"] = [b for b in manifest["blocks"] if b["name"] != "group0/m"]
+
+        def reshape_block(manifest, ckpt):
+            entry = next(b for b in manifest["blocks"] if b["name"] == "group1/v")
+            entry["shape"] = [entry["nbytes"] // 16, 2]
+
         def bool_iteration(manifest, ckpt):
             manifest["meta"]["iteration"] = True
-            return "iteration"
 
         def negative_step(manifest, ckpt):
             manifest["meta"]["optim_step"] = -1
-            return "optim_step"
 
-        for edit in (drop_meta, drop_block, reshape_block, retype_block, nan_in_block, bool_iteration, negative_step):
-            ckpt = tmp_path / edit.__name__
-            shutil.copytree(tmp_path / "ckpt", ckpt)
-            manifest = json.loads((ckpt / "manifest.json").read_text())
-            named = edit(manifest, ckpt)
-            (ckpt / "manifest.json").write_text(json.dumps(manifest))
-            capsys.readouterr()
-            rc = main(["infer", "--ckpt", str(ckpt), "--clip", str(clip), "--out", str(tmp_path / "out")])
-            assert rc == EXIT_IO, edit.__name__
-            assert named in capsys.readouterr().err
+        def drop_optimizer_state(manifest, ckpt):
+            manifest["blocks"] = [b for b in manifest["blocks"] if b["name"].endswith("/data")]
+            del manifest["meta"]["optim_step"], manifest["meta"]["iteration"]
+
+        edits = (drop_meta, drop_block, reshape_block, bool_iteration, negative_step, drop_optimizer_state)
+        for edit in edits:
+            rc, _, err, written = self._infer_edited(ckpt, clip, edit, capsys)
+            assert rc == 0, (edit.__name__, err)
+            assert written == intact, edit.__name__
+        assert json.loads(intact["prediction.json"])["tracks"]  # the intact model fired slots
 
     @pytest.mark.parametrize("flag", ["--config", "--set", "--seed"])
     def test_config_flag_with_checkpoint_exit_2(self, flag, capsys, tmp_path):
@@ -427,7 +478,7 @@ class TestCLIPipelines:
 
         # per tracker identity: its majority class, its per-frame scores and
         # its masks upsampled 2x to image resolution
-        model, _, _ = load_checkpoint(ckpt)
+        model = load_checkpoint(ckpt)
         clip = read_clip(clip_dir)
         _, state = stream_clip(model, clip)
         assert state.history, "the streamed clip fired no slot"

@@ -11,12 +11,14 @@ import pytest
 from rcfvis import cli
 from rcfvis.cli import EXIT_IO, main
 from rcfvis.config import SAMPLE_RATE, RunConfig
-from rcfvis.container import read_container, rle_decode, rle_encode, write_container
+from rcfvis.container import rle_decode, rle_encode, write_container
 from rcfvis.errors import FormatError
 from rcfvis.model import RCFModel
 from rcfvis.optim import OptimState
 from rcfvis.synthav import generate_clip, read_clip, write_clip
 from rcfvis.training import load_checkpoint, save_checkpoint
+
+from conftest import read_container  # a test helper: no command reads a whole container
 
 
 def test_roundtrip_bit_exact(tmp_path, rng):
@@ -335,15 +337,13 @@ def test_mutated_checkpoints_load_whole_or_raise_format_error(tmp_path):
         (tmp_path / "ckpt" / "manifest.json").write_bytes(edited_manifest)
         (tmp_path / "ckpt" / "tensors.bin").write_bytes(edited_tensors)
         try:
-            loaded, state, _ = load_checkpoint(tmp_path / "ckpt")
+            loaded = load_checkpoint(tmp_path / "ckpt")
         except FormatError:
             rejected += 1
             continue
         accepted += 1
         for p in loaded.params().values():
             assert np.isfinite(p.data).all()
-        for flat in state.flat:
-            assert np.isfinite(flat.m).all() and np.isfinite(flat.v).all()
     assert accepted + rejected == 300 and accepted > 0 and rejected > 0
 
 

@@ -10,19 +10,19 @@ from rcfvis.optim import ADAM_EPS, BETA1, BETA2, OptimState, ParamGroup, adamw_s
 from rcfvis.tensor import Tensor
 
 
-def per_tensor_adamw_step(state, lr, sizes):
+def per_tensor_adamw_step(state, lr, groups, sizes):
     """Oracle: the update as one loop over single tensors, the body AdamW
-    had before its storage went flat.  It walks each group's `names` over
-    slices of the group's arrays, `sizes[name]` elements each, and writes
-    them in place."""
+    had before its storage went flat.  It walks the `names` of each of
+    `groups` over slices of its flat group's arrays, `sizes[name]` elements
+    each, and writes them in place."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - BETA1**t
     bc2 = 1.0 - BETA2**t
-    for flat in state.flat:
+    for flat, grp in zip(state.flat, groups, strict=True):
         lr_eff = lr * flat.lr_mult
         start = 0
-        for name in flat.names:
+        for name in grp.names:
             view = slice(start, start + sizes[name])
             start = view.stop
             p, g, m, v = flat.data[view], flat.grad[view], flat.m[view], flat.v[view]
@@ -35,12 +35,11 @@ def per_tensor_adamw_step(state, lr, sizes):
             p -= lr_eff * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
-def make(value, **group):
+def make(value, lr_mult=1.0, weight_decay=0.0):
     """A one-parameter state; `step(g)` writes the gradient g to its slot
     and takes an update."""
     p = Tensor(np.array(value), requires_grad=True)
-    params = {"p": p}
-    state = OptimState.create(params, {"p": ParamGroup(**group)})
+    state = OptimState.create({"p": p}, [ParamGroup(lr_mult, weight_decay, ["p"])])
 
     def step(g, lr):
         p.grad[...] = g
@@ -103,19 +102,20 @@ class TestPolyLR:
 
 
 SHAPES = [(), (1,), (3, 1, 1), (64, 64), (70_000,)]
-GROUPS = [ParamGroup(1.0, 0.0), ParamGroup(1.0, 0.05), ParamGroup(0.1, 0.0), ParamGroup(0.1, 0.05)]
+SETTINGS = [(1.0, 0.0), (1.0, 0.05), (0.1, 0.0), (0.1, 0.05)]  # (lr_mult, weight_decay)
 
 
 def grouped_params(seed):
     """Every shape in every group, interleaved, so that a group is not a run
     of `params` order."""
     rng = np.random.default_rng(seed)
-    params, groups = {}, {}
+    params = {}
+    groups = [ParamGroup(lr_mult, weight_decay, []) for lr_mult, weight_decay in SETTINGS]
     for k, shape in enumerate(SHAPES):
-        for gi, grp in enumerate(GROUPS):
+        for gi, grp in enumerate(groups):
             name = f"m{k}.g{gi}"
             params[name] = Tensor(rng.standard_normal(shape), requires_grad=True)
-            groups[name] = grp
+            grp.names.append(name)
     return params, groups
 
 
@@ -124,13 +124,12 @@ class TestFlatStorage:
         params, groups = grouped_params(0)
         values = {name: p.data.copy() for name, p in params.items()}
         state = OptimState.create(params, groups)
-        assert len(state.flat) == len(GROUPS)
-        assert sorted(name for flat in state.flat for name in flat.names) == sorted(params)
-        for flat in state.flat:
+        assert len(state.flat) == len(SETTINGS)
+        for flat, grp in zip(state.flat, groups, strict=True):
+            assert (flat.lr_mult, flat.weight_decay) == (grp.lr_mult, grp.weight_decay)
             start = 0  # each name's slot follows the one before it
-            for name in flat.names:
+            for name in grp.names:
                 p = params[name]
-                assert (flat.lr_mult, flat.weight_decay) == (groups[name].lr_mult, groups[name].weight_decay)
                 view = slice(start, start + p.data.size)
                 start = view.stop
                 assert np.shares_memory(p.data, flat.data[view])
@@ -166,10 +165,9 @@ class TestFlatStorage:
                 oracle_params[name].grad[...] = g
             lr = 1e-2 * (1 - step / 5)
             adamw_step(state, lr)
-            per_tensor_adamw_step(oracle, lr, {name: p.data.size for name, p in params.items()})
+            per_tensor_adamw_step(oracle, lr, groups, {name: p.data.size for name, p in params.items()})
         assert state.step == oracle.step == 5
         for name, p in params.items():
             assert p.data.tobytes() == oracle_params[name].data.tobytes(), name
-        for flat, want in zip(state.flat, oracle.flat):
-            assert flat.names == want.names
+        for flat, want in zip(state.flat, oracle.flat, strict=True):
             assert flat.m.tobytes() == want.m.tobytes() and flat.v.tobytes() == want.v.tobytes()

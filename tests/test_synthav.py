@@ -10,7 +10,7 @@ import pytest
 from rcfvis import synthav
 from rcfvis.audiodsp import FMAX_HZ, FMIN_HZ, N_MELS, SILENCE_FLOOR, hz_to_mel, log_mel, mel_to_hz
 from rcfvis.config import SAMPLE_RATE, RunConfig
-from rcfvis.container import read_container, rle_encode, rle_encode_planes, write_container
+from rcfvis.container import rle_encode, rle_encode_planes, write_container
 from rcfvis.errors import ArgumentError, ConfigError, FormatError
 from rcfvis.synthav import (
     CLASS_COLORS,
@@ -22,6 +22,8 @@ from rcfvis.synthav import (
     tone_frequency,
     write_clip,
 )
+
+from conftest import read_container  # a test helper: no command reads a whole container
 
 
 def all_masks(clip):

@@ -9,7 +9,7 @@ import pytest
 
 from rcfvis.cli import EXIT_IO, main
 from rcfvis.config import RunConfig
-from rcfvis.container import read_container, write_container
+from rcfvis.container import write_container
 from rcfvis.errors import ArgumentError, NumericError
 from rcfvis.matching import Assignment
 from rcfvis.model import RCFModel
@@ -26,6 +26,7 @@ from rcfvis.training import (
     train_loop,
 )
 
+from conftest import read_container  # a test helper: no command reads a whole container
 from test_optim import per_tensor_adamw_step  # the per-tensor oracle
 
 
@@ -139,32 +140,47 @@ class TestCheckpoint:
         assert len(state.flat) > 1
         assert list(blocks) == [f"group{i}/{kind}" for i in range(len(state.flat)) for kind in ("data", "m", "v")]
         assert meta["groups"] == [
-            {"lr_mult": f.lr_mult, "weight_decay": f.weight_decay, "params": f.names} for f in state.flat
+            {"lr_mult": g.lr_mult, "weight_decay": g.weight_decay, "params": g.names} for g in model.param_groups()
         ]
+        assert meta["iteration"] == 42 and meta["optim_step"] == 17
         for i, flat in enumerate(state.flat):
-            assert blocks[f"group{i}/data"].tobytes() == flat.data.tobytes()
-        model2, state2, it = load_checkpoint(tmp_path / "ckpt")
-        assert it == 42 and state2.step == 17
-        for name, p in model2.params().items():
-            assert np.array_equal(p.data, params[name].data)
-        for flat, want in zip(state2.flat, state.flat, strict=True):
-            assert flat.names == want.names
-            assert np.array_equal(flat.m, want.m) and np.array_equal(flat.v, want.v)
+            for kind in ("data", "m", "v"):
+                assert blocks[f"group{i}/{kind}"].tobytes() == getattr(flat, kind).tobytes()
+        model2 = load_checkpoint(tmp_path / "ckpt")
         assert model2.cfg == cfg
+        loaded = model2.params()
+        assert list(loaded) == list(params)
+        for name, p in loaded.items():
+            assert p.data.tobytes() == params[name].data.tobytes(), name
 
-    def test_loaded_parameters_are_the_arrays_adamw_updates(self, tmp_path):
-        # a load that rebound p.data would leave the model behind the optimizer
+    def test_a_resume_starts_its_optimizer_from_the_loaded_values(self, tmp_path):
+        # the path `train --resume` will take: a loaded model's parameters
+        # become the arrays that AdamW updates
         cfg = tiny_cfg(audio_enabled=False)
         model = RCFModel(cfg)
         save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params(), model.param_groups()), 0)
-        model2, state2, _ = load_checkpoint(tmp_path / "ckpt")
-        params = model2.params()
-        before = {name: p.data.copy() for name, p in params.items()}
-        for flat in state2.flat:
+        saved = {name: p.data.copy() for name, p in model.params().items()}
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        state = OptimState.create(loaded.params(), loaded.param_groups())
+        params = loaded.params()
+        for name, p in params.items():
+            assert p.data.tobytes() == saved[name].tobytes(), name
+        for flat in state.flat:
             flat.grad.fill(1.0)
-        adamw_step(state2, cfg.lr0)
-        for name, p in model2.params().items():
-            assert not np.array_equal(p.data, before[name]), name
+        adamw_step(state, cfg.lr0)
+        for name, p in params.items():
+            assert not np.array_equal(p.data, saved[name]), name
+
+    def test_load_peak_stays_within_three_times_the_parameters(self, tmp_path, traced):
+        # the load reads the parameter blocks once and allocates no optimizer
+        # state; the 32-slot default model has 3.5 MiB of parameters
+        model = RCFModel(RunConfig(num_slots=32).validate())
+        save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params(), model.param_groups()), 0)
+        params = model.params()
+        param_bytes = sum(p.data.nbytes for p in params.values())
+        loaded, _, peak = traced(lambda: load_checkpoint(tmp_path / "ckpt"))
+        assert peak <= 3 * param_bytes, (peak, param_bytes)
+        assert all(p.data.tobytes() == params[name].data.tobytes() for name, p in loaded.params().items())
 
     def test_per_parameter_or_edited_group_layout_exit_3(self, tmp_path, capsys):
         # checkpoints written before the flat layout carry three blocks per
@@ -231,8 +247,9 @@ class TestTrainLoop:
         cfg = tiny_cfg(iter_max=3, seed=seed)
         write_corpus(cfg, tmp_path / "data")
         flat = train_loop(cfg, tmp_path / "data", tmp_path / "flat")
-        sizes = {name: p.data.size for name, p in RCFModel(cfg).params().items()}
-        monkeypatch.setattr(training, "adamw_step", lambda state, lr: per_tensor_adamw_step(state, lr, sizes))
+        model = RCFModel(cfg)
+        groups, sizes = model.param_groups(), {name: p.data.size for name, p in model.params().items()}
+        monkeypatch.setattr(training, "adamw_step", lambda state, lr: per_tensor_adamw_step(state, lr, groups, sizes))
         oracle = train_loop(cfg, tmp_path / "data", tmp_path / "oracle")
         for f in ("metrics.csv", "ckpt_final/tensors.bin", "ckpt_final/manifest.json"):
             assert (tmp_path / "flat" / f).read_bytes() == (tmp_path / "oracle" / f).read_bytes(), f

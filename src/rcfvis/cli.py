@@ -31,7 +31,7 @@ from .stream import stream_clip
 from .synthav import generate_clip, read_clip, write_clip
 from .tensor import no_grad
 from .training import list_clip_dirs, load_checkpoint, sample_window, train_loop
-from .viseval import evaluate_model_on_clips, pred_tracks_from_state
+from .viseval import evaluate_model_on_clips, pred_tracks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -121,21 +121,22 @@ def cmd_eval(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    """Stream one clip and dump its tracks, assembled from the streamed predictions:
+    each identity's class and per-frame scores, and its masks at image resolution."""
     model = load_checkpoint(args.ckpt)
     clip = read_clip(args.clip)
-    preds, state = stream_clip(model, clip)
+    preds, _ = stream_clip(model, clip)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     tracks = []
     mask_blocks: dict[str, np.ndarray] = {}
-    for track in pred_tracks_from_state(state):
-        records = state.history[track.identity]
+    for track in pred_tracks(preds):
         tracks.append(
             {
                 "identity": track.identity,
                 "class": track.class_id,
-                "frames": [{"t": r.frame, "score": round(r.score, 6)} for r in records],
+                "frames": [{"t": t, "score": round(score, 6)} for t, score in track.frame_scores.items()],
             }
         )
         for t, mask in track.masks.items():

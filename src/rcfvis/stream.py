@@ -8,7 +8,8 @@ frame can still reference.  Identities follow the slot order: a fired slot
 inherits its own slot's previous identity, except when another slot's
 previous mask overlaps it with IoU > 0.5, in which case the overlap wins.
 The IoUs of all fired slots against all previous masks come from one
-matrix product per frame (`mask_iou`).
+matrix product per frame (`mask_iou`).  The tracker keeps O(slots) state;
+a stream's tracks come from its predictions (`viseval.pred_tracks`).
 """
 
 from __future__ import annotations
@@ -41,28 +42,19 @@ class RefCache:
 
 
 @dataclass
-class TrackRecord:
-    frame: int
-    class_id: int
-    score: float
-    mask: np.ndarray  # bool, prediction grid
-
-
-@dataclass
 class TrackState:
-    """Slot -> identity registry with per-slot last-frame masks."""
+    """Slot -> identity registry, plus the last frame's fired slots and masks."""
 
     num_slots: int
     slot_ids: list = field(default_factory=list)
-    last_masks: list = field(default_factory=list)
     gaps: list = field(default_factory=list)
     next_id: int = 0
-    history: dict[int, list[TrackRecord]] = field(default_factory=dict)
+    prev_slots: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
+    prev_masks: np.ndarray | None = None  # (len(prev_slots), H_o, W_o) bool
 
     def __post_init__(self):
         if not self.slot_ids:
             self.slot_ids = [None] * self.num_slots
-            self.last_masks = [None] * self.num_slots
             self.gaps = [0] * self.num_slots
 
     def live_identities(self) -> list[int]:
@@ -121,7 +113,8 @@ def track_update(
     first, ties to the lower previous slot); all fired x previous IoUs are
     one `mask_iou` call.  Pass 2: remaining fired slots
     keep their own slot's identity or get a fresh one.  Unfired slots hold
-    their identity for up to max_gap frames.
+    their identity for up to max_gap frames.  Of the prediction, the state
+    keeps only the fired slots and their masks, for the next frame's pass 1.
     """
     if pred.fired is None or pred.binary_masks is None:
         raise StateError("track_update needs a postprocessed prediction")
@@ -129,16 +122,16 @@ def track_update(
     if pred.num_slots != n:
         raise ArgumentError(f"prediction has {pred.num_slots} slots, tracker expects {n}")
     prev_ids = list(state.slot_ids)
-    prev_masks = list(state.last_masks)
     fired = pred.fired
+    rows = np.flatnonzero(fired)
+    masks = pred.binary_masks[rows]
     assigned: dict[int, int] = {}
     claimed: set[int] = set()
 
     if iou_override:
-        rows = np.flatnonzero(fired)
-        cols = np.array([j for j in range(n) if prev_ids[j] is not None and prev_masks[j] is not None])
+        cols = state.prev_slots
         if rows.size and cols.size:
-            iou = mask_iou(pred.binary_masks[rows], np.stack([prev_masks[j] for j in cols]))
+            iou = mask_iou(masks, state.prev_masks)
             r, c = np.nonzero(iou > IOU_OVERRIDE_THRESHOLD)
             cur, prev, overlap = rows[r], cols[c], iou[r, c]
             other = cur != prev
@@ -162,17 +155,12 @@ def track_update(
         claimed.add(assigned[i])
 
     identities = np.full(n, -1, dtype=np.int64)
-    class_ids = np.argmax(pred.class_probs[:, :-1], axis=1).tolist()
-    scores = pred.scores.tolist()
     for i in range(n):
         if fired[i]:
             ident = assigned[i]
             identities[i] = ident
             state.slot_ids[i] = ident
-            mask = pred.binary_masks[i].copy()  # shared by last_masks and the history; neither is written
-            state.last_masks[i] = mask
             state.gaps[i] = 0
-            state.history.setdefault(ident, []).append(TrackRecord(pred.frame_index, class_ids[i], scores[i], mask))
         else:
             own = prev_ids[i]
             if own is not None and own not in claimed and state.gaps[i] + 1 <= max_gap:
@@ -181,7 +169,7 @@ def track_update(
             else:
                 state.slot_ids[i] = None
                 state.gaps[i] = 0
-            state.last_masks[i] = None
+    state.prev_slots, state.prev_masks = rows, masks
 
     live = state.live_identities()
     if len(live) != len(set(live)):

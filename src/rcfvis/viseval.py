@@ -10,14 +10,15 @@ only the top-k scored predictions per video.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import MASK_STRIDE
-from .errors import ArgumentError
+from .errors import ArgumentError, FormatError
+from .instance_head import FramePrediction
 from .model import RCFModel
-from .stream import TrackState, stream_clip
+from .stream import stream_clip
 from .synthav import SpriteClip
 
 IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * k, 2) for k in range(10))
@@ -29,6 +30,7 @@ class PredTrack:
     score: float
     masks: dict[int, np.ndarray]  # frame -> bool mask
     identity: int = -1
+    frame_scores: dict[int, float] = field(default_factory=dict)  # frame -> score, in frame order
 
 
 @dataclass
@@ -158,27 +160,33 @@ def gt_tracks_from_clip(clip: SpriteClip) -> list[GtTrack]:
     return tracks
 
 
-def pred_tracks_from_state(state: TrackState) -> list[PredTrack]:
-    """Tracks from the tracker history; class by majority vote, score = mean
-    of per-frame max class probability, masks upsampled from the prediction
-    grid to image resolution."""
+def pred_tracks(preds: list[FramePrediction]) -> list[PredTrack]:
+    """A stream's tracks, in identity order: its fired slots grouped by
+    identity.  Class by majority vote (a tie to the lower class id), score =
+    mean of the per-frame max class probabilities in frame order, masks
+    upsampled from the prediction grid to image resolution."""
+    records: dict[int, list[tuple[int, int, float, np.ndarray]]] = {}  # identity -> (frame, class, score, mask)
+    for pred in preds:
+        class_ids = np.argmax(pred.class_probs[:, :-1], axis=1)
+        for i in np.flatnonzero(pred.fired).tolist():
+            records.setdefault(int(pred.identities[i]), []).append(
+                (pred.frame_index, int(class_ids[i]), float(pred.scores[i]), pred.binary_masks[i])
+            )
     tracks = []
-    for ident in sorted(state.history):
-        records = state.history[ident]
-        votes = np.bincount([r.class_id for r in records])
-        class_id = int(np.argmax(votes))
-        score = float(np.mean([r.score for r in records]))
-        masks = {r.frame: np.repeat(np.repeat(r.mask, MASK_STRIDE, axis=0), MASK_STRIDE, axis=1) for r in records}
-        tracks.append(PredTrack(class_id=class_id, score=score, masks=masks, identity=ident))
+    for ident in sorted(records):
+        frames, votes, scores, grids = zip(*records[ident])
+        class_id = int(np.argmax(np.bincount(votes)))
+        masks = {t: np.repeat(np.repeat(m, MASK_STRIDE, axis=0), MASK_STRIDE, axis=1) for t, m in zip(frames, grids)}
+        tracks.append(PredTrack(class_id, float(np.mean(scores)), masks, ident, dict(zip(frames, scores))))
     return tracks
 
 
 def evaluate_model_on_clips(model: RCFModel, clips: list[SpriteClip]) -> VisScore:
-    preds: dict[str, list[PredTrack]] = {}
-    gts: dict[str, list[GtTrack]] = {}
-    for i, clip in enumerate(clips):
-        vid = clip.clip_id or f"video-{i}"
-        _, state = stream_clip(model, clip)
-        preds[vid] = pred_tracks_from_state(state)
-        gts[vid] = gt_tracks_from_clip(clip)
+    """Stream each clip and score its tracks, keyed by clip id, which must not repeat."""
+    vids = [clip.clip_id or f"video-{i}" for i, clip in enumerate(clips)]
+    for i, vid in enumerate(vids):
+        if vid in vids[:i]:
+            raise FormatError(f"two clips share the video id {vid!r}")
+    preds = {vid: pred_tracks(stream_clip(model, clip)[0]) for vid, clip in zip(vids, clips)}
+    gts = {vid: gt_tracks_from_clip(clip) for vid, clip in zip(vids, clips)}
     return evaluate_vis(preds, gts)

@@ -181,6 +181,18 @@ class TestCLIBasics:
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")]) == EXIT_IO
         assert "no clips under dataset split directory" in capsys.readouterr().err
 
+    def test_eval_of_two_clips_with_one_id_exit_3(self, ckpt_and_clip, capsys, tmp_path):
+        # eval keys tracks by clip id: a second clip of the same id would
+        # replace the first, and the score would cover one clip of the two
+        ckpt, clip, _ = ckpt_and_clip
+        for name in ("clip_00000", "clip_00001"):
+            shutil.copytree(clip, tmp_path / "data" / "val" / name)
+        out = tmp_path / "eval.csv"
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path / "data"), "--out", str(out)]) == EXIT_IO
+        assert "'clip-00000000'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_checkpoint_config_exit_3(self, capsys, tmp_path):
         cfg = RunConfig(image_h=32, image_w=48, num_slots=4, heads=4, gen_frames=2, gen_max_sprites=2).validate()
         model = RCFModel(cfg)
@@ -466,7 +478,7 @@ class TestCLIPipelines:
         assert lines[:2] == ["# model=trained", "clip,t,tracked,switched"]
         assert len(lines) == 2 + 3  # the probe split's one 4-frame clip
 
-    def test_infer_dump_matches_tracker_history(self, tmp_path, capsys):
+    def test_infer_dump_matches_streamed_predictions(self, tmp_path, capsys):
         # class_threshold=0 fires every slot, so a 2-iteration model has tracks to dump
         args = TINY + ["--set", "iter_max=2", "--set", "ckpt_every=2", "--set", "class_threshold=0.0"]
         main(["gen-data", "--out", str(tmp_path / "d"), "--seed", "4", *TINY])
@@ -476,29 +488,35 @@ class TestCLIPipelines:
         out = tmp_path / "pred"
         assert main(["infer", "--ckpt", ckpt, "--clip", clip_dir, "--out", str(out)]) == 0
 
-        # per tracker identity: its majority class, its per-frame scores and
+        # per streamed identity: its majority class, its per-frame scores and
         # its masks upsampled 2x to image resolution
         model = load_checkpoint(ckpt)
         clip = read_clip(clip_dir)
-        _, state = stream_clip(model, clip)
-        assert state.history, "the streamed clip fired no slot"
+        preds, _ = stream_clip(model, clip)
+        records = {}  # identity -> [(frame, class, score, mask)] in frame order
+        for pred in preds:
+            for i in np.flatnonzero(pred.fired):
+                class_id = int(np.argmax(pred.class_probs[i, :-1]))
+                entry = (pred.frame_index, class_id, float(pred.scores[i]), pred.binary_masks[i])
+                records.setdefault(int(pred.identities[i]), []).append(entry)
+        assert records, "the streamed clip fired no slot"
         h, w = clip.frames.shape[2], clip.frames.shape[3]
 
         manifest = json.loads((out / "prediction.json").read_text())
         assert manifest["format_version"] == 1
         assert manifest["video"] == clip.clip_id and manifest["mask_shape"] == [h, w]
-        assert [t["identity"] for t in manifest["tracks"]] == sorted(state.history)
+        assert [t["identity"] for t in manifest["tracks"]] == sorted(records)
         meta, blocks = read_container(out / "masks")
         assert meta == {"kind": "prediction-masks", "video": clip.clip_id, "mask_shape": [h, w]}
-        assert len(blocks) == sum(len(records) for records in state.history.values())
+        assert len(blocks) == sum(len(track) for track in records.values())
         for track in manifest["tracks"]:
-            records = state.history[track["identity"]]
-            classes = [r.class_id for r in records]
+            want = records[track["identity"]]
+            classes = [c for _, c, _, _ in want]
             assert track["class"] == max(sorted(set(classes)), key=classes.count)
-            assert track["frames"] == [{"t": r.frame, "score": round(r.score, 6)} for r in records]
-            for r in records:
-                plane = rle_decode(blocks[f"mask/{track['identity']}/{r.frame:03d}"], h * w).reshape(h, w)
-                assert np.array_equal(plane, np.kron(r.mask, np.ones((2, 2), dtype=np.uint8)))
+            assert track["frames"] == [{"t": t, "score": round(score, 6)} for t, _, score, _ in want]
+            for t, _, _, mask in want:
+                plane = rle_decode(blocks[f"mask/{track['identity']}/{t:03d}"], h * w).reshape(h, w)
+                assert np.array_equal(plane, np.kron(mask, np.ones((2, 2), dtype=np.uint8)))
 
     def test_probe_needs_clip_or_data(self, capsys):
         assert main(["probe-order"]) == EXIT_CONFIG

@@ -223,6 +223,17 @@ def scalar_iou(a, b):
     return float(np.logical_and(a, b).sum()) / float(union) if union else 0.0
 
 
+class PairwiseTracker:
+    """Reference tracker state: per-slot identities, gaps and previous masks."""
+
+    def __init__(self, num_slots):
+        self.num_slots = num_slots
+        self.slot_ids = [None] * num_slots
+        self.last_masks = [None] * num_slots
+        self.gaps = [0] * num_slots
+        self.next_id = 0
+
+
 def pairwise_track_update(state, pred, max_gap=5, iou_override=True):
     """Reference tracker: the IoU override pass as one scalar IoU per slot pair."""
     n = state.num_slots
@@ -264,10 +275,6 @@ def pairwise_track_update(state, pred, max_gap=5, iou_override=True):
             state.slot_ids[i] = assigned[i]
             state.last_masks[i] = pred.binary_masks[i].copy()
             state.gaps[i] = 0
-            class_id = int(np.argmax(pred.class_probs[i, :-1]))
-            state.history.setdefault(assigned[i], []).append(
-                (pred.frame_index, class_id, float(pred.scores[i]), pred.binary_masks[i].copy())
-            )
         else:
             own = prev_ids[i]
             if own is not None and own not in claimed and state.gaps[i] + 1 <= max_gap:
@@ -331,11 +338,13 @@ def test_tracker_matches_pairwise_reference(seed):
         box(4, 8, 3, 8),
         box(3, 7, 4, 8),
     ]
-    fast, slow = TrackState(num_slots=n), TrackState(num_slots=n)
-    cross_ties = 0
+    fast, slow = TrackState(num_slots=n), PairwiseTracker(n)
+    cross_ties, gaps_drawn = 0, set()
     for t in range(30):
         fired = {s: palette[int(rng.integers(len(palette)))] for s in range(n) if rng.random() < 0.6}
         override = bool(rng.random() < 0.9)
+        max_gap = int(rng.integers(4))
+        gaps_drawn.add(max_gap)
         pairs = {}  # IoU -> distinct (previous mask, current mask) geometries scoring it
         for i, mask in fired.items():
             for j, prev in enumerate(slow.last_masks):
@@ -344,16 +353,15 @@ def test_tracker_matches_pairwise_reference(seed):
                     if 0.5 < iou < 1.0:
                         pairs.setdefault(iou, set()).add((prev.tobytes(), mask.tobytes()))
         cross_ties += sum(len(geometries) > 1 for geometries in pairs.values())
-        got = track_update(fast, manual_pred(n, fired, t), max_gap=2, iou_override=override)
-        want = pairwise_track_update(slow, manual_pred(n, fired, t), max_gap=2, iou_override=override)
+        got = track_update(fast, manual_pred(n, fired, t), max_gap=max_gap, iou_override=override)
+        want = pairwise_track_update(slow, manual_pred(n, fired, t), max_gap=max_gap, iou_override=override)
         assert np.array_equal(got, want)
-        assert fast.slot_ids == slow.slot_ids and fast.next_id == slow.next_id
-    assert fast.history.keys() == slow.history.keys()
-    for ident, records in fast.history.items():
-        want = slow.history[ident]
-        assert [(r.frame, r.class_id, r.score) for r in records] == [w[:3] for w in want]
-        assert all(np.array_equal(r.mask, w[3]) for r, w in zip(records, want))
-    assert cross_ties > 0
+        assert fast.slot_ids == slow.slot_ids and fast.gaps == slow.gaps and fast.next_id == slow.next_id
+        # what the fast tracker carries to the next frame: the reference's non-empty previous masks
+        kept = [j for j, m in enumerate(slow.last_masks) if m is not None]
+        assert fast.prev_slots.tolist() == kept
+        assert np.array_equal(fast.prev_masks, np.array([slow.last_masks[j] for j in kept]).reshape(-1, 8, 8))
+    assert cross_ties > 0 and gaps_drawn == {0, 1, 2, 3}
 
 
 @pytest.mark.parametrize("delta", [0, 1, 2, 3])
@@ -414,6 +422,42 @@ def test_stream_cache_stays_bounded(delta):
         assert len(cache.features) <= delta and len(cache.audio) <= delta, t
         assert sorted(cache.features) == sorted(cache.audio) == list(range(max(t + 1 - delta, 0), t + 1)), t
         assert all(type(f) is Tensor and f.shape == f_shape for f in cache.features.values()), t
+
+
+def referenced_nbytes(obj, seen=None):
+    """Bytes of the distinct arrays reachable from obj through containers and
+    object attributes; a view counts as the whole array it looks into."""
+    seen = set() if seen is None else seen
+    while isinstance(obj, np.ndarray) and isinstance(obj.base, np.ndarray):
+        obj = obj.base
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        return sum(referenced_nbytes(v, seen) for v in obj.values())
+    if isinstance(obj, (list, tuple, set)):
+        return sum(referenced_nbytes(v, seen) for v in obj)
+    if hasattr(obj, "__dict__"):
+        return referenced_nbytes(vars(obj), seen)
+    return 0
+
+
+def test_tracker_state_stays_bounded():
+    # the tracker keeps what the next frame reads, the last frame's fired slots
+    # and masks, and no more: a stream's tracks live in its predictions
+    model = small_model(class_threshold=0.0)
+    clip = small_clip(seed=2, frames=16)
+    cache = RefCache(capacity=model.cfg.ref_frames)
+    state = TrackState(num_slots=model.cfg.num_slots)
+    fired = 0
+    for t in range(clip.num_frames):
+        pred = infer_frame(model, clip.frames[t], clip.audio_window(t), cache, state, t)
+        fired += int(pred.fired.sum())
+        pixels = pred.mask_logits.shape[1] * pred.mask_logits.shape[2]
+        assert referenced_nbytes(state) <= model.cfg.num_slots * (pixels + 8), t
+    assert fired == clip.num_frames * model.cfg.num_slots  # class_threshold=0 fires every slot
 
 
 def test_a_read_clip_streams_like_the_generated_clip(tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rcfvis.errors import ArgumentError
-from rcfvis.viseval import GtTrack, PredTrack, VisScore, evaluate_vis, track_iou
+from rcfvis.instance_head import FramePrediction
+from rcfvis.viseval import GtTrack, PredTrack, VisScore, evaluate_vis, pred_tracks, track_iou
 
 
 def box(y0, y1, x0, x1, h=8, w=8):
@@ -94,3 +95,46 @@ def test_duplicate_identities_rejected():
 def test_scores_dataclass_fields():
     s = VisScore(ap=0.1, ap50=0.2, ap75=0.15, ar1=0.05, ar10=0.3)
     assert set(s.as_dict()) == {"AP", "AP50", "AP75", "AR@1", "AR@10"}
+
+
+def streamed(t, slots):
+    """Frame t's postprocessed prediction over 3 classes and a 3x4 grid;
+    slots: (identity, class, score, mask) each, identity -1 for unfired."""
+    probs = np.zeros((len(slots), 4))
+    for i, (_, c, score, _) in enumerate(slots):
+        probs[i, c], probs[i, 3] = score, 1.0 - score
+    return FramePrediction(
+        class_probs=probs,
+        mask_logits=np.zeros((len(slots), 3, 4)),
+        frame_index=t,
+        binary_masks=np.array([m for _, _, _, m in slots]),
+        fired=np.array([ident >= 0 for ident, _, _, _ in slots]),
+        scores=probs[:, :3].max(axis=1),
+        identities=np.array([ident for ident, _, _, _ in slots]),
+    )
+
+
+def test_pred_tracks_group_fired_slots_by_identity():
+    a, b, c = box(0, 2, 0, 2, 3, 4), box(1, 3, 1, 4, 3, 4), box(0, 3, 3, 4, 3, 4)
+    scores = [0.1, 0.7, 0.2]
+    preds = [
+        # identity 7 votes class 2, then 1, then 2 and 1 again: a tie, won by class 1
+        streamed(0, [(7, 2, scores[0], a), (3, 0, 0.9, b), (-1, 2, 0.99, c)]),
+        streamed(1, [(-1, 0, 0.95, b), (7, 1, scores[1], c)]),
+        streamed(2, [(3, 0, 0.6, a), (-1, 1, 0.97, a), (7, 2, scores[2], b)]),
+        streamed(3, [(7, 1, 0.4, a)]),
+    ]
+    scores.append(0.4)
+    assert np.mean(scores[::-1]) != np.mean(scores)  # the mean must sum in frame order
+    tracks = pred_tracks(preds)
+    assert [t.identity for t in tracks] == [3, 7]  # identity order, not order of first appearance
+    three, seven = tracks
+    assert seven.class_id == 1 and three.class_id == 0
+    assert seven.frame_scores == dict(zip(range(4), scores)) and three.frame_scores == {0: 0.9, 2: 0.6}
+    assert seven.score == np.mean(scores) and three.score == np.mean([0.9, 0.6])
+    # masks: every fired frame, no unfired slot's, each upsampled 2x
+    up = {k: np.kron(m, np.ones((2, 2), dtype=bool)) for k, m in (("a", a), ("b", b), ("c", c))}
+    assert list(seven.masks) == [0, 1, 2, 3] and list(three.masks) == [0, 2]
+    for track, want in ((seven, "acba"), (three, "ba")):
+        for t, key in zip(track.masks, want):
+            assert track.masks[t].dtype == bool and np.array_equal(track.masks[t], up[key])

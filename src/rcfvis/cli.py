@@ -1,11 +1,12 @@
 """Command-line entry point.
 
-Subcommands: gen-data, train, eval, infer, bench-latency, probe-order,
-dump-attention.  Configuration comes from an optional key=value file
-(--config) overridden by repeated --set key=value flags; --seed sets the
-seed last.  A command given --ckpt takes the checkpoint's config instead.
-probe-order writes one clip,t,tracked,switched row per frame transition
-and prints the mean identity-switch rate.
+Subcommands: gen-data, train, eval, infer, bench-latency, dump-attention.
+Configuration comes from an optional key=value file (--config) overridden
+by repeated --set key=value flags; --seed sets the seed last.  A command
+given --ckpt takes the checkpoint's config instead.  eval writes one
+metric,value row each for AP, AP50, AP75, AR@1, AR@10 and the mean
+identity-switch rate (switch_rate); `eval --split probe` measures order
+stability on the probe split's clips (see `generator_config`).
 Exit codes: 0 success, 2 bad config/usage, 3 IO or format failure, 4
 numeric failure.
 """
@@ -16,12 +17,12 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import latency_model, order_stability_probe
 from .config import RunConfig, config_help_lines, load_config
 from .container import rle_encode, write_container
 from .errors import ArgumentError, ConfigError, FormatError, NumericError
@@ -48,21 +49,21 @@ def _load_cfg(args) -> RunConfig:
     return load_config(getattr(args, "config", None), overrides)
 
 
-def _load_model(args) -> tuple[RCFModel, bool]:
-    """(model, trained): the --ckpt model, else a fresh one from the config flags."""
+def _load_model(args) -> RCFModel:
+    """The --ckpt model, else a fresh one from the config flags."""
     if not args.ckpt:
-        return RCFModel(_load_cfg(args)), False
+        return RCFModel(_load_cfg(args))
     for flag, value in (("--config", args.config), ("--set", args.set), ("--seed", args.seed)):
         if value is not None:
             raise ConfigError(f"{flag} cannot be combined with --ckpt, which carries its own config")
-    model = load_checkpoint(args.ckpt)
-    return model, True
+    return load_checkpoint(args.ckpt)
 
 
 def generator_config(cfg: RunConfig, split: str) -> RunConfig:
     """The config that `generate_clip` renders a split's clips from: cfg
     itself, except that probe clips move at `probe_speed_scale` times the
-    speeds and carry `probe_noise`, for the order-stability protocol."""
+    speeds and carry `probe_noise`, the motion under which `eval --split
+    probe` counts identity switches."""
     if split != "probe":
         return cfg
     return dataclasses.replace(
@@ -107,8 +108,7 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(args.ckpt)
     clip_dirs = list_clip_dirs(Path(args.data) / args.split)
     clips = [read_clip(p) for p in clip_dirs]
-    score = evaluate_model_on_clips(model, clips)
-    rows = score.as_dict()
+    rows = evaluate_model_on_clips(model, clips)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -159,6 +159,18 @@ def cmd_infer(args) -> int:
     return EXIT_OK
 
 
+def latency_model(fps_stream: float, fps_model: float, n_f: int = 1) -> tuple[float, float]:
+    """(online, offline) per-frame latency in seconds.
+
+    Online waits for one frame to stream and one model pass; offline waits
+    for the whole clip to stream and process.
+    """
+    if not (0 < fps_stream < math.inf and 0 < fps_model < math.inf) or n_f <= 0:
+        raise ArgumentError("latency model needs strictly positive, finite inputs")
+    online = 1.0 / fps_stream + 1.0 / fps_model
+    return online, online * n_f
+
+
 def cmd_bench_latency(args) -> int:
     online, offline = latency_model(args.fps_stream, args.fps_model, args.clip)
     print(f"online latency: {online:.3f} s")
@@ -166,33 +178,8 @@ def cmd_bench_latency(args) -> int:
     return EXIT_OK
 
 
-def cmd_probe_order(args) -> int:
-    if (args.clip is None) == (args.data is None):
-        raise ConfigError("probe-order takes exactly one of --clip and --data")
-    model, trained = _load_model(args)
-    if args.no_override:
-        model.cfg = dataclasses.replace(model.cfg, iou_override=False)
-    paths = [args.clip] if args.clip is not None else list_clip_dirs(Path(args.data) / args.split)
-    clips = [read_clip(p) for p in paths]
-    all_rows = []
-    switch_rates = []
-    for clip in clips:
-        report = order_stability_probe(model, clip)
-        switch_rates.append(report.switch_rate)
-        all_rows.extend([clip.clip_id, r.t, r.tracked, r.switched] for r in report.rows)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"# model={'trained' if trained else 'random'}"])
-            writer.writerow(["clip", "t", "tracked", "switched"])
-            writer.writerows(all_rows)
-        print(f"probe rows: {args.out}")
-    print(f"clips: {len(clips)}  mean identity-switch rate: {float(np.mean(switch_rates)):.4f}")
-    return EXIT_OK
-
-
 def cmd_dump_attention(args) -> int:
-    model, _ = _load_model(args)
+    model = _load_model(args)
     clip = read_clip(args.clip)
     t = args.frame if args.frame is not None else clip.num_frames - 1
     if not 0 <= t < clip.num_frames:
@@ -236,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("eval", help="VIS scores for a checkpoint on a split")
+    p = sub.add_parser("eval", help="VIS scores and identity-switch rate for a checkpoint on a split")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="val")
@@ -254,16 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fps-model", type=float, required=True)
     p.add_argument("--clip", type=int, default=36, help="clip length for the offline case")
     p.set_defaults(fn=cmd_bench_latency)
-
-    p = sub.add_parser("probe-order", help="order-stability probe over clips")
-    common(p)
-    p.add_argument("--ckpt", default=None)
-    p.add_argument("--clip", default=None, help="single clip directory")
-    p.add_argument("--data", default=None)
-    p.add_argument("--split", default="probe")
-    p.add_argument("--no-override", action="store_true", help="probe with iou_override=false")
-    p.add_argument("--out", default=None, help="CSV output path")
-    p.set_defaults(fn=cmd_probe_order)
 
     p = sub.add_parser("dump-attention", help="attention maps as PGM plus segment-mass CSV")
     common(p)

@@ -6,6 +6,10 @@ predictions are greedily matched in descending score to unmatched same-class
 ground-truth tracks; AP is the 101-point interpolated area under the
 precision-recall curve, averaged over thresholds and classes; AR@k keeps
 only the top-k scored predictions per video.
+
+From the same streamed predictions, the identity-switch rate counts how
+often a ground-truth instance followed from one frame to the next changed
+identity: the measure of how well the stream keeps slot order.
 """
 
 from __future__ import annotations
@@ -17,11 +21,13 @@ import numpy as np
 from .config import MASK_STRIDE
 from .errors import ArgumentError, FormatError
 from .instance_head import FramePrediction
+from .matching import shrink_mask
 from .model import RCFModel
-from .stream import stream_clip
+from .stream import mask_iou, stream_clip
 from .synthav import SpriteClip
 
 IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * k, 2) for k in range(10))
+PROBE_MATCH_IOU = 0.3  # least IoU at which a fired slot follows a ground truth
 
 
 @dataclass
@@ -181,12 +187,57 @@ def pred_tracks(preds: list[FramePrediction]) -> list[PredTrack]:
     return tracks
 
 
-def evaluate_model_on_clips(model: RCFModel, clips: list[SpriteClip]) -> VisScore:
-    """Stream each clip and score its tracks, keyed by clip id, which must not repeat."""
+def identity_switches(preds: list[FramePrediction], gts: list[GtTrack]) -> list[tuple[int, int]]:
+    """(followed, switched) for each transition into frame 1, 2, ...: the
+    ground truths followed on both frames, and how many of them changed identity.
+
+    On each frame, a visible ground truth shrunk to the prediction grid
+    follows the fired slot that overlaps it most, if that IoU is at least
+    `PROBE_MATCH_IOU`; on a tie the lowest fired slot wins.
+    """
+    followed = []  # per frame: gt index -> identity of the slot it follows
+    for pred in preds:
+        t = pred.frame_index
+        visible = [g for g, track in enumerate(gts) if t in track.masks]
+        slots = np.flatnonzero(pred.fired)
+        match = {}
+        if visible and slots.size:
+            gt_small = shrink_mask(np.stack([gts[g].masks[t] for g in visible]), pred.binary_masks.shape[1:])
+            iou = mask_iou(gt_small, pred.binary_masks[slots])
+            best = np.argmax(iou, axis=1)  # first maximum: lowest fired slot wins a tie
+            for g, row, b in zip(visible, iou, best):
+                if row[b] >= PROBE_MATCH_IOU:
+                    match[g] = int(pred.identities[slots[b]])
+        followed.append(match)
+    transitions = []
+    for prev, cur in zip(followed, followed[1:]):
+        both = [g for g in cur if g in prev]
+        transitions.append((len(both), sum(cur[g] != prev[g] for g in both)))
+    return transitions
+
+
+def switch_rate(clips: list[list[tuple[int, int]]]) -> float:
+    """Unweighted mean over clips of switched / followed, `identity_switches`
+    summed over each clip's transitions; a clip that follows nothing counts 0."""
+    rates = []
+    for transitions in clips:
+        followed = sum(f for f, _ in transitions)
+        rates.append(sum(s for _, s in transitions) / followed if followed else 0.0)
+    return float(np.mean(rates))
+
+
+def evaluate_model_on_clips(model: RCFModel, clips: list[SpriteClip]) -> dict[str, float]:
+    """Stream each clip once; score its tracks, keyed by clip id, which must
+    not repeat, and count its identity switches.  Returns AP, AP50, AP75,
+    AR@1, AR@10 and switch_rate, in that order."""
     vids = [clip.clip_id or f"video-{i}" for i, clip in enumerate(clips)]
     for i, vid in enumerate(vids):
         if vid in vids[:i]:
             raise FormatError(f"two clips share the video id {vid!r}")
-    preds = {vid: pred_tracks(stream_clip(model, clip)[0]) for vid, clip in zip(vids, clips)}
-    gts = {vid: gt_tracks_from_clip(clip) for vid, clip in zip(vids, clips)}
-    return evaluate_vis(preds, gts)
+    tracks, gts, switches = {}, {}, []
+    for vid, clip in zip(vids, clips):
+        preds, _ = stream_clip(model, clip)
+        tracks[vid] = pred_tracks(preds)
+        gts[vid] = gt_tracks_from_clip(clip)
+        switches.append(identity_switches(preds, gts[vid]))
+    return {**evaluate_vis(tracks, gts).as_dict(), "switch_rate": switch_rate(switches)}

@@ -1,16 +1,18 @@
-"""Latency arithmetic and the order-stability probe."""
+"""Latency arithmetic, and the identity switches that `eval` counts on streamed clips."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rcfvis.analysis import latency_model, order_stability_probe
+from rcfvis.cli import latency_model
 from rcfvis.config import RunConfig
 from rcfvis.container import rle_encode_planes
 from rcfvis.errors import ArgumentError
 from rcfvis.model import RCFModel
+from rcfvis.stream import stream_clip
 from rcfvis.synthav import SpriteClip, generate_clip
+from rcfvis.viseval import gt_tracks_from_clip, identity_switches, switch_rate
 
 
 class TestLatency:
@@ -79,13 +81,18 @@ def static_clip(seed=0, frames=4):
     )
 
 
+def streamed_switches(model, clip):
+    """(followed, switched) per frame transition of the streamed clip."""
+    return identity_switches(stream_clip(model, clip)[0], gt_tracks_from_clip(clip))
+
+
 class TestOrderProbe:
     def test_duplicated_frames_zero_discrepancy(self):
         # class_threshold=0 fires every slot, so the one sprite is followed on every frame
         model = probe_model(class_threshold=0.0)
-        report = order_stability_probe(model, static_clip())
-        assert [(r.t, r.tracked, r.switched) for r in report.rows] == [(1, 1, 0), (2, 1, 0), (3, 1, 0)]
-        assert report.switch_rate == 0.0
+        transitions = streamed_switches(model, static_clip())
+        assert transitions == [(1, 0), (1, 0), (1, 0)]
+        assert switch_rate([transitions]) == 0.0
 
     def test_hard_cut_has_maximal_output_discrepancy(self):
         model = probe_model(class_threshold=0.0)
@@ -94,22 +101,10 @@ class TestOrderProbe:
         cut = hard_cut_clip(a, b)
         assert cut.num_frames == 8
         assert cut.masks(0).shape[0] == a.num_instances + b.num_instances
-        report = order_stability_probe(model, cut)
-        cut_row = report.rows[a.num_frames - 1]
-        assert cut_row.t == a.num_frames
+        transitions = streamed_switches(model, cut)
+        assert len(transitions) == cut.num_frames - 1
         # no ground truth is visible on both sides of the cut, so none is followed across it
-        assert cut_row.tracked == cut_row.switched == 0
-        assert all(r.tracked > 0 for r in report.rows if r is not cut_row)
-        assert report.switch_rate == 0.0
-
-    def test_probe_rejects_single_frame(self):
-        model = probe_model()
-        clip = static_clip(frames=2)
-        one = replace(
-            clip,
-            frames=clip.frames[:1],
-            mask_offsets=clip.mask_offsets[: clip.num_instances + 1],
-            visibility=clip.visibility[:1],
-        )
-        with pytest.raises(ArgumentError):
-            order_stability_probe(model, one)
+        across = transitions.pop(a.num_frames - 1)
+        assert across == (0, 0)
+        assert all(followed > 0 for followed, _ in transitions)
+        assert switch_rate([[across, *transitions]]) == 0.0

@@ -10,8 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rcfvis import cli
-from rcfvis.analysis import order_stability_probe
+from rcfvis import viseval
 from rcfvis.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, build_parser, main
 from rcfvis.config import RunConfig, load_config
 from rcfvis.container import rle_decode
@@ -22,6 +21,7 @@ from rcfvis.optim import OptimState
 from rcfvis.stream import stream_clip
 from rcfvis.synthav import generate_clip, read_clip, write_clip
 from rcfvis.training import load_checkpoint, save_checkpoint
+from rcfvis.viseval import gt_tracks_from_clip, identity_switches, switch_rate
 
 from conftest import read_container  # a test helper: no command reads a whole container
 from test_reachability import TINY as TINY_CFG  # the dead-code trace's config file
@@ -168,14 +168,11 @@ class TestCLIBasics:
         data = tmp_path / "data"
         for split in ("val", "probe", "train"):
             (data / split).mkdir(parents=True)
-        commands = (
-            ["eval", "--ckpt", str(tmp_path / "ckpt"), "--data", str(data), "--split", "val"],
-            ["probe-order", "--data", str(data), "--split", "probe", "--set", "image_h=32", "--set", "image_w=48"],
-        )
-        for command, split in zip(commands, ("val", "probe")):
+        for split in ("val", "probe"):
             capsys.readouterr()
-            out = tmp_path / f"{command[0]}.csv"
-            assert main([*command, "--out", str(out)]) == EXIT_IO, command[0]
+            out = tmp_path / f"{split}.csv"
+            command = ["eval", "--ckpt", str(tmp_path / "ckpt"), "--data", str(data), "--split", split]
+            assert main([*command, "--out", str(out)]) == EXIT_IO, split
             assert f"no clips under dataset split directory {data / split}" in capsys.readouterr().err
             assert not out.exists()
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")]) == EXIT_IO
@@ -321,14 +318,10 @@ class TestCLIBasics:
         write_clip(generate_clip(0, cfg), clip)
         (tmp_path / "run.cfg").write_text("seed=5\n")
         value = {"--config": str(tmp_path / "run.cfg"), "--set": "token_dim=7", "--seed": "5"}[flag]
-        commands = (
-            ["probe-order", "--clip", clip],
-            ["dump-attention", "--clip", clip, "--out", str(tmp_path / "attn")],
-        )
-        for command in commands:
-            capsys.readouterr()
-            assert main([*command, "--ckpt", ckpt, flag, value]) == EXIT_CONFIG, command[0]
-            assert f"{flag} cannot be combined with --ckpt" in capsys.readouterr().err
+        capsys.readouterr()
+        command = ["dump-attention", "--clip", clip, "--out", str(tmp_path / "attn"), "--ckpt", ckpt, flag, value]
+        assert main(command) == EXIT_CONFIG
+        assert f"{flag} cannot be combined with --ckpt" in capsys.readouterr().err
         assert not (tmp_path / "attn").exists()
 
 
@@ -386,7 +379,7 @@ class TestCLIPipelines:
         assert rc == 0
         rows = (tmp_path / "score.csv").read_text().strip().splitlines()[1:]
         values = {row.split(",")[0]: float(row.split(",")[1]) for row in rows}
-        assert set(values) == {"AP", "AP50", "AP75", "AR@1", "AR@10"}
+        assert set(values) == {"AP", "AP50", "AP75", "AR@1", "AR@10", "switch_rate"}
         assert all(0.0 <= v <= 1.0 for v in values.values())
 
     def test_train_with_too_few_classes_exit_2_before_iteration_0(self, tmp_path, capsys):
@@ -433,21 +426,24 @@ class TestCLIPipelines:
         assert metrics[0] == metrics[1] and len(metrics[0].splitlines()) == 3
 
     def test_probe_takes_the_mask_grid_from_the_prediction(self, tmp_path, capsys):
+        # eval of a 64x96 clip under a 32x48 checkpoint counts switches as
+        # under the clip's own size: the ground truth shrinks to the prediction's grid
         cfg = RunConfig(image_h=32, image_w=48, num_slots=4, class_threshold=0.0).validate()
         model = RCFModel(cfg)
         save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params(), model.param_groups()), 0)
-        clip_dir = tmp_path / "clip"
+        clip_dir = tmp_path / "data" / "probe" / "clip_00000"
         big = RunConfig(gen_frames=3, gen_max_sprites=2, gen_min_radius=16.0, gen_max_radius=20.0)
         write_clip(generate_clip(1, big), clip_dir)  # 64x96, with a sprite that a slot follows
-        out = tmp_path / "probe.csv"
-        assert main(["probe-order", "--ckpt", str(tmp_path / "ckpt"), "--clip", str(clip_dir), "--out", str(out)]) == 0
+        out = tmp_path / "eval.csv"
+        command = ["eval", "--ckpt", str(tmp_path / "ckpt"), "--data", str(tmp_path / "data"), "--split", "probe"]
+        assert main([*command, "--out", str(out)]) == 0
         model.cfg = RunConfig(num_slots=4, class_threshold=0.0).validate()  # the clip's own size
         clip = read_clip(clip_dir)
-        report = order_stability_probe(model, clip)
+        transitions = identity_switches(stream_clip(model, clip)[0], gt_tracks_from_clip(clip))
+        assert len(transitions) == 2 and sum(followed for followed, _ in transitions) > 0
         with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))[2:]
-        assert rows == [[clip.clip_id, str(r.t), str(r.tracked), str(r.switched)] for r in report.rows]
-        assert len(rows) == 2 and sum(r.tracked for r in report.rows) > 0
+            rows = dict(list(csv.reader(fh))[1:])
+        assert rows["switch_rate"] == f"{switch_rate([transitions]):.6f}"
 
     def test_infer_dump_and_probe_and_attention(self, tmp_path, capsys):
         args = TINY + ["--set", "iter_max=2", "--set", "ckpt_every=2"]
@@ -461,22 +457,16 @@ class TestCLIPipelines:
         assert manifest["format_version"] == 1
         assert (tmp_path / "pred" / "masks" / "tensors.bin").is_file()
 
-        assert main(["probe-order", "--ckpt", ckpt, "--clip", clip, "--out", str(tmp_path / "probe.csv")]) == 0
-        lines = (tmp_path / "probe.csv").read_text().splitlines()
-        assert lines[0] == "# model=trained"
-        assert lines[1] == "clip,t,tracked,switched"
-
         assert main(["dump-attention", "--ckpt", ckpt, "--clip", clip, "--out", str(tmp_path / "attn")]) == 0
         pgms = list((tmp_path / "attn").glob("*.pgm"))
         assert pgms and (tmp_path / "attn" / "segment_mass.csv").is_file()
         header = pgms[0].read_bytes()[:2]
         assert header == b"P5"
 
-        probe = ["probe-order", "--ckpt", ckpt, "--data", str(tmp_path / "d"), "--no-override"]
-        assert main([*probe, "--out", str(tmp_path / "all.csv")]) == 0
-        lines = (tmp_path / "all.csv").read_text().splitlines()
-        assert lines[:2] == ["# model=trained", "clip,t,tracked,switched"]
-        assert len(lines) == 2 + 3  # the probe split's one 4-frame clip
+        probe = ["eval", "--ckpt", ckpt, "--data", str(tmp_path / "d"), "--split", "probe"]
+        assert main([*probe, "--out", str(tmp_path / "probe.csv")]) == 0
+        lines = (tmp_path / "probe.csv").read_text().splitlines()
+        assert lines[0] == "metric,value" and lines[-1].startswith("switch_rate,")
 
     def test_infer_dump_matches_streamed_predictions(self, tmp_path, capsys):
         # class_threshold=0 fires every slot, so a 2-iteration model has tracks to dump
@@ -518,21 +508,42 @@ class TestCLIPipelines:
                 plane = rle_decode(blocks[f"mask/{track['identity']}/{t:03d}"], h * w).reshape(h, w)
                 assert np.array_equal(plane, np.kron(mask, np.ones((2, 2), dtype=np.uint8)))
 
-    def test_probe_needs_clip_or_data(self, capsys):
-        assert main(["probe-order"]) == EXIT_CONFIG
+    def test_probe_order_is_gone_exit_2(self, capsys):
+        # eval streams each clip once and reports the identity-switch rate beside AP
+        with pytest.raises(SystemExit) as exc:
+            main(["probe-order"])
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_CONFIG
+        assert "invalid choice: 'probe-order'" in err and "Traceback" not in err
 
-    def test_probe_rejects_both_clip_and_data(self, tmp_path, capsys):
-        # with both, the probe must not run on the clip alone and ignore --data
-        cfg = RunConfig(image_h=32, image_w=48, num_slots=4, gen_frames=2, gen_max_sprites=2).validate()
-        clip_dir = tmp_path / "data" / "probe" / "clip_00000"
-        write_clip(generate_clip(0, cfg), clip_dir)
-        out = tmp_path / "probe.csv"
-        size = ["--set", "image_h=32", "--set", "image_w=48", "--set", "num_slots=4"]
-        args = ["probe-order", "--clip", str(clip_dir), "--data", str(tmp_path / "data"), "--out", str(out), *size]
-        capsys.readouterr()
-        assert main(args) == EXIT_CONFIG
-        assert "exactly one of --clip and --data" in capsys.readouterr().err
-        assert not out.exists()
+    def test_eval_csv_rows_and_one_stream_per_clip(self, tmp_path, capsys, monkeypatch):
+        # the checkpoint's iou_override=false reaches the stream: with the
+        # probe's --no-override gone, that is how a tracker without the override is scored
+        cfg = RunConfig(
+            image_h=32, image_w=48, num_slots=4, class_threshold=0.0, gen_frames=3, iou_override=False
+        ).validate()
+        model = RCFModel(cfg)
+        save_checkpoint(tmp_path / "ckpt", model, OptimState.create(model.params(), model.param_groups()), 0)
+        clips = [generate_clip(i, cfg) for i in range(3)]
+        for i, clip in enumerate(clips):
+            write_clip(clip, tmp_path / "data" / "val" / f"clip_{i:05d}")
+        streamed = []
+
+        def spy(model, clip):
+            streamed.append((clip.clip_id, model.cfg.iou_override))
+            return stream_clip(model, clip)
+
+        monkeypatch.setattr(viseval, "stream_clip", spy)
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--ckpt", str(tmp_path / "ckpt"), "--data", str(tmp_path / "data"), "--out", str(out)]) == 0
+        assert sorted(streamed) == sorted((clip.clip_id, False) for clip in clips)  # each clip streamed once
+        printed = capsys.readouterr().out.splitlines()
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        names = ["AP", "AP50", "AP75", "AR@1", "AR@10", "switch_rate"]
+        assert [name for name, _ in rows] == ["metric", *names]
+        assert [line.split("=")[0] for line in printed] == names
+        assert all(0.0 <= float(value) <= 1.0 for _, value in rows[1:])
 
     def test_dump_attention_records_no_tape(self, tmp_path, capsys, monkeypatch):
         # a read-only dump must not record, and hold, a training tape
@@ -551,33 +562,6 @@ class TestCLIPipelines:
         assert main(["dump-attention", "--clip", str(clip), "--out", str(tmp_path / "attn"), *size]) == 0
         assert len(token_sets) == 1
         assert not token_sets[0].requires_grad
-
-    def test_probe_no_override_runs_with_override_off(self, tmp_path, capsys, monkeypatch):
-        size = ["--set", "image_h=32", "--set", "image_w=48", "--set", "num_slots=4", "--set", "class_threshold=0.0"]
-        cfg = RunConfig(
-            image_h=32, image_w=48, num_slots=4, class_threshold=0.0, iou_override=False, gen_frames=4, gen_max_sprites=2
-        ).validate()
-        clip_dir = tmp_path / "clip"
-        write_clip(generate_clip(2, cfg), clip_dir)
-        seen = []
-
-        def spy(model, clip, **kw):
-            seen.append(model.cfg.iou_override)
-            return order_stability_probe(model, clip, **kw)
-
-        monkeypatch.setattr(cli, "order_stability_probe", spy)
-        out = tmp_path / "probe.csv"
-        assert main(["probe-order", "--clip", str(clip_dir), "--no-override", "--out", str(out), *size]) == 0
-        assert main(["probe-order", "--clip", str(clip_dir), "--out", str(tmp_path / "on.csv"), *size]) == 0
-        assert seen == [False, True]
-
-        clip = read_clip(clip_dir)
-        report = order_stability_probe(RCFModel(cfg), clip)
-        want = [[clip.clip_id, str(r.t), str(r.tracked), str(r.switched)] for r in report.rows]
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["# model=random"]
-        assert rows[2:] == want
 
     def test_infer_deterministic(self, tmp_path, capsys):
         args = TINY + ["--set", "iter_max=2", "--set", "ckpt_every=2"]

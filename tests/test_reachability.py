@@ -72,13 +72,12 @@ def trace_commands(work: Path) -> set:
         ["infer", "--ckpt", ckpt, "--clip", clip, "--out", str(work / "pred")],
         ["dump-attention", "--ckpt", ckpt, "--clip", clip, "--out", str(work / "attn_ckpt")],
         ["dump-attention", *flags, "--clip", clip, "--frame", "1", "--out", str(work / "attn_flags")],
-        ["probe-order", *flags, "--data", str(data), "--out", str(work / "probe.csv")],
-        ["probe-order", "--ckpt", ckpt, "--clip", clip, "--no-override", "--out", str(work / "probe_clip.csv")],
+        ["eval", "--ckpt", ckpt, "--data", str(data), "--split", "probe", "--out", str(work / "probe.csv")],
         ["bench-latency", "--fps-stream", "6", "--fps-model", "89.4"],
     ]
     failures = [
         (2, ["gen-data", "--config", str(work / "not_utf8.cfg"), "--out", str(work / "none")]),
-        (3, ["probe-order", *flags, "--clip", str(work / "corrupt")]),
+        (3, ["infer", "--ckpt", ckpt, "--clip", str(work / "corrupt"), "--out", str(work / "corrupt_pred")]),
         (3, ["train", *flags, "--data", str(work / "nan"), "--out", str(work / "nan_run"), "--set", "iter_max=1"]),
         (4, ["train", *flags, "--data", str(data), "--out", str(work / "diverged"), "--set", "lr0=1", "--set", "iter_max=3"]),
     ]

@@ -210,7 +210,7 @@ class TestCheckpoint:
         write_clip(generate_clip(0, cfg), tmp_path / "clip")
         for ckpt in ("per_parameter", *edits):
             capsys.readouterr()
-            rc = main(["probe-order", "--ckpt", str(tmp_path / ckpt), "--clip", str(tmp_path / "clip")])
+            rc = main(["infer", "--ckpt", str(tmp_path / ckpt), "--clip", str(tmp_path / "clip"), "--out", str(tmp_path / "pred")])
             assert rc == EXIT_IO, ckpt
             assert "parameter group layout" in capsys.readouterr().err, ckpt
 

@@ -5,7 +5,17 @@ import pytest
 
 from rcfvis.errors import ArgumentError
 from rcfvis.instance_head import FramePrediction
-from rcfvis.viseval import GtTrack, PredTrack, VisScore, evaluate_vis, pred_tracks, track_iou
+from rcfvis.viseval import (
+    PROBE_MATCH_IOU,
+    GtTrack,
+    PredTrack,
+    VisScore,
+    evaluate_vis,
+    identity_switches,
+    pred_tracks,
+    switch_rate,
+    track_iou,
+)
 
 
 def box(y0, y1, x0, x1, h=8, w=8):
@@ -138,3 +148,65 @@ def test_pred_tracks_group_fired_slots_by_identity():
     for track, want in ((seven, "acba"), (three, "ba")):
         for t, key in zip(track.masks, want):
             assert track.masks[t].dtype == bool and np.array_equal(track.masks[t], up[key])
+
+
+def cells(*flat, h=4, w=5):
+    """An h x w prediction-grid mask with the given flat cells set."""
+    m = np.zeros(h * w, dtype=bool)
+    m[list(flat)] = True
+    return m.reshape(h, w)
+
+
+def fired_frame(t, masks, identities):
+    """Frame t's prediction: one slot per mask, fired unless its identity is -1."""
+    ids = np.array(identities)
+    return FramePrediction(
+        class_probs=np.zeros((len(ids), 2)),
+        mask_logits=np.zeros((len(ids), 4, 5)),
+        frame_index=t,
+        binary_masks=np.array(masks),
+        fired=ids >= 0,
+        identities=ids,
+    )
+
+
+def gt(*frames):
+    """A ground truth visible on each frame given as (t, grid mask), at 2x image resolution."""
+    return GtTrack(0, {t: np.kron(m, np.ones((2, 2), dtype=bool)) for t, m in frames})
+
+
+def test_identity_switches_follow_the_probe_rule():
+    three = cells(0, 1, 2)
+    ten, eleven = cells(*range(10)), cells(*range(11))
+    assert PROBE_MATCH_IOU == 0.3
+    # IoU 3/10 is exactly the threshold and follows; 3/11 does not
+    at_threshold = [fired_frame(t, [ten], [5 + t]) for t in range(2)]
+    below = [fired_frame(t, [eleven], [5 + t]) for t in range(2)]
+    truth = [gt((0, three), (1, three))]
+    assert identity_switches(at_threshold, truth) == [(1, 1)]
+    assert identity_switches(below, truth) == [(0, 0)]
+
+    # a tie goes to the lowest fired slot: identity 4 on both frames, not 7 then 9;
+    # the unfired slot 0 overlaps as much and is never followed
+    tie = [fired_frame(t, [three, three, three], [-1, 4, ident]) for t, ident in ((0, 7), (1, 9))]
+    assert identity_switches(tie, truth) == [(1, 0)]
+
+    # two slots that trade identities every frame: one switch per followed
+    # ground truth per transition
+    left, right = cells(0, 1, 5, 6), cells(13, 14, 18, 19)
+    trading = [fired_frame(t, [left, right], [t % 2, 1 - t % 2]) for t in range(4)]
+    pair = [gt(*((t, left) for t in range(4))), gt(*((t, right) for t in range(4)))]
+    assert identity_switches(trading, pair) == [(2, 2)] * 3
+    # a ground truth invisible on a frame is not followed across its transitions
+    gap = [gt(*((t, left) for t in (0, 1, 3))), pair[1]]
+    assert identity_switches(trading, gap) == [(2, 2), (1, 1), (1, 1)]
+
+    # a one-frame clip has no transition, and a clip that follows nothing
+    # counts as rate 0 in the unweighted mean over clips
+    one_frame = identity_switches(trading[:1], pair)
+    unfired = [fired_frame(t, [left, right], [-1, -1]) for t in range(4)]
+    nothing = identity_switches(unfired, pair)
+    assert one_frame == [] and nothing == [(0, 0)] * 3
+    clips = [identity_switches(trading, pair), one_frame, nothing, identity_switches(tie, truth)]
+    assert switch_rate(clips) == np.mean([1.0, 0.0, 0.0, 0.0]) == 0.25
+    assert switch_rate([[(2, 1), (2, 0)], [(1, 1)]]) == np.mean([1 / 4, 1.0])

@@ -40,6 +40,8 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 SPLIT_OFFSETS = {"train": 0, "val": 1_000_000, "probe": 2_000_000}
+PROBE_SPEED_SCALE = 0.25  # probe clips' sprite speeds, as a share of the config's
+PROBE_NOISE = 0.0  # probe clips' pixel noise
 
 
 def _load_cfg(args) -> RunConfig:
@@ -61,16 +63,16 @@ def _load_model(args) -> RCFModel:
 
 def generator_config(cfg: RunConfig, split: str) -> RunConfig:
     """The config that `generate_clip` renders a split's clips from: cfg
-    itself, except that probe clips move at `probe_speed_scale` times the
-    speeds and carry `probe_noise`, the motion under which `eval --split
-    probe` counts identity switches."""
+    itself, except that probe clips move at `PROBE_SPEED_SCALE` (0.25) times
+    the speeds and carry `PROBE_NOISE` (0, no noise), the motion under which
+    `eval --split probe` counts identity switches."""
     if split != "probe":
         return cfg
     return dataclasses.replace(
         cfg,
-        gen_min_speed=cfg.gen_min_speed * cfg.probe_speed_scale,
-        gen_max_speed=cfg.gen_max_speed * cfg.probe_speed_scale,
-        gen_noise=cfg.probe_noise,
+        gen_min_speed=cfg.gen_min_speed * PROBE_SPEED_SCALE,
+        gen_max_speed=cfg.gen_max_speed * PROBE_SPEED_SCALE,
+        gen_noise=PROBE_NOISE,
     )
 
 

@@ -73,8 +73,6 @@ class RunConfig:
     # training
     lr0: float = _key(6e-4, "(0, 1]", _range(0, 1, lo_open=True))
     iter_max: int = _key(1000, "[1, 10000000]", _range(1, 10_000_000))
-    weight_decay: float = _key(1e-4, "[0, 1]", _range(0, 1))
-    backbone_lr_mult: float = _key(0.1, "(0, 10]", _range(0, 10, lo_open=True))
     seed: int = _key(0, "[0, 2^31)", _range(0, 2**31 - 1))
     ckpt_every: int = _key(200, "[1, 10000000]", _range(1, 10_000_000))
     train_clips: int = _key(64, "[1, 100000]", _range(1, 100_000))
@@ -90,12 +88,8 @@ class RunConfig:
     gen_max_speed: float = _key(3.0, "[0, 32]", _range(0, 32))
     gen_min_radius: float = _key(6.0, "(0, 64]", _range(0, 64, lo_open=True))
     gen_max_radius: float = _key(12.0, "(0, 64]", _range(0, 64, lo_open=True))
-    probe_speed_scale: float = _key(0.25, "(0, 1]", _range(0, 1, lo_open=True))
-    probe_noise: float = _key(0.0, "[0, 1]", _range(0, 1))
     # thresholds / runtime
-    mask_threshold: float = _key(0.5, "[0, 1]", _range(0, 1))
     class_threshold: float = _key(0.4, "[0, 1]", _range(0, 1))
-    track_max_gap: int = _key(5, "[0, 1000]", _range(0, 1000))
     iou_override: bool = _key(True, "true or false", lambda v: isinstance(v, bool))
 
     def validate(self) -> "RunConfig":

@@ -26,7 +26,7 @@ class FramePrediction:
     class_probs: np.ndarray  # (N, classes+1), last column is the no-object class
     mask_logits: np.ndarray  # (N, H_o, W_o)
     frame_index: int = 0
-    binary_masks: np.ndarray | None = None  # logit >= log(t / (1 - t)), t = mask_threshold
+    binary_masks: np.ndarray | None = None  # logit >= 0, sigmoid >= 0.5
     fired: np.ndarray | None = None  # max non-empty class prob > class_threshold
     scores: np.ndarray | None = None
     identities: np.ndarray | None = None  # filled by the tracker, -1 = unfired

@@ -27,6 +27,9 @@ from .optim import ParamGroup
 from .tensor import Tensor, concat
 from .videonet import Backbone, FrameFeature, MaskFeatureDecoder
 
+BACKBONE_LR_MULT = 0.1  # the backbone's share of the learning rate
+WEIGHT_DECAY = 1e-4  # AdamW decay of the weight matrices (w, wx, wh); nothing else decays
+
 
 def reference_indices(t: int, delta: int) -> list[int]:
     """The delta reference frames of frame t, oldest first: t-delta..t-1,
@@ -95,10 +98,10 @@ class RCFModel:
         `params` order: the backbone gets the reduced LR, weight matrices decay."""
         groups: dict[tuple[float, float], ParamGroup] = {}
         for name in self.params():
-            lr_mult = self.cfg.backbone_lr_mult if name.startswith("backbone.") else 1.0
+            lr_mult = BACKBONE_LR_MULT if name.startswith("backbone.") else 1.0
             leaf = name.rsplit(".", 1)[-1]
             decayed = leaf in ("w", "wx", "wh")
-            wd = self.cfg.weight_decay if decayed else 0.0
+            wd = WEIGHT_DECAY if decayed else 0.0
             groups.setdefault((lr_mult, wd), ParamGroup(lr_mult, wd, [])).names.append(name)
         return list(groups.values())
 

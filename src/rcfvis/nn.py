@@ -1,8 +1,10 @@
 """Parameterized layers on top of the tape: linear, conv, norms, attention, LSTM.
 
 Weights start from N(0, 0.02), biases at zero, normalization gains at one.
-Every module owns an rng so parameter values depend only on (seed, module
-name), not on what else the model instantiates.
+A module draws its weights from the rng it is given.  `RCFModel` gives each
+of its top-level modules its own `module_rng(seed, name)`; the children of
+a module draw from their parent's stream, in construction order, so a new
+child changes the weights of every child built after it.
 
 Each layer calls one fused op of `tensor`, one tape node per call: `Linear`
 calls `linear`, `Conv2dLayer` calls `conv2d`, `LayerNorm` and `GroupNormReLU`
@@ -27,7 +29,7 @@ NORM_EPS = 1e-5
 
 
 def module_rng(seed: int, name: str) -> np.random.Generator:
-    """Independent parameter stream per module name."""
+    """Independent parameter stream per (seed, module name)."""
     return np.random.default_rng([seed & 0xFFFFFFFF, zlib.crc32(name.encode())])
 
 

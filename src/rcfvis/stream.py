@@ -14,7 +14,6 @@ a stream's tracks come from its predictions (`viseval.pred_tracks`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +25,7 @@ from .synthav import SpriteClip
 from .tensor import Tensor, no_grad
 
 IOU_OVERRIDE_THRESHOLD = 0.5
+TRACK_MAX_GAP = 5  # frames an unfired slot holds its identity in a stream
 
 
 @dataclass
@@ -78,22 +78,17 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
 
-def postprocess(
-    raw: FramePrediction, num_classes: int, *, class_threshold: float, mask_threshold: float
-) -> FramePrediction:
+def postprocess(raw: FramePrediction, num_classes: int, *, class_threshold: float) -> FramePrediction:
     """Binarize masks and fire slots above the class bar.
 
-    A mask pixel is on when its logit reaches log(t / (1 - t)) for
-    t = mask_threshold, the logit where the sigmoid crosses t: -inf at
-    t = 0, +inf at t = 1.  Comparing logits skips a sigmoid over the whole
-    (N, H_o, W_o) array.  At t = 0.5 the bar is 0; a float sigmoid would
-    round logits in (-2^-54, 0) up to exactly 0.5 and turn them on too.
+    A mask pixel is on when its logit is at least 0, where the sigmoid
+    crosses 0.5.  Comparing logits skips a sigmoid over the whole
+    (N, H_o, W_o) array, and is exact: a float sigmoid would round logits
+    in (-2^-54, 0) up to exactly 0.5 and turn them on too.
     """
-    t = mask_threshold
-    bar = -math.inf if t <= 0.0 else math.inf if t >= 1.0 else math.log(t) - math.log1p(-t)
     probs = raw.class_probs
     scores = probs[:, :num_classes].max(axis=1)
-    raw.binary_masks = raw.mask_logits >= bar
+    raw.binary_masks = raw.mask_logits >= 0.0
     raw.fired = scores > class_threshold
     raw.scores = scores
     return raw
@@ -211,9 +206,8 @@ def infer_frame(
         FramePrediction(class_probs=probs.data, mask_logits=masks.data, frame_index=idx),
         cfg.num_classes,
         class_threshold=cfg.class_threshold,
-        mask_threshold=cfg.mask_threshold,
     )
-    track_update(state, pred, max_gap=cfg.track_max_gap, iou_override=cfg.iou_override)
+    track_update(state, pred, max_gap=TRACK_MAX_GAP, iou_override=cfg.iou_override)
     cache.features.pop(idx - cache.capacity, None)
     cache.audio.pop(idx - cache.capacity, None)
     cache.frames_processed += 1

@@ -81,15 +81,14 @@ def set_loss(
     return LossReport(loss=loss, total=float(loss.data), ce=float(ce.data), dice=float(dice.data))
 
 
-def frame_ground_truth(clip: SpriteClip, t: int, mask_hw: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Visible instances at frame t: (indices, classes, masks on mask_hw grid)."""
+def frame_ground_truth(clip: SpriteClip, t: int, mask_hw: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Visible instances at frame t: (classes, masks on mask_hw grid)."""
     idx = np.flatnonzero(clip.visibility[t])
-    classes = clip.gt_classes[idx]
-    return idx, classes, shrink_mask(clip.masks(t)[idx], mask_hw)
+    return clip.gt_classes[idx], shrink_mask(clip.masks(t)[idx], mask_hw)
 
 
 def match_and_loss(class_probs: Tensor, mask_logits: Tensor, clip: SpriteClip, t: int, cfg: RunConfig) -> LossReport:
-    _, classes, masks = frame_ground_truth(clip, t, mask_logits.shape[1:])
+    classes, masks = frame_ground_truth(clip, t, mask_logits.shape[1:])
     sim = similarity_matrix(class_probs.data, mask_logits.data, masks.astype(np.float64), classes)
     assignment = hungarian_assign(sim)
     return set_loss(class_probs, mask_logits, classes, masks, assignment, cfg.num_classes)

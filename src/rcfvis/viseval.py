@@ -45,18 +45,6 @@ class GtTrack:
     masks: dict[int, np.ndarray]
 
 
-@dataclass
-class VisScore:
-    ap: float
-    ap50: float
-    ap75: float
-    ar1: float
-    ar10: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {"AP": self.ap, "AP50": self.ap50, "AP75": self.ap75, "AR@1": self.ar1, "AR@10": self.ar10}
-
-
 def track_iou(pred: PredTrack | GtTrack, gt: PredTrack | GtTrack) -> float:
     """Spatio-temporal IoU: sum of intersections over sum of unions."""
     inter = 0
@@ -88,8 +76,9 @@ def _ap_101(tp_flags: list[bool], npos: int) -> float:
     return ap / 101.0
 
 
-def evaluate_vis(pred_tracks: dict[str, list[PredTrack]], gt_tracks: dict[str, list[GtTrack]]) -> VisScore:
-    """Score predicted tracks against ground truth over a set of videos."""
+def evaluate_vis(pred_tracks: dict[str, list[PredTrack]], gt_tracks: dict[str, list[GtTrack]]) -> dict[str, float]:
+    """Score predicted tracks against ground truth over a set of videos:
+    AP, AP50, AP75, AR@1 and AR@10, in that order."""
     for vid, tracks in pred_tracks.items():
         idents = [t.identity for t in tracks if t.identity >= 0]
         if len(idents) != len(set(idents)):
@@ -150,7 +139,7 @@ def evaluate_vis(pred_tracks: dict[str, list[PredTrack]], gt_tracks: dict[str, l
     ap, tau_means, _ = run(None)
     _, _, ar1 = run(1)
     _, _, ar10 = run(10)
-    return VisScore(ap=ap, ap50=tau_means[0.5], ap75=tau_means[0.75], ar1=ar1, ar10=ar10)
+    return {"AP": ap, "AP50": tau_means[0.5], "AP75": tau_means[0.75], "AR@1": ar1, "AR@10": ar10}
 
 
 # ---------------------------------------------------------------------------
@@ -240,4 +229,4 @@ def evaluate_model_on_clips(model: RCFModel, clips: list[SpriteClip]) -> dict[st
         tracks[vid] = pred_tracks(preds)
         gts[vid] = gt_tracks_from_clip(clip)
         switches.append(identity_switches(preds, gts[vid]))
-    return {**evaluate_vis(tracks, gts).as_dict(), "switch_rate": switch_rate(switches)}
+    return {**evaluate_vis(tracks, gts), "switch_rate": switch_rate(switches)}

@@ -198,14 +198,14 @@ class TestCLIBasics:
         write_clip(generate_clip(0, cfg), clip)
         assert main(["infer", "--ckpt", str(tmp_path / "ckpt"), "--clip", str(clip), "--out", str(tmp_path / "ok")]) == 0
 
-        # checkpoints written while ref_compress or probe_norm_p was a key carry
-        # it, and are rejected; so is a value of another kind than its key's,
-        # and a missing key (DELETE), which would load with its default: heads
-        # shapes no parameter, so this 4-head model would load with 8
+        # checkpoints written while ref_compress, probe_norm_p or track_max_gap
+        # was a key carry it, and are rejected; so is a value of another kind
+        # than its key's, and a missing key (DELETE), which would load with its
+        # default: heads shapes no parameter, so this 4-head model would load with 8
         for i, (key, value) in enumerate((
             ("bogus", 1), ("fps_stream", 6.0), ("sim_dice", "coeff"), ("ref_compress", "pool"), ("num_slots", 1000),
-            ("probe_norm_p", "1"), ("num_slots", 4.0), ("heads", True), ("seed", 1.5), ("image_h", 32.0), ("lr0", True),
-            ("heads", DELETE),
+            ("probe_norm_p", "1"), ("track_max_gap", 5), ("num_slots", 4.0), ("heads", True), ("seed", 1.5),
+            ("image_h", 32.0), ("lr0", True), ("heads", DELETE),
         )):
             ckpt = tmp_path / f"ckpt_{i}"
             shutil.copytree(tmp_path / "ckpt", ckpt)
@@ -220,6 +220,7 @@ class TestCLIBasics:
             rc = main(["infer", "--ckpt", str(ckpt), "--clip", str(clip), "--out", str(tmp_path / "out")])
             assert rc == EXIT_IO, key
             assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # no rejected load wrote anything
 
     @pytest.fixture
     def ckpt_and_clip(self, tmp_path):
@@ -347,7 +348,7 @@ class TestCLIPipelines:
         h = hashlib.blake2b(digest_size=16)
         for name, data in files.items():
             h.update(name.encode() + b"\0" + data)
-        assert h.hexdigest() == "3327a40185fd79d32903ef8ee72e530a"
+        assert h.hexdigest() == "13931e93bb1950793b0f1dc6a764b783"
 
     def test_diverging_run_exits_4_without_numpy_warnings(self, tmp_path, capsys):
         # at lr0=1 a class probability underflows to 0 by iteration 2; the

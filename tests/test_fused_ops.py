@@ -364,7 +364,7 @@ def test_model_matches_composite_layers(seed, monkeypatch):
     cfg = RunConfig(num_slots=32, seed=seed, gen_frames=4, gen_min_sprites=4, gen_max_sprites=8).validate()
     clip = generate_clip(seed + 3, cfg)
     t = 2
-    _, classes, masks = training.frame_ground_truth(clip, t, cfg.mask_hw)
+    classes, masks = training.frame_ground_truth(clip, t, cfg.mask_hw)
 
     def outputs_and_grads(fused):
         with monkeypatch.context() as m:

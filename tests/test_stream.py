@@ -37,38 +37,23 @@ class TestPostprocess:
 
     def test_no_probability_above_bar_fires_nothing(self):
         pred = self.make([[0.4, 0.3, 0.3], [0.2, 0.2, 0.6]], np.zeros((2, 2, 2)))
-        out = postprocess(pred, num_classes=2, class_threshold=0.4, mask_threshold=0.5)
+        out = postprocess(pred, num_classes=2, class_threshold=0.4)
         assert not out.fired.any()
 
     def test_zero_logit_pixel_included(self):
         pred = self.make([[0.5, 0.2, 0.3]], np.zeros((1, 2, 2)))
-        out = postprocess(pred, num_classes=2, class_threshold=0.4, mask_threshold=0.5)
+        out = postprocess(pred, num_classes=2, class_threshold=0.4)
         assert out.binary_masks.all()  # sigmoid(0) = 0.5 >= 0.5
-
-    def binarize(self, logits, t):
-        pred = self.make([[0.5, 0.2, 0.3]], np.asarray(logits, float).reshape(1, 1, -1))
-        return postprocess(pred, num_classes=2, class_threshold=0.4, mask_threshold=t).binary_masks.ravel().tolist()
 
     def test_half_bar_is_logit_zero(self):
         # a float sigmoid rounds logits in (-2^-54, 0) to exactly 0.5; the logit bar keeps them off
-        logits = [-(2.0**-60), -(2.0**-54), -1e-15, 0.0, 2.0**-60]
-        assert self.binarize(logits, 0.5) == [False, False, False, True, True]
-
-    def test_bar_matches_sigmoid_inside_the_unit_interval(self, rng):
-        logits = rng.standard_normal(2000) * 8
-        for t in (0.1, 0.3, 0.7, 0.95):
-            expect = 1.0 / (1.0 + np.exp(-logits)) >= t
-            assert np.array_equal(self.binarize(logits, t), expect)
-
-    def test_bar_at_zero_and_one(self):
-        # at t = 1 a float sigmoid reaches 1 above a logit of about 36.7; the bar is +inf
-        logits = [-np.inf, -800.0, 0.0, 40.0, 800.0]
-        assert self.binarize(logits, 0.0) == [True] * 5
-        assert self.binarize(logits, 1.0) == [False] * 5
+        logits = np.array([-(2.0**-60), -(2.0**-54), -1e-15, 0.0, 2.0**-60]).reshape(1, 1, -1)
+        out = postprocess(self.make([[0.5, 0.2, 0.3]], logits), num_classes=2, class_threshold=0.4)
+        assert out.binary_masks.ravel().tolist() == [False, False, False, True, True]
 
     def test_threshold_is_strict(self):
         pred = self.make([[0.39, 0.11, 0.5], [0.41, 0.09, 0.5]], np.zeros((2, 2, 2)))
-        out = postprocess(pred, num_classes=2, class_threshold=0.4, mask_threshold=0.5)
+        out = postprocess(pred, num_classes=2, class_threshold=0.4)
         assert out.fired.tolist() == [False, True]
         assert out.scores[1] == pytest.approx(0.41)
 
@@ -85,7 +70,7 @@ def manual_pred(num_slots, fired_masks, frame=0, num_classes=2):
         probs[slot, num_classes] = 0.1
         logits[slot] = np.where(mask, 500.0, -500.0)
     pred = FramePrediction(class_probs=probs, mask_logits=logits, frame_index=frame)
-    return postprocess(pred, num_classes=num_classes, class_threshold=0.4, mask_threshold=0.5)
+    return postprocess(pred, num_classes=num_classes, class_threshold=0.4)
 
 
 def box(y0, y1, x0, x1, h=8, w=8):

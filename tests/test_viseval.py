@@ -9,7 +9,6 @@ from rcfvis.viseval import (
     PROBE_MATCH_IOU,
     GtTrack,
     PredTrack,
-    VisScore,
     evaluate_vis,
     identity_switches,
     pred_tracks,
@@ -47,16 +46,16 @@ def test_perfect_predictions_score_one():
         for vid, tracks in gt.items()
     }
     score = evaluate_vis(preds, gt)
-    assert score.ap == score.ap50 == score.ap75 == 1.0
-    assert score.ar10 == 1.0
+    assert score["AP"] == score["AP50"] == score["AP75"] == 1.0
+    assert score["AR@10"] == 1.0
     # v0 holds two instances, so keeping one prediction caps its recall
-    assert score.ar1 == pytest.approx(2 / 3)
+    assert score["AR@1"] == pytest.approx(2 / 3)
 
 
 def test_no_predictions_all_zero():
     gt = {"v0": [GtTrack(0, {0: box(0, 3, 0, 3)})]}
     score = evaluate_vis({"v0": []}, gt)
-    assert score.ap == score.ap50 == score.ap75 == score.ar1 == score.ar10 == 0.0
+    assert score["AP"] == score["AP50"] == score["AP75"] == score["AR@1"] == score["AR@10"] == 0.0
 
 
 def test_hand_enumerated_two_prediction_case():
@@ -72,10 +71,10 @@ def test_hand_enumerated_two_prediction_case():
         ]
     }
     score = evaluate_vis(preds, gt)
-    assert score.ap50 == pytest.approx(0.5)
-    assert score.ap == pytest.approx(0.5)
-    assert score.ar10 == pytest.approx(1.0)
-    assert score.ar1 == pytest.approx(0.0)  # top-1 kept prediction is the miss
+    assert score["AP50"] == pytest.approx(0.5)
+    assert score["AP"] == pytest.approx(0.5)
+    assert score["AR@10"] == pytest.approx(1.0)
+    assert score["AR@1"] == pytest.approx(0.0)  # top-1 kept prediction is the miss
 
 
 def test_ap_bounded_by_ap50():
@@ -83,15 +82,15 @@ def test_ap_bounded_by_ap50():
     # overlap 12/20 = 0.6: matches only at low thresholds
     preds = {"v0": [PredTrack(0, 0.9, {0: box(1, 4, 0, 4)}, identity=0)]}
     score = evaluate_vis(preds, gt)
-    assert score.ap <= score.ap50
-    assert 0.0 < score.ap50 <= 1.0
+    assert score["AP"] <= score["AP50"]
+    assert 0.0 < score["AP50"] <= 1.0
 
 
 def test_wrong_class_never_matches():
     gt = {"v0": [GtTrack(0, {0: box(0, 4, 0, 4)})]}
     preds = {"v0": [PredTrack(1, 0.9, {0: box(0, 4, 0, 4)}, identity=0)]}
     score = evaluate_vis(preds, gt)
-    assert score.ap == 0.0
+    assert score["AP"] == 0.0
 
 
 def test_duplicate_identities_rejected():
@@ -103,8 +102,9 @@ def test_duplicate_identities_rejected():
 
 
 def test_scores_dataclass_fields():
-    s = VisScore(ap=0.1, ap50=0.2, ap75=0.15, ar1=0.05, ar10=0.3)
-    assert set(s.as_dict()) == {"AP", "AP50", "AP75", "AR@1", "AR@10"}
+    gt = {"v0": [GtTrack(0, {0: box(0, 4, 0, 4)})]}
+    score = evaluate_vis({"v0": [PredTrack(0, 0.9, {0: box(0, 4, 0, 4)}, identity=0)]}, gt)
+    assert list(score) == ["AP", "AP50", "AP75", "AR@1", "AR@10"]
 
 
 def streamed(t, slots):

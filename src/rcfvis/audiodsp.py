@@ -55,8 +55,8 @@ def mel_filterbank() -> np.ndarray:
     return fb
 
 
-_FILTERBANK: np.ndarray | None = None
-_WINDOW_FN: np.ndarray | None = None
+FILTERBANK = mel_filterbank()
+WINDOW_FN = hann_periodic(WINDOW)
 
 
 def log_mel(wave: np.ndarray) -> np.ndarray:
@@ -65,20 +65,16 @@ def log_mel(wave: np.ndarray) -> np.ndarray:
     The signal is zero-padded by window/2 on both ends so the frame count is
     ceil(len / hop); frame t starts at t*hop in the padded signal.
     """
-    global _FILTERBANK, _WINDOW_FN
     wave = np.asarray(wave, dtype=np.float64)
     if wave.ndim != 1 or wave.size == 0:
         raise ArgumentError("log_mel expects a non-empty 1-D waveform")
-    if _FILTERBANK is None:
-        _FILTERBANK = mel_filterbank()
-        _WINDOW_FN = hann_periodic(WINDOW)
     n = wave.shape[0]
     n_frames = -(-n // HOP)
     padded = np.concatenate([np.zeros(WINDOW // 2), wave, np.zeros(WINDOW // 2)])
     idx = np.arange(WINDOW)[None, :] + HOP * np.arange(n_frames)[:, None]
-    frames = padded[idx] * _WINDOW_FN
+    frames = padded[idx] * WINDOW_FN
     mags = np.abs(np.fft.rfft(frames, n=N_FFT, axis=1))
-    mel = mags @ _FILTERBANK.T
+    mel = mags @ FILTERBANK.T
     return np.log(mel + LOG_OFFSET)
 
 

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, eval, infer, bench-latency, dump-attention.
-Configuration comes from an optional key=value file (--config) overridden
-by repeated --set key=value flags; --seed sets the seed last.  A command
-given --ckpt takes the checkpoint's config instead.  eval writes one
+gen-data and train take their configuration from an optional key=value
+file (--config) overridden by repeated --set key=value flags; --seed sets
+the seed last.  eval, infer and dump-attention read a checkpoint (--ckpt),
+which carries its own config.  eval writes one
 metric,value row each for AP, AP50, AP75, AR@1, AR@10 and the mean
 identity-switch rate (switch_rate); `eval --split probe` measures order
 stability on the probe split's clips (see `generator_config`).
@@ -26,8 +27,7 @@ import numpy as np
 from .config import RunConfig, config_help_lines, load_config
 from .container import rle_encode, write_container
 from .errors import ArgumentError, ConfigError, FormatError, NumericError
-from .fusion import export_diagnostics
-from .model import RCFModel
+from .fusion import export_diagnostics, segment_mass
 from .stream import stream_clip
 from .synthav import generate_clip, read_clip, write_clip
 from .tensor import no_grad
@@ -46,19 +46,9 @@ PROBE_NOISE = 0.0  # probe clips' pixel noise
 
 def _load_cfg(args) -> RunConfig:
     overrides = list(args.set or [])
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides.append(f"seed={args.seed}")
-    return load_config(getattr(args, "config", None), overrides)
-
-
-def _load_model(args) -> RCFModel:
-    """The --ckpt model, else a fresh one from the config flags."""
-    if not args.ckpt:
-        return RCFModel(_load_cfg(args))
-    for flag, value in (("--config", args.config), ("--set", args.set), ("--seed", args.seed)):
-        if value is not None:
-            raise ConfigError(f"{flag} cannot be combined with --ckpt, which carries its own config")
-    return load_checkpoint(args.ckpt)
+    return load_config(args.config, overrides)
 
 
 def generator_config(cfg: RunConfig, split: str) -> RunConfig:
@@ -181,7 +171,7 @@ def cmd_bench_latency(args) -> int:
 
 
 def cmd_dump_attention(args) -> int:
-    model = _load_model(args)
+    model = load_checkpoint(args.ckpt)
     clip = read_clip(args.clip)
     t = args.frame if args.frame is not None else clip.num_frames - 1
     if not 0 <= t < clip.num_frames:
@@ -191,9 +181,9 @@ def cmd_dump_attention(args) -> int:
         feats = [model.audio_feature(w) for w in windows] if model.cfg.audio_enabled else None
         target = model.extract(clip.frames[t])
         tokens = model.build_tokens(target, [model.extract(f).f for f in refs], feats)
-        diag = model.encoder.attention_maps(tokens, model.token_layout(*target.f.shape[1:]))
-    written = export_diagnostics(diag, args.out)
-    mass = diag.segment_mass()
+        attention = model.encoder.attention_maps(tokens)
+    mass = segment_mass(attention, model.token_segments(*target.f.shape[1:]))
+    written = export_diagnostics(attention, mass, args.out)
     print(f"wrote {len(written)} files to {args.out}")
     print(f"reference->target attention mass: {mass[1, 0]:.4f}")
     return EXIT_OK
@@ -245,8 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bench_latency)
 
     p = sub.add_parser("dump-attention", help="attention maps as PGM plus segment-mass CSV")
-    common(p)
-    p.add_argument("--ckpt", default=None)
+    p.add_argument("--ckpt", required=True)
     p.add_argument("--clip", required=True)
     p.add_argument("--frame", type=int, default=None)
     p.add_argument("--out", required=True)

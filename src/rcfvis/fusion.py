@@ -6,16 +6,14 @@ reference features are reweighted by a learned pixel map, compressed to a
 K x K grid, and projected to the shared token width; audio features pass
 through a bi-LSTM before projection.  All tokens attend to all tokens in
 the encoder.  Tokens travel as one plain (L, C') tensor, target rows first;
-`TokenLayout` says which rows belong to which segment, and `split_fused`
-and `attention_maps` take it from `RCFModel.token_layout`.  The forward
-keeps no attention weights; `attention_maps` recomputes every head's for
-diagnostics.
+`RCFModel.token_segments` names each segment's rows.  The forward keeps no
+attention weights; `attention_maps` recomputes every head's for
+diagnostics, and `segment_mass` sums them by segment.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,56 +23,6 @@ from .nn import INIT_STD, BiLSTM, EncoderLayer, Linear, Module
 from .tensor import Tensor, avg_pool2d, concat, stack
 
 SEGMENT_NAMES = ("target", "reference", "audio")
-
-
-@dataclass
-class TokenLayout:
-    h: int
-    w: int
-    k: int  # reference grid side, 0 without reference frames
-    audio_len: int  # (1 + delta) when audio is enabled, else 0
-
-    @property
-    def n_target(self) -> int:
-        return self.h * self.w
-
-    @property
-    def n_reference(self) -> int:
-        return self.k * self.k
-
-    def segment_slices(self) -> dict[str, slice]:
-        a = self.n_target
-        b = a + self.n_reference
-        return {"target": slice(0, a), "reference": slice(a, b), "audio": slice(b, b + self.audio_len)}
-
-
-@dataclass
-class FusionDiagnostics:
-    """Per-layer, per-head attention plus segment-to-segment mass fractions."""
-
-    attention: list[np.ndarray]  # each (heads, L, L)
-    layout: TokenLayout
-
-    def segment_mass(self) -> np.ndarray:
-        """(3,3) matrix: mean attention mass flowing src-segment -> dst-segment."""
-        slices = self.layout.segment_slices()
-        mass = np.zeros((3, 3))
-        counts = np.zeros(3)
-        for layer in self.attention:
-            for si, sname in enumerate(SEGMENT_NAMES):
-                rows = layer[:, slices[sname], :]
-                if rows.shape[1] == 0:
-                    continue
-                for di, dname in enumerate(SEGMENT_NAMES):
-                    cols = rows[:, :, slices[dname]]
-                    if cols.shape[2] == 0:
-                        continue
-                    mass[si, di] += cols.sum(axis=2).mean()
-                counts[si] += 1
-        for si in range(3):
-            if counts[si]:
-                mass[si] /= counts[si]
-        return mass
 
 
 def sincos_position_encoding_2d(h: int, w: int, dim: int) -> np.ndarray:
@@ -190,22 +138,44 @@ class FusionEncoder(Module):
             x = layer(x)
         return x
 
-    def attention_maps(self, x: Tensor, layout: TokenLayout) -> FusionDiagnostics:
-        """Every layer's per-head attention weights over the tokens `x` laid out
-        by `layout`, from a second walk of the layers; bit for bit the weights
-        a recording forward keeps."""
+    def attention_maps(self, x: Tensor) -> list[np.ndarray]:
+        """Every layer's (heads, L, L) attention weights over the tokens `x`,
+        from a second walk of the layers; bit for bit the weights a recording
+        forward keeps."""
         attn = []
         for layer in self.layers:
             normed = layer.ln1(x)
             attn.append(layer.attn.weights(normed, normed))
             x = layer(x)
-        return FusionDiagnostics(attention=attn, layout=layout)
+        return attn
 
 
-def split_fused(fused: Tensor, layout: TokenLayout) -> Tensor:
-    """The target rows of the fused (L, C') tokens as a (C', H, W) map."""
-    tgt = fused[layout.segment_slices()["target"], :]
-    return tgt.transpose().reshape(tgt.shape[1], layout.h, layout.w)
+def segment_mass(attention: list[np.ndarray], segments: dict[str, slice]) -> np.ndarray:
+    """(3,3) matrix: mean attention mass flowing src-segment -> dst-segment,
+    over every layer in which the source segment has rows."""
+    mass = np.zeros((3, 3))
+    counts = np.zeros(3)
+    for layer in attention:
+        for si, sname in enumerate(SEGMENT_NAMES):
+            rows = layer[:, segments[sname], :]
+            if rows.shape[1] == 0:
+                continue
+            for di, dname in enumerate(SEGMENT_NAMES):
+                cols = rows[:, :, segments[dname]]
+                if cols.shape[2] == 0:
+                    continue
+                mass[si, di] += cols.sum(axis=2).mean()
+            counts[si] += 1
+    for si in range(3):
+        if counts[si]:
+            mass[si] /= counts[si]
+    return mass
+
+
+def split_fused(fused: Tensor, h: int, w: int) -> Tensor:
+    """The target rows, the first h*w, of the fused (L, C') tokens as a (C', h, w) map."""
+    tgt = fused[: h * w, :]
+    return tgt.transpose().reshape(tgt.shape[1], h, w)
 
 
 def write_pgm(path: str | Path, image: np.ndarray) -> None:
@@ -220,17 +190,16 @@ def write_pgm(path: str | Path, image: np.ndarray) -> None:
     Path(path).write_bytes(header + data.tobytes())
 
 
-def export_diagnostics(diag: FusionDiagnostics, out_dir: str | Path) -> list[Path]:
-    """Dump attention maps as PGM images plus a CSV of segment-mass fractions."""
+def export_diagnostics(attention: list[np.ndarray], mass: np.ndarray, out_dir: str | Path) -> list[Path]:
+    """Dump attention maps as PGM images plus a CSV of the `segment_mass` fractions."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for li, layer in enumerate(diag.attention):
+    for li, layer in enumerate(attention):
         for hi in range(layer.shape[0]):
             p = out_dir / f"attention_l{li}_h{hi}.pgm"
             write_pgm(p, layer[hi])
             written.append(p)
-    mass = diag.segment_mass()
     csv_path = out_dir / "segment_mass.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -18,7 +18,6 @@ from .fusion import (
     FusionEncoder,
     ReferenceTokenizer,
     TargetTokenizer,
-    TokenLayout,
     split_fused,
 )
 from .instance_head import InstanceHead
@@ -118,16 +117,13 @@ class RCFModel:
 
     # -- forward ----------------------------------------------------------------
 
-    def token_layout(self, fh: int, fw: int) -> TokenLayout:
-        """Token layout over an fh x fw feature grid: the one rule for which
-        segments the encoder sees and how many tokens each has."""
-        cfg = self.cfg
-        return TokenLayout(
-            h=fh,
-            w=fw,
-            k=cfg.ref_token_k if self.ref_tok is not None else 0,
-            audio_len=1 + cfg.ref_frames if self.audio_tok is not None else 0,
-        )
+    def token_segments(self, fh: int, fw: int) -> dict[str, slice]:
+        """Each segment's rows of the tokens over an fh x fw feature grid: the
+        one rule for which segments the encoder sees and how long each is."""
+        a = fh * fw
+        b = a + (self.cfg.ref_token_k**2 if self.ref_tok is not None else 0)
+        c = b + (1 + self.cfg.ref_frames if self.audio_tok is not None else 0)
+        return {"target": slice(0, a), "reference": slice(a, b), "audio": slice(b, c)}
 
     def build_tokens(
         self,
@@ -135,7 +131,7 @@ class RCFModel:
         refs: list[Tensor],
         audio_feats: list[Tensor] | None = None,
     ) -> Tensor:
-        """The (L, C') encoder input, rows laid out as `token_layout` says.
+        """The (L, C') encoder input, rows laid out as `token_segments` says.
         `refs` are the reference frames' backbone outputs `FrameFeature.f`."""
         blocks = [self.target_tok(target.f)]
         if self.ref_tok is not None:
@@ -154,8 +150,7 @@ class RCFModel:
     ) -> tuple[Tensor, Tensor]:
         """(class_probs (N, classes+1), mask_logits (N, H_o, W_o))."""
         fused = self.encoder(self.build_tokens(target, refs, audio_feats))
-        layout = self.token_layout(*target.f.shape[1:])
-        seg = self.mask_decoder(split_fused(fused, layout), target.skips)
+        seg = self.mask_decoder(split_fused(fused, *target.f.shape[1:]), target.skips)
         code = self.head.decode(fused)
         return self.head.predict_class(code), self.head.dynamic_masks(code, seg)
 

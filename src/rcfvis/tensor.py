@@ -229,8 +229,6 @@ class Tensor:
     # -- shape ops -----------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         out_data = self.data.reshape(shape)
 
         def bw(a=self):
@@ -240,17 +238,13 @@ class Tensor:
         out = Tensor._from_op(out_data, (self,), bw)
         return out
 
-    def transpose(self, *axes):
-        if not axes:
-            axes = tuple(reversed(range(self.data.ndim)))
-        elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        inv = np.argsort(axes)
-        out_data = self.data.transpose(axes)
+    def transpose(self):
+        """numpy's `.T`: every axis reversed."""
+        out_data = self.data.T
 
-        def bw(a=self, inv=tuple(inv)):
+        def bw(a=self):
             if a.requires_grad:
-                a._accum(out.grad.transpose(inv))
+                a._accum(out.grad.T)
 
         out = Tensor._from_op(out_data, (self,), bw)
         return out

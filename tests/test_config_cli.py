@@ -134,10 +134,10 @@ class TestCLIBasics:
         "channels, want", [(8, EXIT_CONFIG), (12, EXIT_CONFIG), (20, EXIT_CONFIG), (144, EXIT_CONFIG), (16, 0), (48, 0)]
     )
     def test_backbone_channels_off_the_group_norm_grid_exit_2(self, channels, want, capsys, tmp_path):
-        clip, out = tmp_path / "clip", tmp_path / "attn"
-        write_clip(generate_clip(0, RunConfig(image_h=32, image_w=48, gen_frames=2).validate()), clip)
-        size = ["--set", "image_h=32", "--set", "image_w=48", "--clip", str(clip)]
-        rc = main(["dump-attention", "--set", f"backbone_channels={channels}", *size, "--out", str(out)])
+        out = tmp_path / "d"
+        size = ["--set", "image_h=32", "--set", "image_w=48", "--set", "gen_frames=2"]
+        size += ["--set", "train_clips=1", "--set", "val_clips=1", "--set", "probe_clips=1"]
+        rc = main(["gen-data", "--set", f"backbone_channels={channels}", *size, "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == want
         assert out.exists() == (want == 0)
@@ -310,7 +310,8 @@ class TestCLIBasics:
 
     @pytest.mark.parametrize("flag", ["--config", "--set", "--seed"])
     def test_config_flag_with_checkpoint_exit_2(self, flag, capsys, tmp_path):
-        # a --ckpt model carries its own config, so a config flag beside it is an error
+        # dump-attention reads its model from --ckpt, which carries its own config:
+        # it takes no config flag
         cfg = RunConfig(image_h=32, image_w=48, num_slots=4, gen_frames=2, gen_max_sprites=2).validate()
         model = RCFModel(cfg)
         ckpt = str(tmp_path / "ckpt")
@@ -321,8 +322,11 @@ class TestCLIBasics:
         value = {"--config": str(tmp_path / "run.cfg"), "--set": "token_dim=7", "--seed": "5"}[flag]
         capsys.readouterr()
         command = ["dump-attention", "--clip", clip, "--out", str(tmp_path / "attn"), "--ckpt", ckpt, flag, value]
-        assert main(command) == EXIT_CONFIG
-        assert f"{flag} cannot be combined with --ckpt" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(command)
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag} {value}" in err and "Traceback" not in err
         assert not (tmp_path / "attn").exists()
 
 
@@ -549,18 +553,20 @@ class TestCLIPipelines:
     def test_dump_attention_records_no_tape(self, tmp_path, capsys, monkeypatch):
         # a read-only dump must not record, and hold, a training tape
         cfg = RunConfig(image_h=32, image_w=48, num_slots=4, gen_frames=2, gen_max_sprites=2).validate()
+        model = RCFModel(cfg)
+        ckpt = str(tmp_path / "ckpt")
+        save_checkpoint(ckpt, model, OptimState.create(model.params(), model.param_groups()), 0)
         clip = tmp_path / "clip"
         write_clip(generate_clip(0, cfg), clip)
         token_sets = []
         maps = FusionEncoder.attention_maps
 
-        def spy(self, tokens, layout):
+        def spy(self, tokens):
             token_sets.append(tokens)
-            return maps(self, tokens, layout)
+            return maps(self, tokens)
 
         monkeypatch.setattr(FusionEncoder, "attention_maps", spy)
-        size = ["--set", "image_h=32", "--set", "image_w=48", "--set", "num_slots=4"]
-        assert main(["dump-attention", "--clip", str(clip), "--out", str(tmp_path / "attn"), *size]) == 0
+        assert main(["dump-attention", "--ckpt", ckpt, "--clip", str(clip), "--out", str(tmp_path / "attn")]) == 0
         assert len(token_sets) == 1
         assert not token_sets[0].requires_grad
 

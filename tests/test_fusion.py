@@ -1,4 +1,4 @@
-"""Token building, compression, fusion encoder, layout bookkeeping."""
+"""Token building, compression, fusion encoder, segment bookkeeping."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from rcfvis.fusion import (
     FusionEncoder,
     ReferenceTokenizer,
     TargetTokenizer,
-    TokenLayout,
+    segment_mass,
     sincos_position_encoding_2d,
     split_fused,
 )
@@ -118,15 +118,6 @@ class TestAudioTokens:
         assert grad_check(f, x) < 1e-4
 
 
-def layout(h=8, w=12, k=2, audio=2):
-    return TokenLayout(h=h, w=w, k=k, audio_len=audio)
-
-
-def n_tokens(lay: TokenLayout) -> int:
-    """The token count of a layout: the end of its last segment."""
-    return lay.segment_slices()["audio"].stop
-
-
 class TestFusionEncoder:
     def make(self, dim=16, heads=4, depth=2, seed=0):
         return FusionEncoder("enc", dim, heads, depth, module_rng(seed, "enc"))
@@ -138,17 +129,16 @@ class TestFusionEncoder:
 
     def test_attention_rows_sum_to_one(self, rng):
         enc = self.make()
-        lay = TokenLayout(h=2, w=3, k=1, audio_len=2)
-        diag = enc.attention_maps(Tensor(rng.standard_normal((n_tokens(lay), 16))), lay)
-        for layer in diag.attention:
+        attention = enc.attention_maps(Tensor(rng.standard_normal((9, 16))))
+        assert [layer.shape for layer in attention] == [(4, 9, 9)] * 2
+        for layer in attention:
             assert np.abs(layer.sum(axis=2) - 1.0).max() < 1e-6
 
     def test_single_token_weight_is_one(self, rng):
         enc = self.make()
-        lay = TokenLayout(h=1, w=1, k=0, audio_len=0)
         x = Tensor(rng.standard_normal((1, 16)))
-        fused, diag = enc(x), enc.attention_maps(x, lay)
-        for layer in diag.attention:
+        fused, attention = enc(x), enc.attention_maps(x)
+        for layer in attention:
             assert np.abs(layer - 1.0).max() < 1e-12
         assert np.isfinite(fused.data).all()
 
@@ -159,16 +149,14 @@ class TestFusionEncoder:
             layer.attn.wo.b.data[:] = 0.0
             layer.ffn.fc2.w.data[:] = 0.0
             layer.ffn.fc2.b.data[:] = 0.0
-        lay = TokenLayout(h=2, w=2, k=1, audio_len=0)
-        x = rng.standard_normal((n_tokens(lay), 16))
+        x = rng.standard_normal((5, 16))
         fused = enc(Tensor(x))
         assert np.array_equal(fused.data, x)
 
     def test_matches_naive_per_head_reference(self, rng):
         enc = self.make(dim=8, heads=2, depth=1, seed=7)
-        lay = TokenLayout(h=2, w=2, k=2, audio_len=0)
         x = rng.standard_normal((8, 8))
-        fused, diag = enc(Tensor(x)), enc.attention_maps(Tensor(x), lay)
+        fused, attention = enc(Tensor(x)), enc.attention_maps(Tensor(x))
 
         layer = enc.layers[0]
 
@@ -188,8 +176,8 @@ class TestFusionEncoder:
             w = np.exp(logits - logits.max(axis=1, keepdims=True))
             w /= w.sum(axis=1, keepdims=True)
             heads_out.append(w @ v[:, sl])
-            assert np.abs(diag.attention[0][h] - w).max() < 1e-12
-            assert np.abs(diag.attention[0][h].sum(axis=1) - 1.0).max() < 1e-12
+            assert np.abs(attention[0][h] - w).max() < 1e-12
+            assert np.abs(attention[0][h].sum(axis=1) - 1.0).max() < 1e-12
         attended = np.concatenate(heads_out, axis=1) @ layer.attn.wo.w.data + layer.attn.wo.b.data
         mid = x + attended
         normed2 = np_ln(mid, layer.ln2.gain.data, layer.ln2.bias.data)
@@ -223,25 +211,50 @@ class TestLayoutAndSplit:
         cfg = RunConfig(**overrides).validate()
         model = RCFModel(cfg)
         frame = np.zeros((3, cfg.image_h, cfg.image_w))
+        target = model.extract(frame)
         refs = [model.extract(frame).f for _ in range(cfg.ref_frames)]
         feats = [Tensor(np.zeros(cfg.audio_dim)) for _ in range(cfg.ref_frames + 1)] if cfg.audio_enabled else None
-        built = model.build_tokens(model.extract(frame), refs, feats)
-        assert built.shape[0] == n_tokens(model.token_layout(*cfg.feature_hw))
+        built = model.build_tokens(target, refs, feats)
+        segments = model.token_segments(*cfg.feature_hw)
+        rows = {
+            "target": model.target_tok(target.f).shape[0],
+            "reference": model.ref_tok(refs).shape[0] if model.ref_tok is not None else 0,
+            "audio": model.audio_tok(feats).shape[0] if model.audio_tok is not None else 0,
+        }
+        assert {name: sl.stop - sl.start for name, sl in segments.items()} == rows
+        assert segments["target"].start == 0 and segments["audio"].stop == built.shape[0]
+        assert segments["target"].stop == segments["reference"].start
+        assert segments["reference"].stop == segments["audio"].start
 
     def test_split_round_trip(self, rng):
-        lay = layout()
-        c = 16
-        tokens = rng.standard_normal((n_tokens(lay), c))
-        tgt_map = split_fused(Tensor(tokens), lay)
-        assert tgt_map.shape == (c, lay.h, lay.w)
+        h, w, c = 8, 12, 16
+        tokens = rng.standard_normal((h * w + 6, c))
+        tgt_map = split_fused(Tensor(tokens), h, w)
+        assert tgt_map.shape == (c, h, w)
         # reshape(flatten(x)) == x
-        back = tgt_map.reshape(c, lay.h * lay.w).transpose().data
-        assert np.array_equal(back, tokens[: lay.n_target])
+        back = tgt_map.reshape(c, h * w).transpose().data
+        assert np.array_equal(back, tokens[: h * w])
+
+    def test_segment_mass_averages_heads_rows_and_layers(self):
+        # two layers of two heads over target (2 tokens), no reference, audio (1 token)
+        attention = [
+            np.array([
+                [[0.5, 0.25, 0.25], [1.0, 0.0, 0.0], [0.0, 0.5, 0.5]],
+                [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+            ]),
+            np.array([
+                [[0.0, 0.0, 1.0], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0]],
+                [[0.25, 0.25, 0.5], [0.75, 0.0, 0.25], [0.5, 0.0, 0.5]],
+            ]),
+        ]
+        segments = {"target": slice(0, 2), "reference": slice(2, 2), "audio": slice(2, 3)}
+        mass = segment_mass(attention, segments)
+        # rows: source target, reference, audio; columns: destination
+        assert np.array_equal(mass, [[0.625, 0.0, 0.375], [0.0, 0.0, 0.0], [0.75, 0.0, 0.25]])
 
     def test_layout_arithmetic(self):
-        lay = layout()
-        slices = lay.segment_slices()
-        assert [slices[name] for name in ("target", "reference", "audio")] == [
+        segments = RCFModel(RunConfig()).token_segments(8, 12)
+        assert [segments[name] for name in ("target", "reference", "audio")] == [
             slice(0, 96), slice(96, 100), slice(100, 102)
         ]
 

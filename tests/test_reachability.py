@@ -70,8 +70,7 @@ def trace_commands(work: Path) -> set:
         ["train", *flags, "--data", str(data), "--out", str(run), "--set", "iter_max=3", "--set", "ckpt_every=2"],
         ["eval", "--ckpt", ckpt, "--data", str(data), "--out", str(work / "eval.csv")],
         ["infer", "--ckpt", ckpt, "--clip", clip, "--out", str(work / "pred")],
-        ["dump-attention", "--ckpt", ckpt, "--clip", clip, "--out", str(work / "attn_ckpt")],
-        ["dump-attention", *flags, "--clip", clip, "--frame", "1", "--out", str(work / "attn_flags")],
+        ["dump-attention", "--ckpt", ckpt, "--clip", clip, "--frame", "1", "--out", str(work / "attn")],
         ["eval", "--ckpt", ckpt, "--data", str(data), "--split", "probe", "--out", str(work / "probe.csv")],
         ["bench-latency", "--fps-stream", "6", "--fps-model", "89.4"],
     ]

@@ -88,11 +88,11 @@ class AudioEncoder(Module):
         self.proj = self.child(Linear("proj", 16, out_dim, rng))
 
     def __call__(self, x: Tensor) -> Tensor:
-        """Feature vector (out_dim,) of one (frames, mels) log-mel window."""
+        """Feature row (1, out_dim) of one (frames, mels) log-mel window."""
         if x.ndim != 2 or x.shape[0] < 1:
             raise ArgumentError("audio encoder expects a (frames, mels) window")
         h = x.reshape(1, x.shape[0], x.shape[1])
         h = self.conv1(h, relu=True)
         h = self.conv2(h, relu=True)
         pooled = h.mean(axis=(1, 2)).reshape(1, -1)
-        return self.proj(pooled).reshape(-1)
+        return self.proj(pooled)

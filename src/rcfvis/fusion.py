@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .nn import INIT_STD, BiLSTM, EncoderLayer, Linear, Module
-from .tensor import Tensor, avg_pool2d, concat, stack
+from .tensor import Tensor, avg_pool2d, concat
 
 SEGMENT_NAMES = ("target", "reference", "audio")
 
@@ -105,7 +105,7 @@ class ReferenceTokenizer(Module):
 
 
 class AudioTokenizer(Module):
-    """Bi-LSTM over the (1+delta) per-frame audio vectors, then 2 FC + ReLU."""
+    """Bi-LSTM over the (1+delta) per-frame (1, c_audio) audio rows, then 2 FC + ReLU."""
 
     def __init__(self, name: str, c_audio: int, delta: int, c_tok: int, hidden: int, rng: np.random.Generator):
         super().__init__(name)
@@ -118,8 +118,7 @@ class AudioTokenizer(Module):
     def __call__(self, features: list[Tensor]) -> Tensor:
         if len(features) != self.steps:
             raise ArgumentError(f"expected {self.steps} audio features, got {len(features)}")
-        xs = stack([f.reshape(-1) for f in features], axis=0)
-        h = self.lstm(xs)
+        h = self.lstm(concat(features, axis=0))
         return self.fc2(self.fc1(h, relu=True)) + self.pos
 
 

@@ -8,8 +8,6 @@ potentials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ArgumentError, CapacityError, NumericError
@@ -52,15 +50,6 @@ def shrink_mask(mask: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
     return blocks.mean(axis=(-3, -1)) >= 0.5
 
 
-@dataclass(frozen=True)
-class Assignment:
-    gt_to_slot: tuple[int, ...]  # sigma: ground-truth index -> slot index, injective
-    total: float
-
-    def __len__(self) -> int:
-        return len(self.gt_to_slot)
-
-
 def similarity_matrix(
     class_probs: np.ndarray,
     mask_logits: np.ndarray,
@@ -85,8 +74,9 @@ def similarity_matrix(
     return dice_coeff(gt, soft) + class_probs[:, np.asarray(gt_classes, dtype=np.int64)].T
 
 
-def hungarian_assign(sim: np.ndarray) -> Assignment:
-    """Maximum-total-similarity assignment of G ground truths to N slots.
+def hungarian_assign(sim: np.ndarray) -> tuple[int, ...]:
+    """Maximum-total-similarity assignment of G ground truths to N slots:
+    ground truth i's slot at index i, no slot twice.
 
     Augmenting-path algorithm with row/column potentials on the negated
     matrix, O(G^2 N).  The loops run on Python floats, which are the same
@@ -99,7 +89,7 @@ def hungarian_assign(sim: np.ndarray) -> Assignment:
     if g > n:
         raise CapacityError(f"{g} ground truths exceed {n} slots")
     if g == 0:
-        return Assignment(gt_to_slot=(), total=0.0)
+        return ()
     cost = (-sim).tolist()
     inf = float("inf")
     u = [0.0] * (g + 1)
@@ -144,5 +134,4 @@ def hungarian_assign(sim: np.ndarray) -> Assignment:
     for j in range(1, n + 1):
         if match[j]:
             gt_to_slot[match[j] - 1] = j - 1
-    total = float(sim[np.arange(g), gt_to_slot].sum())
-    return Assignment(gt_to_slot=tuple(gt_to_slot), total=total)
+    return tuple(gt_to_slot)

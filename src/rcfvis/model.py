@@ -110,7 +110,7 @@ class RCFModel:
         return self.backbone(Tensor(np.asarray(frame, dtype=np.float64)))
 
     def audio_feature(self, window: np.ndarray) -> Tensor:
-        """Per-video-frame audio vector: log-mel window -> trainable encoder."""
+        """Per-video-frame (1, audio_dim) audio row: log-mel window -> trainable encoder."""
         if self.audio_enc is None:
             raise ArgumentError("audio path is disabled in this model")
         return self.audio_enc(Tensor(log_mel(np.asarray(window, dtype=np.float64))))

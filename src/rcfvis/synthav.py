@@ -18,13 +18,19 @@ buffer, get their noise, and are clipped and cast into the clip's
 float32 frames.  Generation so holds the clip's frames plus one chunk,
 and no dense mask of the whole clip: a clip holds its masks only as the
 words `write_clip` stores, and `SpriteClip.masks(t)` decodes one frame's
-planes.  `write_clip` writes a generated clip's own arrays as they are,
-and takes no read clip.  `read_clip` validates every
-stream without expanding it, and checks every frame and every audio
-sample, `_CHECK_BYTES` of them at a time, but keeps neither frames nor
-waveform: a read clip's `frames` and `waveform` are `StoredBlock`s that
-read frame t, or frame t's audio window, from its tensors.bin, and check
-it again, when a caller indexes `frames[t]` or calls `audio_window(t)`.
+planes.
+
+A clip file holds four blocks: `frames`, `waveform`, `gt_classes` and
+`gt_masks_rle`, the mask words of every plane back to back, frame-major.
+Its meta holds `kind`, `clip_id`, `fps_stream`, `seed`, `num_instances`
+and `mask_shape`.  `write_clip` writes a generated clip's own arrays as
+they are, and takes no read clip.  `read_clip` validates the mask stream
+without expanding it and reads each plane's visibility off it.  It checks
+every frame and every audio sample, `_CHECK_BYTES` of them at a time, but
+keeps neither frames nor waveform: a read clip's `frames` and `waveform`
+are `StoredBlock`s that read frame t, or frame t's audio window, from its
+tensors.bin, and check it again, when a caller indexes `frames[t]` or
+calls `audio_window(t)`.
 A generated clip, which has no file, keeps its frames and its waveform as
 arrays.  The contract: every pixel goes through the float64 operations of
 a per-(frame, sprite) renderer and the RNG draws come in the same order,
@@ -62,21 +68,6 @@ _CHUNK_PIXELS = 1 << 15
 # bytes of frames and audio windows that `read_clip` reads at once to check
 # them, whole frames and at least one
 _CHECK_BYTES = 1 << 20
-# a clip manifest's `generator_config` key -> the RunConfig key it records
-GENERATOR_KEYS = {
-    "height": "image_h",
-    "width": "image_w",
-    "frames": "gen_frames",
-    "min_sprites": "gen_min_sprites",
-    "max_sprites": "gen_max_sprites",
-    "min_radius": "gen_min_radius",
-    "max_radius": "gen_max_radius",
-    "min_speed": "gen_min_speed",
-    "max_speed": "gen_max_speed",
-    "noise": "gen_noise",
-    "fps_stream": "gen_fps",
-}
-
 
 def tone_frequency(class_id: int) -> float:
     return TONE_BASE_HZ + TONE_STEP_HZ * class_id
@@ -141,21 +132,22 @@ class SpriteClip:
     # clip a StoredBlock that reads one frame from disk per index
     frames: np.ndarray | StoredBlock
     # the T*G mask planes, frame-major, run-length encoded as `rle_encode_planes`
-    # returns them: plane p (frame p // G, sprite p % G) is its pair count and
-    # then its (value, run) pairs, mask_words[mask_offsets[p] : mask_offsets[p + 1]];
-    # each frame's planes are pairwise disjoint
+    # returns them, the stored block `gt_masks_rle` as it is: plane p (frame
+    # p // G, sprite p % G) is its pair count and then its (value, run) pairs,
+    # mask_words[mask_offsets[p] : mask_offsets[p + 1]]; each frame's planes
+    # are pairwise disjoint
     mask_words: np.ndarray  # uint32
     mask_offsets: np.ndarray  # (T*G+1,) int64
-    gt_classes: np.ndarray  # (G,) uint32
-    gt_identities: np.ndarray  # (G,) uint32, unique within the clip
-    visibility: np.ndarray  # (T,G) bool
+    gt_classes: np.ndarray  # (G,) uint32; sprite g's identity is g
+    # (T,G) bool, plane (t, g) has a pixel of 1: rendered with the masks for
+    # a generated clip, read off the mask words for a read clip
+    visibility: np.ndarray
     # (T, eta) float32 mono at SAMPLE_RATE, row t frame t's eta =
     # round(SAMPLE_RATE / fps_stream) samples: an array for a generated clip;
     # for a read clip a StoredBlock that reads one row from disk per index
     waveform: np.ndarray | StoredBlock
     fps_stream: int
     seed: int
-    generator: dict  # the manifest's `generator_config` record (GENERATOR_KEYS)
     clip_id: str = ""
 
     @property
@@ -335,45 +327,37 @@ def generate_clip(seed: int, cfg: RunConfig) -> SpriteClip:
         mask_words=mask_words,
         mask_offsets=mask_offsets,
         gt_classes=classes.astype(np.uint32),
-        gt_identities=np.arange(n, dtype=np.uint32),
         visibility=visibility,
         waveform=waveform.astype(np.float32).reshape(t_frames, eta),
         fps_stream=cfg.gen_fps,
         seed=seed,
-        generator={key: getattr(cfg, name) for key, name in GENERATOR_KEYS.items()},
         clip_id=f"clip-{seed:08d}",
     )
 
 
 def write_clip(clip: SpriteClip, path: str | Path) -> None:
-    """Persist a generated clip as manifest.json + tensors.bin (masks RLE
-    per frame).  Its float32 frames and waveform are written as they are,
+    """Persist a generated clip as manifest.json + tensors.bin: the blocks
+    `frames`, `waveform`, `gt_classes` and `gt_masks_rle`, the clip's mask
+    words, every plane back to back.  Its arrays are written as they are,
     without a copy.  A read clip, whose blocks stay in its own tensors.bin,
     raises ArgumentError.
     """
     if isinstance(clip.frames, StoredBlock) or isinstance(clip.waveform, StoredBlock):
         raise ArgumentError(f"write_clip takes a generated clip; {clip.clip_id!r} was read from disk")
-    t_frames, _, h, w = clip.frames.shape
-    g = clip.num_instances
-    blocks: dict[str, np.ndarray] = {
+    _, _, h, w = clip.frames.shape
+    blocks = {
         "frames": np.asarray(clip.frames, "<f4"),
         "waveform": np.asarray(clip.waveform, "<f4").reshape(-1),
         "gt_classes": clip.gt_classes.astype("<u4"),
-        "gt_identities": clip.gt_identities.astype("<u4"),
-        "visibility": clip.visibility.astype("<u1"),
+        "gt_masks_rle": clip.mask_words,
     }
-    words, offsets = clip.mask_words, clip.mask_offsets
-    for t in range(t_frames):
-        blocks[f"gt_masks_rle/{t:03d}"] = words[offsets[t * g] : offsets[(t + 1) * g]]
     meta = {
         "kind": "clip",
         "clip_id": clip.clip_id,
-        "class_vocab": list(CLASS_NAMES),
         "fps_stream": clip.fps_stream,
         "seed": clip.seed,
-        "num_instances": int(g),
+        "num_instances": clip.num_instances,
         "mask_shape": [int(h), int(w)],
-        "generator_config": clip.generator,
     }
     write_container(path, meta, blocks)
 
@@ -389,39 +373,33 @@ _CLIP_META = {
         "a list of two positive integers",
     ),
     "num_instances": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
-    "generator_config": (lambda v: isinstance(v, dict), "an object"),
     "fps_stream": (lambda v: _is_int(v) and v > 0, "a positive integer"),
     "seed": (_is_int, "an integer"),
     "clip_id": (lambda v: isinstance(v, str), "a string"),
 }
 
 
-def _mask_words(blocks: dict[str, np.ndarray], t_frames: int, g: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """The clip's `(mask_words, mask_offsets)` from its per-frame RLE streams.
+def _mask_words(words: np.ndarray, t_frames: int, g: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `(mask_offsets, visibility)` of the clip's RLE stream `words`.
 
-    Each frame's stream holds, per plane, its pair count and then its
-    (value, run) pairs.  The streams are checked, not decoded: a stream
-    that ends before or inside a plane or holds words after its last plane,
-    a plane whose runs do not sum to h·w, a value word other than 0 or 1,
-    and a `visibility` entry other than "the plane has a run of 1s of
-    positive length" each raise FormatError.
+    The stream holds the T*G planes, frame-major, each its pair count and
+    then its (value, run) pairs.  It is checked, not decoded: a stream that
+    ends before or inside a plane or holds words after its last plane, a
+    plane whose runs do not sum to h·w and a value word other than 0 or 1
+    each raise FormatError.  Plane (t, g) is visible when it has a run of 1s
+    of positive length.
     """
-    streams, offsets = [], [0]
-    for t in range(t_frames):
-        stream = blocks[f"gt_masks_rle/{t:03d}"]
-        pos = 0
-        for k in range(g):
-            if pos >= stream.size:
-                raise FormatError(f"mask RLE stream for frame {t} ends before plane {k}")
-            n_pairs = int(stream[pos])
-            if stream.size - pos - 1 < 2 * n_pairs:
-                raise FormatError(f"mask RLE stream for frame {t} ends inside plane {k}")
-            pos += 1 + 2 * n_pairs
-            offsets.append(offsets[-1] + 1 + 2 * n_pairs)
-        if pos != stream.size:
-            raise FormatError(f"mask RLE stream for frame {t} has {stream.size - pos} words after its last plane")
-        streams.append(stream)
-    words = np.concatenate([np.zeros(0, "<u4"), *streams])  # also when there are no planes
+    offsets = [0]
+    for p in range(t_frames * g):
+        pos = offsets[-1]
+        if pos >= words.size:
+            raise FormatError(f"mask RLE stream ends before plane {p % g} of frame {p // g}")
+        end = pos + 1 + 2 * int(words[pos])
+        if end > words.size:
+            raise FormatError(f"mask RLE stream ends inside plane {p % g} of frame {p // g}")
+        offsets.append(end)
+    if offsets[-1] != words.size:
+        raise FormatError(f"mask RLE stream has {words.size - offsets[-1]} words after its last plane")
     offsets = np.asarray(offsets, dtype=np.int64)
     runs = np.delete(words, offsets[:-1])  # every plane's (value, run) pairs, back to back
     first_pair = (offsets - np.arange(offsets.size)) // 2  # of each plane, then the end
@@ -436,36 +414,27 @@ def _mask_words(blocks: dict[str, np.ndarray], t_frames: int, g: int, h: int, w:
     if bad.size:
         raise FormatError(f"RLE run {bad[0]} has value {values[bad[0]]}, expected 0 or 1")
     shown = np.concatenate(([0], np.cumsum((values == 1) & (runs[1::2] > 0))))  # 1-runs among the first i pairs
-    visible = np.diff(shown[first_pair]).reshape(t_frames, g) > 0
-    bad = np.flatnonzero(visible != blocks["visibility"])
-    if bad.size:
-        t, k = divmod(int(bad[0]), g)
-        raise FormatError(
-            f"block 'visibility' entry {bad[0]} is {int(not visible[t, k])}, "
-            f"but mask plane {k} of frame {t} is {'non-empty' if visible[t, k] else 'empty'}"
-        )
-    return words, offsets
+    return offsets, np.diff(shown[first_pair]).reshape(t_frames, g) > 0
 
 
 def read_clip(path: str | Path) -> SpriteClip:
     """Read a clip written by `write_clip`.
 
-    A missing or mistyped meta field, a `generator_config` whose keys are
-    not those of `GENERATOR_KEYS`, a missing block, a block whose shape
-    or dtype disagrees with the meta or with `write_clip` (the waveform
-    must hold frames × round(SAMPLE_RATE / fps_stream) samples, and at
-    least one per frame, and a mask stream must be 1-D),
-    a class id outside `CLASS_NAMES`, a visibility byte other than 0 or 1,
-    a non-finite audio sample, a malformed mask stream and a visibility
-    entry that disagrees with its mask plane each raise FormatError naming
-    the field or block.  The frames' and the waveform's dtype and shape are
+    A missing or mistyped meta field, a missing block (a clip written with
+    one `gt_masks_rle/NNN` block per frame has no block `gt_masks_rle`), a
+    block whose shape or dtype disagrees with the meta or with `write_clip`
+    (the waveform must hold frames × round(SAMPLE_RATE / fps_stream)
+    samples, and at least one per frame, and the mask stream must be 1-D),
+    a class id outside `CLASS_NAMES`, a non-finite frame value or audio
+    sample and a malformed mask stream each raise FormatError naming the
+    field or block.  The frames' and the waveform's dtype and shape are
     checked from their manifest entries, and their values are read and
     checked a chunk of frames at a time, `_CHECK_BYTES` bytes of both blocks
     and at least one frame, so the call holds one chunk beyond what the clip
-    keeps.  The masks stay run-length encoded, and the frames and the
-    waveform stay in tensors.bin: the clip holds a `StoredBlock` for each,
-    which reads one frame, or one frame's audio window, per index and checks
-    it as read_clip checked every value.
+    keeps.  The masks stay run-length encoded, and the visibility is read
+    off them.  The frames and the waveform stay in tensors.bin: the clip
+    holds a `StoredBlock` for each, which reads one frame, or one frame's
+    audio window, per index and checks it as read_clip checked every value.
     """
     meta, entries = read_manifest(path)
     stored = {e["name"]: e for e in entries if e["name"] in ("frames", "waveform")}  # checked, not kept
@@ -481,12 +450,6 @@ def read_clip(path: str | Path) -> SpriteClip:
             raise FormatError(f"clip at {path} meta field {key!r} is not {what}: {meta[key]!r}")
     h, w = meta["mask_shape"]
     g = meta["num_instances"]
-    generator = meta["generator_config"]
-    if generator.keys() != GENERATOR_KEYS.keys():
-        missing, unknown = GENERATOR_KEYS.keys() - generator.keys(), generator.keys() - GENERATOR_KEYS.keys()
-        raise FormatError(
-            f"clip at {path} meta field 'generator_config' is invalid: missing {sorted(missing)}, unknown {sorted(unknown)}"
-        )
     frames_shape = layout["frames"][0] if "frames" in layout else ()  # a missing block is reported below
     t_frames = frames_shape[0] if len(frames_shape) == 4 else -1
     eta = round(SAMPLE_RATE / meta["fps_stream"])
@@ -494,13 +457,11 @@ def read_clip(path: str | Path) -> SpriteClip:
         raise FormatError(
             f"clip at {path} block 'waveform' cannot hold fps_stream {meta['fps_stream']}: 0 samples per frame"
         )
-    expected = {  # block -> (shape, dtype); a mask stream may have any length
+    expected = {  # block -> (shape, dtype); the mask stream may have any length
         "frames": ((t_frames, 3, h, w), "<f4"),
         "waveform": ((t_frames * eta,), "<f4"),
         "gt_classes": ((g,), "<u4"),
-        "gt_identities": ((g,), "<u4"),
-        "visibility": ((t_frames, g), "<u1"),
-        **{f"gt_masks_rle/{t:03d}": (None, "<u4") for t in range(t_frames)},
+        "gt_masks_rle": (None, "<u4"),
     }
     for name, (shape, dtype) in expected.items():
         if name not in layout:
@@ -511,31 +472,26 @@ def read_clip(path: str | Path) -> SpriteClip:
         shape = shape or (math.prod(got_shape),)
         if got_shape != shape:
             raise FormatError(f"clip at {path} block {name!r} has shape {got_shape}, expected {shape}")
-    for name, ok, what in (
-        ("gt_classes", lambda v: np.isin(v, range(len(CLASS_NAMES))), f"a class id below {len(CLASS_NAMES)}"),
-        ("visibility", lambda v: np.isin(v, (0, 1)), "0 or 1"),
-    ):
-        valid = ok(blocks[name])
-        if not valid.all():
-            bad = np.flatnonzero(~valid)[0]
-            value = blocks[name].reshape(-1)[bad]
-            raise FormatError(f"clip at {path} block {name!r} entry {bad} is {value}, expected {what}")
+    bad = np.flatnonzero(blocks["gt_classes"] >= len(CLASS_NAMES))
+    if bad.size:
+        raise FormatError(
+            f"clip at {path} block 'gt_classes' entry {bad[0]} is {blocks['gt_classes'][bad[0]]}, "
+            f"expected a class id below {len(CLASS_NAMES)}"
+        )
     frames = StoredBlock(Path(path), stored["frames"])
     waveform = StoredBlock(Path(path), {**stored["waveform"], "shape": [t_frames, eta]})
     rows = max(1, _CHECK_BYTES // (4 * (3 * h * w + eta)))  # frames per read, both blocks
     for start in range(0, t_frames, rows):
         _check_rows(path, frames, waveform, start, min(start + rows, t_frames))
-    mask_words, mask_offsets = _mask_words(blocks, t_frames, g, h, w)
+    mask_offsets, visibility = _mask_words(blocks["gt_masks_rle"], t_frames, g, h, w)
     return SpriteClip(
         frames=frames,
-        mask_words=mask_words,
+        mask_words=blocks["gt_masks_rle"],
         mask_offsets=mask_offsets,
         gt_classes=blocks["gt_classes"],
-        gt_identities=blocks["gt_identities"],
-        visibility=blocks["visibility"].astype(bool),
+        visibility=visibility,
         waveform=waveform,
         fps_stream=meta["fps_stream"],
         seed=meta["seed"],
-        generator=generator,
         clip_id=meta["clip_id"],
     )

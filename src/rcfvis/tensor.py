@@ -340,16 +340,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    expanded = []
-    for t in tensors:
-        t = Tensor._lift(t)
-        shape = list(t.shape)
-        shape.insert(axis if axis >= 0 else axis + t.ndim + 1, 1)
-        expanded.append(t.reshape(*shape))
-    return concat(expanded, axis=axis)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) -> Tensor:
     """x (L, d_in) @ w (d_in, d_out) + b (d_out,) as one tape node; with
     `relu`, max(that, 0)."""

@@ -30,7 +30,7 @@ import numpy as np
 from .config import RunConfig
 from .container import read_blocks, read_manifest, write_container
 from .errors import ArgumentError, ConfigError, FormatError, NumericError
-from .matching import DICE_SMOOTH, Assignment, hungarian_assign, shrink_mask, similarity_matrix
+from .matching import DICE_SMOOTH, hungarian_assign, shrink_mask, similarity_matrix
 from .model import RCFModel, reference_indices
 from .optim import OptimState, ParamGroup, adamw_step, poly_lr
 from .synthav import SpriteClip, read_clip
@@ -52,10 +52,12 @@ def set_loss(
     mask_logits: Tensor,
     gt_classes: np.ndarray,
     gt_masks: np.ndarray,
-    assignment: Assignment,
+    gt_to_slot: tuple[int, ...],
     num_classes: int,
 ) -> LossReport:
-    """Cross-entropy over every slot plus Dice loss on matched masks.
+    """Cross-entropy over every slot plus Dice loss on matched masks;
+    `gt_to_slot` is ground truth i's slot at index i, as `hungarian_assign`
+    returns it.
 
     `gt_masks` must already live on the prediction grid.  Mask loss applies
     only where the assigned ground-truth class is a real object.
@@ -63,10 +65,10 @@ def set_loss(
     n, n_cols = class_probs.shape
     if n_cols != num_classes + 1:
         raise ArgumentError(f"class head emits {n_cols} columns, expected {num_classes + 1}")
-    g = len(assignment)
+    g = len(gt_to_slot)
     if g != len(gt_classes):
         raise ArgumentError("assignment length disagrees with ground-truth count")
-    if any(j >= n for j in assignment.gt_to_slot):
+    if any(j >= n for j in gt_to_slot):
         raise ArgumentError("assignment references a slot outside the prediction")
 
     gt_masks = np.asarray(gt_masks)
@@ -74,9 +76,9 @@ def set_loss(
         raise ArgumentError(f"gt masks {gt_masks.shape} mismatch {g} masks on prediction grid {mask_logits.shape[1:]}")
 
     targets = np.full(n, num_classes)  # default target: no-object
-    targets[list(assignment.gt_to_slot)] = gt_classes
+    targets[list(gt_to_slot)] = gt_classes
     ce = cross_entropy(class_probs, targets)
-    dice = dice_loss(mask_logits, assignment.gt_to_slot, gt_masks, DICE_SMOOTH)
+    dice = dice_loss(mask_logits, gt_to_slot, gt_masks, DICE_SMOOTH)
     loss = ce + dice
     return LossReport(loss=loss, total=float(loss.data), ce=float(ce.data), dice=float(dice.data))
 

@@ -59,7 +59,6 @@ def hard_cut_clip(a: SpriteClip, b: SpriteClip) -> SpriteClip:
         mask_words=mask_words,
         mask_offsets=mask_offsets,
         gt_classes=np.concatenate([a.gt_classes, b.gt_classes]),
-        gt_identities=np.concatenate([a.gt_identities, b.gt_identities + ga]).astype(np.uint32),
         visibility=vis,
         waveform=np.concatenate([a.waveform, b.waveform]),
         clip_id=f"{a.clip_id}+{b.clip_id}",

@@ -111,7 +111,7 @@ class TestAudioEncoder:
         enc.proj.w.data[:] = 0.0
         out = enc(Tensor(rng.standard_normal((13, N_MELS))))
         assert np.allclose(out.data, 0.0)
-        assert out.shape == (16,)
+        assert out.shape == (1, 16)
 
     def test_identical_windows_identical_features(self, rng):
         enc = AudioEncoder("enc", 32, module_rng(1, "enc"))

@@ -161,8 +161,8 @@ MANIFEST_FAULTS = {
 }
 
 
-CLIP_META_KEYS = ("mask_shape", "num_instances", "generator_config", "fps_stream", "seed", "clip_id")
-CLIP_BLOCKS = ("frames", "waveform", "gt_classes", "gt_identities", "visibility", "gt_masks_rle/000", "gt_masks_rle/001")
+CLIP_META_KEYS = ("mask_shape", "num_instances", "fps_stream", "seed", "clip_id")
+CLIP_BLOCKS = ("frames", "waveform", "gt_classes", "gt_masks_rle")
 
 
 def _drop_block(name):
@@ -181,8 +181,6 @@ CLIP_FAULTS = {
     "mask-shape-not-pair": (_set(["meta", "mask_shape"], [32]), "'mask_shape' is not"),
     "num-instances-string": (_set(["meta", "num_instances"], "2"), "'num_instances' is not"),
     "fps-zero": (_set(["meta", "fps_stream"], 0), "'fps_stream' is not"),
-    "generator-unknown-key": (_set(["meta", "generator_config", "colour"], 1), "'generator_config' is invalid"),
-    "generator-missing-key": (_set(["meta", "generator_config", "noise"], _DELETE), "'generator_config' is invalid"),
     "num-instances-disagrees": (
         lambda m: _set(["meta", "num_instances"], m["meta"]["num_instances"] + 1)(m),
         "block 'gt_classes' has shape",
@@ -191,8 +189,8 @@ CLIP_FAULTS = {
     "fps-without-samples": (_set(["meta", "fps_stream"], 40000), "'waveform' cannot hold fps_stream 40000"),
     "frames-dtype": (_set(["blocks", 0, "dtype"], "<u4"), "'frames' has dtype uint32, expected float32"),
     "mask-stream-2d": (
-        lambda m: _set(["blocks", 6, "shape"], [1, *m["blocks"][6]["shape"]])(m),
-        r"'gt_masks_rle/001' has shape \(1, ",
+        lambda m: _set(["blocks", 3, "shape"], [1, *m["blocks"][3]["shape"]])(m),
+        r"'gt_masks_rle' has shape \(1, ",
     ),
 }
 
@@ -226,7 +224,7 @@ def test_malformed_manifest_is_format_error(fault, clip_and_checkpoint, tmp_path
 
 
 def _plane_words(stream):
-    """(start, stop) word offsets of each plane's pairs in a frame's RLE stream."""
+    """(start, stop) word offsets of each plane's pairs in a clip's RLE stream."""
     spans, pos = [], 0
     while pos < stream.size:
         n = int(stream[pos])
@@ -236,9 +234,10 @@ def _plane_words(stream):
 
 
 def _shift_one_pixel(stream):
-    # plane 0 one pixel longer, plane 1 one shorter: the frame's total is unchanged
+    # frame 1's plane 0 one pixel longer, its plane 1 one shorter: the
+    # frame's total is unchanged
     stream = stream.copy()
-    (_, end0), (_, end1) = _plane_words(stream)[:2]
+    (_, end0), (_, end1) = _plane_words(stream)[2:4]
     stream[end0 - 1] += 1
     stream[end1 - 1] -= 1
     return stream
@@ -246,17 +245,18 @@ def _shift_one_pixel(stream):
 
 def _first_value_2(stream):
     stream = stream.copy()
-    stream[1] = 2  # word 0 is plane 0's pair count, word 1 its first value
+    stream[_plane_words(stream)[2][0]] = 2  # frame 1 plane 0's first value word
     return stream
 
 
-# edit of frame 1's RLE stream -> text the error must contain
+# edit of the RLE stream of a clip of 2 frames of 2 planes -> text the error
+# must contain
 RLE_FAULTS = {
-    "ends-before-plane": (lambda s: s[: _plane_words(s)[0][1]], "ends before plane 1"),
-    "odd-word-count": (lambda s: s[:-1], "ends inside plane 1"),
+    "ends-before-plane": (lambda s: s[: _plane_words(s)[2][1]], "ends before plane 1 of frame 1"),
+    "odd-word-count": (lambda s: s[:-1], "ends inside plane 1 of frame 1"),
     "plane-size": (_shift_one_pixel, "plane 0 of frame 1 decodes to 1537 elements, expected 1536"),
     "value-not-binary": (_first_value_2, "has value 2, expected 0 or 1"),
-    "words-after-last-plane": (lambda s: np.concatenate([s, s[:3]]), "frame 1 has 3 words after its last plane"),
+    "words-after-last-plane": (lambda s: np.concatenate([s, s[:3]]), "stream has 3 words after its last plane"),
 }
 
 
@@ -266,10 +266,38 @@ def test_malformed_mask_stream_is_format_error(fault, tmp_path):
     cfg = RunConfig(image_h=32, image_w=48, gen_frames=2, gen_min_sprites=2, gen_max_sprites=2)
     write_clip(generate_clip(0, cfg), tmp_path / "clip")
     meta, blocks = read_container(tmp_path / "clip")
-    blocks["gt_masks_rle/001"] = edit(blocks["gt_masks_rle/001"])
+    blocks["gt_masks_rle"] = edit(blocks["gt_masks_rle"])
     write_container(tmp_path / "bad", meta, blocks)
     with pytest.raises(FormatError, match=text):
         read_clip(tmp_path / "bad")
+
+
+def test_a_clip_of_the_per_frame_mask_layout_is_rejected(clip_and_checkpoint, tmp_path, capsys):
+    # the layout before the one mask block: `gt_identities` and `visibility`
+    # blocks, a `gt_masks_rle/NNN` block per frame, and the `class_vocab`
+    # and `generator_config` meta fields
+    clip_dir, ckpt = clip_and_checkpoint
+    clip = read_clip(clip_dir)
+    g, offsets = clip.num_instances, clip.mask_offsets
+    meta, blocks = read_container(clip_dir)
+    words = blocks.pop("gt_masks_rle")
+    blocks["gt_identities"] = np.arange(g, dtype="<u4")
+    blocks["visibility"] = clip.visibility.astype("<u1")
+    for t in range(clip.num_frames):
+        blocks[f"gt_masks_rle/{t:03d}"] = words[offsets[t * g] : offsets[(t + 1) * g]]
+    meta["class_vocab"] = ["circle", "square", "triangle", "cross"]
+    meta["generator_config"] = {"height": 32, "width": 48, "frames": 2, "fps_stream": 8}
+    data = tmp_path / "data"
+    write_container(data / "val" / "clip_00000", meta, blocks)
+    with pytest.raises(FormatError, match="has no block 'gt_masks_rle'"):
+        read_clip(data / "val" / "clip_00000")
+    capsys.readouterr()
+    out = tmp_path / "score.csv"
+    rc = main(["eval", "--ckpt", str(ckpt), "--data", str(data), "--split", "val", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_IO
+    assert "has no block 'gt_masks_rle'" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def _mutations(manifest: bytes, tensors: bytes, mask_span: tuple[int, int], count: int, seed: int):
@@ -278,8 +306,8 @@ def _mutations(manifest: bytes, tensors: bytes, mask_span: tuple[int, int], coun
     The six kinds take turns: a truncation of either file, any byte of the
     manifest set to any value, a digit of the manifest set to another digit
     (still JSON, other numbers), any byte of tensors.bin set to any value,
-    and a byte inside the mask streams set to 0, 1 or 2 (small words keep
-    more of the edited streams well formed).
+    and a byte inside the mask stream set to 0, 1 or 2 (small words keep
+    more of the edited stream well formed).
     """
     rng = np.random.default_rng(seed)
     digits = [i for i, c in enumerate(manifest) if chr(c).isdigit()]
@@ -304,8 +332,8 @@ def test_mutated_clips_read_whole_or_raise_format_error(tmp_path):
     write_clip(generate_clip(0, cfg), tmp_path / "clip")
     manifest = (tmp_path / "clip" / "manifest.json").read_bytes()
     tensors = (tmp_path / "clip" / "tensors.bin").read_bytes()
-    streams = [b for b in json.loads(manifest)["blocks"] if b["name"].startswith("gt_masks_rle/")]
-    mask_span = (streams[0]["offset"], streams[-1]["offset"] + streams[-1]["nbytes"])
+    (stream,) = [b for b in json.loads(manifest)["blocks"] if b["name"] == "gt_masks_rle"]
+    mask_span = (stream["offset"], stream["offset"] + stream["nbytes"])
     accepted = rejected = 0
     for edited_manifest, edited_tensors in _mutations(manifest, tensors, mask_span, 300, seed=7):
         (tmp_path / "clip" / "manifest.json").write_bytes(edited_manifest)
@@ -360,12 +388,6 @@ def _set_entry(value, at=0):
 CLIP_VALUE_FAULTS = {
     "class-9": ("gt_classes", _set_entry(9), "block 'gt_classes' entry 0 is 9, expected a class id below 4"),
     "class-4": ("gt_classes", _set_entry(4), "block 'gt_classes' entry 0 is 4, expected a class id below 4"),
-    "visibility-2": ("visibility", _set_entry(2), "block 'visibility' entry 0 is 2, expected 0 or 1"),
-    "visibility-disagrees": (
-        "visibility",
-        _set_entry(0, 1),
-        "block 'visibility' entry 1 is 0, but mask plane 1 of frame 0 is non-empty",
-    ),
     "frames-nan": ("frames", _set_entry(np.nan, 100), "block 'frames' entry 100 is nan, expected a finite value"),
     "frames-inf": ("frames", _set_entry(np.inf, 7), "block 'frames' entry 7 is inf, expected a finite value"),
     "waveform-nan": ("waveform", _set_entry(np.nan), "block 'waveform' entry 0 is nan, expected a finite value"),

@@ -342,11 +342,11 @@ def test_dice_loss_of_no_rows_is_zero(rng):
 # whole model: the composite layers swapped in
 
 
-def composite_set_loss(class_probs, mask_logits, gt_classes, gt_masks, assignment, num_classes):
+def composite_set_loss(class_probs, mask_logits, gt_classes, gt_masks, gt_to_slot, num_classes):
     targets = np.full(class_probs.shape[0], num_classes)
-    targets[list(assignment.gt_to_slot)] = gt_classes
+    targets[list(gt_to_slot)] = gt_classes
     return composite_cross_entropy(class_probs, targets) + composite_dice_loss(
-        mask_logits, assignment.gt_to_slot, gt_masks, DICE_SMOOTH
+        mask_logits, gt_to_slot, gt_masks, DICE_SMOOTH
     )
 
 

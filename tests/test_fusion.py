@@ -85,7 +85,7 @@ class TestReferenceTokens:
 class TestAudioTokens:
     def test_token_count(self, rng):
         tok = AudioTokenizer("a", 16, 2, 12, 8, module_rng(0, "a"))
-        feats = [Tensor(rng.standard_normal(16)) for _ in range(3)]
+        feats = [Tensor(rng.standard_normal((1, 16))) for _ in range(3)]
         assert tok(feats).shape == (3, 12)
 
     def test_wrong_count_rejected(self, rng):
@@ -193,7 +193,7 @@ class TestLayoutAndSplit:
         clip_frame = np.zeros((3, 64, 96))
         target = model.extract(clip_frame)
         refs = [model.extract(clip_frame).f]
-        feats = [Tensor(np.zeros(cfg.audio_dim)) for _ in range(2)]
+        feats = [Tensor(np.zeros((1, cfg.audio_dim))) for _ in range(2)]
         tokens = model.build_tokens(target, refs, feats)
         assert tokens.shape[0] == 96 + 4 + 2 == 102
 
@@ -213,7 +213,7 @@ class TestLayoutAndSplit:
         frame = np.zeros((3, cfg.image_h, cfg.image_w))
         target = model.extract(frame)
         refs = [model.extract(frame).f for _ in range(cfg.ref_frames)]
-        feats = [Tensor(np.zeros(cfg.audio_dim)) for _ in range(cfg.ref_frames + 1)] if cfg.audio_enabled else None
+        feats = [Tensor(np.zeros((1, cfg.audio_dim))) for _ in range(cfg.ref_frames + 1)] if cfg.audio_enabled else None
         built = model.build_tokens(target, refs, feats)
         segments = model.token_segments(*cfg.feature_hw)
         rows = {
@@ -266,7 +266,7 @@ def test_audio_flag_keeps_visual_blocks_bit_identical(rng):
     frame = rng.random((3, 64, 96))
     t_on, t_off = m_on.extract(frame), m_off.extract(frame)
     r_on, r_off = [m_on.extract(frame).f], [m_off.extract(frame).f]
-    feats = [Tensor(np.zeros(cfg_on.audio_dim)) for _ in range(2)]
+    feats = [Tensor(np.zeros((1, cfg_on.audio_dim))) for _ in range(2)]
     tokens_on = m_on.build_tokens(t_on, r_on, feats)
     tokens_off = m_off.build_tokens(t_off, r_off, None)
     n_vis = tokens_off.shape[0]

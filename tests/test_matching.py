@@ -10,7 +10,6 @@ import pytest
 from rcfvis.errors import ArgumentError, CapacityError, NumericError
 from rcfvis.matching import (
     DICE_SMOOTH,
-    Assignment,
     dice_coeff,
     hungarian_assign,
     shrink_mask,
@@ -31,7 +30,12 @@ def _injections(n: int, g: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n), g)), dtype=np.int64)
 
 
-def brute_force_assign(sim: np.ndarray) -> Assignment:
+def total(sim: np.ndarray, slots: tuple[int, ...]) -> float:
+    """The similarity an assignment collects: ground truth i at slot slots[i]."""
+    return float(np.asarray(sim)[range(len(slots)), list(slots)].sum())
+
+
+def brute_force_assign(sim: np.ndarray) -> tuple[int, ...]:
     """Exhaustive oracle over injections; ties pick the lexicographically
     smallest sigma (guaranteed by enumeration order plus strict argmax)."""
     sim = np.asarray(sim, dtype=np.float64)
@@ -39,16 +43,16 @@ def brute_force_assign(sim: np.ndarray) -> Assignment:
     if g > BRUTE_FORCE_MAX_GT:
         raise ArgumentError(f"brute force guard: G={g} exceeds {BRUTE_FORCE_MAX_GT}")
     if g == 0:
-        return Assignment(gt_to_slot=(), total=0.0)
+        return ()
     if g > n:
         raise CapacityError(f"{g} ground truths exceed {n} slots")
     perms = _injections(n, g)
     totals = sim[np.arange(g)[None, :], perms].sum(axis=1)
     best = int(np.argmax(totals))  # first maximum = lexicographically smallest
-    return Assignment(gt_to_slot=tuple(int(j) for j in perms[best]), total=float(totals[best]))
+    return tuple(int(j) for j in perms[best])
 
 
-def numpy_scalar_hungarian(sim: np.ndarray) -> Assignment:
+def numpy_scalar_hungarian(sim: np.ndarray) -> tuple[int, ...]:
     """Oracle: the solver as it ran on numpy arrays and scalars before its
     loops moved to Python lists."""
     sim = np.asarray(sim, dtype=np.float64)
@@ -96,7 +100,7 @@ def numpy_scalar_hungarian(sim: np.ndarray) -> Assignment:
     for j in range(1, n + 1):
         if match[j]:
             gt_to_slot[match[j] - 1] = j - 1
-    return Assignment(gt_to_slot=tuple(gt_to_slot), total=float(sim[np.arange(g), gt_to_slot].sum()))
+    return tuple(gt_to_slot)
 
 
 class TestShrinkMask:
@@ -161,7 +165,7 @@ class TestSimilarityMatrix:
     def test_empty_gt_set(self):
         sim = similarity_matrix(np.full((3, 3), 1 / 3), np.zeros((3, 2, 2)), np.zeros((0, 2, 2)), np.zeros(0, dtype=int))
         assert sim.shape == (0, 3)
-        assert hungarian_assign(sim) == Assignment(gt_to_slot=(), total=0.0)
+        assert hungarian_assign(sim) == ()
 
     def test_matches_scalar_recomputation(self, rng):
         probs = rng.random((3, 4))
@@ -226,20 +230,20 @@ class TestSimilarityMatrix:
 class TestAssignment:
     def test_worked_2x2_example(self):
         # exhaustive over both permutations: 1+0=1 vs 2+3=5
-        a = hungarian_assign(np.array([[1.0, 2.0], [3.0, 0.0]]))
-        assert a.gt_to_slot == (1, 0)
-        assert a.total == pytest.approx(5.0)
+        sim = np.array([[1.0, 2.0], [3.0, 0.0]])
+        a = hungarian_assign(sim)
+        assert a == (1, 0)
+        assert total(sim, a) == pytest.approx(5.0)
 
     def test_diagonal_dominant_identity(self):
         sim = np.eye(4) * 10.0 + 0.1
-        assert hungarian_assign(sim).gt_to_slot == (0, 1, 2, 3)
+        assert hungarian_assign(sim) == (0, 1, 2, 3)
 
     def test_brute_force_single(self):
-        assert brute_force_assign(np.array([[3.0]])).gt_to_slot == (0,)
+        assert brute_force_assign(np.array([[3.0]])) == (0,)
 
     def test_brute_force_tie_lexicographic(self):
-        a = brute_force_assign(np.ones((2, 2)))
-        assert a.gt_to_slot == (0, 1)
+        assert brute_force_assign(np.ones((2, 2))) == (0, 1)
 
     def test_brute_force_guard(self):
         with pytest.raises(ArgumentError):
@@ -260,9 +264,9 @@ class TestAssignment:
             sim = rng.normal(0.0, 3.0, size=(g, n))
             h = hungarian_assign(sim)
             b = brute_force_assign(sim)
-            assert h.total == pytest.approx(b.total, abs=1e-9)
+            assert total(sim, h) == pytest.approx(total(sim, b), abs=1e-9)
             # sigma itself may differ only among equal-total optima
-            assert len(set(h.gt_to_slot)) == g
+            assert len(set(h)) == g
 
     def test_python_float_loops_equal_numpy_scalar_oracle(self, rng):
         for k in range(200):
@@ -270,11 +274,10 @@ class TestAssignment:
             sim = rng.random((g, 32)) + rng.random((1, 32))
             if k % 2:  # repeated columns: exact ties between slots
                 sim[:, rng.integers(0, 32, size=16)] = sim[:, rng.integers(0, 32, size=16)]
-            got, want = hungarian_assign(sim), numpy_scalar_hungarian(sim)
-            assert got.gt_to_slot == want.gt_to_slot and got.total == want.total
+            assert hungarian_assign(sim) == numpy_scalar_hungarian(sim)
 
     def test_constant_shift_invariance(self, rng):
         sim = rng.normal(size=(4, 6))
         base = hungarian_assign(sim)
         shifted = hungarian_assign(sim + 7.25)
-        assert shifted.gt_to_slot == base.gt_to_slot
+        assert shifted == base

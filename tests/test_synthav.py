@@ -65,12 +65,6 @@ def test_masks_pairwise_disjoint():
     assert overlap.max() <= 1
 
 
-def test_identities_unique_and_stable():
-    clip = generate_clip(9, small_cfg())
-    ids = clip.gt_identities
-    assert len(set(ids.tolist())) == len(ids)
-
-
 def test_waveform_length_exact():
     cfg = small_cfg(gen_fps=8)
     clip = generate_clip(1, cfg)
@@ -113,10 +107,8 @@ def test_clip_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(back.waveform, clip.waveform)
     assert np.array_equal(all_masks(back), all_masks(clip))
     assert np.array_equal(back.gt_classes, clip.gt_classes)
-    assert np.array_equal(back.gt_identities, clip.gt_identities)
     assert np.array_equal(back.visibility, clip.visibility)
     assert back.fps_stream == clip.fps_stream and back.seed == clip.seed
-    assert back.generator == clip.generator
 
 
 def test_read_clip_retains_only_the_stored_blocks(tmp_path, traced):
@@ -230,43 +222,50 @@ CONFIGS = {
 }
 
 # blake2b of tensors.bin then manifest.json as `write_clip(generate_clip(seed, cfg))`
-# writes them, computed with the per-(frame, sprite) renderer and per-plane encoder
+# writes them.  The frames, waveform and mask words were first pinned with the
+# per-(frame, sprite) renderer and per-plane encoder, in a layout that also
+# stored `gt_identities`, `visibility` and one mask block per frame.  These
+# digests were re-pinned for the four-block layout after checking, for every
+# clip below, that the earlier layout's files still hashed to their old pin
+# and that the new tensors.bin is the old one with the bytes of the
+# `gt_identities` and `visibility` blocks cut out (the per-frame mask blocks
+# lay back to back, so their bytes are the one `gt_masks_rle` block's).
 WRITTEN_DIGESTS = {
     "default": {
-        0: "6593f0337a2b365133d814f008ca16f3",
-        1: "fa4745e601750e700c2bce347f0addcf",
-        7: "06ca3f3200c29ada40cde00f63572364",
-        12345: "dde54749eddc602f55f7917605f5751b",
+        0: "2059778202f5824705663a0dd7de886b",
+        1: "44654bc26bc43f78ad9bf05e2001723f",
+        7: "9948d6524895863a0964100a6ef6946b",
+        12345: "fe1b06b8505f8f0a84390f0543a0b458",
     },
     "crowded": {
-        0: "d09271a605722099b76c5dfb35a0a00c",
-        1: "c6fbcfb9f7f384ea2baea5783555dc7b",
-        7: "fdb341bff29c81cd1432c160b3f32b9a",
-        12345: "6ffa76ae14ad99038581a6f38e8df5d4",
+        0: "ef9b4006e47c1c7f8d1d6ccdf7eb473a",
+        1: "1acdc0e2326d1d913ad4b71311945d16",
+        7: "b8cb8067b1e583890511d9004121ae4c",
+        12345: "c730ee26f6dd400b53e208f5fd91a3db",
     },
     "hires": {
-        0: "1902c2236016a278a1e975a1f52856af",
-        1: "a4a58248b263d29dd5423d46d9941c71",
-        7: "b194f0abd52ade42ff98e13fc1067e35",
-        12345: "2b3087f4e66b5d4f16c78b2046f22055",
+        0: "f6f39e0ddb6c0f92877c2a6a78da06c5",
+        1: "6719f8cc71a5641141cfa126e73a44bf",
+        7: "52703232219b6e4a70d552f4b018dca8",
+        12345: "1e1d9c7a39a2b29a78b83befbc4f7727",
     },
     "static": {
-        0: "93f53c3dfd4ed235dd4260cd5a52c83d",
-        1: "764f686f876f319fd3b8099455d5f8b7",
-        7: "e9abb2f26d12e917af7d18b3d82219a9",
-        12345: "57487453563aa29761b0bc10d6ecc20b",
+        0: "67abaa40c783be73b9166890c3490ba4",
+        1: "c9db079a379f233c66a8183401f3832e",
+        7: "7ecbd37ff6adb0837d03df8ee07d612a",
+        12345: "5ca9de58a52bf385fa2d393fc5b32cac",
     },
     "oversized": {
-        0: "9a7ae52f7e6d8bc43bdd74bc0978fb75",
-        1: "ff575ba59e15f6fc0f6f9895119177f9",
-        7: "7c4018c051316404a1d1b6dbaa3b6ff5",
-        12345: "e60ce611c69d6f7923e718eaff0b81c9",
+        0: "c03acae3ce9371e91ddecef893d15001",
+        1: "c9a7748637d773af5521a8ccc86a1e0d",
+        7: "c775bc8e7b1cb219b6aa0b35261a75ce",
+        12345: "55950f803ce2792b94ca1ce9f631b8cb",
     },
     "two_frames": {
-        0: "d8b8f57f7216a0842589225ba0ece448",
-        1: "7d9d53ee1baa46c3a9389d953f5fbdea",
-        7: "6edb2798cdf04ea44a66913d3347f0a8",
-        12345: "0288efde2fe838963d8088902953a03e",
+        0: "7ff94eb82033c2f407b172496aa4b764",
+        1: "ff2169b9588cf25c7020dd2419173d3e",
+        7: "73f97c67493ce27d185ac5bb38619a63",
+        12345: "b1c5182e96cb29fda11db55b5f1da051",
     },
 }
 
@@ -357,9 +356,9 @@ def test_written_clips_match_pinned_digests_and_read_back(name, tmp_path):
         clip = generate_clip(seed, CONFIGS[name])
         assert written_digest(clip, tmp_path / f"clip_{seed}") == want, seed
         back = read_clip(tmp_path / f"clip_{seed}")
-        for field in ("frames", "waveform", "mask_words", "mask_offsets", "gt_classes", "gt_identities", "visibility"):
+        for field in ("frames", "waveform", "mask_words", "mask_offsets", "gt_classes", "visibility"):
             assert np.array_equal(getattr(back, field), getattr(clip, field)), (seed, field)
-        assert back.generator == clip.generator and back.clip_id == clip.clip_id
+        assert back.clip_id == clip.clip_id
 
 
 @pytest.mark.parametrize("name", CONFIGS)
@@ -423,7 +422,6 @@ def test_a_clip_without_instances_decodes_empty_frames(tmp_path):
         mask_words=np.zeros(0, "<u4"),
         mask_offsets=np.zeros(1, np.int64),
         gt_classes=np.zeros(0, np.uint32),
-        gt_identities=np.zeros(0, np.uint32),
         visibility=np.zeros((3, 0), bool),
     )
     write_clip(empty, tmp_path / "clip")

@@ -24,7 +24,6 @@ from rcfvis.tensor import (
     scaled_dot_product_attention,
     sigmoid,
     softmax,
-    stack,
     upsample2x,
 )
 
@@ -502,7 +501,6 @@ class TestShapeOps:
         x = Tensor(rng.standard_normal((4, 6)))
         assert grad_check(lambda t: sum_of_squares(t[1:3, ::2]), x) < 1e-6
         assert grad_check(lambda t: sum_of_squares(concat([t, t * 2], axis=0)), x) < 1e-6
-        assert grad_check(lambda t: sum_of_squares(stack([t, t + 1], axis=1)), x) < 1e-6
 
     def test_mean_and_broadcast(self, rng):
         x = Tensor(rng.standard_normal((3, 5)))
